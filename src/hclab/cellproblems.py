@@ -523,7 +523,7 @@ def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) ->
 
     wq = grid.gauss_weight * grid.h**d
     Hg = model.hardening_smooth(Pg)
-    gradP = np.einsum("enij,gnk->egijk", grid.gather(Pn), grid.dN_gauss)
+    gradP = grid.gauss_gradients(Pn)
     qn = np.einsum("egijk,egijk->eg", gradP, gradP)
     vol_s, vol_t = float(cell.vol_soft), float(cell.vol_stiff)
     int_H = float(np.sum(Hg) * wq)

@@ -13,8 +13,13 @@ differentials enter through their closed-form adjoints.  Value and gradient
 share one pass over the Gauss tables, since line searches evaluate both at
 accepted points.
 
-Assembly is vectorized over elements; reductions are plain numpy sums
-(pairwise, deterministic), so repeated assemblies of the same state are
+Assembly is vectorized over elements.  The gradient pass sums every
+P-cotangent at each Gauss point (the elastic -F^T W'(F) P^{-T} of both phases
+and the hardening 2 h1 (Dlog_P)^*(log P)) before scattering it, so one
+assembly makes three scatters: the y cotangent, the P values and the
+|grad P|^q term.  For d = 2 the stacked 2x2 products and inverses are written
+entrywise.  Reductions are plain numpy sums (pairwise) and the grid's CSR
+scatters sum in a fixed order, so repeated assemblies of the same state are
 bit-identical.
 """
 
@@ -79,20 +84,25 @@ def _check_grids(domain, y: DeformationField, P: PlasticField) -> None:
 def _inv_batch(A: np.ndarray) -> np.ndarray:
     if A.shape[-1] == 2:
         det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-        out = np.empty_like(A)
-        out[..., 0, 0] = A[..., 1, 1]
-        out[..., 0, 1] = -A[..., 0, 1]
-        out[..., 1, 0] = -A[..., 1, 0]
-        out[..., 1, 1] = A[..., 0, 0]
-        return out / det[..., None, None]
+        out = np.empty(A.shape)
+        out[..., 0, 0] = A[..., 1, 1] / det
+        out[..., 0, 1] = -A[..., 0, 1] / det
+        out[..., 1, 0] = -A[..., 1, 0] / det
+        out[..., 1, 1] = A[..., 0, 0] / det
+        return out
     return np.linalg.inv(A)
 
 
-def _soft_grad(model, family_eps, F):
-    try:
-        return model.W_soft_family.grad(family_eps, F, return_crease=True)
-    except TypeError:
-        return model.W_soft_family.grad(family_eps, F), 0
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Stacked matrix product; entrywise for 2x2, where np.matmul's per-matrix
+    overhead costs several times the arithmetic."""
+    if A.shape[-1] != 2:
+        return np.matmul(A, B)
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape))
+    for i in range(2):
+        for j in range(2):
+            out[..., i, j] = A[..., i, 0] * B[..., 0, j] + A[..., i, 1] * B[..., 1, j]
+    return out
 
 
 def _assemble(domain, model, y: DeformationField, P: PlasticField,
@@ -104,6 +114,7 @@ def _assemble(domain, model, y: DeformationField, P: PlasticField,
     fe = eps if family_eps is None else family_eps
     soft_els = domain.soft_field.reshape(-1)
     stiff_els = ~soft_els
+    scale = np.where(soft_els, s, 1.0)[:, None, None, None]  # contrast factor per element
 
     Pn = P.matrices()
     G = grid.gauss_gradients(y.values)          # (E, g, d, d)
@@ -112,8 +123,9 @@ def _assemble(domain, model, y: DeformationField, P: PlasticField,
     gradP = grid.gauss_gradients(Pn)            # (E, g, d, d, k)
     logs = slgeometry.log_batch(Pg)
 
-    F_soft = s * np.matmul(G[soft_els], Pinv[soft_els])
-    F_stiff = np.matmul(G[stiff_els], Pinv[stiff_els])
+    F = scale * _matmul(G, Pinv)
+    F_soft = F[soft_els]
+    F_stiff = F[stiff_els]
     w_soft = model.W_soft_family.value(fe, F_soft)
     w_stiff = model.W_stiff.value(F_stiff)
     Hg = model.h0 + model.h1 * np.einsum("...ij,...ij->...", logs, logs)
@@ -131,25 +143,18 @@ def _assemble(domain, model, y: DeformationField, P: PlasticField,
     if not want_grad:
         return breakdown, None
 
-    PinvT = np.swapaxes(Pinv, -1, -2)
+    # Per-Gauss cotangents of both phases, each scattered once.
+    Wp = np.empty_like(F)
+    Wp[soft_els], crease = model.W_soft_family.grad(fe, F_soft, return_crease=True)
+    Wp[stiff_els] = model.W_stiff.grad(F_stiff)
+    WpPinvT = _matmul(Wp, np.swapaxes(Pinv, -1, -2))
     grad_y = np.zeros_like(y.values)
+    grid.accumulate_from_gradients(scale * WpPinvT, grad_y)
+
+    dP = 2.0 * model.h1 * slgeometry.log_frechet_adjoint(Pg, logs)
+    dP -= _matmul(np.swapaxes(F, -1, -2), WpPinvT)
     R_nodes = np.zeros((grid.n_nodes, grid.dim, grid.dim))
-    crease = 0
-    for els, scale, F, is_soft in ((soft_els, s, F_soft, True), (stiff_els, 1.0, F_stiff, False)):
-        if not els.any():
-            continue
-        if is_soft:
-            Wp, crease = _soft_grad(model, fe, F)
-        else:
-            Wp = model.W_stiff.grad(F)
-        WpPinvT = np.matmul(Wp, PinvT[els])
-        grid.accumulate_from_gradients(scale * WpPinvT, grad_y, element_mask=els)
-        dP = -np.matmul(np.swapaxes(F, -1, -2), WpPinvT)
-        grid.accumulate_from_values(dP, R_nodes, element_mask=els)
-
-    dH = 2.0 * model.h1 * slgeometry.log_frechet_adjoint(Pg, logs)
-    grid.accumulate_from_values(dH, R_nodes)
-
+    grid.accumulate_from_values(dP, R_nodes)
     fac = model.q * np.power(np.maximum(qn, 1e-300), (model.q - 2.0) / 2.0)
     grid.accumulate_from_gradients(fac[..., None, None, None] * gradP, R_nodes)
 

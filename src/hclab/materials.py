@@ -70,8 +70,9 @@ class SoftConvexFamily:
     def value(self, eps: float, F: np.ndarray) -> np.ndarray:
         return (1.0 + eps) * _fro2(np.asarray(F, dtype=float))
 
-    def grad(self, eps: float, F: np.ndarray) -> np.ndarray:
-        return 2.0 * (1.0 + eps) * np.asarray(F, dtype=float)
+    def grad(self, eps: float, F: np.ndarray, return_crease: bool = False):
+        g = 2.0 * (1.0 + eps) * np.asarray(F, dtype=float)
+        return (g, 0) if return_crease else g
 
     def isotropic_quad_parts(self, eps: float, dim: int):
         return 1.0 + eps, np.zeros((dim, dim)), 0.0

@@ -99,8 +99,7 @@ def _assemble_y_system(domain, model, P: PlasticField):
     drive = np.where(soft[:, None, None, None], eps * np.matmul(L_soft, PinvT),
                      np.matmul(L_stiff, PinvT))
     f = np.zeros((grid.n_nodes, d))
-    loc = -np.einsum("egik,gnk->eni", drive, grid.dN_gauss) * wq
-    np.add.at(f, grid.el_nodes, loc)
+    grid.accumulate_from_gradients(-drive, f)
     return K, f.reshape(-1), grid
 
 
@@ -320,8 +319,7 @@ def _limit_y_solve(cell, model, P: PlasticField, cache, grid: Grid, tol: float, 
     K = scipy.sparse.coo_matrix((Kloc.reshape(grid.n_elements, nc * d, nc * d).reshape(-1),
                                  (rows, cols)), shape=(grid.n_nodes * d,) * 2).tocsr()
     f = np.zeros((grid.n_nodes, d))
-    loc = -np.einsum("egik,gnk->eni", bg, grid.dN_gauss) * wq
-    np.add.at(f, grid.el_nodes, loc)
+    grid.accumulate_from_gradients(-bg, f)
     free = ~np.repeat(grid.boundary_node_mask(), d)
     Kff = K[free][:, free]
     diag = np.maximum(Kff.diagonal(), 1e-30)
@@ -353,12 +351,10 @@ def _limit_p_gradient(cell, model, y: DeformationField, P: PlasticField, cache):
     dH = model.hardening_grad(Pg.reshape(grid.n_elements, grid.n_gauss, d, d))
     grid.accumulate_from_values((vol_s + vol_t) * dH, R_nodes)
 
-    gradP = np.einsum("enij,gnk->egijk", grid.gather(Pn), grid.dN_gauss)
+    gradP = grid.gauss_gradients(Pn)
     qn = np.einsum("egijk,egijk->eg", gradP, gradP)
     fac = model.q * np.power(np.maximum(qn, 1e-300), (model.q - 2.0) / 2.0)
-    wq = grid.gauss_weight * grid.h**d
-    loc = np.einsum("egijk,gnk->enij", fac[..., None, None, None] * gradP, grid.dN_gauss) * wq
-    np.add.at(R_nodes, grid.el_nodes, loc)
+    grid.accumulate_from_gradients(fac[..., None, None, None] * gradP, R_nodes)
 
     # stiff density: tangent-space central differences over the quantization lattice
     coeffs = slgeometry.matrices_to_coeffs(slgeometry.log_batch(Pg))

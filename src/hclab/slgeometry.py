@@ -171,71 +171,81 @@ def _exp_tf_frechet_adjoint2(M: np.ndarray, W: np.ndarray) -> np.ndarray:
     return alpha[..., None, None] * np.swapaxes(M, -1, -2) + S[..., None, None] * W
 
 
+_LOG_SERIES_CUT = 1e-4
+
+
 def _log_f_funcs(c: np.ndarray, mu: np.ndarray):
     """f(c, mu) with log A = (log det A)/2 I + f B, B = A - c I, mu = c^2 - det A.
 
     Series in r = mu/c^2 around 0 matches both the hyperbolic (mu > 0) and
-    elliptic (mu < 0) branches; f_c = -1/det A on every branch.
+    elliptic (mu < 0) branches; f_c = -1/det A on every branch.  Requires
+    c > 0 and det A > 0.  Branchless: every lane evaluates the series and
+    both closed forms and ``np.where`` keeps one.  Discarded lanes get
+    arguments that keep them finite: u = c/2 on series lanes, and artanh sees
+    0 on elliptic lanes, where u/c = tan(angle) may exceed 1.
     """
     c = np.asarray(c, dtype=float)
     mu = np.asarray(mu, dtype=float)
     det = c * c - mu
-    f = np.empty_like(c)
-    fmu = np.empty_like(c)
-    r = np.divide(mu, c * c, out=np.zeros_like(mu), where=c != 0)
-    small = np.abs(r) <= 1e-4
-    rs, cs = r[small], c[small]
-    f[small] = (1.0 + rs / 3.0 + rs**2 / 5.0 + rs**3 / 7.0) / cs
-    fmu[small] = (1.0 / 3.0 + 2.0 * rs / 5.0 + 3.0 * rs**2 / 7.0 + 4.0 * rs**3 / 9.0) / cs**3
-    pos = (~small) & (mu > 0)
-    u = np.sqrt(mu[pos])
-    cp = c[pos]
-    ath = 0.5 * np.log((cp + u) / (cp - u))
-    f[pos] = ath / u
-    fmu[pos] = (cp * u / det[pos] - ath) / (2.0 * u**3)
-    neg = (~small) & (mu < 0)
-    w = np.sqrt(-mu[neg])
-    cn = c[neg]
-    th = np.arctan2(w, cn)
-    f[neg] = th / w
-    fmu[neg] = (th - cn * w / det[neg]) / (2.0 * w**3)
+    r = mu / (c * c)
+    small = np.abs(r) <= _LOG_SERIES_CUT
+    f_series = (1.0 + r * (1.0 / 3.0 + r * (1.0 / 5.0 + r * (1.0 / 7.0)))) / c
+    fmu_series = (1.0 / 3.0 + r * (2.0 / 5.0 + r * (3.0 / 7.0 + r * (4.0 / 9.0)))) / (c * c * c)
+    # u = sqrt|mu|; the angle is artanh(u/c) (mu > 0, where u < c) or arctan(u/c)
+    pos = mu > 0
+    u = np.where(small, 0.5 * c, np.sqrt(np.abs(mu)))
+    t = u / c
+    th = np.where(pos, np.arctanh(np.where(pos, t, 0.0)), np.arctan(t))
+    f = np.where(small, f_series, th / u)
+    fmu_closed = np.where(pos, c * u / det - th, th - c * u / det) / (2.0 * u * u * u)
+    fmu = np.where(small, fmu_series, fmu_closed)
     fc = -1.0 / det
     return f, fc, fmu
 
 
-def _log2(A: np.ndarray) -> np.ndarray:
-    """Principal log on stacked 2x2 matrices with det > 0 and positive half-trace."""
-    c = 0.5 * (A[..., 0, 0] + A[..., 1, 1])
-    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+def _log2_chart(A: np.ndarray):
+    """(a, b, cc, dd, c, det) of stacked 2x2 A = [[a, b], [cc, dd]] with
+    half-trace c and determinant det; raises LogDomain outside the chart."""
+    a, b, cc, dd = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    c = 0.5 * (a + dd)
+    det = a * dd - b * cc
     if np.any(det <= 0) or np.any(c <= 0):
         raise LogDomain("matrix outside the 2x2 principal-log chart (det <= 0 or tr <= 0)")
-    mu = c * c - det
-    f, _, _ = _log_f_funcs(c, mu)
-    B = A - c[..., None, None] * np.eye(2)
-    return (0.5 * np.log(det))[..., None, None] * np.eye(2) + f[..., None, None] * B
+    return a, b, cc, dd, c, det
+
+
+def _log2(A: np.ndarray) -> np.ndarray:
+    """Principal log on stacked 2x2 matrices with det > 0 and positive half-trace."""
+    a, b, cc, dd, c, det = _log2_chart(A)
+    f, _, _ = _log_f_funcs(c, c * c - det)
+    half_logdet = 0.5 * np.log(det)
+    out = np.empty(A.shape)
+    out[..., 0, 0] = half_logdet + f * (a - c)
+    out[..., 0, 1] = f * b
+    out[..., 1, 0] = f * cc
+    out[..., 1, 1] = half_logdet + f * (dd - c)
+    return out
 
 
 def _log_frechet_adjoint2(A: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Adjoint of the differential of log at A applied to W (stacked 2x2)."""
-    c = 0.5 * (A[..., 0, 0] + A[..., 1, 1])
-    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    mu = c * c - det
-    f, fc, fmu = _log_f_funcs(c, mu)
-    B = A - c[..., None, None] * np.eye(2)
-    cof = np.empty_like(A)
-    cof[..., 0, 0] = A[..., 1, 1]
-    cof[..., 0, 1] = -A[..., 1, 0]
-    cof[..., 1, 0] = -A[..., 0, 1]
-    cof[..., 1, 1] = A[..., 0, 0]
-    trW = W[..., 0, 0] + W[..., 1, 1]
-    WdotB = np.einsum("...ij,...ij->...", W, B)
-    coeff_eye = WdotB * (0.5 * fc + fmu * c) - 0.5 * f * trW
-    coeff_cof = 0.5 * trW / det - WdotB * fmu
-    return (
-        coeff_cof[..., None, None] * cof
-        + coeff_eye[..., None, None] * np.eye(2)
-        + f[..., None, None] * W
-    )
+    """Adjoint of the differential of log at A applied to W (stacked 2x2).
+
+    With B = A - c I and cof(A) the cofactor matrix,
+    (Dlog_A)^* W = k_cof cof(A) + k_eye I + f W.
+    """
+    a, b, cc, dd, c, det = _log2_chart(A)
+    f, fc, fmu = _log_f_funcs(c, c * c - det)
+    w00, w01, w10, w11 = W[..., 0, 0], W[..., 0, 1], W[..., 1, 0], W[..., 1, 1]
+    trW = w00 + w11
+    WdotB = w00 * (a - c) + w01 * b + w10 * cc + w11 * (dd - c)
+    k_eye = WdotB * (0.5 * fc + fmu * c) - 0.5 * f * trW
+    k_cof = 0.5 * trW / det - WdotB * fmu
+    out = np.empty(np.broadcast_shapes(A.shape, W.shape))
+    out[..., 0, 0] = k_cof * dd + k_eye + f * w00
+    out[..., 0, 1] = -k_cof * cc + f * w01
+    out[..., 1, 0] = -k_cof * b + f * w10
+    out[..., 1, 1] = k_cof * a + k_eye + f * w11
+    return out
 
 
 _EXP_TERMS = 22

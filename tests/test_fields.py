@@ -185,3 +185,89 @@ def test_lattice_norm_positive_definite(seed):
     vals = rng.standard_normal((grid.n_nodes, 2))
     assert grid.lattice_norm_sq(vals) > 0.0
     assert grid.lattice_norm_sq(np.zeros_like(vals)) == 0.0
+
+
+# -- CSR grid operators against the gather/tensordot/np.add.at formulas ----------
+
+
+def _oracle_gauss_values(grid, nodal):
+    gathered = grid.gather(nodal)
+    tail = gathered.shape[2:]
+    flat = gathered.reshape(grid.n_elements, grid.n_corners, -1)
+    out = np.tensordot(flat, grid.N_gauss, axes=([1], [1]))
+    return np.moveaxis(out, -1, 1).reshape((grid.n_elements, grid.n_gauss) + tail)
+
+
+def _oracle_gauss_gradients(grid, nodal):
+    gathered = grid.gather(nodal)
+    tail = gathered.shape[2:]
+    flat = gathered.reshape(grid.n_elements, grid.n_corners, -1)
+    out = np.moveaxis(np.tensordot(flat, grid.dN_gauss, axes=([1], [1])), 2, 1)
+    return out.reshape((grid.n_elements, grid.n_gauss) + tail + (grid.dim,))
+
+
+def _oracle_accumulate_from_gradients(grid, S, out, element_mask=None):
+    els = np.arange(grid.n_elements) if element_mask is None else np.nonzero(element_mask)[0]
+    tail = S.shape[2:-1]
+    flat = S.reshape(len(els), grid.n_gauss, -1, grid.dim)
+    loc = np.tensordot(flat, grid.dN_gauss, axes=([1, 3], [0, 2]))
+    loc = np.moveaxis(loc, -1, 1).reshape((len(els), grid.n_corners) + tail)
+    np.add.at(out, grid.el_nodes[els], loc * (grid.gauss_weight * grid.h**grid.dim))
+
+
+def _oracle_accumulate_from_values(grid, S, out, element_mask=None):
+    els = np.arange(grid.n_elements) if element_mask is None else np.nonzero(element_mask)[0]
+    tail = S.shape[2:]
+    flat = S.reshape(len(els), grid.n_gauss, -1)
+    loc = np.moveaxis(np.tensordot(flat, grid.N_gauss, axes=([1], [0])), -1, 1)
+    loc = loc.reshape((len(els), grid.n_corners) + tail)
+    np.add.at(out, grid.el_nodes[els], loc * (grid.gauss_weight * grid.h**grid.dim))
+
+
+def _assert_rel_close(got, want, rel=1e-14):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+# (dim, n_el, extent): 2D and 3D, and a multicell-style grid with extent != 1
+GRID_SHAPES = [(2, 7, 1.0), (3, 4, 1.0), (2, 6, 3.0), (3, 3, 2.0)]
+
+
+@pytest.mark.parametrize("dim, n_el, extent", GRID_SHAPES)
+@pytest.mark.parametrize("tail", [(), (2,), (2, 3)])
+def test_csr_interpolation_matches_gather_oracle(dim, n_el, extent, tail):
+    grid = Grid(dim, n_el, extent)
+    nodal = np.random.default_rng(n_el).standard_normal((grid.n_nodes,) + tail)
+    _assert_rel_close(grid.gauss_values(nodal), _oracle_gauss_values(grid, nodal))
+    _assert_rel_close(grid.gauss_gradients(nodal), _oracle_gauss_gradients(grid, nodal))
+
+
+@pytest.mark.parametrize("dim, n_el, extent", GRID_SHAPES)
+@pytest.mark.parametrize("masked", [False, True])
+def test_csr_scatter_matches_add_at_oracle(dim, n_el, extent, masked):
+    grid = Grid(dim, n_el, extent)
+    rng = np.random.default_rng(10 * n_el + dim)
+    mask = rng.random(grid.n_elements) < 0.6 if masked else None
+    n_sel = grid.n_elements if mask is None else int(mask.sum())
+    tail = (dim, dim)
+    for scatter, oracle, S in (
+        (grid.accumulate_from_gradients, _oracle_accumulate_from_gradients,
+         rng.standard_normal((n_sel, grid.n_gauss) + tail + (dim,))),
+        (grid.accumulate_from_values, _oracle_accumulate_from_values,
+         rng.standard_normal((n_sel, grid.n_gauss) + tail)),
+    ):
+        got, want = np.zeros((2, grid.n_nodes) + tail)
+        scatter(S, got, element_mask=mask)
+        oracle(grid, S, want, element_mask=mask)
+        _assert_rel_close(got, want)
+        once = got.copy()
+        scatter(S, got, element_mask=mask)  # adds to ``out``, never overwrites
+        assert np.array_equal(got, 2.0 * once)
+
+
+def test_csr_plan_shared_per_grid_shape_and_read_only():
+    a, b = Grid(2, 5), Grid(2, 5)
+    assert a._operators() is b._operators()
+    assert Grid(2, 5, 2.0)._operators() is not a._operators()
+    with pytest.raises(ValueError):
+        a._operators().values.data[0] = 1.0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -252,3 +254,105 @@ def test_series_paths_match_scipy_in_3d():
         ours = np.einsum("ij,kij->k", sg.exp_frechet_adjoint(M, W), basis)
         ref = np.einsum("ij,kij->k", scipy.linalg.expm_frechet(M.T, W, compute_expm=False), basis)
         assert np.abs(ours - ref).max() < 1e-12
+
+
+# -- 2x2 closed-form log and its Frechet adjoint ---------------------------------
+
+
+def _with_c_mu(c, mu):
+    """2x2 matrix with half-trace c and c^2 - det = mu: c I plus a trace-free
+    part that is a stretch (mu > 0) or a rotation generator (mu < 0)."""
+    B = np.diag([1.0, -1.0]) if mu >= 0 else np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return c * np.eye(2) + np.sqrt(abs(mu)) * B
+
+
+def _near_identity_2x2(rng, n):
+    """Non-unimodular matrices near I, as the Gauss-point interpolants of P are."""
+    c = rng.standard_normal((n, 3))
+    c *= (0.4 * rng.random(n) / np.linalg.norm(c, axis=1))[:, None]
+    P = sg.exp_batch(sg.coeffs_to_matrices(c, 2))
+    return P * rng.uniform(0.9, 1.1, n)[:, None, None] + 0.02 * rng.standard_normal((n, 2, 2))
+
+
+def _log_branch_cases():
+    """Every branch of the f(c, mu) closed form, and both sides of |r| = 1e-4."""
+    cut = sg._LOG_SERIES_CUT
+    cases = []
+    for c in (0.93, 1.0, 1.08):
+        for r in (0.0, 1e-9, -1e-9, 0.5 * cut, -0.5 * cut, cut, -cut,
+                  cut * (1 + 1e-6), -cut * (1 + 1e-6), 2 * cut, -2 * cut, 0.01, -0.01, 0.05, -0.05):
+            cases.append(_with_c_mu(c, r * c * c))
+    # far from I: rotations by 50 and 80 degrees (u/c > 1) and a strong stretch
+    for angle in (np.radians(50.0), np.radians(80.0)):
+        cases.append(np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]))
+    cases.append(np.diag([3.0, 0.4]))
+    return np.array(cases)
+
+
+def _logm_adjoint_oracle(A, W):
+    """(Dlog_A)^* W as the upper-right block of logm([[A^T, W], [0, A^T]])."""
+    blk = np.zeros((4, 4))
+    blk[:2, :2] = blk[2:, 2:] = A.T
+    blk[:2, 2:] = W
+    return np.real(scipy.linalg.logm(blk))[:2, 2:]
+
+
+def test_log2_matches_scipy_logm_on_every_branch():
+    rng = np.random.default_rng(21)
+    A = np.concatenate([_log_branch_cases(), _near_identity_2x2(rng, 200)])
+    r = (np.trace(A, axis1=1, axis2=2) / 2) ** 2 - np.linalg.det(A)
+    assert (r > 0).any() and (r < 0).any()
+    got = sg.log_batch(A)
+    want = np.array([np.real(scipy.linalg.logm(a)) for a in A])
+    assert np.abs(got - want).max() < 1e-13
+
+
+def test_log2_frechet_adjoint_matches_block_logm_on_every_branch():
+    rng = np.random.default_rng(22)
+    A = np.concatenate([_log_branch_cases(), _near_identity_2x2(rng, 200)])
+    W = rng.standard_normal(A.shape)
+    got = sg.log_frechet_adjoint(A, W)
+    want = np.array([_logm_adjoint_oracle(a, w) for a, w in zip(A, W)])
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+def test_log2_continuous_across_series_cut():
+    """Series and closed form agree where they hand over at |r| = 1e-4.
+
+    The closed form of f_mu subtracts two terms of size sqrt|r| to leave one
+    of size |r|^(3/2), so it keeps about eps_mach / |r| = 2e-12 relative."""
+    cut = sg._LOG_SERIES_CUT
+    for sign in (1.0, -1.0):
+        for c0 in (0.9, 1.0, 1.1):
+            c = np.full(2, c0)
+            mu = sign * cut * c * c * np.array([1.0, 1.0 + 1e-12])
+            f, fc, fmu = sg._log_f_funcs(c, mu)
+            assert abs(f[0] - f[1]) < 1e-14 * abs(f[0])
+            assert abs(fmu[0] - fmu[1]) < 1e-11 * abs(fmu[0])
+            assert fc[0] == pytest.approx(fc[1], rel=1e-15)
+
+
+def test_log2_kernels_raise_no_floating_point_warnings():
+    """The lanes np.where discards (closed form on series lanes and the wrong
+    hyperbolic/elliptic branch) must not warn."""
+    rng = np.random.default_rng(23)
+    A = np.concatenate([_log_branch_cases(), np.eye(2)[None], _near_identity_2x2(rng, 50)])
+    W = rng.standard_normal(A.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sg.log_batch(A)
+        sg.log_frechet_adjoint(A, W)
+
+
+@pytest.mark.parametrize("bad", [
+    np.diag([1.0, -1.0]),                    # det < 0
+    np.array([[1.0, 1.0], [1.0, 1.0]]),      # det = 0
+    -np.eye(2),                              # det > 0, tr < 0
+    np.array([[0.0, 1.0], [-1.0, 0.0]]),     # det > 0, tr = 0
+])
+def test_log2_outside_chart_raises_log_domain(bad):
+    batch = np.stack([np.eye(2), bad])
+    with pytest.raises(sg.LogDomain):
+        sg.log_batch(batch)
+    with pytest.raises(sg.LogDomain):
+        sg.log_frechet_adjoint(batch, np.ones((2, 2, 2)))
