@@ -12,7 +12,8 @@ multi-cell density
 
 approximated on finite windows, with an exact quadratic fast path: for
 quadratic W1 the corrector map F -> minimum is a quadratic form obtained from
-d^2 + 1 linear solves, so the density and its F-gradient come for free.
+d^2 + 1 linear solves, so the density and its F-gradient come for free.  The
+limit functional uses the fast path only.
 
 Cell values are memoized in a cache keyed by quantized inputs (G quantized in
 log coordinates), which keeps the number of solves bounded during limit-
@@ -23,12 +24,11 @@ bit-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse
 import scipy.sparse.linalg
 
 from hclab import slgeometry
@@ -88,56 +88,48 @@ def _refined_mask(cell: CellGeometry, resolution: int) -> np.ndarray:
     return mask
 
 
-def _quad_kernel(grid: Grid, a: float, C: np.ndarray):
-    """Per-element stiffness block for the composed quadratic density
-    a |X R|^2 + ... with C = R R^T; identical for every element."""
-    nc, d = grid.n_corners, grid.dim
-    wq = grid.gauss_weight * grid.h**grid.dim
+def _quadratic_corrector(grid: Grid, active: np.ndarray, free: np.ndarray, density, R: np.ndarray):
+    """Corrector map F -> (v, residual) of the quadratic density W(X R) on the
+    active elements, v zero off the free nodes.  The stiffness is assembled
+    and factorized once.  The load of a drive D that is constant over the
+    active elements is -D . int grad(phi_n), so the integrals are scattered
+    once and each F costs a (nodes x d) product and one solve."""
+    d = grid.dim
+    a, L, _ = density.isotropic_quad_parts(d)
+    C = R @ R.T
+    Leff = L @ R.T
+    wq = grid.gauss_weight * grid.h**d
     gCg = np.einsum("gnk,kl,gml->gnm", grid.dN_gauss, C, grid.dN_gauss)
-    kblock = 2.0 * a * wq * gCg.sum(axis=0)  # (nc, nc)
-    K = np.einsum("nm,ij->nimj", kblock, np.eye(d)).reshape(nc * d, nc * d)
-    return K
-
-
-def _quad_load(grid: Grid, a: float, C: np.ndarray, Leff: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Per-element load vector for the affine part (constant over elements)."""
-    wq = grid.gauss_weight * grid.h**grid.dim
-    drive = 2.0 * a * F @ C + Leff  # (d, d)
-    f = -wq * np.einsum("ik,gnk->ni", drive, grid.dN_gauss)
-    return f.reshape(-1)
-
-
-def _assemble_quadratic(grid: Grid, active: np.ndarray, free: np.ndarray, a: float, C: np.ndarray):
-    """Sparse stiffness on the free dofs for a constant-coefficient quadratic density."""
-    d = grid.dim
-    els = np.nonzero(active)[0]
-    Kloc = _quad_kernel(grid, a, C)
-    dofs = (grid.el_nodes[els][:, :, None] * d + np.arange(d)[None, None, :]).reshape(len(els), -1)
-    rows = np.repeat(dofs, dofs.shape[1], axis=1).reshape(-1)
-    cols = np.tile(dofs, (1, dofs.shape[1])).reshape(-1)
-    vals = np.tile(Kloc.reshape(-1), len(els))
-    n_dof = grid.n_nodes * d
-    K = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n_dof, n_dof)).tocsc()
+    block = np.einsum("nm,ij->nimj", 2.0 * a * wq * gCg.sum(axis=0), np.eye(d))
+    block = block.reshape(grid.n_corners * d, grid.n_corners * d)
+    n_active = int(np.count_nonzero(active))
+    K = grid.stiffness(np.broadcast_to(block, (n_active,) + block.shape), element_mask=active)
     free_dof = np.repeat(free, d)
-    return K[free_dof][:, free_dof], free_dof, els
+    K = K[free_dof][:, free_dof].tocsc()
+    try:
+        lu = scipy.sparse.linalg.splu(K)
+    except RuntimeError as exc:  # pragma: no cover - geometry invariants prevent this
+        raise SingularSystem(f"cell stiffness factorization failed: {exc}") from exc
 
+    grad_phi = np.zeros((grid.n_nodes, d))  # int over the active elements of grad(phi_n)
+    grid.accumulate_from_gradients(np.broadcast_to(np.eye(d), (n_active, grid.n_gauss, d, d)), grad_phi,
+                                   element_mask=active)
 
-def _quad_rhs(grid: Grid, els: np.ndarray, free_dof: np.ndarray, a, C, Leff, F) -> np.ndarray:
-    floc = _quad_load(grid, a, C, Leff, F)
-    f = np.zeros(grid.n_nodes * grid.dim)
-    d = grid.dim
-    dofs = (grid.el_nodes[els][:, :, None] * d + np.arange(d)[None, None, :]).reshape(len(els), -1)
-    np.add.at(f, dofs, floc[None, :])
-    return f[free_dof]
+    def corrector(F: np.ndarray):
+        drive = 2.0 * a * F @ C + Leff
+        rhs = -(grad_phi @ drive.T).reshape(-1)[free_dof]
+        sol = lu.solve(rhs)
+        v = np.zeros(grid.n_nodes * d)
+        v[free_dof] = sol
+        return v.reshape(grid.n_nodes, d), float(np.linalg.norm(K @ sol - rhs))
+
+    return corrector
 
 
 def _energy_of(grid: Grid, active: np.ndarray, v: np.ndarray, density, R: np.ndarray, F: np.ndarray):
     grads = grid.gauss_gradients(v)[active]
     X = F[None, None] + grads
-    vals = density.value(np.matmul(X, R))
-    return grid.integrate(vals, element_mask=None) if active.all() else float(
-        np.sum(vals) * grid.gauss_weight * grid.h**grid.dim
-    )
+    return grid.integrate(density.value(np.matmul(X, R)))
 
 
 def _energy_grad_of(grid: Grid, active: np.ndarray, v: np.ndarray, density, R: np.ndarray, F: np.ndarray):
@@ -151,8 +143,7 @@ def _energy_grad_of(grid: Grid, active: np.ndarray, v: np.ndarray, density, R: n
     dX = np.matmul(Wp, R.T[None, None])
     g = np.zeros_like(v)
     grid.accumulate_from_gradients(dX, g, element_mask=active)
-    e = float(np.sum(vals) * grid.gauss_weight * grid.h**grid.dim)
-    return e, g
+    return grid.integrate(vals), g
 
 
 def _minimize_cell(grid, active, free, density, R, F, tol, maxiter, restarts, seed, quadratic):
@@ -161,22 +152,8 @@ def _minimize_cell(grid, active, free, density, R, F, tol, maxiter, restarts, se
     value never exceeds the test-field energy of the mean deformation."""
     d = grid.dim
     if quadratic:
-        a, L, _ = density.isotropic_quad_parts(d)
-        C = R @ R.T
-        Leff = L @ R.T
-        K, free_dof, els = _assemble_quadratic(grid, active, free, a, C)
-        rhs = _quad_rhs(grid, els, free_dof, a, C, Leff, F)
-        try:
-            lu = scipy.sparse.linalg.splu(K.tocsc())
-            sol = lu.solve(rhs)
-        except RuntimeError as exc:  # pragma: no cover - geometry invariants prevent this
-            raise SingularSystem(f"cell stiffness factorization failed: {exc}") from exc
-        v = np.zeros(grid.n_nodes * d)
-        v[free_dof] = sol
-        v = v.reshape(grid.n_nodes, d)
-        residual = float(np.linalg.norm(K @ sol - rhs))
-        energy = _energy_of(grid, active, v, density, R, F)
-        return v, energy, 1, residual, True
+        v, residual = _quadratic_corrector(grid, active, free, density, R)(F)
+        return v, _energy_of(grid, active, v, density, R, F), 1, residual, True
 
     rng = np.random.default_rng(seed)
     free_dof = np.repeat(free, d)
@@ -316,23 +293,10 @@ def effective_quadratic_tensor(cell: CellGeometry, W1, G, resolution: int = 32) 
     active = (~_refined_mask(cell, resolution)).reshape(-1)
     _, any_active = node_incidence_masks(d, resolution, active)
     free = (~grid.boundary_node_mask()) & any_active
-    a, L, _ = W1.isotropic_quad_parts(d)
-    C = Ginv @ Ginv.T
-    Leff = L @ Ginv.T
-    K, free_dof, els = _assemble_quadratic(grid, active, free, a, C)
-    try:
-        lu = scipy.sparse.linalg.splu(K.tocsc())
-    except RuntimeError as exc:  # pragma: no cover
-        raise SingularSystem(f"corrector factorization failed: {exc}") from exc
-
-    def corrector(F):
-        rhs = _quad_rhs(grid, els, free_dof, a, C, Leff, F)
-        v = np.zeros(grid.n_nodes * d)
-        v[free_dof] = lu.solve(rhs)
-        return v.reshape(grid.n_nodes, d)
+    corrector = _quadratic_corrector(grid, active, free, W1, Ginv)
 
     def value(F):
-        return _energy_of(grid, active, corrector(F), W1, Ginv, F)
+        return _energy_of(grid, active, corrector(F)[0], W1, Ginv, F)
 
     zero = np.zeros((d, d))
     c0 = value(zero)
@@ -368,16 +332,13 @@ class HomDensityCache:
     file; minimizer fields are dropped.
     """
 
-    def __init__(self, step: float = 1e-2, lambdas=(1, 2), resolution: int = 32,
-                 tol: float = 1e-8, seed: int = 0):
+    def __init__(self, step: float = 1e-2, resolution: int = 32, tol: float = 1e-8, seed: int = 0):
         self.step = float(step)
-        self.lambdas = tuple(lambdas)
         self.resolution = int(resolution)
         self.tol = float(tol)
         self.seed = int(seed)
         self._qprime: dict = {}
         self._w1: dict = {}
-        self._multicell: dict = {}
 
     # -- quantization -------------------------------------------------------
     def quantize_log_key(self, G: np.ndarray) -> tuple:
@@ -411,33 +372,10 @@ class HomDensityCache:
             )
         return self._w1[key]
 
-    def multicell(self, cell: CellGeometry, density, F, G) -> MulticellResult:
-        key = (self.quantize_mat_key(F), self.quantize_log_key(G))
-        if key not in self._multicell:
-            Fq = np.asarray(key[0], dtype=float).reshape(cell.dim, cell.dim) * self.step
-            Gq = self.reconstruct(key[1], cell.dim)
-            self._multicell[key] = multicell_W1hom(
-                cell, density, Fq, Gq, lambdas=self.lambdas,
-                resolution=self.resolution, tol=self.tol, seed=self.seed,
-            )
-        return self._multicell[key]
-
-    def quantization_error_bound(self) -> float:
-        """Crude Lipschitz-in-key estimate from the cached qprime values."""
-        items = [(np.asarray(k[1] + k[2], float), r.value) for k, r in self._qprime.items()]
-        best = 0.0
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                dist = float(np.linalg.norm(items[i][0] - items[j][0])) * self.step
-                if dist > 0:
-                    best = max(best, abs(items[i][1] - items[j][1]) / dist)
-        return best * self.step
-
     # -- persistence ----------------------------------------------------------
     def save(self, path) -> None:
         data = {
             "step": self.step,
-            "lambdas": list(self.lambdas),
             "resolution": self.resolution,
             "tol": self.tol,
             "seed": self.seed,
@@ -456,8 +394,7 @@ class HomDensityCache:
     @classmethod
     def load(cls, path, dim: int = 2) -> "HomDensityCache":
         data = json.loads(Path(path).read_text())
-        cache = cls(step=data["step"], lambdas=tuple(data["lambdas"]),
-                    resolution=data["resolution"], tol=data["tol"], seed=data["seed"])
+        cache = cls(step=data["step"], resolution=data["resolution"], tol=data["tol"], seed=data["seed"])
         from ast import literal_eval
 
         for ks, rec in data["qprime"].items():
@@ -476,7 +413,7 @@ class HomDensityCache:
 def hom_hardening(cell: CellGeometry, model, P) -> tuple:
     """Phase-weighted homogenized hardening (|Q0| int H, |Q1| int H)."""
     grid = P.grid
-    Hg = model.hardening_smooth(grid.gauss_matrix_values(P.matrices()))
+    Hg = model.hardening_smooth(grid.gauss_values(P.matrices()))
     total = grid.integrate(Hg)
     return float(cell.vol_soft) * total, float(cell.vol_stiff) * total
 
@@ -485,18 +422,19 @@ def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) ->
     """Homogenized functional on a macro grid.
 
     J0 books the soft cell value at F = 0 and the soft hardening fraction; J1
-    carries the multi-cell stiff density at the deformation gradient, the
-    stiff hardening fraction, and the plastic-gradient term.  Densities are
-    fetched through the cache at G quantized per Gauss point.
+    carries the stiff density at the deformation gradient, the stiff
+    hardening fraction, and the plastic-gradient term.  Densities are fetched
+    through the cache at G quantized per Gauss point; the stiff density goes
+    through the quadratic cell tensor, so a non-quadratic W1 raises
+    CellProblemError.
     """
     grid = y.grid
     if P.grid.n_el != grid.n_el or P.grid.dim != grid.dim:
         raise CellProblemError("macro fields live on different grids")
     d = grid.dim
     Pn = P.matrices()
-    Pg = grid.gauss_matrix_values(Pn).reshape(-1, d, d)
+    Pg = grid.gauss_values(Pn).reshape(-1, d, d)
     Gy = grid.gauss_gradients(y.values).reshape(-1, d, d)
-    Pinv = np.linalg.inv(Pg)
 
     # stiff density through the quadratic fast path (per unique quantized G)
     coeffs = slgeometry.matrices_to_coeffs(slgeometry.log_batch(Pg))
@@ -509,12 +447,7 @@ def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) ->
         sel = inverse == u
         key = tuple(int(i) for i in key_row)
         Gq = cache.reconstruct(key, d)
-        if model.W_stiff.is_quadratic:
-            tensor = cache.w1_tensor(cell, model.W_stiff, Gq)
-            w1_vals[sel] = tensor.evaluate(Gy[sel])
-        else:
-            for idx in np.nonzero(sel)[0]:
-                w1_vals[idx] = cache.multicell(cell, model.W_stiff, Gy[idx], Gq).estimate
+        w1_vals[sel] = cache.w1_tensor(cell, model.W_stiff, Gq).evaluate(Gy[sel])
         if degenerate:
             soft_vals[sel] = 0.0
         else:

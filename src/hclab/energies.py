@@ -70,9 +70,6 @@ class GradJEps:
     grad_m: np.ndarray
     crease_count: int = 0
 
-    def __iter__(self):
-        return iter((self.grad_y, self.grad_m))
-
 
 def _check_grids(domain, y: DeformationField, P: PlasticField) -> None:
     if y.grid.dim != domain.dim or y.grid.n_el != domain.n_el:
@@ -118,7 +115,7 @@ def _assemble(domain, model, y: DeformationField, P: PlasticField,
 
     Pn = P.matrices()
     G = grid.gauss_gradients(y.values)          # (E, g, d, d)
-    Pg = grid.gauss_matrix_values(Pn)           # (E, g, d, d)
+    Pg = grid.gauss_values(Pn)                  # (E, g, d, d)
     Pinv = _inv_batch(Pg)
     gradP = grid.gauss_gradients(Pn)            # (E, g, d, d, k)
     logs = slgeometry.log_batch(Pg)

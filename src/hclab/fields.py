@@ -174,19 +174,12 @@ class Grid:
         out = self._operators().values @ nodal.reshape(self.n_nodes, -1)
         return out.reshape((self.n_elements, self.n_gauss) + tail)
 
-    def gauss_matrix_values(self, nodal_mats: np.ndarray) -> np.ndarray:
-        return self.gauss_values(nodal_mats)
-
     def gauss_gradients(self, nodal: np.ndarray) -> np.ndarray:
         """(E, ngp, C..., d) gradients; exact for the multilinear interpolant."""
         tail = nodal.shape[1:]
         out = self._operators().gradients @ nodal.reshape(self.n_nodes, -1)
         out = np.moveaxis(out.reshape(self.n_elements, self.n_gauss, self.dim, -1), 2, -1)
         return out.reshape((self.n_elements, self.n_gauss) + tail + (self.dim,))
-
-    def values_at_ref(self, nodal: np.ndarray, element: int, ref: np.ndarray) -> np.ndarray:
-        N = self._shape_values(np.atleast_2d(ref))
-        return np.einsum("n...,pn->p...", nodal[self.el_nodes[element]], N)[0]
 
     def gradients_at_ref(self, nodal: np.ndarray, element: int, ref: np.ndarray) -> np.ndarray:
         dN = self._shape_gradients(np.atleast_2d(ref)) / self.h
@@ -219,6 +212,18 @@ class Grid:
         S = self._all_elements(S, element_mask)
         flat = S.reshape(self.n_elements * self.n_gauss, -1)
         out += (self._operators().values.T @ flat).reshape(out.shape) * (self.gauss_weight * self.h**self.dim)
+
+    def stiffness(self, blocks: np.ndarray, element_mask=None) -> scipy.sparse.csr_matrix:
+        """Sparse matrix over node-major dofs (node * d + component) from
+        per-element blocks (E', 2^d d, 2^d d) with rows and columns ordered
+        (corner, component); blocks of elements sharing a dof are summed."""
+        nodes = self.el_nodes if element_mask is None else self.el_nodes[element_mask]
+        dofs = (nodes[:, :, None] * self.dim + np.arange(self.dim)).reshape(len(nodes), -1)
+        width = dofs.shape[1]
+        rows = np.repeat(dofs, width, axis=1).reshape(-1)
+        cols = np.tile(dofs, (1, width)).reshape(-1)
+        n_dof = self.n_nodes * self.dim
+        return scipy.sparse.coo_matrix((np.reshape(blocks, -1), (rows, cols)), shape=(n_dof, n_dof)).tocsr()
 
     def integrate(self, per_gauss: np.ndarray, element_mask=None) -> float:
         """Integral of a per-(element, gauss) scalar sample over the (masked) elements."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -49,7 +48,6 @@ class StudyConfig:
     strip: float = 0.5
     macro_elements: int = 8
     cell_resolution: int | None = None
-    lambdas: list = field(default_factory=lambda: [1, 2])
     quantization_step: float = 1e-2
     tolerances: dict = field(default_factory=lambda: {
         "outer": 1e-8, "linear": 1e-10, "cell": 1e-8, "plastic": 1e-7})
@@ -146,7 +144,7 @@ def _random_field(grid: Grid, seed: int) -> DeformationField:
 
 def _hardening_continuity_error(domain, model, P: PlasticField) -> float:
     grid = P.grid
-    Hg = model.hardening_smooth(grid.gauss_matrix_values(P.matrices()))
+    Hg = model.hardening_smooth(grid.gauss_values(P.matrices()))
     soft = domain.soft_field.reshape(-1)
     int_soft = grid.integrate(Hg, element_mask=soft)
     int_all = grid.integrate(Hg)
@@ -156,7 +154,7 @@ def _hardening_continuity_error(domain, model, P: PlasticField) -> float:
 
 
 def _unfold_residual(domain, seed: int) -> float:
-    grid = Grid(domain.dim, domain.n_el)
+    grid = domain.grid
     y = _random_field(grid, seed)
     tsf = twoscale.unfold(domain, y)
     norm_dev = abs(grid.lattice_norm_sq(y.values) - tsf.norm_sq())
@@ -187,8 +185,8 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
     model = _build_model(config.material, cell.dim)
     cell_res = config.cell_resolution if config.cell_resolution else cell.resolution
     cache = cellproblems.HomDensityCache(
-        step=config.quantization_step, lambdas=tuple(config.lambdas),
-        resolution=cell_res, tol=config.tolerances.get("cell", 1e-8), seed=config.seed)
+        step=config.quantization_step, resolution=cell_res,
+        tol=config.tolerances.get("cell", 1e-8), seed=config.seed)
     schedule = minimize.Schedule(
         outer_tol=config.tolerances.get("outer", 1e-8),
         y_tol=config.tolerances.get("linear", 1e-10),
@@ -216,7 +214,7 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
     for eps in config.eps_list:
         n = round(1.0 / eps)
         domain = microgeometry.build_micro_domain(cell, n, strip=config.strip)
-        grid = Grid(domain.dim, domain.n_el)
+        grid = domain.grid
         if prev is None:
             init = None
         else:
@@ -287,7 +285,6 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
             "min_J": min_J,
             "almost_minimizer_tol": config.tolerances.get("outer", 1e-8),
             "solve_reports": solve_reports,
-            "workers": os.environ.get("HCLAB_WORKERS", "1"),
         },
         extras=extras,
     )

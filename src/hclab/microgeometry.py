@@ -17,9 +17,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from hclab.fields import Grid
 
 
 class GeometryError(ValueError):
@@ -240,6 +243,12 @@ class MicroDomain:
     def n_el(self) -> int:
         """Pixels (= elements) per side of the global grid."""
         return self.n_cells * self.cell.resolution
+
+    @cached_property
+    def grid(self) -> Grid:
+        """The global grid, one element per pixel; built once and shared by
+        every field on this domain."""
+        return Grid(self.dim, self.n_el)
 
     def measure_soft(self) -> Fraction:
         """Exact Lebesgue measure of the soft region."""

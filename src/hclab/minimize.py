@@ -11,7 +11,7 @@ K ball, so determinants stay unimodular by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -20,10 +20,6 @@ import scipy.sparse.linalg
 
 from hclab import cellproblems, energies, slgeometry
 from hclab.fields import DeformationField, Grid, PlasticField
-
-
-class NoConvergence(RuntimeError):
-    """Iteration budget exhausted above tolerance; best iterate is still returned."""
 
 
 @dataclass
@@ -71,10 +67,10 @@ def _assemble_y_system(domain, model, P: PlasticField):
     U = grad y reads a |s U P^{-1}|^2 + L : (s U P^{-1}) + ..., which gives the
     componentwise-decoupled local matrices grad(N) . (P^{-1} P^{-T}) . grad(N).
     """
-    grid = Grid(domain.dim, domain.n_el)
+    grid = domain.grid
     d = grid.dim
     eps = domain.eps
-    Pg = grid.gauss_matrix_values(P.matrices())
+    Pg = grid.gauss_values(P.matrices())
     Pinv = np.linalg.inv(Pg)
     C = np.matmul(Pinv, np.swapaxes(Pinv, -1, -2))  # (E, g, d, d)
     soft = domain.soft_field.reshape(-1)
@@ -86,13 +82,7 @@ def _assemble_y_system(domain, model, P: PlasticField):
     # local blocks: 2 * scale2 * dN . C . dN per element, identity across components
     gCg = np.einsum("gnk,egkl,gml->enm", grid.dN_gauss, C, grid.dN_gauss)
     blocks = 2.0 * wq * scale2[:, None, None] * gCg  # (E, nc, nc)
-    nc = grid.n_corners
-    dofs = (grid.el_nodes[:, :, None] * d + np.arange(d)[None, None, :]).reshape(grid.n_elements, nc * d)
-    Kloc = np.einsum("enm,ij->enimj", blocks, np.eye(d)).reshape(grid.n_elements, nc * d, nc * d)
-    rows = np.repeat(dofs, nc * d, axis=1).reshape(-1)
-    cols = np.tile(dofs, (1, nc * d)).reshape(-1)
-    K = scipy.sparse.coo_matrix((Kloc.reshape(-1), (rows, cols)),
-                                shape=(grid.n_nodes * d, grid.n_nodes * d)).tocsr()
+    K = grid.stiffness(np.einsum("enm,ij->enimj", blocks, np.eye(d)))
 
     # linear term: L : (s U P^{-1}) = (s L P^{-T}) : U
     PinvT = np.swapaxes(Pinv, -1, -2)
@@ -100,7 +90,33 @@ def _assemble_y_system(domain, model, P: PlasticField):
                      np.matmul(L_stiff, PinvT))
     f = np.zeros((grid.n_nodes, d))
     grid.accumulate_from_gradients(-drive, f)
-    return K, f.reshape(-1), grid
+    return K, f.reshape(-1)
+
+
+def _free_dofs(grid: Grid, bc: str) -> np.ndarray:
+    if bc == "zero":
+        return ~np.repeat(grid.boundary_node_mask(), grid.dim)
+    return np.ones(grid.n_nodes * grid.dim, dtype=bool)
+
+
+def _solve_free(K, f: np.ndarray, free: np.ndarray, x0: np.ndarray, tol: float, max_iter: int):
+    """Jacobi-preconditioned CG for K x = f on the free dofs, x = 0 elsewhere.
+
+    Returns the full dof vector, the iteration count, the residual norm on
+    the free dofs and whether CG reached ``tol``."""
+    Kff = K[free][:, free]
+    ff = f[free]
+    M = scipy.sparse.diags(1.0 / np.maximum(Kff.diagonal(), 1e-30))
+    iters = [0]
+
+    def count(_):
+        iters[0] += 1
+
+    sol, info = scipy.sparse.linalg.cg(Kff, ff, x0=x0[free], M=M, maxiter=max_iter,
+                                       rtol=tol, atol=0.0, callback=count)
+    x = np.zeros(len(f))
+    x[free] = sol
+    return x, iters[0], float(np.linalg.norm(Kff @ sol - ff)), info == 0
 
 
 def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = None,
@@ -113,49 +129,28 @@ def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = Non
     forced) quasi-Newton descent on the assembled energy with the analytic
     gradient.
     """
-    grid = Grid(domain.dim, domain.n_el)
+    grid = domain.grid
     if y0 is None:
         y0 = DeformationField.zero(grid, bc=bc)
     y0v = y0.values.copy()
     if bc == "zero":
         y0v[grid.boundary_node_mask()] = 0.0
+    free = _free_dofs(grid, bc)
 
     if _both_quadratic(model) and not force_descent:
-        K, f, grid = _assemble_y_system(domain, model, P)
-        free = ~np.repeat(grid.boundary_node_mask(), grid.dim) if bc == "zero" else np.ones(
-            grid.n_nodes * grid.dim, dtype=bool)
-        Kff = K[free][:, free]
-        ff = f[free]
-        diag = np.maximum(Kff.diagonal(), 1e-30)
-        M = scipy.sparse.diags(1.0 / diag)
-        iters = [0]
-
-        def count(_):
-            iters[0] += 1
-
-        x0 = y0v.reshape(-1)[free]
-        sol, info = scipy.sparse.linalg.cg(Kff, ff, x0=x0, M=M, maxiter=max_iter,
-                                           rtol=tol, atol=0.0, callback=count)
-        vals = np.zeros(grid.n_nodes * grid.dim)
-        vals[free] = sol
+        K, f = _assemble_y_system(domain, model, P)
+        vals, iters, resid, ok = _solve_free(K, f, free, y0v.reshape(-1), tol, max_iter)
         y = DeformationField(grid, vals.reshape(grid.n_nodes, grid.dim), bc=bc)
-        P_ = P
-        bd0 = energies.assemble_J_eps(domain, model, DeformationField(grid, y0v.copy(), bc=bc), P_)
-        bd = energies.assemble_J_eps(domain, model, y, P_)
-        resid = float(np.linalg.norm(Kff @ sol - ff))
+        bd0 = energies.assemble_J_eps(domain, model, DeformationField(grid, y0v, bc=bc), P)
+        bd = energies.assemble_J_eps(domain, model, y, P)
         report = SolveReport(final_value=bd.total,
                              energy_trace=[bd0.total, min(bd0.total, bd.total)],
-                             inner_iterations=[iters[0]],
+                             inner_iterations=[iters],
                              gradient_norms=[resid],
-                             converged=(info == 0))
-        if info != 0:
-            report.converged = False
+                             converged=ok)
         return y, report
 
     # descent path
-    free = ~np.repeat(grid.boundary_node_mask(), grid.dim) if bc == "zero" else np.ones(
-        grid.n_nodes * grid.dim, dtype=bool)
-
     def objective(x):
         vals = np.zeros(grid.n_nodes * grid.dim)
         vals[free] = x
@@ -261,7 +256,7 @@ def minimize_J_eps(domain, model, init=None, schedule: Schedule | None = None):
     iterations and the final breakdown is attached as ``report.breakdown``.
     """
     schedule = schedule or Schedule()
-    grid = Grid(domain.dim, domain.n_el)
+    grid = domain.grid
     if init is None:
         y = DeformationField.zero(grid)
         P = PlasticField.identity(grid, r_K=model.K_radius)
@@ -294,10 +289,10 @@ def minimize_J_eps(domain, model, init=None, schedule: Schedule | None = None):
 # homogenized functional
 
 
-def _limit_y_solve(cell, model, P: PlasticField, cache, grid: Grid, tol: float, y0=None):
+def _limit_y_solve(cell, model, P: PlasticField, cache, grid: Grid, tol: float, max_iter: int, y0):
     """Quadratic y-step of the limit functional from the per-point stiff tensors."""
     d = grid.dim
-    Pg = grid.gauss_matrix_values(P.matrices()).reshape(-1, d, d)
+    Pg = grid.gauss_values(P.matrices()).reshape(-1, d, d)
     coeffs = slgeometry.matrices_to_coeffs(slgeometry.log_batch(Pg))
     keys = np.round(coeffs / cache.step).astype(int)
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
@@ -313,22 +308,12 @@ def _limit_y_solve(cell, model, P: PlasticField, cache, grid: Grid, tol: float, 
     wq = grid.gauss_weight * grid.h**d
     nc = grid.n_corners
     Kloc = 2.0 * wq * np.einsum("egikjl,gak,gbl->eaibj", Ag, grid.dN_gauss, grid.dN_gauss)
-    dofs = (grid.el_nodes[:, :, None] * d + np.arange(d)[None, None, :]).reshape(grid.n_elements, nc * d)
-    rows = np.repeat(dofs, nc * d, axis=1).reshape(-1)
-    cols = np.tile(dofs, (1, nc * d)).reshape(-1)
-    K = scipy.sparse.coo_matrix((Kloc.reshape(grid.n_elements, nc * d, nc * d).reshape(-1),
-                                 (rows, cols)), shape=(grid.n_nodes * d,) * 2).tocsr()
+    K = grid.stiffness(Kloc.reshape(grid.n_elements, nc * d, nc * d))
     f = np.zeros((grid.n_nodes, d))
     grid.accumulate_from_gradients(-bg, f)
-    free = ~np.repeat(grid.boundary_node_mask(), d)
-    Kff = K[free][:, free]
-    diag = np.maximum(Kff.diagonal(), 1e-30)
-    M = scipy.sparse.diags(1.0 / diag)
-    x0 = (y0.values.reshape(-1)[free] if y0 is not None else None)
-    sol, info = scipy.sparse.linalg.cg(Kff, f.reshape(-1)[free], x0=x0, M=M, rtol=tol, atol=0.0)
-    vals = np.zeros(grid.n_nodes * d)
-    vals[free] = sol
-    return DeformationField(grid, vals.reshape(grid.n_nodes, d), bc="zero"), int(info == 0)
+    vals, _, _, ok = _solve_free(K, f.reshape(-1), _free_dofs(grid, "zero"), y0.values.reshape(-1),
+                                 tol, max_iter)
+    return DeformationField(grid, vals.reshape(grid.n_nodes, d), bc="zero"), int(ok)
 
 
 def _limit_p_gradient(cell, model, y: DeformationField, P: PlasticField, cache):
@@ -343,7 +328,7 @@ def _limit_p_gradient(cell, model, y: DeformationField, P: PlasticField, cache):
     d = grid.dim
     ksl = d * d - 1
     Pn = P.matrices()
-    Pg = grid.gauss_matrix_values(Pn).reshape(-1, d, d)
+    Pg = grid.gauss_values(Pn).reshape(-1, d, d)
     Gy = grid.gauss_gradients(y.values).reshape(-1, d, d)
     vol_s, vol_t = float(cell.vol_soft), float(cell.vol_stiff)
 
@@ -408,7 +393,7 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
     gnorms = []
     converged = False
     for _ in range(schedule.outer_iters):
-        y, ok = _limit_y_solve(cell, model, P, cache, grid, schedule.y_tol, y0=y)
+        y, ok = _limit_y_solve(cell, model, P, cache, grid, schedule.y_tol, schedule.y_iters, y)
 
         def fn_value(coeffs):
             Pc = PlasticField(grid, coeffs.copy(), r_K=model.K_radius)

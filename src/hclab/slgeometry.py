@@ -40,10 +40,6 @@ class NotUnimodular(SLError):
     """Determinant differs from 1 beyond tolerance."""
 
 
-class NoConvergence(SLError):
-    """Descent stalled above tolerance (best value still returned on results)."""
-
-
 DET_TOL = 1e-9
 TRACE_TOL = 1e-12
 
@@ -550,8 +546,8 @@ def dissipation_integral(domain, P_bar, P, phase: int, segments: int = 8, iters:
         raise _fields.GridMismatch("P_bar and P live on different grids")
     if grid.n_el != domain.n_el:
         raise _fields.GridMismatch("fields do not match the domain grid")
-    Pg = grid.gauss_matrix_values(P.matrices())
-    Pbg = grid.gauss_matrix_values(P_bar.matrices())
+    Pg = grid.gauss_values(P.matrices())
+    Pbg = grid.gauss_values(P_bar.matrices())
     mask = domain.soft_field.reshape(-1) if phase == 0 else ~domain.soft_field.reshape(-1)
     Pg, Pbg = Pg[mask], Pbg[mask]
     if iters <= 0:

@@ -128,16 +128,12 @@ def unfold_scaled_gradients(domain: MicroDomain, y: DeformationField) -> np.ndar
     if y.grid.n_el != domain.n_el or y.grid.dim != domain.dim:
         raise GridMismatch("field grid does not match the domain")
     d, n, m = domain.dim, domain.n_cells, domain.cell.resolution
-    grads = domain_grid(domain).gauss_gradients(y.values) * domain.eps
+    grads = domain.grid.gauss_gradients(y.values) * domain.eps
     cells = np.array(list(np.ndindex((n,) * d)))
     pixels = np.array(list(np.ndindex((m,) * d)))
     glob = cells[:, None, :] * m + pixels[None, :, :]
     el_idx = np.ravel_multi_index(glob.reshape(-1, d).T, (n * m,) * d).reshape(len(cells), len(pixels))
     return grads[el_idx]
-
-
-def domain_grid(domain: MicroDomain) -> Grid:
-    return Grid(domain.dim, domain.n_el)
 
 
 # -- extension ------------------------------------------------------------------
@@ -350,7 +346,7 @@ def build_recovery_sequence(domain: MicroDomain, w, P_field: PlasticField | None
     density toward its quasiconvexified value.
     """
     d, n, m = domain.dim, domain.n_cells, domain.cell.resolution
-    grid = domain_grid(domain)
+    grid = domain.grid
     eps = domain.eps
     micro_interior, _ = node_incidence_masks(d, m, domain.cell.soft_mask.reshape(-1))
     micro_nodes = np.array(list(np.ndindex((m + 1,) * d))) / m  # (Nm, d)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -228,7 +230,7 @@ def test_resolution_must_refine_mask(cell, convex_soft):
 
 def test_cache_determinism_and_quantization(cell):
     model = materials.default_material(dim=2)
-    cache = cp.HomDensityCache(step=1e-2, lambdas=(1,), resolution=8)
+    cache = cp.HomDensityCache(step=1e-2, resolution=8)
     rng = np.random.default_rng(11)
     G = _sample_G(rng, 0.25)
     key = cache.quantize_log_key(G)
@@ -246,7 +248,7 @@ def test_cache_determinism_and_quantization(cell):
 
 def test_cache_save_load_roundtrip(cell, tmp_path):
     model = materials.default_material(dim=2)
-    cache = cp.HomDensityCache(step=1e-2, lambdas=(1,), resolution=8)
+    cache = cp.HomDensityCache(step=1e-2, resolution=8)
     G = np.eye(2)
     cache.qprime(cell, model.W_soft_limit, np.zeros((2, 2)), G)
     cache.w1_tensor(cell, model.W_stiff, G)
@@ -275,7 +277,7 @@ def test_assemble_J_limit_convex_default(cell):
     """Convex soft density: the soft elastic part of the limit vanishes, so
     J0 reduces to the soft hardening fraction."""
     model = materials.default_material(dim=2)
-    cache = cp.HomDensityCache(resolution=4, lambdas=(1,))
+    cache = cp.HomDensityCache(resolution=4)
     grid = Grid(2, 4)
     y = DeformationField.zero(grid)
     rng = np.random.default_rng(12)
@@ -288,10 +290,20 @@ def test_assemble_J_limit_convex_default(cell):
     assert bd2 == bd
 
 
+def test_assemble_J_limit_rejects_non_quadratic_stiff_density(cell, twowell_soft):
+    model = dataclasses.replace(materials.default_material(dim=2), W_stiff=twowell_soft)
+    cache = cp.HomDensityCache(resolution=4)
+    grid = Grid(2, 4)
+    y = DeformationField.zero(grid)
+    P = PlasticField.identity(grid, model.K_radius)
+    with pytest.raises(cp.CellProblemError):
+        cp.assemble_J_limit(cell, model, y, P, cache)
+
+
 def test_assemble_J_limit_no_perforation():
     cell0 = mg.builtin_cell("stiff4")
     model = materials.default_material(dim=2)
-    cache = cp.HomDensityCache(resolution=4, lambdas=(1,))
+    cache = cp.HomDensityCache(resolution=4)
     grid = Grid(2, 4)
     y = DeformationField.zero(grid)
     P = PlasticField.identity(grid, model.K_radius)

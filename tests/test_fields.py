@@ -265,6 +265,30 @@ def test_csr_scatter_matches_add_at_oracle(dim, n_el, extent, masked):
         assert np.array_equal(got, 2.0 * once)
 
 
+def _oracle_stiffness(grid, blocks, element_mask=None):
+    els = np.arange(grid.n_elements) if element_mask is None else np.nonzero(element_mask)[0]
+    d = grid.dim
+    K = np.zeros((grid.n_nodes * d,) * 2)
+    for e, block in zip(els, blocks):
+        dofs = [node * d + c for node in grid.el_nodes[e] for c in range(d)]
+        K[np.ix_(dofs, dofs)] += block
+    return K
+
+
+@pytest.mark.parametrize("dim, n_el, extent", GRID_SHAPES)
+@pytest.mark.parametrize("masked", [False, True])
+def test_stiffness_matches_dense_scatter_loop(dim, n_el, extent, masked):
+    grid = Grid(dim, n_el, extent)
+    rng = np.random.default_rng(10 * n_el + dim)
+    mask = rng.random(grid.n_elements) < 0.6 if masked else None
+    n_sel = grid.n_elements if mask is None else int(mask.sum())
+    width = grid.n_corners * dim
+    blocks = rng.standard_normal((n_sel, width, width))
+    K = grid.stiffness(blocks, element_mask=mask)
+    assert K.format == "csr"
+    _assert_rel_close(K.toarray(), _oracle_stiffness(grid, blocks, mask))
+
+
 def test_csr_plan_shared_per_grid_shape_and_read_only():
     a, b = Grid(2, 5), Grid(2, 5)
     assert a._operators() is b._operators()

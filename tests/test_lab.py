@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,15 @@ def test_load_config_roundtrip(tmp_path):
     loaded = lab.load_config(path)
     assert loaded.eps_list == [0.25, 0.125]
     assert loaded.seed == 7
+
+
+def test_stock_configs_load_and_build():
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        cfg = lab.load_config(path)
+        cell = lab._build_cell(cfg.geometry)
+        lab._build_model(cfg.material, cell.dim)
 
 
 @pytest.fixture(scope="module")

@@ -100,7 +100,7 @@ def test_two_random_inits_agree(setup):
 
 def test_limit_convex_default_reduces_to_hardening(setup):
     cell, domain, model, grid = setup
-    cache = cp.HomDensityCache(resolution=4, lambdas=(1,))
+    cache = cp.HomDensityCache(resolution=4)
     y, P, value, rep = mz.minimize_J_limit(cell, model, cache=cache, macro_elements=4)
     bd = rep.breakdown
     # soft elastic part vanishes for the convex default; P is pinned near I
@@ -112,6 +112,6 @@ def test_limit_convex_default_reduces_to_hardening(setup):
 def test_limit_no_perforation_control():
     cell = mg.builtin_cell("stiff4")
     model = materials.default_material(dim=2)
-    cache = cp.HomDensityCache(resolution=4, lambdas=(1,))
+    cache = cp.HomDensityCache(resolution=4)
     y, P, value, _ = mz.minimize_J_limit(cell, model, cache=cache, macro_elements=4)
     assert value == pytest.approx(2.0 + model.h0, rel=1e-9)

@@ -281,7 +281,7 @@ def test_recovery_correction_lowers_two_well_energy():
     cell16 = mg.build_unit_cell(2, 16, mask)
     domain = mg.build_micro_domain(cell16, 4, strip=0.5)
     model = materials.default_material(dim=2, soft="twowell")
-    cache = cp.HomDensityCache(resolution=16, lambdas=(1,))
+    cache = cp.HomDensityCache(resolution=16)
 
     def w_zero(x, z):
         return np.zeros_like(np.asarray(z, float))
