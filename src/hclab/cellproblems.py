@@ -11,21 +11,20 @@ multi-cell density
     W1hom(F, G) = lim_lam (1/lam^d) inf int_{(0,lam)^d cap stiff} W1((F+grad y) G^{-1})
 
 approximated on finite windows, with an exact quadratic fast path: for
-quadratic W1 the corrector map F -> minimum is a quadratic form obtained from
-d^2 + 1 linear solves, so the density and its F-gradient come for free.  The
-limit functional uses the fast path only.
+quadratic W1 the minimum over correctors is a quadratic form in F whose
+coefficients are the affine cell energy less the Schur complement of the cell
+stiffness, so one factorization and one multi-right-hand-side solve give the
+density and its F-gradient.  The limit functional uses the fast path only.
 
-Cell values are memoized in a cache keyed by quantized inputs (G quantized in
-log coordinates), which keeps the number of solves bounded during limit-
-functional minimization; solves are deterministic, so cache hits are
-bit-identical.
+Cell values are memoized in a cache keyed by integer points of a lattice in
+log coordinates; the cache alone quantizes G, which keeps the number of solves
+bounded during limit-functional minimization.  Solves are deterministic, so
+cache hits are bit-identical.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.optimize
@@ -89,15 +88,20 @@ def _refined_mask(cell: CellGeometry, resolution: int) -> np.ndarray:
 
 
 def _quadratic_corrector(grid: Grid, active: np.ndarray, free: np.ndarray, density, R: np.ndarray):
-    """Corrector map F -> (v, residual) of the quadratic density W(X R) on the
-    active elements, v zero off the free nodes.  The stiffness is assembled
-    and factorized once.  The load of a drive D that is constant over the
-    active elements is -D . int grad(phi_n), so the integrals are scattered
-    once and each F costs a (nodes x d) product and one solve."""
+    """Corrector system of the quadratic density W(X R) on the active
+    elements, v zero off the free nodes.
+
+    With W(X) = a |X|^2 + L : X + k, the corrector v of F minimizes
+    1/2 u.K.u + (g [vec F, 1]).u over the free dofs u.  The stiffness K is
+    assembled and factorized once.  The drive of F is constant over the active
+    elements, so it is a combination of d^2 unit drives 2a E_ij C (C = R R^T)
+    and the affine drive L R^T; the load matrix g has one column per drive,
+    each column being D . int grad(phi_n) on the free dofs.
+    Returns (K, lu, g).
+    """
     d = grid.dim
     a, L, _ = density.isotropic_quad_parts(d)
     C = R @ R.T
-    Leff = L @ R.T
     wq = grid.gauss_weight * grid.h**d
     gCg = np.einsum("gnk,kl,gml->gnm", grid.dN_gauss, C, grid.dN_gauss)
     block = np.einsum("nm,ij->nimj", 2.0 * a * wq * gCg.sum(axis=0), np.eye(d))
@@ -114,16 +118,10 @@ def _quadratic_corrector(grid: Grid, active: np.ndarray, free: np.ndarray, densi
     grad_phi = np.zeros((grid.n_nodes, d))  # int over the active elements of grad(phi_n)
     grid.accumulate_from_gradients(np.broadcast_to(np.eye(d), (n_active, grid.n_gauss, d, d)), grad_phi,
                                    element_mask=active)
-
-    def corrector(F: np.ndarray):
-        drive = 2.0 * a * F @ C + Leff
-        rhs = -(grad_phi @ drive.T).reshape(-1)[free_dof]
-        sol = lu.solve(rhs)
-        v = np.zeros(grid.n_nodes * d)
-        v[free_dof] = sol
-        return v.reshape(grid.n_nodes, d), float(np.linalg.norm(K @ sol - rhs))
-
-    return corrector
+    unit = np.eye(d * d).reshape(d * d, d, d)
+    drives = np.concatenate([2.0 * a * unit @ C, (L @ R.T)[None]])  # (d^2 + 1, d, d)
+    g = np.einsum("nk,pik->nip", grad_phi, drives).reshape(grid.n_nodes * d, d * d + 1)[free_dof]
+    return K, lu, g
 
 
 def _energy_of(grid: Grid, active: np.ndarray, v: np.ndarray, density, R: np.ndarray, F: np.ndarray):
@@ -151,12 +149,17 @@ def _minimize_cell(grid, active, free, density, R, F, tol, maxiter, restarts, se
     with seeded restarts otherwise.  v = 0 is always among the starts, so the
     value never exceeds the test-field energy of the mean deformation."""
     d = grid.dim
+    free_dof = np.repeat(free, d)
     if quadratic:
-        v, residual = _quadratic_corrector(grid, active, free, density, R)(F)
-        return v, _energy_of(grid, active, v, density, R, F), 1, residual, True
+        K, lu, g = _quadratic_corrector(grid, active, free, density, R)
+        rhs = -g @ np.append(F.reshape(-1), 1.0)
+        sol = lu.solve(rhs)
+        v = np.zeros(grid.n_nodes * d)
+        v[free_dof] = sol
+        v = v.reshape(grid.n_nodes, d)
+        return v, _energy_of(grid, active, v, density, R, F), 1, float(np.linalg.norm(K @ sol - rhs)), True
 
     rng = np.random.default_rng(seed)
-    free_dof = np.repeat(free, d)
     n_free = int(free_dof.sum())
     starts = [np.zeros(n_free)]
     scale = 0.1 * (1.0 + float(np.linalg.norm(F)))
@@ -260,7 +263,8 @@ def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2), resolution: in
 @dataclass
 class EffectiveQuadratic:
     """Quadratic form F |-> A[F,F] + b:F + c representing the stiff density
-    at one G for a quadratic W1 (exact, from d^2 + 1 corrector solves)."""
+    at one G for a quadratic W1 (exact, from one factorization of the cell
+    stiffness and the Schur complement of its load matrix)."""
 
     A: np.ndarray
     b: np.ndarray
@@ -278,58 +282,43 @@ class EffectiveQuadratic:
 
 
 def effective_quadratic_tensor(cell: CellGeometry, W1, G, resolution: int = 32) -> EffectiveQuadratic:
-    """Fast path for quadratic W1 at window lam = 1.
+    """Stiff density at one G for a quadratic W1 = a |X|^2 + L : X + k, window lam = 1.
 
-    Solves one corrector per matrix basis direction plus one for the affine
-    drive, then reads (A, b, c) off by polarization; exact because the
-    corrector map is linear in F and the energy is jointly quadratic.
+    With R = G^{-1}, C = R R^T and x = [vec F, 1], the cell energy of F at its
+    corrector is vol (a F C : F + L R^T : F + k) - 1/2 x.S.x, where
+    vol = |stiff cell| and S = g^T K^{-1} g is the Schur complement of the
+    corrector system (K, g) of ``_quadratic_corrector``.  One factorization
+    and one multi-right-hand-side solve give (A, b, c) exactly.
     """
     if not getattr(W1, "is_quadratic", False):
         raise CellProblemError("effective_quadratic_tensor requires a quadratic stiff density")
     G = _check_invertible(G)
-    Ginv = np.linalg.inv(G)
+    R = np.linalg.inv(G)
     d = cell.dim
     grid = Grid(d, resolution)
     active = (~_refined_mask(cell, resolution)).reshape(-1)
     _, any_active = node_incidence_masks(d, resolution, active)
     free = (~grid.boundary_node_mask()) & any_active
-    corrector = _quadratic_corrector(grid, active, free, W1, Ginv)
-
-    def value(F):
-        return _energy_of(grid, active, corrector(F)[0], W1, Ginv, F)
-
-    zero = np.zeros((d, d))
-    c0 = value(zero)
-    basis = [np.eye(d)[i][:, None] * np.eye(d)[j][None, :] for i in range(d) for j in range(d)]
-    vp = np.array([value(E) for E in basis])
-    vm = np.array([value(-E) for E in basis])
-    b = ((vp - vm) / 2.0).reshape(d, d)
-    A = np.zeros((d, d, d, d))
-    diag = (vp + vm) / 2.0 - c0
-    for n, E in enumerate(basis):
-        i, j = divmod(n, d)
-        A[i, j, i, j] = diag[n]
-    for n1 in range(d * d):
-        for n2 in range(n1 + 1, d * d):
-            i1, j1 = divmod(n1, d)
-            i2, j2 = divmod(n2, d)
-            # polarization gives 2 A[p1,p2]; symmetric storage then feeds the
-            # evaluation sum at both (p1,p2) and (p2,p1)
-            cross = value(basis[n1] + basis[n2]) - vp[n1] - vp[n2] + c0
-            A[i1, j1, i2, j2] = A[i2, j2, i1, j1] = 0.5 * cross
-    return EffectiveQuadratic(A=A, b=b, c=c0)
+    _, lu, g = _quadratic_corrector(grid, active, free, W1, R)
+    S = g.T @ lu.solve(g)
+    a, L, k = W1.isotropic_quad_parts(d)
+    vol = np.count_nonzero(active) * grid.h**d
+    n = d * d
+    A = vol * a * np.einsum("ik,jl->ijkl", np.eye(d), R @ R.T) - 0.5 * S[:n, :n].reshape(d, d, d, d)
+    b = vol * L @ R.T - S[:n, n].reshape(d, d)
+    return EffectiveQuadratic(A=A, b=b, c=float(vol * k - 0.5 * S[n, n]))
 
 
 # ----------------------------------------------------------------------------
 
 
 class HomDensityCache:
-    """Memoized cell solves keyed by quantized (F, G).
+    """Memoized cell solves keyed by points of a lattice in sl(d).
 
-    G is quantized in log coordinates with the configured step; results are
-    inserted once and never recomputed, so lookups are bit-identical across
-    repeated assemblies.  Only values and metadata persist to the snapshot
-    file; minimizer fields are dropped.
+    ``quantize`` rounds the log coordinates of G to the configured step; every
+    lookup takes an integer key and solves at the lattice point
+    ``reconstruct(key)``.  Results are inserted once and never recomputed, so
+    lookups are bit-identical across repeated assemblies.
     """
 
     def __init__(self, step: float = 1e-2, resolution: int = 32, tol: float = 1e-8, seed: int = 0):
@@ -340,74 +329,34 @@ class HomDensityCache:
         self._qprime: dict = {}
         self._w1: dict = {}
 
-    # -- quantization -------------------------------------------------------
-    def quantize_log_key(self, G: np.ndarray) -> tuple:
+    def quantize(self, G: np.ndarray) -> tuple:
+        """Unique lattice keys of the matrices G (N, d, d), and for each
+        matrix the index of its key."""
         coeffs = slgeometry.matrices_to_coeffs(slgeometry.log_batch(np.asarray(G, float)))
-        return tuple(int(i) for i in np.round(coeffs / self.step))
+        uniq, inverse = np.unique(np.round(coeffs / self.step).astype(int), axis=0, return_inverse=True)
+        return [tuple(int(i) for i in key) for key in uniq], inverse.reshape(-1)
 
     def reconstruct(self, key: tuple, dim: int) -> np.ndarray:
         coeffs = np.asarray(key, dtype=float) * self.step
         return slgeometry.exp_batch(slgeometry.coeffs_to_matrices(coeffs, dim))
 
-    def quantize_mat_key(self, F: np.ndarray) -> tuple:
-        return tuple(int(i) for i in np.round(np.asarray(F, float).reshape(-1) / self.step))
-
-    # -- cached solves --------------------------------------------------------
-    def qprime(self, cell: CellGeometry, density, F, G, formulation: str = "over_Q0") -> CellProblemResult:
-        key = (formulation, self.quantize_mat_key(F), self.quantize_log_key(G))
-        if key not in self._qprime:
-            Fq = np.asarray(key[1], dtype=float).reshape(cell.dim, cell.dim) * self.step
-            Gq = self.reconstruct(key[2], cell.dim)
-            self._qprime[key] = qprime_W0(
-                cell, density, Fq, Gq, resolution=self.resolution, tol=self.tol,
-                formulation=formulation, seed=self.seed,
+    def qprime(self, cell: CellGeometry, density, key: tuple) -> CellProblemResult:
+        """Soft cell value QW0(0, G^{-1}) over Q0 for the G of ``key``; it is
+        solved at the lattice point of G^{-1}, whose key is -key."""
+        neg = tuple(-i for i in key)
+        if neg not in self._qprime:
+            self._qprime[neg] = qprime_W0(
+                cell, density, np.zeros((cell.dim, cell.dim)), self.reconstruct(neg, cell.dim),
+                resolution=self.resolution, tol=self.tol, seed=self.seed,
             )
-        return self._qprime[key]
+        return self._qprime[neg]
 
-    def w1_tensor(self, cell: CellGeometry, density, G) -> EffectiveQuadratic:
-        key = self.quantize_log_key(G)
+    def w1_tensor(self, cell: CellGeometry, density, key: tuple) -> EffectiveQuadratic:
         if key not in self._w1:
             self._w1[key] = effective_quadratic_tensor(
                 cell, density, self.reconstruct(key, cell.dim), resolution=self.resolution
             )
         return self._w1[key]
-
-    # -- persistence ----------------------------------------------------------
-    def save(self, path) -> None:
-        data = {
-            "step": self.step,
-            "resolution": self.resolution,
-            "tol": self.tol,
-            "seed": self.seed,
-            "qprime": {
-                repr(k): {"value": r.value, "iterations": r.iterations, "residual": r.residual,
-                          "formulation": r.formulation, "converged": r.converged}
-                for k, r in self._qprime.items()
-            },
-            "w1": {
-                repr(k): {"A": v.A.reshape(-1).tolist(), "b": v.b.reshape(-1).tolist(), "c": v.c}
-                for k, v in self._w1.items()
-            },
-        }
-        Path(path).write_text(json.dumps(data, sort_keys=True))
-
-    @classmethod
-    def load(cls, path, dim: int = 2) -> "HomDensityCache":
-        data = json.loads(Path(path).read_text())
-        cache = cls(step=data["step"], resolution=data["resolution"], tol=data["tol"], seed=data["seed"])
-        from ast import literal_eval
-
-        for ks, rec in data["qprime"].items():
-            cache._qprime[literal_eval(ks)] = CellProblemResult(
-                value=rec["value"], minimizer=None, iterations=rec["iterations"],
-                residual=rec["residual"], formulation=rec["formulation"], converged=rec["converged"],
-            )
-        for ks, rec in data["w1"].items():
-            cache._w1[literal_eval(ks)] = EffectiveQuadratic(
-                A=np.asarray(rec["A"]).reshape(dim, dim, dim, dim),
-                b=np.asarray(rec["b"]).reshape(dim, dim), c=rec["c"],
-            )
-        return cache
 
 
 def hom_hardening(cell: CellGeometry, model, P) -> tuple:
@@ -437,22 +386,14 @@ def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) ->
     Gy = grid.gauss_gradients(y.values).reshape(-1, d, d)
 
     # stiff density through the quadratic fast path (per unique quantized G)
-    coeffs = slgeometry.matrices_to_coeffs(slgeometry.log_batch(Pg))
-    keys = np.round(coeffs / cache.step).astype(int)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    keys, inverse = cache.quantize(Pg)
     w1_vals = np.empty(len(Pg))
-    soft_vals = np.empty(len(Pg))
-    degenerate = cell.degenerate
-    for u, key_row in enumerate(uniq):
+    soft_vals = np.zeros(len(Pg))
+    for u, key in enumerate(keys):
         sel = inverse == u
-        key = tuple(int(i) for i in key_row)
-        Gq = cache.reconstruct(key, d)
-        w1_vals[sel] = cache.w1_tensor(cell, model.W_stiff, Gq).evaluate(Gy[sel])
-        if degenerate:
-            soft_vals[sel] = 0.0
-        else:
-            res = cache.qprime(cell, model.W_soft_limit, np.zeros((d, d)), np.linalg.inv(Gq))
-            soft_vals[sel] = res.value
+        w1_vals[sel] = cache.w1_tensor(cell, model.W_stiff, key).evaluate(Gy[sel])
+        if not cell.degenerate:
+            soft_vals[sel] = cache.qprime(cell, model.W_soft_limit, key).value
 
     wq = grid.gauss_weight * grid.h**d
     Hg = model.hardening_smooth(Pg)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -397,39 +396,6 @@ def plastic_gradient(P: PlasticField, element: int | None = None, ref_point=None
         dN = P.grid._shape_gradients(np.atleast_2d(ref_point)) / P.grid.h
         return np.einsum("nij,pnk->pijk", mats[P.grid.el_nodes[element]], dN)[0]
     return np.einsum("nij,gnk->gijk", mats[P.grid.el_nodes[element]], P.grid.dN_gauss)
-
-
-# -- snapshots ----------------------------------------------------------------
-
-
-def save_field(path, fld) -> None:
-    """ASCII snapshot: a header with the grid shape, then one node per line."""
-    if isinstance(fld, DeformationField):
-        header = f"deformation {fld.grid.dim} {fld.grid.n_el} {fld.grid.dim} {fld.bc}"
-        table = fld.values
-    elif isinstance(fld, PlasticField):
-        header = f"plastic {fld.grid.dim} {fld.grid.n_el} {fld.coeffs.shape[1]} {fld.r_K!r}"
-        table = fld.coeffs
-    else:
-        raise FieldError(f"cannot snapshot object of type {type(fld)!r}")
-    lines = [header]
-    lines.extend(" ".join(f"{v:.17g}" for v in row) for row in table)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_field(path):
-    lines = Path(path).read_text().splitlines()
-    kind, dim, n_el, ncols, extra = lines[0].split()
-    dim, n_el, ncols = int(dim), int(n_el), int(ncols)
-    grid = Grid(dim, n_el)
-    table = np.array([[float(v) for v in ln.split()] for ln in lines[1 : 1 + grid.n_nodes]])
-    if table.shape != (grid.n_nodes, ncols):
-        raise FieldError(f"snapshot table shape {table.shape} does not match header")
-    if kind == "deformation":
-        return DeformationField(grid, table, bc=extra)
-    if kind == "plastic":
-        return PlasticField(grid, table, r_K=float(extra))
-    raise FieldError(f"unknown snapshot kind {kind!r}")
 
 
 def prolong_deformation(y: DeformationField, fine: Grid) -> DeformationField:

@@ -36,6 +36,9 @@ COLUMNS = [
     "diss_soft", "diss_stiff", "remainder", "poincare", "ext_const",
     "hard_cont_err", "unfold_resid", "gap",
 ]
+TOGGLE_KEYS = ("dissipation", "recovery_check", "correction")
+ACCEPTANCE_KEYS = ("require_gap_decreasing", "max_final_gap", "max_gap_all", "max_unfold_resid",
+                   "recovery_bound")
 
 
 @dataclass
@@ -69,6 +72,13 @@ class StudyConfig:
             raise ConfigError("eps_list must be strictly decreasing")
         if "mask_file" in self.geometry and not Path(self.geometry["mask_file"]).exists():
             raise ConfigError(f"mask file {self.geometry['mask_file']} does not exist")
+        for block, keys, known in (("toggles", self.toggles, TOGGLE_KEYS),
+                                   ("acceptance", self.acceptance or {}, ACCEPTANCE_KEYS)):
+            for key in keys:
+                if key not in known:
+                    raise ConfigError(f"unknown {block} key {key!r}; known keys: {', '.join(known)}")
+        if self.acceptance is not None and not self.acceptance:
+            raise ConfigError(f"acceptance block names no check; known keys: {', '.join(ACCEPTANCE_KEYS)}")
 
     def hash(self) -> str:
         """Short content hash of the study definition (output location excluded)."""

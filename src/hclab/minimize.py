@@ -293,14 +293,11 @@ def _limit_y_solve(cell, model, P: PlasticField, cache, grid: Grid, tol: float, 
     """Quadratic y-step of the limit functional from the per-point stiff tensors."""
     d = grid.dim
     Pg = grid.gauss_values(P.matrices()).reshape(-1, d, d)
-    coeffs = slgeometry.matrices_to_coeffs(slgeometry.log_batch(Pg))
-    keys = np.round(coeffs / cache.step).astype(int)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    keys, inverse = cache.quantize(Pg)
     A = np.empty((len(Pg), d, d, d, d))
     b = np.empty((len(Pg), d, d))
-    for u, key_row in enumerate(uniq):
-        key = tuple(int(i) for i in key_row)
-        tensor = cache.w1_tensor(cell, model.W_stiff, cache.reconstruct(key, d))
+    for u, key in enumerate(keys):
+        tensor = cache.w1_tensor(cell, model.W_stiff, key)
         A[inverse == u] = tensor.A
         b[inverse == u] = tensor.b
     Ag = A.reshape(grid.n_elements, grid.n_gauss, d, d, d, d)
@@ -342,22 +339,15 @@ def _limit_p_gradient(cell, model, y: DeformationField, P: PlasticField, cache):
     grid.accumulate_from_gradients(fac[..., None, None, None] * gradP, R_nodes)
 
     # stiff density: tangent-space central differences over the quantization lattice
-    coeffs = slgeometry.matrices_to_coeffs(slgeometry.log_batch(Pg))
-    keys = np.round(coeffs / cache.step).astype(int)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    keys, inverse = cache.quantize(Pg)
     sens = np.zeros((len(Pg), d, d))
-    for u, key_row in enumerate(uniq):
-        key = tuple(int(i) for i in key_row)
+    for u, key in enumerate(keys):
         sel = inverse == u
         Fsel = Gy[sel]
         slopes = np.zeros((ksl, int(sel.sum())))
         for i in range(ksl):
-            kp = list(key)
-            kp[i] += 1
-            km = list(key)
-            km[i] -= 1
-            tp = cache.w1_tensor(cell, model.W_stiff, cache.reconstruct(tuple(kp), d))
-            tm = cache.w1_tensor(cell, model.W_stiff, cache.reconstruct(tuple(km), d))
+            tp = cache.w1_tensor(cell, model.W_stiff, tuple(k + (j == i) for j, k in enumerate(key)))
+            tm = cache.w1_tensor(cell, model.W_stiff, tuple(k - (j == i) for j, k in enumerate(key)))
             slopes[i] = (tp.evaluate(Fsel) - tm.evaluate(Fsel)) / (2.0 * cache.step)
         M_q = slgeometry.coeffs_to_matrices(np.asarray(key, float) * cache.step, d)
         T = np.stack([

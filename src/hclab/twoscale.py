@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse
@@ -56,14 +55,6 @@ class TwoScaleField:
     full: np.ndarray
     validity: np.ndarray
 
-    @property
-    def components(self) -> int:
-        return self.samples.shape[-1]
-
-    @property
-    def n_cells_total(self) -> int:
-        return self.samples.shape[0]
-
     def norm_sq(self) -> float:
         """L2 norm squared on Omega x Q of the piecewise sample table."""
         h = self.eps / self.m
@@ -73,26 +64,6 @@ class TwoScaleField:
         """(cells, micro elements, ngp, C, d) gradients in the cell variable."""
         micro = Grid(self.dim, self.m)
         return np.einsum("cen...,gnk->ceg...k", self.full[:, micro.el_nodes], micro.dN_gauss)
-
-    def save(self, path) -> None:
-        header = f"{self.n_cells_total} {self.m} {self.dim} {self.components} {self.eps!r}"
-        flat = self.samples.reshape(-1)
-        lines = [header, " ".join(f"{v:.17g}" for v in flat)]
-        vflat = "".join("1" if v else "0" for v in self.validity)
-        lines.append(vflat)
-        full_flat = self.full.reshape(-1)
-        lines.append(" ".join(f"{v:.17g}" for v in full_flat))
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "TwoScaleField":
-        lines = Path(path).read_text().splitlines()
-        ncells, m, dim, comps, eps = lines[0].split()
-        ncells, m, dim, comps = int(ncells), int(m), int(dim), int(comps)
-        samples = np.array([float(v) for v in lines[1].split()]).reshape(ncells, m**dim, comps)
-        validity = np.array([c == "1" for c in lines[2]])
-        full = np.array([float(v) for v in lines[3].split()]).reshape(ncells, (m + 1) ** dim, comps)
-        return cls(dim=dim, m=m, eps=float(eps), samples=samples, full=full, validity=validity)
 
 
 def _cell_node_tables(domain: MicroDomain):
@@ -401,8 +372,8 @@ def build_recovery_sequence(domain: MicroDomain, w, P_field: PlasticField | None
         if P_field is not None:
             center = (np.asarray(t) + 0.5) * eps
             Pc = P_field.grid.interpolate_at(P_field.matrices(), center[None, :])[0]
-            Gq = cache.reconstruct(cache.quantize_log_key(Pc), d)
-            Ginv = np.linalg.inv(Gq)
+            keys, _ = cache.quantize(Pc[None])
+            Ginv = np.linalg.inv(cache.reconstruct(keys[0], d))
         else:
             Ginv = np.eye(d)
         for s, ok in sub_ok.items():

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hclab import cellproblems as cp, materials, microgeometry as mg, slgeometry as sg
 from hclab.fields import DeformationField, Grid, PlasticField
@@ -216,6 +218,22 @@ def test_effective_tensor_symmetry_and_agreement(cell):
     assert float(np.sum(tensor.grad(F) * E)) == pytest.approx(float(fd), rel=1e-6)
 
 
+def test_effective_tensor_symmetry_and_agreement_3d():
+    cell3 = mg.builtin_cell("fiber3d")
+    stiff = materials.StiffDensity(1.0)
+    rng = np.random.default_rng(13)
+    for _ in range(2):
+        c = rng.standard_normal(8)
+        c *= 0.3 * rng.random() / np.linalg.norm(c)  # G in the K ball of radius 0.3
+        G = sg.exp_batch(sg.coeffs_to_matrices(c, 3))
+        tensor = cp.effective_quadratic_tensor(cell3, stiff, G, resolution=8)
+        assert np.abs(tensor.A - np.transpose(tensor.A, (2, 3, 0, 1))).max() < 1e-10
+        for _ in range(2):
+            F = 0.5 * rng.standard_normal((3, 3))
+            direct = cp.multicell_W1hom(cell3, stiff, F, G, lambdas=(1,), resolution=8)
+            assert float(tensor.evaluate(F)) == pytest.approx(direct.per_lambda[1].value, abs=1e-8)
+
+
 def test_singular_G_rejected(cell, convex_soft):
     with pytest.raises(cp.SingularG):
         cp.qprime_W0(cell, convex_soft, np.zeros((2, 2)), np.zeros((2, 2)), resolution=8)
@@ -233,32 +251,39 @@ def test_cache_determinism_and_quantization(cell):
     cache = cp.HomDensityCache(step=1e-2, resolution=8)
     rng = np.random.default_rng(11)
     G = _sample_G(rng, 0.25)
-    key = cache.quantize_log_key(G)
+    keys, inverse = cache.quantize(np.stack([G, G + 1e-4 * np.eye(2)]))
+    assert len(keys) == 1 and list(inverse) == [0, 0]  # one lattice cell, one key
+    key = keys[0]
     Gq = cache.reconstruct(key, 2)
     # reconstruction is within half a quantization step in log coordinates
     delta = sg.matrices_to_coeffs(sg.log_batch(G)) - sg.matrices_to_coeffs(sg.log_batch(Gq))
     assert np.abs(delta).max() <= 0.5 * cache.step + 1e-12
-    r1 = cache.qprime(cell, model.W_soft_limit, np.zeros((2, 2)), G)
-    r2 = cache.qprime(cell, model.W_soft_limit, np.zeros((2, 2)), G + 1e-4 * np.eye(2))
-    assert r1 is r2  # same quantized key, bit-identical result
-    t1 = cache.w1_tensor(cell, model.W_stiff, G)
-    t2 = cache.w1_tensor(cell, model.W_stiff, Gq)
-    assert t1 is t2
+    r1 = cache.qprime(cell, model.W_soft_limit, key)
+    assert cache.qprime(cell, model.W_soft_limit, key) is r1  # cached, bit-identical
+    t1 = cache.w1_tensor(cell, model.W_stiff, key)
+    assert cache.w1_tensor(cell, model.W_stiff, key) is t1
+    # the soft lookup of a key is QW0(0, G^{-1}) at the G of the key
+    twowell = materials.default_material(dim=2, soft="twowell").W_soft_limit
+    key = (15, 10, 5)
+    Ginv = np.linalg.inv(cache.reconstruct(key, 2))
+    expected = cp.qprime_W0(cell, twowell, np.zeros((2, 2)), Ginv, resolution=8).value
+    fresh = cp.HomDensityCache(step=1e-2, resolution=8)
+    assert fresh.qprime(cell, twowell, key).value == pytest.approx(expected, rel=1e-9)
 
 
-def test_cache_save_load_roundtrip(cell, tmp_path):
-    model = materials.default_material(dim=2)
-    cache = cp.HomDensityCache(step=1e-2, resolution=8)
-    G = np.eye(2)
-    cache.qprime(cell, model.W_soft_limit, np.zeros((2, 2)), G)
-    cache.w1_tensor(cell, model.W_stiff, G)
-    cache.save(tmp_path / "cache.json")
-    loaded = cp.HomDensityCache.load(tmp_path / "cache.json", dim=2)
-    k = loaded.quantize_log_key(G)
-    assert loaded._w1[k].c == cache._w1[k].c
-    assert np.array_equal(loaded._w1[k].A, cache._w1[k].A)
-    qk = ("over_Q0", loaded.quantize_mat_key(np.zeros((2, 2))), k)
-    assert loaded._qprime[qk].value == cache._qprime[qk].value
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_cache_keys_round_trip_near_identity(dim, data):
+    """Re-quantizing a lattice point returns its key, and its inverse has key
+    -key, for |key| step <= 0.45.  Within that radius the key lookups of the
+    limit functional hit the same cache entries as quantizing G would."""
+    cache = cp.HomDensityCache(step=1e-2)
+    k = np.array(data.draw(st.lists(st.integers(-45, 45), min_size=dim * dim - 1, max_size=dim * dim - 1)))
+    k = np.trunc(k * min(1.0, 45.0 / max(np.linalg.norm(k), 1.0)))  # |k| <= 45, so |k| step <= 0.45
+    key = tuple(int(i) for i in k)
+    Gq = cache.reconstruct(key, dim)
+    assert cache.quantize(Gq[None])[0] == [key]
+    assert cache.quantize(np.linalg.inv(Gq)[None])[0] == [tuple(-i for i in key)]
 
 
 def test_hom_hardening_parts(cell):

@@ -10,12 +10,10 @@ from hclab.fields import (
     GridMismatch,
     PlasticField,
     eval_gradient,
-    load_field,
     node_incidence_masks,
     plastic_gradient,
     prolong_deformation,
     prolong_plastic,
-    save_field,
 )
 
 
@@ -138,21 +136,6 @@ def test_grid_mismatch_detected():
         DeformationField(grid, np.zeros((10, 2)))
     with pytest.raises(GridMismatch):
         PlasticField(grid, np.zeros((grid.n_nodes, 5)), 0.3)
-
-
-def test_snapshot_roundtrip(tmp_path):
-    grid = Grid(2, 5)
-    rng = np.random.default_rng(4)
-    y = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)), bc="free")
-    save_field(tmp_path / "y.snap", y)
-    y2 = load_field(tmp_path / "y.snap")
-    assert np.array_equal(y.values, y2.values)
-    assert y2.bc == "free"
-    P = PlasticField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 3)), 0.3)
-    save_field(tmp_path / "p.snap", P)
-    P2 = load_field(tmp_path / "p.snap")
-    assert np.array_equal(P.coeffs, P2.coeffs)
-    assert P2.r_K == 0.3
 
 
 def test_prolongation_exact_on_affine():

@@ -16,7 +16,14 @@ def test_config_validation():
         lab.StudyConfig(eps_list=[]).validate()
     with pytest.raises(lab.ConfigError):
         lab.StudyConfig(geometry={"mask_file": "/nonexistent.mask"}).validate()
+    with pytest.raises(lab.ConfigError, match="max_final_gp"):
+        lab.StudyConfig(acceptance={"max_final_gp": 0.1}).validate()  # a typo must not drop the gate
+    with pytest.raises(lab.ConfigError, match="corection"):
+        lab.StudyConfig(toggles={"dissipation": False, "corection": True}).validate()
+    with pytest.raises(lab.ConfigError, match="no check"):
+        lab.StudyConfig(acceptance={}).validate()  # all([]) would pass it
     lab.StudyConfig().validate()
+    lab.StudyConfig(acceptance={"max_gap_all": 1e-3}).validate()
 
 
 def test_config_hash_ignores_output_dir():

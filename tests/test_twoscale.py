@@ -52,19 +52,6 @@ def test_unfold_grid_mismatch(cell):
         ts.unfold(domain, wrong)
 
 
-def test_twoscale_snapshot_roundtrip(cell, tmp_path):
-    domain = _domain(cell, 4)
-    grid = Grid(2, domain.n_el)
-    rng = np.random.default_rng(2)
-    y = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)), bc="free")
-    tsf = ts.unfold(domain, y)
-    tsf.save(tmp_path / "ts.snap")
-    loaded = ts.TwoScaleField.load(tmp_path / "ts.snap")
-    assert np.array_equal(loaded.samples, tsf.samples)
-    assert np.array_equal(loaded.full, tsf.full)
-    assert loaded.eps == tsf.eps
-
-
 def test_extension_affine_exact(cell):
     domain = _domain(cell, 4)
     grid = Grid(2, domain.n_el)
