@@ -10,14 +10,19 @@ multi-cell density
 
     W1hom(F, G) = lim_lam (1/lam^d) inf int_{(0,lam)^d cap stiff} W1((F+grad y) G^{-1})
 
-approximated on finite windows, with an exact quadratic fast path: for
-quadratic W1 the minimum over correctors is a quadratic form in F whose
-coefficients are the affine cell energy less the Schur complement of the cell
-stiffness, so one factorization and one multi-right-hand-side solve give the
-density and its F-gradient.  The limit functional uses the fast path only.
+approximated on finite windows, with an exact quadratic fast path.  For the
+isotropic quadratic W1(X) = a |X|^2 + L : X + k and R = G^{-1}, C = R R^T,
+|Y R|^2 = sum_i Y_i C Y_i^T splits the corrector problem into one scalar
+problem per component, all with the same stiffness K(C).  One factorization
+of K solved against the d columns of int grad(phi) gives the d x d matrix Q,
+and W1hom(F) = vol W1(F R) - 1/2 tr(D Q D^T) with D = W1'(F R) R^T is a
+quadratic form in F with a d x d coefficient matrix.  The limit functional
+uses the fast path only.
 
-Cell values are memoized in a cache keyed by integer points of a lattice in
-log coordinates; the cache alone quantizes G, which keeps the number of solves
+The stiff window of a (cell, resolution, lam), its grid and its active and
+free masks, is built once and shared.  Cell values are memoized in a cache
+keyed by the cell, the density and an integer point of a lattice in log
+coordinates; the cache alone quantizes G, which keeps the number of solves
 bounded during limit-functional minimization.  Solves are deterministic, so
 cache hits are bit-identical.
 """
@@ -25,6 +30,7 @@ cache hits are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.optimize
@@ -87,41 +93,54 @@ def _refined_mask(cell: CellGeometry, resolution: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=16)
+def _stiff_window(cell: CellGeometry, resolution: int, lam: int):
+    """(grid, active, free) of the window (0, lam)^d at ``resolution`` elements
+    per unit: the grid, its stiff elements, and the nodes off the window
+    boundary that touch a stiff element.  Built once per (cell, resolution,
+    lam) and shared; the masks are read-only."""
+    d = cell.dim
+    grid = Grid(d, lam * resolution, extent=float(lam))
+    active = np.tile(~_refined_mask(cell, resolution), (lam,) * d).reshape(-1)
+    _, any_active = node_incidence_masks(d, lam * resolution, active)
+    free = (~grid.boundary_node_mask()) & any_active
+    active.setflags(write=False)
+    free.setflags(write=False)
+    return grid, active, free
+
+
 def _quadratic_corrector(grid: Grid, active: np.ndarray, free: np.ndarray, density, R: np.ndarray):
-    """Corrector system of the quadratic density W(X R) on the active
+    """Scalar corrector system of the quadratic density W(X R) on the active
     elements, v zero off the free nodes.
 
-    With W(X) = a |X|^2 + L : X + k, the corrector v of F minimizes
-    1/2 u.K.u + (g [vec F, 1]).u over the free dofs u.  The stiffness K is
-    assembled and factorized once.  The drive of F is constant over the active
-    elements, so it is a combination of d^2 unit drives 2a E_ij C (C = R R^T)
-    and the affine drive L R^T; the load matrix g has one column per drive,
-    each column being D . int grad(phi_n) on the free dofs.
-    Returns (K, lu, g).
+    With W(X) = a |X|^2 + L : X + k and C = R R^T, the corrector of F
+    minimizes sum_i (1/2 v_i.K.v_i + D_i . int grad v_i) over the components
+    v_i on the free nodes, where D = W'(F R) R^T is constant over the active
+    elements.  K is the scalar stiffness with element blocks
+    2a wq sum_g dN C dN^T, and int grad v_i = grad_phi^T v_i with grad_phi the
+    (n_free, d) integrals of grad(phi_n) over the active elements.  One
+    factorization of K and one solve with the d columns of grad_phi give
+    Y = K^{-1} grad_phi, and the corrector of any F is v[free] = -Y D^T.
+    Returns (K, grad_phi, Y).
     """
     d = grid.dim
-    a, L, _ = density.isotropic_quad_parts(d)
+    a, _, _ = density.isotropic_quad_parts(d)
     C = R @ R.T
     wq = grid.gauss_weight * grid.h**d
-    gCg = np.einsum("gnk,kl,gml->gnm", grid.dN_gauss, C, grid.dN_gauss)
-    block = np.einsum("nm,ij->nimj", 2.0 * a * wq * gCg.sum(axis=0), np.eye(d))
-    block = block.reshape(grid.n_corners * d, grid.n_corners * d)
+    block = 2.0 * a * wq * np.einsum("gnk,kl,gml->nm", grid.dN_gauss, C, grid.dN_gauss)
     n_active = int(np.count_nonzero(active))
     K = grid.stiffness(np.broadcast_to(block, (n_active,) + block.shape), element_mask=active)
-    free_dof = np.repeat(free, d)
-    K = K[free_dof][:, free_dof].tocsc()
+    K = K[free][:, free].tocsc()
     try:
         lu = scipy.sparse.linalg.splu(K)
     except RuntimeError as exc:  # pragma: no cover - geometry invariants prevent this
         raise SingularSystem(f"cell stiffness factorization failed: {exc}") from exc
 
-    grad_phi = np.zeros((grid.n_nodes, d))  # int over the active elements of grad(phi_n)
+    grad_phi = np.zeros((grid.n_nodes, d))
     grid.accumulate_from_gradients(np.broadcast_to(np.eye(d), (n_active, grid.n_gauss, d, d)), grad_phi,
                                    element_mask=active)
-    unit = np.eye(d * d).reshape(d * d, d, d)
-    drives = np.concatenate([2.0 * a * unit @ C, (L @ R.T)[None]])  # (d^2 + 1, d, d)
-    g = np.einsum("nk,pik->nip", grad_phi, drives).reshape(grid.n_nodes * d, d * d + 1)[free_dof]
-    return K, lu, g
+    grad_phi = grad_phi[free]
+    return K, grad_phi, lu.solve(grad_phi)
 
 
 def _energy_of(grid: Grid, active: np.ndarray, v: np.ndarray, density, R: np.ndarray, F: np.ndarray):
@@ -135,10 +154,7 @@ def _energy_grad_of(grid: Grid, active: np.ndarray, v: np.ndarray, density, R: n
     X = F[None, None] + grads
     Y = np.matmul(X, R)
     vals = density.value(Y)
-    Wp = density.grad(Y)
-    if isinstance(Wp, tuple):
-        Wp = Wp[0]
-    dX = np.matmul(Wp, R.T[None, None])
+    dX = np.matmul(density.grad(Y), R.T[None, None])
     g = np.zeros_like(v)
     grid.accumulate_from_gradients(dX, g, element_mask=active)
     return grid.integrate(vals), g
@@ -149,31 +165,30 @@ def _minimize_cell(grid, active, free, density, R, F, tol, maxiter, restarts, se
     with seeded restarts otherwise.  v = 0 is always among the starts, so the
     value never exceeds the test-field energy of the mean deformation."""
     d = grid.dim
-    free_dof = np.repeat(free, d)
+
+    def pack(x):
+        v = np.zeros((grid.n_nodes, d))
+        v[free] = x.reshape(-1, d)
+        return v
+
     if quadratic:
-        K, lu, g = _quadratic_corrector(grid, active, free, density, R)
-        rhs = -g @ np.append(F.reshape(-1), 1.0)
-        sol = lu.solve(rhs)
-        v = np.zeros(grid.n_nodes * d)
-        v[free_dof] = sol
-        v = v.reshape(grid.n_nodes, d)
-        return v, _energy_of(grid, active, v, density, R, F), 1, float(np.linalg.norm(K @ sol - rhs)), True
+        K, grad_phi, Y = _quadratic_corrector(grid, active, free, density, R)
+        D = density.grad(F @ R) @ R.T
+        sol = -Y @ D.T
+        v = pack(sol)
+        residual = float(np.linalg.norm(K @ sol + grad_phi @ D.T))
+        return v, _energy_of(grid, active, v, density, R, F), 1, residual, True
 
     rng = np.random.default_rng(seed)
-    n_free = int(free_dof.sum())
+    n_free = int(free.sum()) * d
     starts = [np.zeros(n_free)]
     scale = 0.1 * (1.0 + float(np.linalg.norm(F)))
     for _ in range(restarts):
         starts.append(scale * rng.standard_normal(n_free))
 
-    def pack(x):
-        v = np.zeros(grid.n_nodes * d)
-        v[free_dof] = x
-        return v.reshape(grid.n_nodes, d)
-
     def objective(x):
         e, g = _energy_grad_of(grid, active, pack(x), density, R, F)
-        return e, g.reshape(-1)[free_dof]
+        return e, g[free].reshape(-1)
 
     best = None
     total_iters = 0
@@ -238,22 +253,17 @@ def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2), resolution: in
     F = np.asarray(F, dtype=float)
     G = _check_invertible(G)
     Ginv = np.linalg.inv(G)
-    d = cell.dim
-    stiff_unit = ~_refined_mask(cell, resolution)
     results = {}
     for lam in sorted(lambdas):
         if lam < 1 or lam != int(lam):
             raise CellProblemError("window sizes must be positive integers")
         lam = int(lam)
-        grid = Grid(d, lam * resolution, extent=float(lam))
-        active = np.tile(stiff_unit, (lam,) * d).reshape(-1)
-        _, any_active = node_incidence_masks(d, lam * resolution, active)
-        free = (~grid.boundary_node_mask()) & any_active
+        grid, active, free = _stiff_window(cell, resolution, lam)
         v, energy, iters, residual, converged = _minimize_cell(
             grid, active, free, W1, Ginv, F, tol, maxiter, 3, seed, quadratic=W1.is_quadratic
         )
         results[lam] = CellProblemResult(
-            value=energy / float(lam) ** d, minimizer=v, iterations=iters,
+            value=energy / float(lam) ** cell.dim, minimizer=v, iterations=iters,
             residual=residual, formulation=f"multicell({lam})", converged=converged,
         )
     top = max(results)
@@ -262,9 +272,12 @@ def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2), resolution: in
 
 @dataclass
 class EffectiveQuadratic:
-    """Quadratic form F |-> A[F,F] + b:F + c representing the stiff density
-    at one G for a quadratic W1 (exact, from one factorization of the cell
-    stiffness and the Schur complement of its load matrix)."""
+    """Stiff density at one G for a quadratic W1, exact on the lam = 1 window:
+
+        F |-> sum_ijl F_ij A_jl F_il + b : F + c,
+
+    with a symmetric d x d matrix A; as a 4-index tensor the quadratic part
+    is delta_ik A_jl, since the cell problem acts alike on every row of F."""
 
     A: np.ndarray
     b: np.ndarray
@@ -272,41 +285,41 @@ class EffectiveQuadratic:
 
     def evaluate(self, F: np.ndarray) -> np.ndarray:
         F = np.asarray(F, dtype=float)
-        quad = np.einsum("ijkl,...ij,...kl->...", self.A, F, F)
+        quad = np.einsum("...ij,jl,...il->...", F, self.A, F)
         lin = np.einsum("ij,...ij->...", self.b, F)
         return quad + lin + self.c
 
     def grad(self, F: np.ndarray) -> np.ndarray:
-        F = np.asarray(F, dtype=float)
-        return 2.0 * np.einsum("ijkl,...kl->...ij", self.A, F) + self.b
+        return 2.0 * np.asarray(F, dtype=float) @ self.A + self.b
 
 
 def effective_quadratic_tensor(cell: CellGeometry, W1, G, resolution: int = 32) -> EffectiveQuadratic:
     """Stiff density at one G for a quadratic W1 = a |X|^2 + L : X + k, window lam = 1.
 
-    With R = G^{-1}, C = R R^T and x = [vec F, 1], the cell energy of F at its
-    corrector is vol (a F C : F + L R^T : F + k) - 1/2 x.S.x, where
-    vol = |stiff cell| and S = g^T K^{-1} g is the Schur complement of the
-    corrector system (K, g) of ``_quadratic_corrector``.  One factorization
-    and one multi-right-hand-side solve give (A, b, c) exactly.
+    With R = G^{-1}, C = R R^T, M = L R^T and vol = |stiff cell|, the
+    corrector system (K, grad_phi, Y) of ``_quadratic_corrector`` gives the
+    d x d matrix Q = grad_phi^T K^{-1} grad_phi.  The cell energy of F at its
+    corrector, vol W1(F R) - 1/2 tr(D Q D^T) with D = 2a F C + M, expands to
+    the form of ``EffectiveQuadratic`` with
+
+        A = vol a C - 2a^2 C Q C,  b = vol M - 2a M Q C,  c = vol k - 1/2 tr(M Q M^T).
+
+    One scalar factorization and one solve with d right-hand sides.
     """
     if not getattr(W1, "is_quadratic", False):
         raise CellProblemError("effective_quadratic_tensor requires a quadratic stiff density")
     G = _check_invertible(G)
     R = np.linalg.inv(G)
-    d = cell.dim
-    grid = Grid(d, resolution)
-    active = (~_refined_mask(cell, resolution)).reshape(-1)
-    _, any_active = node_incidence_masks(d, resolution, active)
-    free = (~grid.boundary_node_mask()) & any_active
-    _, lu, g = _quadratic_corrector(grid, active, free, W1, R)
-    S = g.T @ lu.solve(g)
-    a, L, k = W1.isotropic_quad_parts(d)
-    vol = np.count_nonzero(active) * grid.h**d
-    n = d * d
-    A = vol * a * np.einsum("ik,jl->ijkl", np.eye(d), R @ R.T) - 0.5 * S[:n, :n].reshape(d, d, d, d)
-    b = vol * L @ R.T - S[:n, n].reshape(d, d)
-    return EffectiveQuadratic(A=A, b=b, c=float(vol * k - 0.5 * S[n, n]))
+    grid, active, free = _stiff_window(cell, resolution, 1)
+    _, grad_phi, Y = _quadratic_corrector(grid, active, free, W1, R)
+    Q = grad_phi.T @ Y
+    a, L, k = W1.isotropic_quad_parts(cell.dim)
+    C = R @ R.T
+    M = L @ R.T
+    vol = np.count_nonzero(active) * grid.h**cell.dim
+    return EffectiveQuadratic(A=vol * a * C - 2.0 * a * a * (C @ Q @ C),
+                              b=vol * M - 2.0 * a * (M @ Q @ C),
+                              c=float(vol * k - 0.5 * np.trace(M @ Q @ M.T)))
 
 
 # ----------------------------------------------------------------------------
@@ -316,9 +329,12 @@ class HomDensityCache:
     """Memoized cell solves keyed by points of a lattice in sl(d).
 
     ``quantize`` rounds the log coordinates of G to the configured step; every
-    lookup takes an integer key and solves at the lattice point
-    ``reconstruct(key)``.  Results are inserted once and never recomputed, so
-    lookups are bit-identical across repeated assemblies.
+    lookup takes a cell, a density and an integer key, and solves at the
+    lattice point ``reconstruct(key)``.  Entries are stored under
+    (cell, density, key), so one cache serves several cells and densities;
+    cells and densities are compared by identity.  Results are inserted once
+    and never recomputed, so lookups are bit-identical across repeated
+    assemblies.
     """
 
     def __init__(self, step: float = 1e-2, resolution: int = 32, tol: float = 1e-8, seed: int = 0):
@@ -344,19 +360,21 @@ class HomDensityCache:
         """Soft cell value QW0(0, G^{-1}) over Q0 for the G of ``key``; it is
         solved at the lattice point of G^{-1}, whose key is -key."""
         neg = tuple(-i for i in key)
-        if neg not in self._qprime:
-            self._qprime[neg] = qprime_W0(
+        entry = (cell, density, neg)
+        if entry not in self._qprime:
+            self._qprime[entry] = qprime_W0(
                 cell, density, np.zeros((cell.dim, cell.dim)), self.reconstruct(neg, cell.dim),
                 resolution=self.resolution, tol=self.tol, seed=self.seed,
             )
-        return self._qprime[neg]
+        return self._qprime[entry]
 
     def w1_tensor(self, cell: CellGeometry, density, key: tuple) -> EffectiveQuadratic:
-        if key not in self._w1:
-            self._w1[key] = effective_quadratic_tensor(
+        entry = (cell, density, key)
+        if entry not in self._w1:
+            self._w1[entry] = effective_quadratic_tensor(
                 cell, density, self.reconstruct(key, cell.dim), resolution=self.resolution
             )
-        return self._w1[key]
+        return self._w1[entry]
 
 
 def hom_hardening(cell: CellGeometry, model, P) -> tuple:

@@ -14,7 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ COLUMNS = [
     "hard_cont_err", "unfold_resid", "gap",
 ]
 TOGGLE_KEYS = ("dissipation", "recovery_check", "correction")
+TOLERANCE_KEYS = ("outer", "linear", "cell", "plastic")
 ACCEPTANCE_KEYS = ("require_gap_decreasing", "max_final_gap", "max_gap_all", "max_unfold_resid",
                    "recovery_bound")
 
@@ -72,7 +73,8 @@ class StudyConfig:
             raise ConfigError("eps_list must be strictly decreasing")
         if "mask_file" in self.geometry and not Path(self.geometry["mask_file"]).exists():
             raise ConfigError(f"mask file {self.geometry['mask_file']} does not exist")
-        for block, keys, known in (("toggles", self.toggles, TOGGLE_KEYS),
+        for block, keys, known in (("tolerances", self.tolerances, TOLERANCE_KEYS),
+                                   ("toggles", self.toggles, TOGGLE_KEYS),
                                    ("acceptance", self.acceptance or {}, ACCEPTANCE_KEYS)):
             for key in keys:
                 if key not in known:
@@ -92,6 +94,10 @@ def load_config(path) -> StudyConfig:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise IoFailure(f"cannot read config {path}: {exc}") from exc
+    known = [f.name for f in fields(StudyConfig)]
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"unknown config key {key!r}; known keys: {', '.join(known)}")
     cfg = StudyConfig(**data)
     cfg.validate()
     return cfg

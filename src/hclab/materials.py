@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -128,8 +129,8 @@ class FrozenSoft:
     def value(self, F: np.ndarray) -> np.ndarray:
         return self.family.value(self.eps, F)
 
-    def grad(self, F: np.ndarray, **kw):
-        return self.family.grad(self.eps, F, **kw) if kw else self.family.grad(self.eps, F)
+    def grad(self, F: np.ndarray):
+        return self.family.grad(self.eps, F)
 
     def isotropic_quad_parts(self, dim: int):
         return self.family.isotropic_quad_parts(self.eps, dim)
@@ -161,8 +162,10 @@ class MaterialModel:
         if self.K_radius <= 0:
             raise MaterialError("K_radius must be positive")
 
-    @property
+    @cached_property
     def W_soft_limit(self) -> FrozenSoft:
+        """The eps -> 0 soft density; one object per model, so cell caches
+        keyed by density identity find it again."""
         return self.W_soft_family.limit()
 
     @property

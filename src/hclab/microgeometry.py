@@ -73,13 +73,14 @@ def _connected(mask: np.ndarray) -> bool:
     return count == total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellGeometry:
     """Unit periodicity cell: pixel partition into soft inclusion and stiff matrix.
 
     ``soft_mask[i0, ..., i_{d-1}]`` is True when the pixel with low corner
     ``(i0, ..., i_{d-1}) / resolution`` belongs to the soft phase.  Volumes are
-    exact rationals (pixel counts over ``resolution**dim``).
+    exact rationals (pixel counts over ``resolution**dim``).  Cells compare
+    and hash by identity, so a cell can key the caches of its cell problems.
     """
 
     dim: int

@@ -81,8 +81,7 @@ def _assemble_y_system(domain, model, P: PlasticField):
 
     # local blocks: 2 * scale2 * dN . C . dN per element, identity across components
     gCg = np.einsum("gnk,egkl,gml->enm", grid.dN_gauss, C, grid.dN_gauss)
-    blocks = 2.0 * wq * scale2[:, None, None] * gCg  # (E, nc, nc)
-    K = grid.stiffness(np.einsum("enm,ij->enimj", blocks, np.eye(d)))
+    K = _component_stiffness(grid, 2.0 * wq * scale2[:, None, None] * gCg)
 
     # linear term: L : (s U P^{-1}) = (s L P^{-T}) : U
     PinvT = np.swapaxes(Pinv, -1, -2)
@@ -91,6 +90,15 @@ def _assemble_y_system(domain, model, P: PlasticField):
     f = np.zeros((grid.n_nodes, d))
     grid.accumulate_from_gradients(-drive, f)
     return K, f.reshape(-1)
+
+
+def _component_stiffness(grid: Grid, blocks: np.ndarray):
+    """Stiffness of a vector field whose d components decouple and share the
+    scalar element blocks (E, 2^d, 2^d): each block is repeated on the
+    diagonal of the components."""
+    width = grid.n_corners * grid.dim
+    expanded = np.einsum("enm,ij->enimj", blocks, np.eye(grid.dim))
+    return grid.stiffness(expanded.reshape(len(blocks), width, width))
 
 
 def _free_dofs(grid: Grid, bc: str) -> np.ndarray:
@@ -268,8 +276,10 @@ def minimize_J_eps(domain, model, init=None, schedule: Schedule | None = None):
     inner = []
     gnorms = []
     converged = False
+    y_converged = True
     for _ in range(schedule.outer_iters):
         y, rep_y = minimize_y(domain, model, P, y0=y, tol=schedule.y_tol, max_iter=schedule.y_iters)
+        y_converged &= rep_y.converged
         P, rep_p = minimize_P(domain, model, y, P, tol=schedule.p_tol, max_iter=schedule.p_iters)
         inner.append((rep_y.inner_iterations[0], rep_p.inner_iterations[0]))
         gnorms.append(rep_p.gradient_norms[-1] if rep_p.gradient_norms else 0.0)
@@ -280,7 +290,7 @@ def minimize_J_eps(domain, model, init=None, schedule: Schedule | None = None):
             break
     bd = energies.assemble_J_eps(domain, model, y, P)
     report = SolveReport(final_value=bd.total, energy_trace=trace, inner_iterations=inner,
-                         gradient_norms=gnorms, converged=converged)
+                         gradient_norms=gnorms, converged=converged and y_converged)
     report.breakdown = bd
     return y, P, bd.total, report
 
@@ -290,27 +300,31 @@ def minimize_J_eps(domain, model, init=None, schedule: Schedule | None = None):
 
 
 def _limit_y_solve(cell, model, P: PlasticField, cache, grid: Grid, tol: float, max_iter: int, y0):
-    """Quadratic y-step of the limit functional from the per-point stiff tensors."""
+    """Quadratic y-step of the limit functional from the per-point stiff tensors.
+
+    The quadratic part of each tensor acts alike on every component of y, so
+    the element blocks are the scalar 2 wq sum_g dN A_g dN^T, the same form
+    as the eps y-step's.  Returns the field, the CG iteration count and
+    whether CG reached ``tol``."""
     d = grid.dim
     Pg = grid.gauss_values(P.matrices()).reshape(-1, d, d)
     keys, inverse = cache.quantize(Pg)
-    A = np.empty((len(Pg), d, d, d, d))
+    A = np.empty((len(Pg), d, d))
     b = np.empty((len(Pg), d, d))
     for u, key in enumerate(keys):
         tensor = cache.w1_tensor(cell, model.W_stiff, key)
         A[inverse == u] = tensor.A
         b[inverse == u] = tensor.b
-    Ag = A.reshape(grid.n_elements, grid.n_gauss, d, d, d, d)
+    Ag = A.reshape(grid.n_elements, grid.n_gauss, d, d)
     bg = b.reshape(grid.n_elements, grid.n_gauss, d, d)
     wq = grid.gauss_weight * grid.h**d
-    nc = grid.n_corners
-    Kloc = 2.0 * wq * np.einsum("egikjl,gak,gbl->eaibj", Ag, grid.dN_gauss, grid.dN_gauss)
-    K = grid.stiffness(Kloc.reshape(grid.n_elements, nc * d, nc * d))
+    gAg = np.einsum("gnk,egkl,gml->enm", grid.dN_gauss, Ag, grid.dN_gauss)
+    K = _component_stiffness(grid, 2.0 * wq * gAg)
     f = np.zeros((grid.n_nodes, d))
     grid.accumulate_from_gradients(-bg, f)
-    vals, _, _, ok = _solve_free(K, f.reshape(-1), _free_dofs(grid, "zero"), y0.values.reshape(-1),
-                                 tol, max_iter)
-    return DeformationField(grid, vals.reshape(grid.n_nodes, d), bc="zero"), int(ok)
+    vals, iters, _, ok = _solve_free(K, f.reshape(-1), _free_dofs(grid, "zero"), y0.values.reshape(-1),
+                                     tol, max_iter)
+    return DeformationField(grid, vals.reshape(grid.n_nodes, d), bc="zero"), iters, ok
 
 
 def _limit_p_gradient(cell, model, y: DeformationField, P: PlasticField, cache):
@@ -382,8 +396,10 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
     inner = []
     gnorms = []
     converged = False
+    y_converged = True
     for _ in range(schedule.outer_iters):
-        y, ok = _limit_y_solve(cell, model, P, cache, grid, schedule.y_tol, schedule.y_iters, y)
+        y, y_iters, y_ok = _limit_y_solve(cell, model, P, cache, grid, schedule.y_tol, schedule.y_iters, y)
+        y_converged &= y_ok
 
         def fn_value(coeffs):
             Pc = PlasticField(grid, coeffs.copy(), r_K=model.K_radius)
@@ -398,7 +414,7 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
         m, val, ptrace, pgn, iters, pconv = _projected_descent(
             fn_value, fn_value_grad, P.coeffs.copy(), model.K_radius, schedule.p_tol, 60)
         P = PlasticField(grid, m, r_K=model.K_radius)
-        inner.append((ok, iters))
+        inner.append((y_iters, iters))
         gnorms.append(pgn[-1] if pgn else 0.0)
         trace.append(min(val, trace[-1]))
         if trace[-2] - val <= schedule.outer_tol * (1.0 + abs(val)):
@@ -406,6 +422,6 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
             break
     bd = cellproblems.assemble_J_limit(cell, model, y, P, cache)
     report = SolveReport(final_value=bd.total, energy_trace=trace, inner_iterations=inner,
-                         gradient_norms=gnorms, converged=converged)
+                         gradient_norms=gnorms, converged=converged and y_converged)
     report.breakdown = bd
     return y, P, bd.total, report

@@ -204,8 +204,7 @@ def test_effective_tensor_symmetry_and_agreement(cell):
     rng = np.random.default_rng(10)
     G = _sample_G(rng)
     tensor = cp.effective_quadratic_tensor(cell, stiff, G, resolution=8)
-    swapped = np.transpose(tensor.A, (2, 3, 0, 1))
-    assert np.abs(tensor.A - swapped).max() < 1e-10
+    assert np.abs(tensor.A - tensor.A.T).max() < 1e-10
     for _ in range(10):
         F = 0.5 * rng.standard_normal((2, 2))
         direct = cp.multicell_W1hom(cell, stiff, F, G, lambdas=(1,), resolution=8)
@@ -227,7 +226,7 @@ def test_effective_tensor_symmetry_and_agreement_3d():
         c *= 0.3 * rng.random() / np.linalg.norm(c)  # G in the K ball of radius 0.3
         G = sg.exp_batch(sg.coeffs_to_matrices(c, 3))
         tensor = cp.effective_quadratic_tensor(cell3, stiff, G, resolution=8)
-        assert np.abs(tensor.A - np.transpose(tensor.A, (2, 3, 0, 1))).max() < 1e-10
+        assert np.abs(tensor.A - tensor.A.T).max() < 1e-10
         for _ in range(2):
             F = 0.5 * rng.standard_normal((3, 3))
             direct = cp.multicell_W1hom(cell3, stiff, F, G, lambdas=(1,), resolution=8)
@@ -269,6 +268,27 @@ def test_cache_determinism_and_quantization(cell):
     expected = cp.qprime_W0(cell, twowell, np.zeros((2, 2)), Ginv, resolution=8).value
     fresh = cp.HomDensityCache(step=1e-2, resolution=8)
     assert fresh.qprime(cell, twowell, key).value == pytest.approx(expected, rel=1e-9)
+
+
+def test_cache_entries_are_per_cell_and_density(cell, convex_soft, twowell_soft):
+    """One cache serving two cells, or two soft densities, returns each its own values."""
+    stiff = materials.StiffDensity(1.0)
+    cache = cp.HomDensityCache(step=1e-2, resolution=8)
+    key = (0, 0, 0)
+    full = cache.w1_tensor(mg.builtin_cell("stiff4"), stiff, key)
+    assert full.c == pytest.approx(2.0, rel=1e-12)  # W1(0) on the full cell
+    block = cache.w1_tensor(cell, stiff, key)
+    assert block.c == pytest.approx(cp.effective_quadratic_tensor(cell, stiff, np.eye(2), resolution=8).c,
+                                    rel=1e-12)
+    assert block.c < 1.9
+    assert cache.qprime(cell, convex_soft, key).value == pytest.approx(0.0, abs=1e-12)
+    twowell = cache.qprime(cell, twowell_soft, key).value
+    assert twowell == pytest.approx(
+        cp.qprime_W0(cell, twowell_soft, np.zeros((2, 2)), np.eye(2), resolution=8).value, rel=1e-9)
+    assert twowell > 0.1
+    # the model hands out one soft limit density, so its lookups hit
+    model = materials.default_material(dim=2)
+    assert model.W_soft_limit is model.W_soft_limit
 
 
 @settings(max_examples=60, deadline=None)

@@ -248,9 +248,9 @@ def test_csr_scatter_matches_add_at_oracle(dim, n_el, extent, masked):
         assert np.array_equal(got, 2.0 * once)
 
 
-def _oracle_stiffness(grid, blocks, element_mask=None):
+def _oracle_stiffness(grid, blocks, element_mask=None, components=None):
     els = np.arange(grid.n_elements) if element_mask is None else np.nonzero(element_mask)[0]
-    d = grid.dim
+    d = grid.dim if components is None else components
     K = np.zeros((grid.n_nodes * d,) * 2)
     for e, block in zip(els, blocks):
         dofs = [node * d + c for node in grid.el_nodes[e] for c in range(d)]
@@ -270,6 +270,11 @@ def test_stiffness_matches_dense_scatter_loop(dim, n_el, extent, masked):
     K = grid.stiffness(blocks, element_mask=mask)
     assert K.format == "csr"
     _assert_rel_close(K.toarray(), _oracle_stiffness(grid, blocks, mask))
+    # scalar field: one component per node, blocks (E', 2^d, 2^d)
+    scalar = rng.standard_normal((n_sel, grid.n_corners, grid.n_corners))
+    Ks = grid.stiffness(scalar, element_mask=mask)
+    assert Ks.shape == (grid.n_nodes, grid.n_nodes)
+    _assert_rel_close(Ks.toarray(), _oracle_stiffness(grid, scalar, mask, components=1))
 
 
 def test_csr_plan_shared_per_grid_shape_and_read_only():

@@ -22,8 +22,17 @@ def test_config_validation():
         lab.StudyConfig(toggles={"dissipation": False, "corection": True}).validate()
     with pytest.raises(lab.ConfigError, match="no check"):
         lab.StudyConfig(acceptance={}).validate()  # all([]) would pass it
+    with pytest.raises(lab.ConfigError, match="plastik"):
+        lab.StudyConfig(tolerances={"outer": 1e-8, "plastik": 1e-3}).validate()  # would run at 1e-7
     lab.StudyConfig().validate()
     lab.StudyConfig(acceptance={"max_gap_all": 1e-3}).validate()
+
+
+def test_load_config_rejects_unknown_top_level_key(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eps_list": [0.25, 0.125], "lambdas": [1, 2]}))
+    with pytest.raises(lab.ConfigError, match="lambdas"):
+        lab.load_config(path)
 
 
 def test_config_hash_ignores_output_dir():

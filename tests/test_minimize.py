@@ -109,6 +109,30 @@ def test_limit_convex_default_reduces_to_hardening(setup):
     assert value <= rep.energy_trace[0] + 1e-12
 
 
+def test_y_step_cg_counts_and_failures_are_reported(setup):
+    """Both alternations record the y-step CG iterations, and a y-step CG cut
+    off by its budget marks the solve unconverged although the outer loop
+    stops on a flat energy."""
+    cell, domain, model, _ = setup
+    _, _, _, rep = mz.minimize_J_eps(domain, model)
+    assert rep.converged and rep.inner_iterations[0][0] > 10
+    _, _, _, rep = mz.minimize_J_eps(domain, model, schedule=mz.Schedule(y_iters=10))
+    assert [y for y, _ in rep.inner_iterations][:2] == [10, 10]
+    assert not rep.converged
+
+    grid = Grid(2, 4)
+    bump = np.prod(np.sin(np.pi * grid.node_coords()), axis=-1)
+    start = (DeformationField.zero(grid),
+             PlasticField(grid, 0.2 * bump[:, None] * np.array([0.9, 0.4, 0.0]), model.K_radius))
+    cache = cp.HomDensityCache(resolution=4)
+    _, _, _, rep = mz.minimize_J_limit(cell, model, init=start, cache=cache, macro_elements=4)
+    assert rep.converged and rep.inner_iterations[0][0] > 1
+    _, _, _, rep = mz.minimize_J_limit(cell, model, init=start, cache=cache, macro_elements=4,
+                                       schedule=mz.Schedule(y_iters=1))
+    assert rep.inner_iterations[0][0] == 1
+    assert not rep.converged
+
+
 def test_limit_no_perforation_control():
     cell = mg.builtin_cell("stiff4")
     model = materials.default_material(dim=2)
