@@ -19,8 +19,9 @@ and W1hom(F) = vol W1(F R) - 1/2 tr(D Q D^T) with D = W1'(F R) R^T is a
 quadratic form in F with a d x d coefficient matrix.  The limit functional
 uses the fast path only.
 
-The stiff window of a (cell, resolution, lam), its grid and its active and
-free masks, is built once and shared.  Cell values are memoized in a cache
+The stiff window of a (cell, resolution, lam) and the soft window of a
+(cell, resolution, formulation), each a grid with its active and free masks,
+are built once and shared.  Cell values are memoized in a cache
 keyed by the cell, the density and an integer point of a lattice in log
 coordinates; the cache alone quantizes G, which keeps the number of solves
 bounded during limit-functional minimization.  Solves are deterministic, so
@@ -107,6 +108,31 @@ def _stiff_window(cell: CellGeometry, resolution: int, lam: int):
     active.setflags(write=False)
     free.setflags(write=False)
     return grid, active, free
+
+
+@lru_cache(maxsize=16)
+def _soft_window(cell: CellGeometry, resolution: int, formulation: str):
+    """(grid, active, free, norm) of the soft cell problem at ``resolution``:
+    the unit-cell grid, the elements that carry energy, the nodes off the
+    zero-trace boundary, and the measure the energy is averaged over.  Built
+    once per (cell, resolution, formulation) and shared; the masks are
+    read-only."""
+    grid = Grid(cell.dim, resolution)
+    if formulation == "over_Q":
+        active = np.ones(grid.n_elements, dtype=bool)
+        free = ~grid.boundary_node_mask()
+        norm = 1.0
+    elif formulation == "over_Q0":
+        if cell.degenerate:
+            raise CellProblemError("over_Q0 formulation needs a nonempty inclusion")
+        active = _refined_mask(cell, resolution).reshape(-1)
+        free, _ = node_incidence_masks(cell.dim, resolution, active)
+        norm = float(cell.vol_soft)
+    else:
+        raise CellProblemError(f"unknown formulation {formulation!r}")
+    active.setflags(write=False)
+    free.setflags(write=False)
+    return grid, active, free, norm
 
 
 def _quadratic_corrector(grid: Grid, active: np.ndarray, free: np.ndarray, density, R: np.ndarray):
@@ -217,21 +243,7 @@ def qprime_W0(cell: CellGeometry, W0, F, G, resolution: int = 32, tol: float = 1
     """
     F = np.asarray(F, dtype=float)
     G = _check_invertible(G)
-    d = cell.dim
-    grid = Grid(d, resolution)
-    if formulation == "over_Q":
-        active = np.ones(grid.n_elements, dtype=bool)
-        free = ~grid.boundary_node_mask()
-        norm = 1.0
-    elif formulation == "over_Q0":
-        if cell.degenerate:
-            raise CellProblemError("over_Q0 formulation needs a nonempty inclusion")
-        soft = _refined_mask(cell, resolution).reshape(-1)
-        active = soft
-        free, _ = node_incidence_masks(d, resolution, soft)
-        norm = float(cell.vol_soft)
-    else:
-        raise CellProblemError(f"unknown formulation {formulation!r}")
+    grid, active, free, norm = _soft_window(cell, resolution, formulation)
     v, energy, iters, residual, converged = _minimize_cell(
         grid, active, free, W0, G, F, tol, maxiter, restarts, seed, quadratic=W0.is_quadratic
     )
@@ -288,9 +300,6 @@ class EffectiveQuadratic:
         quad = np.einsum("...ij,jl,...il->...", F, self.A, F)
         lin = np.einsum("ij,...ij->...", self.b, F)
         return quad + lin + self.c
-
-    def grad(self, F: np.ndarray) -> np.ndarray:
-        return 2.0 * np.asarray(F, dtype=float) @ self.A + self.b
 
 
 def effective_quadratic_tensor(cell: CellGeometry, W1, G, resolution: int = 32) -> EffectiveQuadratic:
@@ -375,14 +384,6 @@ class HomDensityCache:
                 cell, density, self.reconstruct(key, cell.dim), resolution=self.resolution
             )
         return self._w1[entry]
-
-
-def hom_hardening(cell: CellGeometry, model, P) -> tuple:
-    """Phase-weighted homogenized hardening (|Q0| int H, |Q1| int H)."""
-    grid = P.grid
-    Hg = model.hardening_smooth(grid.gauss_values(P.matrices()))
-    total = grid.integrate(Hg)
-    return float(cell.vol_soft) * total, float(cell.vol_stiff) * total
 
 
 def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) -> EnergyBreakdown:

@@ -25,8 +25,7 @@ bit-identical.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,23 +42,12 @@ class EnergyBreakdown:
     hardening_soft: float
     hardening_stiff: float
     grad_P_term: float
-    dissipation_soft: float
-    dissipation_stiff: float
     total: float
 
     @classmethod
-    def from_parts(cls, soft_elastic, stiff_elastic, hardening_soft, hardening_stiff,
-                   grad_P_term, dissipation_soft=0.0, dissipation_stiff=0.0):
-        parts = (soft_elastic, stiff_elastic, hardening_soft, hardening_stiff,
-                 grad_P_term, dissipation_soft, dissipation_stiff)
+    def from_parts(cls, soft_elastic, stiff_elastic, hardening_soft, hardening_stiff, grad_P_term):
+        parts = (soft_elastic, stiff_elastic, hardening_soft, hardening_stiff, grad_P_term)
         return cls(*parts, total=float(sum(parts)))
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnergyBreakdown":
-        return cls(**json.loads(text))
 
 
 @dataclass
@@ -102,16 +90,13 @@ def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble(domain, model, y: DeformationField, P: PlasticField,
-              soft_scale, family_eps, want_grad: bool):
+def _assemble(domain, model, y: DeformationField, P: PlasticField, want_grad: bool):
     _check_grids(domain, y, P)
     grid = y.grid
     eps = domain.eps
-    s = eps if soft_scale is None else soft_scale
-    fe = eps if family_eps is None else family_eps
     soft_els = domain.soft_field.reshape(-1)
     stiff_els = ~soft_els
-    scale = np.where(soft_els, s, 1.0)[:, None, None, None]  # contrast factor per element
+    scale = np.where(soft_els, eps, 1.0)[:, None, None, None]  # contrast factor per element
 
     Pn = P.matrices()
     G = grid.gauss_gradients(y.values)          # (E, g, d, d)
@@ -123,7 +108,7 @@ def _assemble(domain, model, y: DeformationField, P: PlasticField,
     F = scale * _matmul(G, Pinv)
     F_soft = F[soft_els]
     F_stiff = F[stiff_els]
-    w_soft = model.W_soft_family.value(fe, F_soft)
+    w_soft = model.W_soft_family.value(eps, F_soft)
     w_stiff = model.W_stiff.value(F_stiff)
     Hg = model.h0 + model.h1 * np.einsum("...ij,...ij->...", logs, logs)
     qn = np.einsum("egijk,egijk->eg", gradP, gradP)
@@ -142,7 +127,7 @@ def _assemble(domain, model, y: DeformationField, P: PlasticField,
 
     # Per-Gauss cotangents of both phases, each scattered once.
     Wp = np.empty_like(F)
-    Wp[soft_els], crease = model.W_soft_family.grad(fe, F_soft, return_crease=True)
+    Wp[soft_els], crease = model.W_soft_family.grad(eps, F_soft, return_crease=True)
     Wp[stiff_els] = model.W_stiff.grad(F_stiff)
     WpPinvT = _matmul(Wp, np.swapaxes(Pinv, -1, -2))
     grad_y = np.zeros_like(y.values)
@@ -163,24 +148,18 @@ def _assemble(domain, model, y: DeformationField, P: PlasticField,
     return breakdown, GradJEps(grad_y=grad_y, grad_m=grad_m, crease_count=crease)
 
 
-def assemble_J_eps(domain, model, y: DeformationField, P: PlasticField,
-                   soft_scale: float | None = None, family_eps: float | None = None) -> EnergyBreakdown:
-    """Assemble the split energy on the composite.
-
-    ``soft_scale`` overrides the contrast factor in the soft argument and
-    ``family_eps`` the parameter of the soft density family; both default to
-    the domain's eps.  Overriding them separately is what the continuity
-    diagnostics use.
-    """
-    breakdown, _ = _assemble(domain, model, y, P, soft_scale, family_eps, want_grad=False)
+def assemble_J_eps(domain, model, y: DeformationField, P: PlasticField) -> EnergyBreakdown:
+    """Assemble the split energy on the composite."""
+    breakdown, _ = _assemble(domain, model, y, P, want_grad=False)
     return breakdown
 
 
-def grad_J_eps(domain, model, y: DeformationField, P: PlasticField,
-               soft_scale: float | None = None, family_eps: float | None = None) -> GradJEps:
-    """Analytic gradient of assemble_J_eps with respect to all degrees of freedom.
+def value_and_grad_J_eps(domain, model, y: DeformationField, P: PlasticField):
+    """One-pass (EnergyBreakdown, GradJEps) for line searches: the energy and
+    its analytic gradient with respect to all degrees of freedom.
 
-    Chain rule per Gauss point: with F = s G P^{-1},
+    Chain rule per Gauss point: with F = s G P^{-1}, s = eps on soft elements
+    and 1 on stiff ones,
 
         d/dG  = s W'(F) P^{-T}
         d/dP  = -F^T W'(F) P^{-T}
@@ -191,32 +170,4 @@ def grad_J_eps(domain, model, y: DeformationField, P: PlasticField,
     adjoint differential of the exponential.  Boundary rows of the y gradient
     are zeroed when the field carries the zero-trace condition.
     """
-    _, grad = _assemble(domain, model, y, P, soft_scale, family_eps, want_grad=True)
-    return grad
-
-
-def value_and_grad_J_eps(domain, model, y: DeformationField, P: PlasticField):
-    """One-pass (EnergyBreakdown, GradJEps) for line searches."""
-    return _assemble(domain, model, y, P, None, None, want_grad=True)
-
-
-def assemble_J_diss(domain, model, y: DeformationField, P: PlasticField, P_bar: PlasticField,
-                    segments: int = 8, iters: int = 0) -> EnergyBreakdown:
-    """Energy with the plastic-dissipation terms relative to a pre-existing strain.
-
-    The elastic/hardening/regularizer parts are those of assemble_J_eps
-    (interpreting the stored-energy functional as the sum of the two phase
-    contributions); the dissipation integrals are split by phase.
-    """
-    base = assemble_J_eps(domain, model, y, P)
-    d0 = slgeometry.dissipation_integral(domain, P_bar, P, phase=0, segments=segments, iters=iters)
-    d1 = slgeometry.dissipation_integral(domain, P_bar, P, phase=1, segments=segments, iters=iters)
-    return EnergyBreakdown.from_parts(
-        soft_elastic=base.soft_elastic,
-        stiff_elastic=base.stiff_elastic,
-        hardening_soft=base.hardening_soft,
-        hardening_stiff=base.hardening_stiff,
-        grad_P_term=base.grad_P_term,
-        dissipation_soft=d0,
-        dissipation_stiff=d1,
-    )
+    return _assemble(domain, model, y, P, want_grad=True)

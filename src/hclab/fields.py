@@ -26,7 +26,7 @@ identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -142,15 +142,8 @@ class Grid:
         self.gauss_ref = _gauss_ref(dim)  # (ngp, d)
         self.n_gauss = 2**dim
         self.gauss_weight = 0.5**dim  # per point, reference cell measure 1
-        self.N_gauss = self._shape_values(self.gauss_ref)  # (ngp, 2^d)
-        self.dN_gauss = self._shape_gradients(self.gauss_ref) / self.h  # physical (ngp, 2^d, d)
-
-    # -- shape functions ----------------------------------------------------
-    def _shape_values(self, ref: np.ndarray) -> np.ndarray:
-        return _shape_value_table(self.corners, ref)
-
-    def _shape_gradients(self, ref: np.ndarray) -> np.ndarray:
-        return _shape_gradient_table(self.corners, ref)
+        self.N_gauss = _shape_value_table(self.corners, self.gauss_ref)  # (ngp, 2^d)
+        self.dN_gauss = _shape_gradient_table(self.corners, self.gauss_ref) / self.h  # physical (ngp, 2^d, d)
 
     def _operators(self) -> _GaussOperators:
         return _gauss_operators(self.dim, self.n_el, self.extent)
@@ -164,9 +157,6 @@ class Grid:
         return full
 
     # -- evaluation ---------------------------------------------------------
-    def gather(self, nodal: np.ndarray) -> np.ndarray:
-        return nodal[self.el_nodes]
-
     def gauss_values(self, nodal: np.ndarray) -> np.ndarray:
         """(E, ngp, C...) values of the interpolant at the Gauss points."""
         tail = nodal.shape[1:]
@@ -179,10 +169,6 @@ class Grid:
         out = self._operators().gradients @ nodal.reshape(self.n_nodes, -1)
         out = np.moveaxis(out.reshape(self.n_elements, self.n_gauss, self.dim, -1), 2, -1)
         return out.reshape((self.n_elements, self.n_gauss) + tail + (self.dim,))
-
-    def gradients_at_ref(self, nodal: np.ndarray, element: int, ref: np.ndarray) -> np.ndarray:
-        dN = self._shape_gradients(np.atleast_2d(ref)) / self.h
-        return np.einsum("n...,pnk->p...k", nodal[self.el_nodes[element]], dN)[0]
 
     def interpolate_at(self, nodal: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate the interpolant at arbitrary points of [0,1]^d."""
@@ -320,10 +306,6 @@ class DeformationField:
     def zero(cls, grid: Grid, bc: str = "zero") -> "DeformationField":
         return cls(grid, np.zeros((grid.n_nodes, grid.dim)), bc)
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn, bc: str = "free") -> "DeformationField":
-        return cls(grid, np.asarray(fn(grid.node_coords()), dtype=float), bc)
-
 
 @dataclass
 class PlasticField:
@@ -363,43 +345,6 @@ class PlasticField:
     @classmethod
     def identity(cls, grid: Grid, r_K: float) -> "PlasticField":
         return cls(grid, np.zeros((grid.n_nodes, grid.dim**2 - 1)), r_K)
-
-    @classmethod
-    def from_log_function(cls, grid: Grid, fn, r_K: float) -> "PlasticField":
-        """fn maps node coordinates (N, d) to coefficient vectors (N, d^2-1)."""
-        return cls(grid, np.asarray(fn(grid.node_coords()), dtype=float), r_K)
-
-
-def eval_gradient(y: DeformationField, element: int | None = None, gauss_point: int | None = None, ref_point=None):
-    """Exact gradient of the multilinear interpolant.
-
-    With no arguments returns all (E, ngp, d, d) Gauss-point gradients;
-    otherwise the gradient at one Gauss point or at explicit reference
-    coordinates of one element.
-    """
-    if element is None:
-        return y.grid.gauss_gradients(y.values)
-    if ref_point is not None:
-        return y.grid.gradients_at_ref(y.values, element, np.asarray(ref_point, dtype=float))
-    grads = np.einsum(
-        "nc,gnk->gck", y.values[y.grid.el_nodes[element]], y.grid.dN_gauss
-    )
-    return grads if gauss_point is None else grads[gauss_point]
-
-
-def plastic_gradient(P: PlasticField, element: int | None = None, ref_point=None):
-    """Componentwise gradient of the interpolated matrix entries of P = exp(M).
-
-    Shape (d, d, d) per Gauss point: the literal gradient of the matrix field,
-    not of its log coordinates.
-    """
-    mats = P.matrices()
-    if element is None:
-        return P.grid.gauss_gradients(mats)
-    if ref_point is not None:
-        dN = P.grid._shape_gradients(np.atleast_2d(ref_point)) / P.grid.h
-        return np.einsum("nij,pnk->pijk", mats[P.grid.el_nodes[element]], dN)[0]
-    return np.einsum("nij,gnk->gijk", mats[P.grid.el_nodes[element]], P.grid.dN_gauss)
 
 
 def prolong_deformation(y: DeformationField, fine: Grid) -> DeformationField:

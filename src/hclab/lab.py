@@ -240,7 +240,7 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
         solve_reports[f"eps={eps!r}"] = row_report.to_json_dict()
         prev = (y, P)
         artifacts["rows"][eps] = (domain, y, P)
-        bd = energies.assemble_J_eps(domain, model, y, P)
+        bd = row_report.breakdown
 
         ytilde = twoscale.extend_into_inclusions(domain, y)
         v = DeformationField(grid, y.values - ytilde.values, bc="zero")

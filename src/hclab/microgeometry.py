@@ -15,7 +15,7 @@ phase-weighted quadrature is exact with respect to the geometry.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path

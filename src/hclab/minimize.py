@@ -30,7 +30,6 @@ class SolveReport:
     energy_trace: list
     inner_iterations: list
     gradient_norms: list
-    restarts: int = 0
     converged: bool = True
 
     def to_json_dict(self) -> dict:
@@ -39,7 +38,6 @@ class SolveReport:
             "energy_trace": self.energy_trace,
             "inner_iterations": self.inner_iterations,
             "gradient_norms": self.gradient_norms,
-            "restarts": self.restarts,
             "converged": self.converged,
         }
 

@@ -321,9 +321,7 @@ def exp_frechet_adjoint(M: np.ndarray, W: np.ndarray) -> np.ndarray:
     if M.shape[-1] == 2:
         return _exp_tf_frechet_adjoint2(M, W)
     if np.linalg.norm(M, axis=(-2, -1)).max(initial=0.0) <= 1.0:
-        import math as _math
-
-        coeffs = [1.0 / _math.factorial(n) for n in range(1, _EXP_TERMS + 1)]
+        coeffs = [1.0 / math.factorial(n) for n in range(1, _EXP_TERMS + 1)]
         return _frechet_series_apply(np.swapaxes(M, -1, -2), W, coeffs)
     flat_m = M.reshape(-1, M.shape[-2], M.shape[-1])
     flat_w = np.broadcast_to(W, M.shape).reshape(flat_m.shape)

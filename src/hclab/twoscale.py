@@ -15,8 +15,7 @@ operator.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -211,90 +210,6 @@ def poincare_ratio(domain: MicroDomain, y: DeformationField) -> float:
     if den < 1e-30:
         raise ZeroDenominator("gradient vanishes: ratio undefined")
     return float(num / den)
-
-
-def _mean_fill_extension(domain: MicroDomain, y: DeformationField) -> DeformationField:
-    """Alternative extension: fill each inclusion component with the mean of
-    its matrix-side boundary values (used for the uniqueness cross-check)."""
-    grid = y.grid
-    interior = _interior_soft_nodes(domain)
-    out = y.values.copy()
-    nodes = np.nonzero(interior)[0]
-    if len(nodes) == 0:
-        return DeformationField(grid, out, bc=y.bc)
-    # label interior nodes into lattice-connected components
-    node_set = set(int(i) for i in nodes)
-    neighbors = _lattice_neighbors(grid.dim, grid.n_pts, nodes)
-    pos = {int(n): i for i, n in enumerate(nodes)}
-    seen = np.zeros(len(nodes), dtype=bool)
-    for start in range(len(nodes)):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nb in neighbors:
-                j = int(nb[cur])
-                if j >= 0 and j in node_set:
-                    k = pos[j]
-                    if not seen[k]:
-                        seen[k] = True
-                        comp.append(k)
-                        queue.append(k)
-        comp_nodes = nodes[comp]
-        boundary = set()
-        for nb in neighbors:
-            for cn in comp:
-                j = int(nb[cn])
-                if j >= 0 and j not in node_set:
-                    boundary.add(j)
-        mean = y.values[sorted(boundary)].mean(axis=0)
-        out[comp_nodes] = mean
-    return DeformationField(grid, out, bc=y.bc)
-
-
-@dataclass
-class ExtensionDiagnostics:
-    """check_extension_convergence output: the checkable pieces of the
-    convergence-in-the-sense-of-extensions definition."""
-
-    sup_l2: float
-    l2_bounded: bool
-    extension_errors: list
-    extension_grad_norms: list
-    uniqueness_gaps: list
-
-
-def check_extension_convergence(snapshots, y_limit: DeformationField,
-                                bound: float = 1e6) -> ExtensionDiagnostics:
-    """Diagnostics for a sequence (domain_k, y_k) against a candidate limit.
-
-    Reports the L2 boundedness of the raw sequence, the L2 distance of the
-    harmonic extensions to the limit (evaluated on the limit grid), the
-    extension gradient norms, and the gap between two different extension
-    operators (which must agree in the limit when one does)."""
-    sup_l2 = 0.0
-    errors, grad_norms, gaps = [], [], []
-    probe = y_limit.grid.node_coords()
-    for domain, y in snapshots:
-        grid = y.grid
-        sup_l2 = max(sup_l2, np.sqrt(grid.l2_norm_sq(y.values)))
-        ytilde = extend_into_inclusions(domain, y)
-        other = _mean_fill_extension(domain, y)
-        vals = grid.interpolate_at(ytilde.values, probe)
-        diff = vals - y_limit.values
-        errors.append(float(np.sqrt(np.mean(np.sum(diff**2, axis=-1)))))
-        grad_norms.append(float(np.sqrt(grid.grad_norm_sq(ytilde.values))))
-        gaps.append(float(np.sqrt(grid.l2_norm_sq(ytilde.values - other.values))))
-    return ExtensionDiagnostics(
-        sup_l2=float(sup_l2),
-        l2_bounded=bool(sup_l2 <= bound),
-        extension_errors=errors,
-        extension_grad_norms=grad_norms,
-        uniqueness_gaps=gaps,
-    )
 
 
 # -- recovery -------------------------------------------------------------------

@@ -9,9 +9,8 @@ from hclab.fields import (
     Grid,
     GridMismatch,
     PlasticField,
-    eval_gradient,
+    _shape_gradient_table,
     node_incidence_masks,
-    plastic_gradient,
     prolong_deformation,
     prolong_plastic,
 )
@@ -21,29 +20,30 @@ def test_linear_field_reproduced():
     grid = Grid(2, 8)
     A = np.array([[0.4, -0.3], [0.2, 0.1]])
     y = DeformationField(grid, grid.node_coords() @ A.T, bc="free")
-    grads = eval_gradient(y)
+    grads = grid.gauss_gradients(y.values)
     assert np.abs(grads - A).max() < 1e-13
-    assert np.abs(eval_gradient(y, element=3, gauss_point=1) - A).max() < 1e-13
+    per_element = np.einsum("nc,gnk->gck", y.values[grid.el_nodes[3]], grid.dN_gauss)
+    assert np.abs(per_element[1] - A).max() < 1e-13
 
 
 def test_constant_field_zero_gradient():
     grid = Grid(2, 4)
     y = DeformationField(grid, np.ones((grid.n_nodes, 2)), bc="free")
-    assert np.abs(eval_gradient(y)).max() < 1e-14
+    assert np.abs(grid.gauss_gradients(y.values)).max() < 1e-14
 
 
 def test_gradient_matches_interpolant_finite_differences():
-    """Central differences of the interpolant itself are the oracle."""
+    """Central differences of the interpolant itself are the oracle for the
+    Gauss-point gradients."""
     grid = Grid(2, 6)
     rng = np.random.default_rng(0)
     y = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)), bc="free")
-    pts = rng.random((20, 2)) * 0.8 + 0.1
+    grads = grid.gauss_gradients(y.values)
     h = 1e-6
-    for p in pts:
-        el = tuple(np.minimum((p / grid.h).astype(int), grid.n_el - 1))
-        ref = p / grid.h - np.asarray(el)
-        el_flat = el[0] * grid.n_el + el[1]
-        g = grid.gradients_at_ref(y.values, el_flat, ref)
+    for el_flat, gp in zip(rng.integers(0, grid.n_elements, 20), rng.integers(0, grid.n_gauss, 20)):
+        el = np.array(divmod(int(el_flat), grid.n_el))  # elements in C order
+        p = (el + grid.gauss_ref[gp]) * grid.h
+        g = grads[el_flat, gp]
         for k in range(2):
             dp = p.copy()
             dp[k] += h
@@ -53,13 +53,15 @@ def test_gradient_matches_interpolant_finite_differences():
             assert np.abs(g[:, k] - fd).max() < 1e-8
 
 
-def test_plastic_gradient_constant_and_exp_profile():
+def test_plastic_matrix_gradient_constant_and_exp_profile():
     grid = Grid(2, 8)
     P = PlasticField.identity(grid, 0.3)
-    assert np.abs(plastic_gradient(P)).max() < 1e-12
+    assert np.abs(grid.gauss_gradients(P.matrices())).max() < 1e-12
 
-    # P(x) = exp(x1 M0): matrix-entry gradient matches the analytic derivative
-    # of the one-parameter subgroup to O(h^2), checked by Richardson ratio.
+    # P(x) = exp(x1 M0): the gradient of the interpolated matrix entries is
+    # constant per element (the nodal values depend on x1 alone) and matches
+    # the analytic derivative of the one-parameter subgroup at the element
+    # centre to O(h^2), checked by Richardson ratio.
     M0 = sg.coeffs_to_matrices(np.array([0.25, 0.1, 0.0]), 2)
     errs = []
     for n in (8, 16):
@@ -69,7 +71,9 @@ def test_plastic_gradient_constant_and_exp_profile():
         P = PlasticField(g, coeffs, r_K=0.3)
         el = (n // 2) * n + n // 2
         center = np.full(2, 0.5)
-        got = plastic_gradient(P, element=el, ref_point=center)
+        grads = g.gauss_gradients(P.matrices())
+        got = grads[el, 0]
+        assert np.abs(grads[el] - got).max() < 1e-13
         x = (np.array([el // n, el % n]) + center) * g.h
         analytic = np.zeros((2, 2, 2))
         analytic[:, :, 0] = M0 @ sg.exp_batch(x[0] * M0)
@@ -86,7 +90,7 @@ def test_qnorm_exact_for_constant_gradient():
     B = rng.standard_normal((2, 2, 2)) * 0.05
     nodes = grid.node_coords()
     mats = np.eye(2)[None] + np.einsum("ijk,pk->pij", B, nodes)
-    gradP = np.einsum("enij,gnk->egijk", grid.gather(mats), grid.dN_gauss)
+    gradP = np.einsum("enij,gnk->egijk", mats[grid.el_nodes], grid.dN_gauss)
     qn = np.einsum("egijk,egijk->eg", gradP, gradP) ** 2
     got = grid.integrate(qn)
     exact = (np.sum(B * B)) ** 2
@@ -106,7 +110,7 @@ def test_gauss_rule_exact_for_quadratic_energy():
     ref_w = np.array([wa * wb for wa in ws for wb in ws])
     total = 0.0
     for e in range(grid.n_elements):
-        dN = grid._shape_gradients(ref_pts) / grid.h
+        dN = _shape_gradient_table(grid.corners, ref_pts) / grid.h
         g = np.einsum("nc,pnk->pck", v[grid.el_nodes[e]], dN)
         total += float(np.sum(ref_w * np.einsum("pck,pck->p", g, g))) * grid.h**2
     assert got == pytest.approx(total, rel=1e-13)
@@ -174,7 +178,7 @@ def test_lattice_norm_positive_definite(seed):
 
 
 def _oracle_gauss_values(grid, nodal):
-    gathered = grid.gather(nodal)
+    gathered = nodal[grid.el_nodes]
     tail = gathered.shape[2:]
     flat = gathered.reshape(grid.n_elements, grid.n_corners, -1)
     out = np.tensordot(flat, grid.N_gauss, axes=([1], [1]))
@@ -182,7 +186,7 @@ def _oracle_gauss_values(grid, nodal):
 
 
 def _oracle_gauss_gradients(grid, nodal):
-    gathered = grid.gather(nodal)
+    gathered = nodal[grid.el_nodes]
     tail = gathered.shape[2:]
     flat = gathered.reshape(grid.n_elements, grid.n_corners, -1)
     out = np.moveaxis(np.tensordot(flat, grid.dN_gauss, axes=([1], [1])), 2, 1)

@@ -134,6 +134,23 @@ def test_cli_geom_and_audit(capsys):
     assert lab.main(["audit", "model", "--samples", "500"]) == 0
 
 
+def test_public_names_and_readme_cli_parse():
+    """Every name of the public API imports, and every command of the
+    README's CLI block parses."""
+    import hclab
+
+    for name in hclab.__all__:
+        assert getattr(hclab, name) is not None
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines() if line.startswith("hclab ")]
+    assert len(commands) >= 6
+    parser = lab.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        assert args.command == argv[1]
+
+
 def test_cli_cell_commands(capsys):
     assert lab.main(["cell", "qprime", "--F", "0,0,0,0", "--resolution", "8"]) == 0
     assert "QW0" in capsys.readouterr().out

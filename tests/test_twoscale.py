@@ -153,23 +153,29 @@ def test_poincare_controls_inclusion_oscillations(cell):
     assert max(inc_ratios) / min(inc_ratios) < 1.5
 
 
-def test_check_extension_convergence_constant_sequence(cell):
+def _extension_distance(domain, y, y_limit):
+    """L2 distance of the harmonic extension of y to the limit field, as a
+    root mean square over the limit grid's nodes."""
+    ytilde = ts.extend_into_inclusions(domain, y)
+    diff = y.grid.interpolate_at(ytilde.values, y_limit.grid.node_coords()) - y_limit.values
+    return float(np.sqrt(np.mean(np.sum(diff**2, axis=-1))))
+
+
+def test_extension_distance_constant_sequence(cell):
     grid16 = Grid(2, 16)
     y_limit = DeformationField(grid16, _bump(grid16.node_coords()), bc="zero")
-    snaps = []
+    errors = []
     for n in (4, 8, 16):
         domain = _domain(cell, n)
         grid = Grid(2, domain.n_el)
-        y = DeformationField(grid, _bump(grid.node_coords()), bc="zero")
-        snaps.append((domain, ts.extend_into_inclusions(domain, y)))
-    diag = ts.check_extension_convergence(snaps, y_limit)
-    assert diag.l2_bounded
+        y = ts.extend_into_inclusions(domain, DeformationField(grid, _bump(grid.node_coords()), bc="zero"))
+        assert np.sqrt(grid.l2_norm_sq(y.values)) <= 1e6
+        errors.append(_extension_distance(domain, y, y_limit))
     # extensions of the (already matrix-consistent) smooth field stay close
-    assert max(diag.extension_errors) < 0.05
-    assert max(diag.uniqueness_gaps) > 0.0  # different extensions differ at finite eps
+    assert max(errors) < 0.05
 
 
-def test_check_extension_convergence_kills_inclusion_part(cell):
+def test_extension_distance_kills_inclusion_part(cell):
     def w(x, z):
         z = np.asarray(z, float)
         inside = np.all((z > 0.25) & (z < 0.75), axis=-1)
@@ -179,30 +185,16 @@ def test_check_extension_convergence_kills_inclusion_part(cell):
 
     grid16 = Grid(2, 16)
     y_limit = DeformationField(grid16, _bump(grid16.node_coords()), bc="zero")
-    snaps = []
+    errors = []
     for n in (4, 8, 16):
         domain = _domain(cell, n)
         grid = Grid(2, domain.n_el)
         base = DeformationField(grid, _bump(grid.node_coords()), bc="zero")
         v = ts.build_recovery_sequence(domain, w)
         y = DeformationField(grid, base.values + v.values, bc="zero")
-        snaps.append((domain, y))
-    diag = ts.check_extension_convergence(snaps, y_limit)
-    assert diag.l2_bounded
-    assert diag.extension_errors[-1] < diag.extension_errors[0]
-
-
-def test_check_extension_convergence_unbounded_flag(cell):
-    grid = Grid(2, 16)
-    y_limit = DeformationField.zero(grid)
-    snaps = []
-    for k, n in enumerate((4, 8)):
-        domain = _domain(cell, n)
-        g = Grid(2, domain.n_el)
-        y = DeformationField(g, np.full((g.n_nodes, 2), 10.0 ** (3 * k + 4)), bc="free")
-        snaps.append((domain, y))
-    diag = ts.check_extension_convergence(snaps, y_limit, bound=1e3)
-    assert not diag.l2_bounded
+        assert np.sqrt(grid.l2_norm_sq(y.values)) <= 1e6
+        errors.append(_extension_distance(domain, y, y_limit))
+    assert errors[-1] < errors[0]
 
 
 def test_recovery_macro_independent_is_periodic_sampling(cell):
