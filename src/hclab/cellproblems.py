@@ -17,7 +17,8 @@ problem per component, all with the same stiffness K(C).  One factorization
 of K solved against the d columns of int grad(phi) gives the d x d matrix Q,
 and W1hom(F) = vol W1(F R) - 1/2 tr(D Q D^T) with D = W1'(F R) R^T is a
 quadratic form in F with a d x d coefficient matrix.  The limit functional
-uses the fast path only.
+uses the fast path only; its value and its value with P-gradient come from
+one pass, ``_assemble_limit``.
 
 The stiff window of a (cell, resolution, lam) and the soft window of a
 (cell, resolution, formulation), each a grid with its active and free masks,
@@ -38,7 +39,7 @@ import scipy.optimize
 import scipy.sparse.linalg
 
 from hclab import slgeometry
-from hclab.energies import EnergyBreakdown
+from hclab.energies import EnergyBreakdown, log_coefficient_gradient
 from hclab.fields import Grid, node_incidence_masks
 from hclab.microgeometry import CellGeometry
 
@@ -386,16 +387,7 @@ class HomDensityCache:
         return self._w1[entry]
 
 
-def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) -> EnergyBreakdown:
-    """Homogenized functional on a macro grid.
-
-    J0 books the soft cell value at F = 0 and the soft hardening fraction; J1
-    carries the stiff density at the deformation gradient, the stiff
-    hardening fraction, and the plastic-gradient term.  Densities are fetched
-    through the cache at G quantized per Gauss point; the stiff density goes
-    through the quadratic cell tensor, so a non-quadratic W1 raises
-    CellProblemError.
-    """
+def _assemble_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache, want_grad: bool):
     grid = y.grid
     if P.grid.n_el != grid.n_el or P.grid.dim != grid.dim:
         raise CellProblemError("macro fields live on different grids")
@@ -420,10 +412,63 @@ def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) ->
     qn = np.einsum("egijk,egijk->eg", gradP, gradP)
     vol_s, vol_t = float(cell.vol_soft), float(cell.vol_stiff)
     int_H = float(np.sum(Hg) * wq)
-    return EnergyBreakdown.from_parts(
+    breakdown = EnergyBreakdown.from_parts(
         soft_elastic=vol_s * float(np.sum(soft_vals) * wq),
         stiff_elastic=float(np.sum(w1_vals) * wq),
         hardening_soft=vol_s * int_H,
         hardening_stiff=vol_t * int_H,
         grad_P_term=float(np.sum(qn ** (model.q / 2.0)) * wq),
     )
+    if not want_grad:
+        return breakdown, None
+
+    # stiff density: tangent-space central differences over the quantization lattice
+    ksl = d * d - 1
+    sens = np.zeros((len(Pg), d, d))
+    for u, key in enumerate(keys):
+        sel = inverse == u
+        Fsel = Gy[sel]
+        slopes = np.zeros((ksl, int(sel.sum())))
+        for i in range(ksl):
+            tp = cache.w1_tensor(cell, model.W_stiff, tuple(k + (j == i) for j, k in enumerate(key)))
+            tm = cache.w1_tensor(cell, model.W_stiff, tuple(k - (j == i) for j, k in enumerate(key)))
+            slopes[i] = (tp.evaluate(Fsel) - tm.evaluate(Fsel)) / (2.0 * cache.step)
+        M_q = slgeometry.coeffs_to_matrices(np.asarray(key, float) * cache.step, d)
+        T = np.stack([
+            slgeometry.exp_batch(M_q + 1e-7 * slgeometry.sl_basis(d)[i]) - slgeometry.exp_batch(M_q - 1e-7 * slgeometry.sl_basis(d)[i])
+            for i in range(ksl)
+        ]) / 2e-7  # tangent directions dexp_M[E_i]
+        Gram = np.einsum("aij,bij->ab", T, T)
+        alpha = np.linalg.solve(Gram, slopes)
+        sens[sel] = np.einsum("ap,aij->pij", alpha, T)
+    shape = (grid.n_elements, grid.n_gauss, d, d)
+    dP = (vol_s + vol_t) * model.hardening_grad(Pg.reshape(shape)) + sens.reshape(shape)
+    return breakdown, log_coefficient_gradient(grid, P, dP, gradP, qn, model.q)
+
+
+def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) -> EnergyBreakdown:
+    """Homogenized functional on a macro grid.
+
+    J0 books the soft cell value at F = 0 and the soft hardening fraction; J1
+    carries the stiff density at the deformation gradient, the stiff
+    hardening fraction, and the plastic-gradient term.  Densities are fetched
+    through the cache at G quantized per Gauss point; the stiff density goes
+    through the quadratic cell tensor, so a non-quadratic W1 raises
+    CellProblemError.
+    """
+    breakdown, _ = _assemble_limit(cell, model, y, P, cache, want_grad=False)
+    return breakdown
+
+
+def value_and_grad_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache):
+    """One-pass (EnergyBreakdown, gradient) of the homogenized functional; the
+    gradient is with respect to the nodal log coefficients of P.
+
+    Hardening and the q-regularizer differentiate exactly.  The stiff
+    density's G-sensitivity is recovered by central differences of the
+    cached tensors across one quantization step, least-squares fitted on the
+    exponential's tangent directions at the lattice point (approximate, which
+    only affects the step quality of the line search; the Armijo test runs on
+    the exact assembled energy).
+    """
+    return _assemble_limit(cell, model, y, P, cache, want_grad=True)

@@ -17,7 +17,9 @@ Assembly is vectorized over elements.  The gradient pass sums every
 P-cotangent at each Gauss point (the elastic -F^T W'(F) P^{-T} of both phases
 and the hardening 2 h1 (Dlog_P)^*(log P)) before scattering it, so one
 assembly makes three scatters: the y cotangent, the P values and the
-|grad P|^q term.  For d = 2 the stacked 2x2 products and inverses are written
+|grad P|^q term; the last two and the pull-back to the nodal log
+coordinates are ``log_coefficient_gradient``, which the homogenized
+functional shares.  For d = 2 the stacked 2x2 products and inverses are written
 entrywise.  Reductions are plain numpy sums (pairwise) and the grid's CSR
 scatters sum in a fixed order, so repeated assemblies of the same state are
 bit-identical.
@@ -90,6 +92,22 @@ def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def log_coefficient_gradient(grid, P: PlasticField, dP: np.ndarray, gradP: np.ndarray,
+                             qn: np.ndarray, q: float) -> np.ndarray:
+    """Gradient with respect to the nodal log coefficients of P from its
+    per-Gauss cotangents: ``dP`` (E, g, d, d) pairs with the values of P, and
+    the |grad P|^q term, with ``gradP`` its Gauss gradients and ``qn`` their
+    squared norms, pairs with the gradients.  One scatter each, then the
+    adjoint differential of the exponential at the nodes and the projection
+    onto the sl(d) basis."""
+    R_nodes = np.zeros((grid.n_nodes, grid.dim, grid.dim))
+    grid.accumulate_from_values(dP, R_nodes)
+    fac = q * np.power(np.maximum(qn, 1e-300), (q - 2.0) / 2.0)
+    grid.accumulate_from_gradients(fac[..., None, None, None] * gradP, R_nodes)
+    adj = slgeometry.exp_frechet_adjoint(P.log_matrices(), R_nodes)
+    return np.einsum("nij,kij->nk", adj, slgeometry.sl_basis(grid.dim))
+
+
 def _assemble(domain, model, y: DeformationField, P: PlasticField, want_grad: bool):
     _check_grids(domain, y, P)
     grid = y.grid
@@ -135,14 +153,7 @@ def _assemble(domain, model, y: DeformationField, P: PlasticField, want_grad: bo
 
     dP = 2.0 * model.h1 * slgeometry.log_frechet_adjoint(Pg, logs)
     dP -= _matmul(np.swapaxes(F, -1, -2), WpPinvT)
-    R_nodes = np.zeros((grid.n_nodes, grid.dim, grid.dim))
-    grid.accumulate_from_values(dP, R_nodes)
-    fac = model.q * np.power(np.maximum(qn, 1e-300), (model.q - 2.0) / 2.0)
-    grid.accumulate_from_gradients(fac[..., None, None, None] * gradP, R_nodes)
-
-    M_nodes = P.log_matrices()
-    adj = slgeometry.exp_frechet_adjoint(M_nodes, R_nodes)
-    grad_m = np.einsum("nij,kij->nk", adj, slgeometry.sl_basis(grid.dim))
+    grad_m = log_coefficient_gradient(grid, P, dP, gradP, qn, model.q)
     if y.bc == "zero":
         grad_y[grid.boundary_node_mask()] = 0.0
     return breakdown, GradJEps(grad_y=grad_y, grad_m=grad_m, crease_count=crease)

@@ -212,7 +212,7 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
     y_ref, P_ref, min_J, ref_report = minimize.minimize_J_limit(
         cell, model, cache=cache, macro_elements=config.macro_elements, schedule=schedule)
     ref_bd = ref_report.breakdown
-    solve_reports = {"reference": ref_report.to_json_dict()}
+    solve_reports = {"reference": asdict(ref_report)}
     chash = config.hash()
     reference = {
         "eps": 0.0, "infJ": min_J,
@@ -237,7 +237,7 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
             y_prev, P_prev = prev
             init = (prolong_deformation(y_prev, grid), prolong_plastic(P_prev, grid))
         y, P, value, row_report = minimize.minimize_J_eps(domain, model, init=init, schedule=schedule)
-        solve_reports[f"eps={eps!r}"] = row_report.to_json_dict()
+        solve_reports[f"eps={eps!r}"] = asdict(row_report)
         prev = (y, P)
         artifacts["rows"][eps] = (domain, y, P)
         bd = row_report.breakdown
@@ -295,11 +295,8 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
         reference=reference,
         rows=rows,
         metadata={
-            "seed": config.seed,
-            "tolerances": dict(config.tolerances),
             "config": asdict(config),
             "min_J": min_J,
-            "almost_minimizer_tol": config.tolerances.get("outer", 1e-8),
             "solve_reports": solve_reports,
         },
         extras=extras,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hclab import cellproblems as cp, materials, microgeometry as mg, slgeometry as sg
+from hclab import cellproblems as cp, energies, materials, microgeometry as mg, slgeometry as sg
 from hclab.fields import DeformationField, Grid, PlasticField
 
 
@@ -353,3 +353,31 @@ def test_assemble_J_limit_no_perforation():
     # W_hom(0, I) = W1(0) for the homogeneous convex medium
     assert bd.stiff_elastic == pytest.approx(float(model.W_stiff.value(np.zeros((2, 2)))), rel=1e-12)
     assert bd.total == pytest.approx(2.0 + model.h0, rel=1e-12)
+
+
+def test_limit_gradient_matches_composite_on_stiff_cell():
+    """Independent oracle for the limit P-gradient.  Without inclusions the
+    cell tensor is W1(F G^{-1}) exactly, so on build_micro_domain(stiff4, 2),
+    whose grid is the 8-element macro grid, J_eps and J_limit are the same
+    functional wherever the quantized G is P itself.  A constant P on a
+    lattice point of the density cache is such a state; there the limit
+    gradient's central differences across one lattice step are centered and
+    agree with the analytic J_eps gradient to O(step^2)."""
+    cell = mg.builtin_cell("stiff4")
+    domain = mg.build_micro_domain(cell, 2)
+    model = materials.default_material(dim=2)
+    cache = cp.HomDensityCache(resolution=4)
+    grid = Grid(2, 8)
+    assert domain.grid.n_el == grid.n_el and not domain.soft_field.any()
+    rng = np.random.default_rng(0)
+    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
+    key = rng.integers(-12, 13, size=3)
+    P = PlasticField(grid, np.tile(cache.step * key, (grid.n_nodes, 1)), model.K_radius)
+    assert np.array_equal(P.coeffs[0], cache.step * key)  # inside the K ball, not projected
+
+    bd, grad_m = cp.value_and_grad_J_limit(cell, model, y, P, cache)
+    assert bd == cp.assemble_J_limit(cell, model, y, P, cache)
+    bd_eps, g_eps = energies.value_and_grad_J_eps(domain, model, DeformationField(domain.grid, y.values),
+                                                  PlasticField(domain.grid, P.coeffs, model.K_radius))
+    assert bd.total == pytest.approx(bd_eps.total, rel=1e-12)
+    assert np.linalg.norm(grad_m - g_eps.grad_m) <= 1e-3 * np.linalg.norm(g_eps.grad_m)

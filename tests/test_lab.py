@@ -106,7 +106,7 @@ def test_json_mirror_complete(control_report, tmp_path):
     paths = lab.emit_report(report, outdir=tmp_path)
     payload = json.loads(paths["json"].read_text())
     assert payload["config_hash"] == report.config_hash
-    assert payload["metadata"]["seed"] == cfg.seed
+    assert payload["metadata"]["config"]["seed"] == cfg.seed
     assert len(payload["rows"]) == len(cfg.eps_list)
 
 

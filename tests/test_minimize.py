@@ -139,3 +139,46 @@ def test_limit_no_perforation_control():
     cache = cp.HomDensityCache(resolution=4)
     y, P, value, _ = mz.minimize_J_limit(cell, model, cache=cache, macro_elements=4)
     assert value == pytest.approx(2.0 + model.h0, rel=1e-9)
+
+
+@pytest.mark.parametrize("functional", ["eps", "limit"])
+def test_y_step_is_stationary_for_its_functional(setup, functional):
+    """At a non-identity P the y-step's CG solution is a critical point of the
+    functional it minimizes: central differences of the assembled energy in
+    random free directions vanish against the second difference.  One outer
+    round with an unreachable P tolerance leaves P at its start."""
+    cell, domain, model, _ = setup
+    schedule = mz.Schedule(outer_iters=1, p_tol=1e9)
+    if functional == "eps":
+        grid = domain.grid
+
+        def energy(y, P):
+            return energies.assemble_J_eps(domain, model, y, P).total
+
+        def solve(start):
+            return mz.minimize_J_eps(domain, model, init=start, schedule=schedule)
+    else:
+        grid = Grid(2, 4)
+        cache = cp.HomDensityCache(resolution=4)
+
+        def energy(y, P):
+            return cp.assemble_J_limit(cell, model, y, P, cache).total
+
+        def solve(start):
+            return mz.minimize_J_limit(cell, model, init=start, cache=cache, macro_elements=4, schedule=schedule)
+    bump = np.prod(np.sin(np.pi * grid.node_coords()), axis=-1)
+    P0 = PlasticField(grid, 0.2 * bump[:, None] * np.array([0.9, 0.4, 0.0]), model.K_radius)
+    y, P, _, _ = solve((DeformationField.zero(grid), P0))
+    assert np.array_equal(P.coeffs, P0.coeffs)
+    assert np.abs(y.values).max() > 1e-3
+
+    rng = np.random.default_rng(5)
+    t = 1e-3
+    J0 = energy(y, P)
+    for _ in range(4):
+        v = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)), bc="zero").values
+        Jp = energy(DeformationField(grid, y.values + t * v), P)
+        Jm = energy(DeformationField(grid, y.values - t * v), P)
+        second = (Jp - 2.0 * J0 + Jm) / t**2
+        assert second > 0.0
+        assert abs(Jp - Jm) / (2.0 * t) <= 1e-9 * second
