@@ -17,8 +17,10 @@ problem per component, all with the same stiffness K(C).  One factorization
 of K solved against the d columns of int grad(phi) gives the d x d matrix Q,
 and W1hom(F) = vol W1(F R) - 1/2 tr(D Q D^T) with D = W1'(F R) R^T is a
 quadratic form in F with a d x d coefficient matrix.  The limit functional
-uses the fast path only; its value and its value with P-gradient come from
-one pass, ``_assemble_limit``.
+uses the fast path only.  A ``JLimitPass`` is one assembly of it at (y, P):
+it takes one principal log of the Gauss matrices of P, which keys the cache
+and gives the hardening, and keeps what its P-gradient needs, so the
+gradient of an assembled point is finished without a second pass.
 
 The stiff window of a (cell, resolution, lam) and the soft window of a
 (cell, resolution, formulation), each a grid with its active and free masks,
@@ -358,7 +360,11 @@ class HomDensityCache:
     def quantize(self, G: np.ndarray) -> tuple:
         """Unique lattice keys of the matrices G (N, d, d), and for each
         matrix the index of its key."""
-        coeffs = slgeometry.matrices_to_coeffs(slgeometry.log_batch(np.asarray(G, float)))
+        return self.quantize_logs(slgeometry.log_batch(np.asarray(G, float)))
+
+    def quantize_logs(self, logs: np.ndarray) -> tuple:
+        """``quantize`` from the principal logs (N, d, d) of the matrices."""
+        coeffs = slgeometry.matrices_to_coeffs(logs)
         uniq, inverse = np.unique(np.round(coeffs / self.step).astype(int), axis=0, return_inverse=True)
         return [tuple(int(i) for i in key) for key in uniq], inverse.reshape(-1)
 
@@ -387,67 +393,11 @@ class HomDensityCache:
         return self._w1[entry]
 
 
-def _assemble_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache, want_grad: bool):
-    grid = y.grid
-    if P.grid.n_el != grid.n_el or P.grid.dim != grid.dim:
-        raise CellProblemError("macro fields live on different grids")
-    d = grid.dim
-    Pn = P.matrices()
-    Pg = grid.gauss_values(Pn).reshape(-1, d, d)
-    Gy = grid.gauss_gradients(y.values).reshape(-1, d, d)
-
-    # stiff density through the quadratic fast path (per unique quantized G)
-    keys, inverse = cache.quantize(Pg)
-    w1_vals = np.empty(len(Pg))
-    soft_vals = np.zeros(len(Pg))
-    for u, key in enumerate(keys):
-        sel = inverse == u
-        w1_vals[sel] = cache.w1_tensor(cell, model.W_stiff, key).evaluate(Gy[sel])
-        if not cell.degenerate:
-            soft_vals[sel] = cache.qprime(cell, model.W_soft_limit, key).value
-
-    wq = grid.gauss_weight * grid.h**d
-    Hg = model.hardening_smooth(Pg)
-    gradP = grid.gauss_gradients(Pn)
-    qn = np.einsum("egijk,egijk->eg", gradP, gradP)
-    vol_s, vol_t = float(cell.vol_soft), float(cell.vol_stiff)
-    int_H = float(np.sum(Hg) * wq)
-    breakdown = EnergyBreakdown.from_parts(
-        soft_elastic=vol_s * float(np.sum(soft_vals) * wq),
-        stiff_elastic=float(np.sum(w1_vals) * wq),
-        hardening_soft=vol_s * int_H,
-        hardening_stiff=vol_t * int_H,
-        grad_P_term=float(np.sum(qn ** (model.q / 2.0)) * wq),
-    )
-    if not want_grad:
-        return breakdown, None
-
-    # stiff density: tangent-space central differences over the quantization lattice
-    ksl = d * d - 1
-    sens = np.zeros((len(Pg), d, d))
-    for u, key in enumerate(keys):
-        sel = inverse == u
-        Fsel = Gy[sel]
-        slopes = np.zeros((ksl, int(sel.sum())))
-        for i in range(ksl):
-            tp = cache.w1_tensor(cell, model.W_stiff, tuple(k + (j == i) for j, k in enumerate(key)))
-            tm = cache.w1_tensor(cell, model.W_stiff, tuple(k - (j == i) for j, k in enumerate(key)))
-            slopes[i] = (tp.evaluate(Fsel) - tm.evaluate(Fsel)) / (2.0 * cache.step)
-        M_q = slgeometry.coeffs_to_matrices(np.asarray(key, float) * cache.step, d)
-        T = np.stack([
-            slgeometry.exp_batch(M_q + 1e-7 * slgeometry.sl_basis(d)[i]) - slgeometry.exp_batch(M_q - 1e-7 * slgeometry.sl_basis(d)[i])
-            for i in range(ksl)
-        ]) / 2e-7  # tangent directions dexp_M[E_i]
-        Gram = np.einsum("aij,bij->ab", T, T)
-        alpha = np.linalg.solve(Gram, slopes)
-        sens[sel] = np.einsum("ap,aij->pij", alpha, T)
-    shape = (grid.n_elements, grid.n_gauss, d, d)
-    dP = (vol_s + vol_t) * model.hardening_grad(Pg.reshape(shape)) + sens.reshape(shape)
-    return breakdown, log_coefficient_gradient(grid, P, dP, gradP, qn, model.q)
-
-
-def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) -> EnergyBreakdown:
-    """Homogenized functional on a macro grid.
+class JLimitPass:
+    """One assembly of the homogenized functional at (y, P) on a macro grid:
+    ``breakdown`` is the energy, and ``grad_m()`` finishes its gradient with
+    respect to the nodal log coefficients of P from the arrays this pass
+    computed.
 
     J0 books the soft cell value at F = 0 and the soft hardening fraction; J1
     carries the stiff density at the deformation gradient, the stiff
@@ -456,19 +406,86 @@ def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) ->
     through the quadratic cell tensor, so a non-quadratic W1 raises
     CellProblemError.
     """
-    breakdown, _ = _assemble_limit(cell, model, y, P, cache, want_grad=False)
-    return breakdown
+
+    def __init__(self, cell: CellGeometry, model, y, P, cache: HomDensityCache):
+        grid = y.grid
+        if P.grid.n_el != grid.n_el or P.grid.dim != grid.dim:
+            raise CellProblemError("macro fields live on different grids")
+        d = grid.dim
+        self.cell, self.model, self.P, self.cache = cell, model, P, cache
+        Pn = P.matrices()
+        self.Pg = grid.gauss_values(Pn).reshape(-1, d, d)
+        self.Gy = grid.gauss_gradients(y.values).reshape(-1, d, d)
+        self.logs = slgeometry.log_batch(self.Pg)
+
+        # stiff density through the quadratic fast path (per unique quantized G)
+        self.keys, self.inverse = cache.quantize_logs(self.logs)
+        w1_vals = np.empty(len(self.Pg))
+        soft_vals = np.zeros(len(self.Pg))
+        for u, key in enumerate(self.keys):
+            sel = self.inverse == u
+            w1_vals[sel] = cache.w1_tensor(cell, model.W_stiff, key).evaluate(self.Gy[sel])
+            if not cell.degenerate:
+                soft_vals[sel] = cache.qprime(cell, model.W_soft_limit, key).value
+
+        wq = grid.gauss_weight * grid.h**d
+        Hg = model.h0 + model.h1 * np.einsum("...ij,...ij->...", self.logs, self.logs)
+        self.gradP = grid.gauss_gradients(Pn)
+        self.qn = np.einsum("egijk,egijk->eg", self.gradP, self.gradP)
+        vol_s, vol_t = float(cell.vol_soft), float(cell.vol_stiff)
+        int_H = float(np.sum(Hg) * wq)
+        self.breakdown = EnergyBreakdown.from_parts(
+            soft_elastic=vol_s * float(np.sum(soft_vals) * wq),
+            stiff_elastic=float(np.sum(w1_vals) * wq),
+            hardening_soft=vol_s * int_H,
+            hardening_stiff=vol_t * int_H,
+            grad_P_term=float(np.sum(self.qn ** (model.q / 2.0)) * wq),
+        )
+
+    def grad_m(self) -> np.ndarray:
+        """Gradient with respect to the nodal log coefficients of P.
+
+        Hardening and the q-regularizer differentiate exactly.  The stiff
+        density's G-sensitivity is recovered by central differences of the
+        cached tensors across one quantization step, least-squares fitted on
+        the exponential's tangent directions at the lattice point
+        (approximate, which only affects the step quality of the line search;
+        the Armijo test runs on the exact assembled energy).
+        """
+        cell, model, cache = self.cell, self.model, self.cache
+        grid = self.P.grid
+        d = grid.dim
+        ksl = d * d - 1
+        sens = np.zeros((len(self.Gy), d, d))
+        for u, key in enumerate(self.keys):
+            sel = self.inverse == u
+            Fsel = self.Gy[sel]
+            slopes = np.zeros((ksl, int(sel.sum())))
+            for i in range(ksl):
+                tp = cache.w1_tensor(cell, model.W_stiff, tuple(k + (j == i) for j, k in enumerate(key)))
+                tm = cache.w1_tensor(cell, model.W_stiff, tuple(k - (j == i) for j, k in enumerate(key)))
+                slopes[i] = (tp.evaluate(Fsel) - tm.evaluate(Fsel)) / (2.0 * cache.step)
+            M_q = slgeometry.coeffs_to_matrices(np.asarray(key, float) * cache.step, d)
+            T = np.stack([
+                slgeometry.exp_batch(M_q + 1e-7 * slgeometry.sl_basis(d)[i]) - slgeometry.exp_batch(M_q - 1e-7 * slgeometry.sl_basis(d)[i])
+                for i in range(ksl)
+            ]) / 2e-7  # tangent directions dexp_M[E_i]
+            Gram = np.einsum("aij,bij->ab", T, T)
+            alpha = np.linalg.solve(Gram, slopes)
+            sens[sel] = np.einsum("ap,aij->pij", alpha, T)
+        shape = (grid.n_elements, grid.n_gauss, d, d)
+        hardening = 2.0 * model.h1 * slgeometry.log_frechet_adjoint(self.Pg, self.logs)
+        dP = (float(cell.vol_soft) + float(cell.vol_stiff)) * hardening.reshape(shape) + sens.reshape(shape)
+        return log_coefficient_gradient(grid, self.P, dP, self.gradP, self.qn, model.q)
+
+
+def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) -> EnergyBreakdown:
+    """Homogenized functional on a macro grid; see ``JLimitPass``."""
+    return JLimitPass(cell, model, y, P, cache).breakdown
 
 
 def value_and_grad_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache):
-    """One-pass (EnergyBreakdown, gradient) of the homogenized functional; the
-    gradient is with respect to the nodal log coefficients of P.
-
-    Hardening and the q-regularizer differentiate exactly.  The stiff
-    density's G-sensitivity is recovered by central differences of the
-    cached tensors across one quantization step, least-squares fitted on the
-    exponential's tangent directions at the lattice point (approximate, which
-    only affects the step quality of the line search; the Armijo test runs on
-    the exact assembled energy).
-    """
-    return _assemble_limit(cell, model, y, P, cache, want_grad=True)
+    """(EnergyBreakdown, gradient) of one pass of the homogenized functional;
+    the gradient is with respect to the nodal log coefficients of P."""
+    point = JLimitPass(cell, model, y, P, cache)
+    return point.breakdown, point.grad_m()

@@ -9,20 +9,27 @@ The total energy of a state (y, P) on the eps-composite is
 with the contrast factor eps multiplying grad(y) only in the soft term.
 Gradients with respect to the nodal deformation values and the nodal log
 coordinates of P are assembled analytically; the exponential and logarithm
-differentials enter through their closed-form adjoints.  Value and gradient
-share one pass over the Gauss tables, since line searches evaluate both at
-accepted points.
+differentials enter through their closed-form adjoints.
 
-Assembly is vectorized over elements.  The gradient pass sums every
-P-cotangent at each Gauss point (the elastic -F^T W'(F) P^{-T} of both phases
-and the hardening 2 h1 (Dlog_P)^*(log P)) before scattering it, so one
-assembly makes three scatters: the y cotangent, the P values and the
-|grad P|^q term; the last two and the pull-back to the nodal log
-coordinates are ``log_coefficient_gradient``, which the homogenized
-functional shares.  For d = 2 the stacked 2x2 products and inverses are written
-entrywise.  Reductions are plain numpy sums (pairwise) and the grid's CSR
-scatters sum in a fixed order, so repeated assemblies of the same state are
-bit-identical.
+A ``JEpsPass`` is one assembly at (y, P): it computes the energy and keeps
+the per-Gauss arrays (the inverse of P, F, the log chart, grad P and its
+norms) from which its gradient is finished on request.  ``assemble_J_eps``
+and ``value_and_grad_J_eps`` are thin wrappers over that pass.  The Gauss
+data that depend on y alone are a ``FixedY``, which the P-step of
+``minimize`` builds once and passes as y: every trial point is then valued
+by one pass, and at the point the line search accepts,
+``value_and_grad_J_eps`` finishes the gradient of the pass the FixedY kept
+instead of assembling that point a second time.
+
+The gradient sums every P-cotangent at each Gauss point (the elastic
+-F^T W'(F) P^{-T} of both phases and the hardening 2 h1 (Dlog_P)^*(log P))
+before scattering it, so a full gradient makes three scatters: the y
+cotangent, the P values and the |grad P|^q term; the last two and the
+pull-back to the nodal log coordinates are ``log_coefficient_gradient``,
+which the homogenized functional shares.  For d = 2 the stacked 2x2 products
+and inverses are written entrywise.  Reductions are plain numpy sums
+(pairwise) and the grid's CSR scatters sum in a fixed order, so repeated
+assemblies of the same state are bit-identical.
 """
 
 from __future__ import annotations
@@ -61,11 +68,9 @@ class GradJEps:
     crease_count: int = 0
 
 
-def _check_grids(domain, y: DeformationField, P: PlasticField) -> None:
+def _check_grids(domain, y: DeformationField) -> None:
     if y.grid.dim != domain.dim or y.grid.n_el != domain.n_el:
         raise GridMismatch(f"deformation grid {y.grid.n_el} does not match domain grid {domain.n_el}")
-    if P.grid.n_el != y.grid.n_el or P.grid.dim != y.grid.dim:
-        raise GridMismatch("plastic field grid does not match the deformation grid")
 
 
 def _inv_batch(A: np.ndarray) -> np.ndarray:
@@ -108,66 +113,31 @@ def log_coefficient_gradient(grid, P: PlasticField, dP: np.ndarray, gradP: np.nd
     return np.einsum("nij,kij->nk", adj, slgeometry.sl_basis(grid.dim))
 
 
-def _assemble(domain, model, y: DeformationField, P: PlasticField, want_grad: bool):
-    _check_grids(domain, y, P)
-    grid = y.grid
-    eps = domain.eps
-    soft_els = domain.soft_field.reshape(-1)
-    stiff_els = ~soft_els
-    scale = np.where(soft_els, eps, 1.0)[:, None, None, None]  # contrast factor per element
+class FixedY:
+    """The Gauss data of J_eps that depend on the deformation alone: grad y
+    at the Gauss points, the phase of each element and its contrast factor.
 
-    Pn = P.matrices()
-    G = grid.gauss_gradients(y.values)          # (E, g, d, d)
-    Pg = grid.gauss_values(Pn)                  # (E, g, d, d)
-    Pinv = _inv_batch(Pg)
-    gradP = grid.gauss_gradients(Pn)            # (E, g, d, d, k)
-    logs = slgeometry.log_batch(Pg)
+    Passed as ``y`` to ``assemble_J_eps`` or ``value_and_grad_J_eps``, one
+    FixedY serves every assembly at its deformation, and it keeps the latest
+    pass made with it (``latest``): ``value_and_grad_J_eps`` at that pass's
+    model and P (the same objects, unmodified) finishes its gradient instead
+    of assembling the point again.
+    """
 
-    F = scale * _matmul(G, Pinv)
-    F_soft = F[soft_els]
-    F_stiff = F[stiff_els]
-    w_soft = model.W_soft_family.value(eps, F_soft)
-    w_stiff = model.W_stiff.value(F_stiff)
-    Hg = model.h0 + model.h1 * np.einsum("...ij,...ij->...", logs, logs)
-    qn = np.einsum("egijk,egijk->eg", gradP, gradP)
-    q_term = qn ** (model.q / 2.0)
-
-    wq = grid.gauss_weight * grid.h**grid.dim
-    breakdown = EnergyBreakdown.from_parts(
-        soft_elastic=float(np.sum(w_soft) * wq),
-        stiff_elastic=float(np.sum(w_stiff) * wq),
-        hardening_soft=float(np.sum(Hg[soft_els]) * wq),
-        hardening_stiff=float(np.sum(Hg[stiff_els]) * wq),
-        grad_P_term=float(np.sum(q_term) * wq),
-    )
-    if not want_grad:
-        return breakdown, None
-
-    # Per-Gauss cotangents of both phases, each scattered once.
-    Wp = np.empty_like(F)
-    Wp[soft_els], crease = model.W_soft_family.grad(eps, F_soft, return_crease=True)
-    Wp[stiff_els] = model.W_stiff.grad(F_stiff)
-    WpPinvT = _matmul(Wp, np.swapaxes(Pinv, -1, -2))
-    grad_y = np.zeros_like(y.values)
-    grid.accumulate_from_gradients(scale * WpPinvT, grad_y)
-
-    dP = 2.0 * model.h1 * slgeometry.log_frechet_adjoint(Pg, logs)
-    dP -= _matmul(np.swapaxes(F, -1, -2), WpPinvT)
-    grad_m = log_coefficient_gradient(grid, P, dP, gradP, qn, model.q)
-    if y.bc == "zero":
-        grad_y[grid.boundary_node_mask()] = 0.0
-    return breakdown, GradJEps(grad_y=grad_y, grad_m=grad_m, crease_count=crease)
+    def __init__(self, domain, y: DeformationField):
+        _check_grids(domain, y)
+        self.domain = domain
+        self.y = y
+        self.G = y.grid.gauss_gradients(y.values)  # (E, g, d, d)
+        self.soft_els = domain.soft_field.reshape(-1)
+        self.stiff_els = ~self.soft_els
+        self.scale = np.where(self.soft_els, domain.eps, 1.0)[:, None, None, None]
+        self.latest = None
 
 
-def assemble_J_eps(domain, model, y: DeformationField, P: PlasticField) -> EnergyBreakdown:
-    """Assemble the split energy on the composite."""
-    breakdown, _ = _assemble(domain, model, y, P, want_grad=False)
-    return breakdown
-
-
-def value_and_grad_J_eps(domain, model, y: DeformationField, P: PlasticField):
-    """One-pass (EnergyBreakdown, GradJEps) for line searches: the energy and
-    its analytic gradient with respect to all degrees of freedom.
+class JEpsPass:
+    """One assembly of J_eps at (y, P): ``breakdown`` is the energy, and
+    ``gradient()`` finishes its gradient from the arrays this pass computed.
 
     Chain rule per Gauss point: with F = s G P^{-1}, s = eps on soft elements
     and 1 on stiff ones,
@@ -181,4 +151,82 @@ def value_and_grad_J_eps(domain, model, y: DeformationField, P: PlasticField):
     adjoint differential of the exponential.  Boundary rows of the y gradient
     are zeroed when the field carries the zero-trace condition.
     """
-    return _assemble(domain, model, y, P, want_grad=True)
+
+    def __init__(self, model, fixed: FixedY, P: PlasticField):
+        grid = fixed.y.grid
+        if P.grid.n_el != grid.n_el or P.grid.dim != grid.dim:
+            raise GridMismatch("plastic field grid does not match the deformation grid")
+        # the y data, not the FixedY itself: FixedY.latest refers to this pass
+        self.y, self.eps, self.scale = fixed.y, fixed.domain.eps, fixed.scale
+        self.soft_els, self.stiff_els = soft_els, stiff_els = fixed.soft_els, fixed.stiff_els
+        self.model, self.P = model, P
+
+        Pn = P.matrices()
+        Pg = grid.gauss_values(Pn)                       # (E, g, d, d)
+        self.Pinv = _inv_batch(Pg)
+        self.gradP = grid.gauss_gradients(Pn)            # (E, g, d, d, k)
+        self.logs, self.log_adjoint = slgeometry.log_and_adjoint(Pg)
+
+        self.F = self.scale * _matmul(fixed.G, self.Pinv)
+        self.F_soft = self.F[soft_els]
+        self.F_stiff = self.F[stiff_els]
+        w_soft = model.W_soft_family.value(self.eps, self.F_soft)
+        w_stiff = model.W_stiff.value(self.F_stiff)
+        Hg = model.h0 + model.h1 * np.einsum("...ij,...ij->...", self.logs, self.logs)
+        self.qn = np.einsum("egijk,egijk->eg", self.gradP, self.gradP)
+        q_term = self.qn ** (model.q / 2.0)
+
+        wq = grid.gauss_weight * grid.h**grid.dim
+        self.breakdown = EnergyBreakdown.from_parts(
+            soft_elastic=float(np.sum(w_soft) * wq),
+            stiff_elastic=float(np.sum(w_stiff) * wq),
+            hardening_soft=float(np.sum(Hg[soft_els]) * wq),
+            hardening_stiff=float(np.sum(Hg[stiff_els]) * wq),
+            grad_P_term=float(np.sum(q_term) * wq),
+        )
+
+    def gradient(self) -> GradJEps:
+        """Gradient with respect to all degrees of freedom; per-Gauss
+        cotangents of both phases, each scattered once."""
+        model, y, grid = self.model, self.y, self.y.grid
+        Wp = np.empty_like(self.F)
+        Wp[self.soft_els], crease = model.W_soft_family.grad(self.eps, self.F_soft, return_crease=True)
+        Wp[self.stiff_els] = model.W_stiff.grad(self.F_stiff)
+        WpPinvT = _matmul(Wp, np.swapaxes(self.Pinv, -1, -2))
+        grad_y = np.zeros_like(y.values)
+        grid.accumulate_from_gradients(self.scale * WpPinvT, grad_y)
+
+        dP = 2.0 * model.h1 * self.log_adjoint(self.logs)
+        dP -= _matmul(np.swapaxes(self.F, -1, -2), WpPinvT)
+        grad_m = log_coefficient_gradient(grid, self.P, dP, self.gradP, self.qn, model.q)
+        if y.bc == "zero":
+            grad_y[grid.boundary_node_mask()] = 0.0
+        return GradJEps(grad_y=grad_y, grad_m=grad_m, crease_count=crease)
+
+
+def _pass(domain, model, y, P: PlasticField) -> JEpsPass:
+    """The pass at (y, P); ``y`` is a DeformationField or a FixedY, whose
+    latest pass is reused when it was made at this model and P."""
+    if not isinstance(y, FixedY):
+        return JEpsPass(model, FixedY(domain, y), P)
+    if y.domain is not domain:
+        raise GridMismatch("the fixed deformation data belong to another domain")
+    if y.latest is None or y.latest.model is not model or y.latest.P is not P:
+        y.latest = None  # release the previous pass's arrays before assembling
+        y.latest = JEpsPass(model, y, P)
+    return y.latest
+
+
+def assemble_J_eps(domain, model, y, P: PlasticField) -> EnergyBreakdown:
+    """Assemble the split energy on the composite; ``y`` is the deformation
+    or its ``FixedY``."""
+    return _pass(domain, model, y, P).breakdown
+
+
+def value_and_grad_J_eps(domain, model, y, P: PlasticField):
+    """(EnergyBreakdown, GradJEps): the energy and its analytic gradient with
+    respect to all degrees of freedom (see ``JEpsPass``).  With a ``FixedY``
+    as ``y`` whose latest pass is at this P, the gradient is finished from
+    that pass and nothing is assembled."""
+    point = _pass(domain, model, y, P)
+    return point.breakdown, point.gradient()

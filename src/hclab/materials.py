@@ -182,12 +182,6 @@ class MaterialModel:
         logs = slgeometry.log_batch(np.asarray(P, dtype=float))
         return self.h0 + self.h1 * _fro2(logs)
 
-    def hardening_grad(self, P: np.ndarray) -> np.ndarray:
-        """d/dP of the smooth hardening: 2 h1 (Dlog_P)^*(log P)."""
-        P = np.asarray(P, dtype=float)
-        logs = slgeometry.log_batch(P)
-        return 2.0 * self.h1 * slgeometry.log_frechet_adjoint(P, logs)
-
 
 def default_material(
     dim: int = 2,

@@ -210,33 +210,36 @@ def _log2_chart(A: np.ndarray):
     return a, b, cc, dd, c, det
 
 
-def _log2(A: np.ndarray) -> np.ndarray:
-    """Principal log on stacked 2x2 matrices with det > 0 and positive half-trace."""
-    a, b, cc, dd, c, det = _log2_chart(A)
-    f, _, _ = _log_f_funcs(c, c * c - det)
+def _log2_parts(A: np.ndarray):
+    """Principal log of stacked 2x2 A (det > 0, positive half-trace) and the
+    chart and f-functions it was computed from, which its adjoint reuses."""
+    chart = _log2_chart(A)
+    a, b, cc, dd, c, det = chart
+    funcs = _log_f_funcs(c, c * c - det)
+    f = funcs[0]
     half_logdet = 0.5 * np.log(det)
     out = np.empty(A.shape)
     out[..., 0, 0] = half_logdet + f * (a - c)
     out[..., 0, 1] = f * b
     out[..., 1, 0] = f * cc
     out[..., 1, 1] = half_logdet + f * (dd - c)
-    return out
+    return out, (chart, funcs)
 
 
-def _log_frechet_adjoint2(A: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Adjoint of the differential of log at A applied to W (stacked 2x2).
+def _log_frechet_adjoint2(parts, W: np.ndarray) -> np.ndarray:
+    """Adjoint of the differential of log at A applied to W (stacked 2x2),
+    from the ``parts`` of ``_log2_parts(A)``.
 
     With B = A - c I and cof(A) the cofactor matrix,
     (Dlog_A)^* W = k_cof cof(A) + k_eye I + f W.
     """
-    a, b, cc, dd, c, det = _log2_chart(A)
-    f, fc, fmu = _log_f_funcs(c, c * c - det)
+    (a, b, cc, dd, c, det), (f, fc, fmu) = parts
     w00, w01, w10, w11 = W[..., 0, 0], W[..., 0, 1], W[..., 1, 0], W[..., 1, 1]
     trW = w00 + w11
     WdotB = w00 * (a - c) + w01 * b + w10 * cc + w11 * (dd - c)
     k_eye = WdotB * (0.5 * fc + fmu * c) - 0.5 * f * trW
     k_cof = 0.5 * trW / det - WdotB * fmu
-    out = np.empty(np.broadcast_shapes(A.shape, W.shape))
+    out = np.empty(np.broadcast_shapes(a.shape + (2, 2), W.shape))
     out[..., 0, 0] = k_cof * dd + k_eye + f * w00
     out[..., 0, 1] = -k_cof * cc + f * w01
     out[..., 1, 0] = -k_cof * b + f * w10
@@ -287,7 +290,7 @@ def log_batch(P: np.ndarray) -> np.ndarray:
     """Principal log on stacked matrices near the identity."""
     P = np.asarray(P, dtype=float)
     if P.shape[-1] == 2:
-        return _log2(P)
+        return _log2_parts(P)[0]
     dev = np.linalg.norm(P - np.eye(P.shape[-1]), axis=(-2, -1))
     if dev.max(initial=0.0) <= _LOG_SERIES_RADIUS:
         return _log_series(P)
@@ -335,7 +338,7 @@ def log_frechet_adjoint(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     W = np.asarray(W, dtype=float)
     if A.shape[-1] == 2:
-        return _log_frechet_adjoint2(A, W)
+        return _log_frechet_adjoint2(_log2_parts(A)[1], W)
     d = A.shape[-1]
     dev = np.linalg.norm(A - np.eye(d), axis=(-2, -1))
     if dev.max(initial=0.0) <= _LOG_SERIES_RADIUS:
@@ -352,6 +355,19 @@ def log_frechet_adjoint(A: np.ndarray, W: np.ndarray) -> np.ndarray:
         blk[:d, d:] = w
         outs.append(np.real(scipy.linalg.logm(blk))[:d, d:])
     return np.stack(outs).reshape(A.shape)
+
+
+def log_and_adjoint(P: np.ndarray):
+    """Principal log of stacked matrices with the adjoint of its differential
+    at P: returns ``(log P, adjoint)`` where ``adjoint(W)`` equals
+    ``log_frechet_adjoint(P, W)`` bit for bit.  For 2x2 the adjoint reuses the
+    chart and f-functions of the log, so each matrix gets one
+    ``_log_f_funcs`` evaluation however many cotangents are pulled back."""
+    P = np.asarray(P, dtype=float)
+    if P.shape[-1] == 2:
+        logs, parts = _log2_parts(P)
+        return logs, lambda W: _log_frechet_adjoint2(parts, np.asarray(W, dtype=float))
+    return log_batch(P), lambda W: log_frechet_adjoint(P, W)
 
 
 def exp_sl(M) -> np.ndarray:

@@ -381,3 +381,37 @@ def test_limit_gradient_matches_composite_on_stiff_cell():
                                                   PlasticField(domain.grid, P.coeffs, model.K_radius))
     assert bd.total == pytest.approx(bd_eps.total, rel=1e-12)
     assert np.linalg.norm(grad_m - g_eps.grad_m) <= 1e-3 * np.linalg.norm(g_eps.grad_m)
+
+
+@pytest.mark.parametrize("cell_name", ["block4", "fiber3d"])
+def test_limit_pass_gradient_bit_identical_to_value_and_grad(cell_name):
+    """A JLimitPass whose gradient is finished after a later pass was
+    assembled gives value_and_grad_J_limit bit for bit at y != 0, P != I, and
+    each pass, its gradient included, takes one principal log of its Gauss
+    matrices."""
+    cell = mg.builtin_cell(cell_name)
+    dim = cell.dim
+    model = materials.default_material(dim=dim)
+    cache = cp.HomDensityCache(step=0.05, resolution=8)
+    grid = Grid(dim, 4 if dim == 2 else 2)
+    rng = np.random.default_rng(17)
+    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, dim)))
+    Ps = [PlasticField(grid, 0.03 * rng.standard_normal((grid.n_nodes, dim * dim - 1)), model.K_radius)
+          for _ in range(2)]
+    logs = []
+    log_batch = sg.log_batch
+
+    def counted(P):
+        logs.append(len(P))
+        return log_batch(P)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg, "log_batch", counted)
+        points = [cp.JLimitPass(cell, model, y, P, cache) for P in Ps]
+        grads = [point.grad_m() for point in points]
+    assert logs == [grid.n_elements * grid.n_gauss] * 2
+    for P, point, grad_m in zip(Ps, points, grads):
+        bd, g = cp.value_and_grad_J_limit(cell, model, y, P, cache)
+        assert point.breakdown == bd
+        assert np.array_equal(grad_m, g)
+        assert np.abs(g).max() > 0.0

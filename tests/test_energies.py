@@ -180,6 +180,10 @@ def test_grid_mismatch(setup):
     P = PlasticField.identity(grid, model.K_radius)
     with pytest.raises(GridMismatch):
         energies.assemble_J_eps(domain, model, y, P)
+    # Gauss data of y on a second, equal domain object belong to that domain
+    fixed = energies.FixedY(mg.build_micro_domain(cell, 4, strip=0.5), DeformationField.zero(grid))
+    with pytest.raises(GridMismatch):
+        energies.assemble_J_eps(domain, model, fixed, P)
 
 
 def test_three_dimensional_assembly_and_gradient():
@@ -211,3 +215,34 @@ def test_three_dimensional_assembly_and_gradient():
     fd = (energies.assemble_J_eps(domain, model, yp, P).total
           - energies.assemble_J_eps(domain, model, ym, P).total) / (2 * h)
     assert float(np.sum(g.grad_y * dy)) == pytest.approx(fd, rel=1e-5)
+
+
+@pytest.mark.parametrize("cell_name", ["block4", "fiber3d"])
+def test_pass_gradient_bit_identical_to_value_and_grad(cell_name):
+    """The P-step's path to a gradient gives a fresh value_and_grad_J_eps bit
+    for bit at y != 0, P != I: a value pass through a shared FixedY, then the
+    gradient finished from it, also when a later pass was assembled in
+    between.  block4 runs at eps = 1/4; fiber3d takes the 3D series branch."""
+    cell = mg.builtin_cell(cell_name)
+    dim = cell.dim
+    domain = mg.build_micro_domain(cell, 4 if dim == 2 else 3, strip=0.5)
+    assert domain.eps == (0.25 if dim == 2 else 1 / 3)
+    model = materials.default_material(dim=dim)
+    grid = Grid(dim, domain.n_el)
+    rng = np.random.default_rng(16)
+    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, dim)), bc="zero")
+    Ps = [PlasticField(grid, 0.1 * rng.standard_normal((grid.n_nodes, dim * dim - 1)), model.K_radius)
+          for _ in range(2)]
+    fresh = [energies.value_and_grad_J_eps(domain, model, y, P) for P in Ps]
+    fixed = energies.FixedY(domain, y)
+    points = [energies.JEpsPass(model, fixed, P) for P in Ps]
+    for (bd, g), P, point in zip(fresh, Ps, points):
+        assert np.abs(g.grad_m).max() > 0.0 and np.abs(g.grad_y).max() > 0.0
+        assert energies.assemble_J_eps(domain, model, fixed, P) == bd
+        kept = fixed.latest
+        finished = energies.value_and_grad_J_eps(domain, model, fixed, P)
+        for bd2, g2 in (finished, (point.breakdown, point.gradient())):
+            assert bd2 == bd
+            assert np.array_equal(g2.grad_y, g.grad_y) and np.array_equal(g2.grad_m, g.grad_m)
+            assert g2.crease_count == g.crease_count
+        assert fixed.latest is kept  # the gradient was finished, not re-assembled

@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from hclab import cellproblems as cp, energies, materials, microgeometry as mg, minimize as mz
+from hclab import cellproblems as cp, energies, materials, microgeometry as mg, minimize as mz, slgeometry as sg
 from hclab.fields import DeformationField, Grid, PlasticField
 
 
@@ -182,3 +185,58 @@ def test_y_step_is_stationary_for_its_functional(setup, functional):
         second = (Jp - 2.0 * J0 + Jm) / t**2
         assert second > 0.0
         assert abs(Jp - Jm) / (2.0 * t) <= 1e-9 * second
+
+
+def test_minimize_P_assembles_each_point_once(setup, monkeypatch):
+    """From the random start of the stationarity test: every P is assembled
+    once, only accepted points get their gradient finished, grad y is taken
+    once for the whole P-step, and each pass runs the 2x2 log kernel once
+    (its adjoint reuses it).  Without the cyclic garbage collector, a pass's
+    arrays are freed before the next pass is assembled, and none outlive the
+    P-step."""
+    cell, domain, model, grid = setup
+    rng = np.random.default_rng(1)
+    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)), bc="zero")
+    P0 = PlasticField(grid, 0.5 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
+    counts = {"grad y": 0, "gauss gradients": 0, "log kernel": 0, "completions": 0}
+    assembled = []
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    init, gauss_gradients = energies.JEpsPass.__init__, Grid.gauss_gradients
+    passes, live = [], []  # weak references to every pass; passes alive at each new one
+
+    def recording_init(self, model, fixed, P):
+        live.append(sum(ref() is not None for ref in passes))
+        assembled.append(P.coeffs.tobytes())
+        init(self, model, fixed, P)
+        passes.append(weakref.ref(self))
+
+    def recording_gauss_gradients(self, values):
+        counts["grad y"] += values is y.values
+        counts["gauss gradients"] += 1
+        return gauss_gradients(self, values)
+
+    monkeypatch.setattr(energies.JEpsPass, "__init__", recording_init)
+    monkeypatch.setattr(Grid, "gauss_gradients", recording_gauss_gradients)
+    monkeypatch.setattr(energies.JEpsPass, "gradient", counting(energies.JEpsPass.gradient, "completions"))
+    monkeypatch.setattr(sg, "_log_f_funcs", counting(sg._log_f_funcs, "log kernel"))
+    gc.disable()
+    try:
+        P, rep = mz.minimize_P(domain, model, y, P0, tol=1e-7)
+        assert max(live) == 0 and all(ref() is None for ref in passes)
+    finally:
+        gc.enable()
+
+    assert rep.converged and len(rep.energy_trace) > 10
+    n_distinct = len(set(assembled))
+    assert n_distinct == len(assembled) > len(rep.energy_trace)
+    assert counts["completions"] == len(rep.energy_trace)
+    assert counts["grad y"] == 1
+    assert counts["gauss gradients"] == len(assembled) + 1
+    assert counts["log kernel"] == len(assembled)
+    assert rep.breakdown == energies.assemble_J_eps(domain, model, y, P)
