@@ -19,7 +19,8 @@ data that depend on y alone are a ``FixedY``, which the P-step of
 ``minimize`` builds once and passes as y: every trial point is then valued
 by one pass, and at the point the line search accepts,
 ``value_and_grad_J_eps`` finishes the gradient of the pass the FixedY kept
-instead of assembling that point a second time.
+instead of assembling that point a second time.  ``sobolev_metric`` builds
+the P-step's metric from the same kept pass.
 
 The gradient sums every P-cotangent at each Gauss point (the elastic
 -F^T W'(F) P^{-T} of both phases and the hardening 2 h1 (Dlog_P)^*(log P))
@@ -230,3 +231,26 @@ def value_and_grad_J_eps(domain, model, y, P: PlasticField):
     that pass and nothing is assembled."""
     point = _pass(domain, model, y, P)
     return point.breakdown, point.gradient()
+
+
+def sobolev_metric(domain, model, y, P: PlasticField):
+    """The metric of the composite P-step at (y, P): the sparse scalar nodal
+    operator
+
+        H = sum_g wq [2 h1 N_g N_g^T + q |grad P_g|^(q-2) dN_g dN_g^T],
+
+    which acts alike on each sl-coefficient column.  Its mass part is the
+    exact Hessian of the hardening at P = I in the orthonormal ``sl_basis``
+    coordinates; the weighted Laplacian is the lagged-diffusivity (Kacanov)
+    linearisation of |grad P|^q at this pass's grad P.  Since q > d >= 2 the
+    weight is finite, and 0 where grad P = 0.  ``y`` as in
+    ``value_and_grad_J_eps``: the latest pass of a FixedY at this P is reused.
+    """
+    point = _pass(domain, model, y, P)
+    grid = point.y.grid
+    wq = grid.gauss_weight * grid.h**grid.dim
+    mass = 2.0 * model.h1 * np.einsum("gn,gm->nm", grid.N_gauss, grid.N_gauss)
+    dNdN = np.einsum("gnk,gmk->gnm", grid.dN_gauss, grid.dN_gauss).reshape(grid.n_gauss, -1)
+    lagged = model.q * point.qn ** ((model.q - 2.0) / 2.0)  # (E, g)
+    blocks = (lagged @ dNdN).reshape(-1, grid.n_corners, grid.n_corners) + mass
+    return grid.stiffness(wq * blocks)

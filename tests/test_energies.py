@@ -246,3 +246,41 @@ def test_pass_gradient_bit_identical_to_value_and_grad(cell_name):
             assert np.array_equal(g2.grad_y, g.grad_y) and np.array_equal(g2.grad_m, g.grad_m)
             assert g2.crease_count == g.crease_count
         assert fixed.latest is kept  # the gradient was finished, not re-assembled
+
+
+def test_sobolev_metric_is_hardening_hessian_at_identity_and_spd(setup):
+    """At y = 0, P = I the P-step metric is the mass part alone (grad P = 0)
+    and equals the central-difference Hessian of hardening_soft +
+    hardening_stiff in the nodal coefficients, alike on each sl column and
+    without coupling between columns (bilinear probes u.Hv through
+    polarization).  At a rough P its Laplacian part is the quadrature of
+    q |grad P|^(q-2) |grad u|^2, and H is symmetric positive definite."""
+    cell, domain, model, grid = setup
+    k = 3
+    y = DeformationField.zero(grid)
+    H = energies.sobolev_metric(domain, model, y, PlasticField.identity(grid, model.K_radius))
+    assert H.shape == (grid.n_nodes, grid.n_nodes)
+
+    def hardening(m):
+        bd = energies.assemble_J_eps(domain, model, y, PlasticField(grid, m, model.K_radius))
+        return bd.hardening_soft + bd.hardening_stiff
+
+    rng = np.random.default_rng(9)
+    t = 1e-4
+    for _ in range(4):
+        u, v = rng.standard_normal((2, grid.n_nodes, k))
+        fd = (hardening(t * (u + v)) + hardening(-t * (u + v))
+              - hardening(t * (u - v)) - hardening(-t * (u - v))) / (4 * t * t)
+        assert float(np.sum(u * (H @ v))) == pytest.approx(fd, rel=1e-6)
+
+    P = PlasticField(grid, 0.2 * model.K_radius * rng.standard_normal((grid.n_nodes, k)), model.K_radius)
+    gradP = grid.gauss_gradients(P.matrices())
+    weight = model.q * np.sum(gradP**2, axis=(2, 3, 4)) ** ((model.q - 2) / 2)
+    H_P = energies.sobolev_metric(domain, model, y, P)
+    u = rng.standard_normal(grid.n_nodes)
+    gu = grid.gauss_gradients(u)
+    lagged = grid.integrate(weight * np.sum(gu**2, axis=-1))
+    assert float(u @ ((H_P - H) @ u)) == pytest.approx(lagged, rel=1e-12)
+    dense = H_P.toarray()
+    assert np.array_equal(dense, dense.T)
+    assert np.linalg.eigvalsh(dense).min() > 0.0

@@ -3,9 +3,10 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from hclab import cellproblems as cp, energies, materials, microgeometry as mg, minimize as mz, slgeometry as sg
-from hclab.fields import DeformationField, Grid, PlasticField
+from hclab.fields import DeformationField, Grid, PlasticField, prolong_deformation, prolong_plastic
 
 
 @pytest.fixture(scope="module")
@@ -240,3 +241,104 @@ def test_minimize_P_assembles_each_point_once(setup, monkeypatch):
     assert counts["gauss gradients"] == len(assembled) + 1
     assert counts["log kernel"] == len(assembled)
     assert rep.breakdown == energies.assemble_J_eps(domain, model, y, P)
+
+
+def test_sobolev_and_raw_P_steps_reach_the_same_minimum(setup):
+    """From the stationarity test's random start, the preconditioned
+    minimize_P and the raw-gradient projected descent on the same energy both
+    converge, to the same J."""
+    cell, domain, model, grid = setup
+    rng = np.random.default_rng(1)
+    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)), bc="zero")
+    P0 = PlasticField(grid, 0.5 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
+    _, rep = mz.minimize_P(domain, model, y, P0, tol=1e-7)
+
+    def raw(P):
+        bd, g = energies.value_and_grad_J_eps(domain, model, y, P)
+        return bd, lambda: (g.grad_m, None)
+
+    _, rep_raw = mz._projected_descent(raw, P0, 1e-7, 10_000)
+    assert rep.converged and rep_raw.converged
+    assert rep.final_value == pytest.approx(rep_raw.final_value, rel=1e-9)
+    assert rep.inner_iterations[0] < rep_raw.inner_iterations[0]
+
+
+def _quadratic_outside_ball(metric_is_hessian):
+    """A synthetic P-step energy 0.5 sum_k (m_k - c_k).A(m_k - c_k) on a 3x3
+    node grid with a dense SPD A whose minimiser c lies outside the K ball at
+    every node; the metric is A itself or None (raw gradient)."""
+    grid = Grid(2, 2)
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((grid.n_nodes, grid.n_nodes))
+    A = scipy.sparse.csr_matrix(B @ B.T / grid.n_nodes + 0.05 * np.eye(grid.n_nodes))
+    c = rng.standard_normal((grid.n_nodes, 3))
+    assert np.linalg.norm(c, axis=1).min() > 0.3
+
+    def evaluate(P):
+        r = P.coeffs - c
+        value = 0.5 * float(np.sum(r * (A @ r)))
+        return energies.EnergyBreakdown.from_parts(value, 0.0, 0.0, 0.0, 0.0), \
+            lambda: (A @ r, A if metric_is_hessian else None)
+
+    return evaluate, PlasticField.identity(grid, 0.3)
+
+
+def test_binding_K_ball_falls_back_to_the_raw_gradient():
+    """Where the K ball binds, the radial projection of a preconditioned step
+    can climb: the safeguard steps along the raw gradient there, so the
+    preconditioned descent reaches the raw one's projected-stationary point
+    with a nonincreasing energy trace."""
+    results = []
+    for metric_is_hessian in (False, True):
+        evaluate, P0 = _quadratic_outside_ball(metric_is_hessian)
+        P, rep = mz._projected_descent(evaluate, P0, 1e-10, 500)
+        assert rep.converged
+        assert all(b <= a + 1e-12 for a, b in zip(rep.energy_trace, rep.energy_trace[1:]))
+        results.append((P.coeffs, rep.final_value))
+    (m_raw, J_raw), (m_pre, J_pre) = results
+    assert np.linalg.norm(m_raw, axis=1) == pytest.approx(0.3)
+    assert J_pre == pytest.approx(J_raw, rel=1e-12)
+    assert np.abs(m_pre - m_raw).max() < 1e-6
+
+
+def test_first_round_P_steps_do_not_grow_with_refinement():
+    """Mesh independence of the composite P-step: in a block4 sweep over
+    eps = 1/4, 1/8, 1/16, each started from the previous minimizer as the
+    study does, the first outer round's P-step takes at most 30 iterations
+    (the raw gradient took 55, 80 and 145)."""
+    cell = mg.builtin_cell("block4")
+    model = materials.default_material(dim=2)
+    prev = None
+    for n_cells in (4, 8, 16):
+        domain = mg.build_micro_domain(cell, n_cells, strip=0.5)
+        init = None if prev is None else (prolong_deformation(prev[0], domain.grid),
+                                          prolong_plastic(prev[1], domain.grid))
+        y, P, _, rep = mz.minimize_J_eps(domain, model, init=init)
+        assert rep.converged
+        assert rep.inner_iterations[0][1] <= 30
+        prev = (y, P)
+
+
+def test_non_finite_energy_or_gradient_raises():
+    """A NaN trial energy, a NaN gradient and an infinite start energy each
+    raise NonFiniteEnergy instead of failing the line search in silence."""
+    evaluate, P0 = _quadratic_outside_ball(True)
+
+    def nan_trials(P):
+        bd, finish = evaluate(P)
+        if P.coeffs.any():
+            bd = energies.EnergyBreakdown.from_parts(np.nan, 0.0, 0.0, 0.0, 0.0)
+        return bd, finish
+
+    def nan_gradient(P):
+        bd, finish = evaluate(P)
+        return bd, lambda: (np.full_like(P.coeffs, np.nan), None)
+
+    for bad in (nan_trials, nan_gradient):
+        with pytest.raises(mz.NonFiniteEnergy):
+            mz._projected_descent(bad, P0, 1e-10, 500)
+
+    grid = P0.grid
+    inf_start = energies.EnergyBreakdown.from_parts(np.inf, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(mz.NonFiniteEnergy):
+        mz._alternate(lambda y, P: inf_start, None, None, grid, 0.3, None, mz.Schedule())
