@@ -199,20 +199,16 @@ class Grid:
         out += (self._operators().values.T @ flat).reshape(out.shape) * (self.gauss_weight * self.h**self.dim)
 
     def stiffness(self, blocks: np.ndarray, element_mask=None) -> scipy.sparse.csr_matrix:
-        """Sparse matrix over node-major dofs (node * m + component) from
-        per-element blocks (E', 2^d m, 2^d m) with rows and columns ordered
-        (corner, component); blocks of elements sharing a dof are summed.
-
-        The number m of components per node is read off the block width:
-        m = 1 for a scalar field, m = d for a deformation."""
+        """Sparse (n_nodes, n_nodes) operator of a scalar nodal field from
+        per-element blocks (E', 2^d, 2^d) with rows and columns in corner
+        order; blocks of elements sharing a node are summed.  A vector field
+        whose components decouple takes this operator with one right-hand
+        side column per component."""
         nodes = self.el_nodes if element_mask is None else self.el_nodes[element_mask]
-        m = np.shape(blocks)[-1] // self.n_corners
-        dofs = (nodes[:, :, None] * m + np.arange(m)).reshape(len(nodes), -1)
-        width = dofs.shape[1]
-        rows = np.repeat(dofs, width, axis=1).reshape(-1)
-        cols = np.tile(dofs, (1, width)).reshape(-1)
-        n_dof = self.n_nodes * m
-        return scipy.sparse.coo_matrix((np.reshape(blocks, -1), (rows, cols)), shape=(n_dof, n_dof)).tocsr()
+        rows = np.repeat(nodes, self.n_corners, axis=1).reshape(-1)
+        cols = np.tile(nodes, (1, self.n_corners)).reshape(-1)
+        shape = (self.n_nodes, self.n_nodes)
+        return scipy.sparse.coo_matrix((np.reshape(blocks, -1), (rows, cols)), shape=shape).tocsr()
 
     def integrate(self, per_gauss: np.ndarray, element_mask=None) -> float:
         """Integral of a per-(element, gauss) scalar sample over the (masked) elements."""

@@ -79,6 +79,9 @@ class StudyConfig:
             for key in keys:
                 if key not in known:
                     raise ConfigError(f"unknown {block} key {key!r}; known keys: {', '.join(known)}")
+        if self.toggles.get("correction"):
+            raise ConfigError("toggles.correction is not supported yet: the recovery check does not "
+                              "run the correction stage")
         if self.acceptance is not None and not self.acceptance:
             raise ConfigError(f"acceptance block names no check; known keys: {', '.join(ACCEPTANCE_KEYS)}")
 

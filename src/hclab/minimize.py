@@ -4,18 +4,22 @@ Both functionals run through one alternation, ``_alternate``: a y-step at
 fixed plastic strain, then a P-step at fixed deformation, until an outer
 round lowers the energy by less than ``Schedule.outer_tol``.  The y-step is
 quadratic in y for the default densities; both functionals assemble it in
-one shape, from per-Gauss d x d coefficients (``_quadratic_y_system``), and
-solve it by Jacobi-preconditioned conjugate gradients.  A quasi-Newton
-descent path covers generic composite densities and doubles as an
-independent cross-check.  The P-step (``_projected_descent``) is projected
-descent in the nodal log coordinates with an Armijo line search on the
-assembled energy; the radial projection keeps every iterate inside the K
+one shape, from per-Gauss d x d coefficients (``_quadratic_y_system``).  A
+quasi-Newton descent path covers generic composite densities and doubles as
+an independent cross-check.  The P-step (``_projected_descent``) is
+projected descent in the nodal log coordinates with an Armijo line search on
+the assembled energy; the radial projection keeps every iterate inside the K
 ball, so determinants stay unimodular by construction.  The composite P-step
 is a Sobolev-gradient descent: its direction solves H x = g with the lagged
 H1 operator of the hardening and |grad P|^q terms
 (``energies.sobolev_metric``), whose h^-2 conditioning would otherwise
 double the iteration count with each halving of eps.  The homogenized P-step
 keeps the raw gradient (see ``LIMIT_P_ITERS``).
+
+Every nodal linear system has one shape, a scalar sparse nodal operator with
+one right-hand-side column per component (d for y, d^2 - 1 for the P
+coefficients), and one solver, the per-column Jacobi-preconditioned CG
+``_cg``.
 """
 
 from __future__ import annotations
@@ -40,12 +44,13 @@ from hclab.fields import DeformationField, Grid, PlasticField
 # while its first round still ran into this cap.
 LIMIT_P_ITERS = 60
 
-# Relative residual at which the CG solve for the composite P-step's
-# direction stops.  The step needs a descent direction close to H^{-1} g, not
-# H^{-1} g itself: the answer's accuracy is set by the Euclidean stop test.
-# On the chained block4 sweep eps = 1/4..1/32, 1e-2 and 1e-6 give the same
-# P-step iteration counts as 1e-3, and 1e-1 up to 4 more per round; 1e-3
-# keeps a decade of margin for about 1.5x the CG iterations of 1e-2.
+# Relative residual, per column, at which the CG solve for the composite
+# P-step's direction stops.  The step needs a descent direction close to
+# H^{-1} g, not H^{-1} g itself: the answer's accuracy is set by the Euclidean
+# stop test.  On the chained block4 sweep eps = 1/4..1/32, 1e-2 and 1e-6 give
+# the same P-step iteration counts as 1e-3, and 1e-1 up to 3 more per round;
+# 1e-3 keeps a decade of margin for about 1.6x the CG iterations of 1e-2
+# (1,757 against 1,126, summed over columns, at 1/32).
 SOBOLEV_CG_RTOL = 1e-3
 
 
@@ -87,19 +92,16 @@ def _quadratic_y_system(grid: Grid, scale, A: np.ndarray, b: np.ndarray):
         sum_g wq (scale sum_i U_i A U_i^T + b : U),
 
     with ``scale`` per element (or a scalar) and A, b of shape (E, g, d, d).
-    The quadratic part acts alike on every component of y, so the element
-    blocks are the scalar 2 wq scale dN . A . dN repeated on the diagonal of
-    the components.
+    The quadratic part acts alike on every component of y, so K is the scalar
+    nodal operator with element blocks 2 wq scale dN . A . dN, shape
+    (n_nodes, n_nodes), and f holds one column per component, shape
+    (n_nodes, d).
     """
-    d = grid.dim
-    wq = grid.gauss_weight * grid.h**d
+    wq = grid.gauss_weight * grid.h**grid.dim
     gAg = np.einsum("gnk,egkl,gml->enm", grid.dN_gauss, A, grid.dN_gauss)
-    blocks = 2.0 * wq * np.asarray(scale)[..., None, None] * gAg
-    width = grid.n_corners * d
-    expanded = np.einsum("enm,ij->enimj", blocks, np.eye(d)).reshape(len(blocks), width, width)
-    f = np.zeros((grid.n_nodes, d))
+    f = np.zeros((grid.n_nodes, grid.dim))
     grid.accumulate_from_gradients(-b, f)
-    return grid.stiffness(expanded), f.reshape(-1)
+    return grid.stiffness(2.0 * wq * np.asarray(scale)[..., None, None] * gAg), f
 
 
 def _assemble_y_system(domain, model, P: PlasticField):
@@ -123,105 +125,84 @@ def _assemble_y_system(domain, model, P: PlasticField):
     return _quadratic_y_system(grid, scale2, np.matmul(Pinv, PinvT), drive)
 
 
-def _free_dofs(grid: Grid, bc: str) -> np.ndarray:
-    if bc == "zero":
-        return ~np.repeat(grid.boundary_node_mask(), grid.dim)
-    return np.ones(grid.n_nodes * grid.dim, dtype=bool)
+def _cg(K, B: np.ndarray, X0: np.ndarray, rtol: float, max_iter: int):
+    """Solve K X = B for every column of B by Jacobi-preconditioned CG, each
+    column started from that column of X0 and stopped once its residual is
+    at most ``rtol`` times its right-hand side.
+
+    Returns X, the largest per-column iteration count, the norm of K X - B and
+    whether every column converged.  A zero column returns zero.  From X0 = 0
+    every CG iterate x of a non-zero column b has b.x = x.Kx > 0, so for a
+    gradient B, X is a descent direction."""
+    M = scipy.sparse.diags(1.0 / np.maximum(K.diagonal(), 1e-30))
+    X = np.empty_like(B)
+    iters = 0
+    converged = True
+    for j in range(B.shape[1]):
+        count = [0]
+
+        def step(_):
+            count[0] += 1
+
+        X[:, j], info = scipy.sparse.linalg.cg(K, B[:, j], x0=X0[:, j], M=M, maxiter=max_iter,
+                                               rtol=rtol, atol=0.0, callback=step)
+        iters = max(iters, count[0])
+        converged &= info == 0
+    return X, iters, float(np.linalg.norm(K @ X - B)), converged
 
 
-def _solve_y(grid: Grid, K, f: np.ndarray, y0: np.ndarray, bc: str, tol: float, max_iter: int):
-    """Jacobi-preconditioned CG for K x = f on the free dofs of ``bc``, x = 0
-    elsewhere, started from the nodal values ``y0``.
+def _solve_y(grid: Grid, K, f: np.ndarray, y0: np.ndarray, tol: float, max_iter: int):
+    """``_cg`` for K y = f on the interior nodes, y = 0 on the boundary,
+    started from the nodal values ``y0``.
 
-    Returns the field, the iteration count, the residual norm on the free
-    dofs and whether CG reached ``tol``."""
-    free = _free_dofs(grid, bc)
-    Kff = K[free][:, free]
-    ff = f[free]
-    M = scipy.sparse.diags(1.0 / np.maximum(Kff.diagonal(), 1e-30))
-    iters = [0]
-
-    def count(_):
-        iters[0] += 1
-
-    sol, info = scipy.sparse.linalg.cg(Kff, ff, x0=y0.reshape(-1)[free], M=M, maxiter=max_iter,
-                                       rtol=tol, atol=0.0, callback=count)
-    x = np.zeros(len(f))
-    x[free] = sol
-    y = DeformationField(grid, x.reshape(grid.n_nodes, grid.dim), bc=bc)
-    return y, iters[0], float(np.linalg.norm(Kff @ sol - ff)), info == 0
+    Returns the field, the iteration count, the residual norm on the interior
+    nodes and whether CG reached ``tol``."""
+    free = ~grid.boundary_node_mask()
+    sol, iters, resid, ok = _cg(K[free][:, free], f[free], y0[free], tol, max_iter)
+    vals = np.zeros((grid.n_nodes, grid.dim))
+    vals[free] = sol
+    return DeformationField(grid, vals), iters, resid, ok
 
 
 def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = None,
-               bc: str = "zero", tol: float = 1e-10, max_iter: int = 10_000,
-               force_descent: bool = False):
-    """Minimize the energy over the deformation at fixed plastic strain.
+               tol: float = 1e-10, max_iter: int = 10_000, force_descent: bool = False):
+    """Minimize the energy over the deformation at fixed plastic strain, with
+    zero trace on the boundary.
 
-    Quadratic densities: the Hessian system is solved by Jacobi-preconditioned
-    conjugate gradients to the requested tolerance.  Otherwise (or when
-    forced) quasi-Newton descent on the assembled energy with the analytic
-    gradient.  The report's energy trace holds the final value alone.
+    Quadratic densities: the Hessian system is solved by ``_cg`` to the
+    requested tolerance.  Otherwise (or when forced) quasi-Newton descent on
+    the assembled energy with the analytic gradient.  The report's energy
+    trace holds the final value alone.
     """
     grid = domain.grid
     y0v = y0.values if y0 is not None else np.zeros((grid.n_nodes, grid.dim))
 
     if _both_quadratic(model) and not force_descent:
         K, f = _assemble_y_system(domain, model, P)
-        y, iters, resid, ok = _solve_y(grid, K, f, y0v, bc, tol, max_iter)
+        y, iters, resid, ok = _solve_y(grid, K, f, y0v, tol, max_iter)
         value = energies.assemble_J_eps(domain, model, y, P).total
         return y, SolveReport(final_value=value, energy_trace=[value], inner_iterations=[iters],
                               gradient_norms=[resid], converged=ok)
 
     # descent path
-    free = _free_dofs(grid, bc)
+    free = ~grid.boundary_node_mask()
 
     def field(x):
-        vals = np.zeros(grid.n_nodes * grid.dim)
-        vals[free] = x
-        return DeformationField(grid, vals.reshape(grid.n_nodes, grid.dim), bc=bc)
+        vals = np.zeros((grid.n_nodes, grid.dim))
+        vals[free] = x.reshape(-1, grid.dim)
+        return DeformationField(grid, vals)
 
     def objective(x):
         bd, g = energies.value_and_grad_J_eps(domain, model, field(x), P)
-        return bd.total, g.grad_y.reshape(-1)[free]
+        return bd.total, g.grad_y[free].reshape(-1)
 
-    res = scipy.optimize.minimize(objective, y0v.reshape(-1)[free], jac=True, method="L-BFGS-B",
+    res = scipy.optimize.minimize(objective, y0v[free].reshape(-1), jac=True, method="L-BFGS-B",
                                   options={"maxiter": max_iter, "gtol": tol, "ftol": 0.0})
     gnorm = float(np.linalg.norm(res.jac))
     report = SolveReport(final_value=float(res.fun), energy_trace=[float(res.fun)],
                          inner_iterations=[int(res.nit)], gradient_norms=[gnorm],
                          converged=bool(res.success) or gnorm <= tol * (1 + abs(res.fun)))
     return field(res.x), report
-
-
-def _sobolev_direction(H, g: np.ndarray) -> np.ndarray:
-    """H^{-1} g for every column of ``g`` by one Jacobi-preconditioned CG
-    over all columns, started from zero, until each column's residual is at
-    most SOBOLEV_CG_RTOL times its right-hand side.  Every CG iterate x from
-    zero has g.x = x.Hx > 0, so the result is a descent direction.  The
-    columns are kept as rows, so that the per-column dot products run over
-    contiguous memory."""
-    def dots(a, b):
-        return np.einsum("ij,ij->i", a, b)
-
-    dinv = 1.0 / H.diagonal()
-    r = np.array(g.T)
-    x = np.zeros_like(r)
-    z = dinv * r
-    p = z.copy()
-    rz = dots(r, z)
-    target = SOBOLEV_CG_RTOL**2 * dots(r, r)
-    for _ in range(len(g)):
-        if (dots(r, r) <= target).all():
-            break
-        Hp = (H @ p.T).T
-        alpha = np.divide(rz, dots(p, Hp), out=np.zeros_like(rz), where=rz > 0.0)[:, None]
-        x += alpha * p
-        r -= alpha * Hp
-        z = dinv * r
-        rz_next = dots(r, z)
-        p = z + np.divide(rz_next, rz, out=np.zeros_like(rz), where=rz > 0.0)[:, None] * p
-        rz = rz_next
-    return x.T
 
 
 def _check_finite(value, what: str) -> None:
@@ -239,8 +220,9 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
     raw gradient.  Every trial point costs one assembly, and only the
     accepted point is finished, so no point is assembled twice.
 
-    The trial point is project(m - t H^{-1} g), H^{-1} g by
-    ``_sobolev_direction``.  The Barzilai-Borwein step t = dm.H dm / dm.dg is
+    The trial point is project(m - t H^{-1} g), H^{-1} g by ``_cg`` from
+    zero to relative SOBOLEV_CG_RTOL per column, which keeps it a descent
+    direction.  The Barzilai-Borwein step t = dm.H dm / dm.dg is
     measured in the metric (dm.dm / dm.dg for the raw gradient) and starts
     at 1; an Armijo backtracking on the assembled energy, with drop =
     g.(m - cand), safeguards it.  A Euclidean projection of a non-Euclidean
@@ -315,7 +297,8 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
                     step = min(max(float(np.sum(dm * (H @ dm))) / denom, 1e-8), 1e4)
         found = None
         if H is not None:
-            found, step = search(_sobolev_direction(H, grad), step, guard=True)
+            direction = _cg(H, grad, np.zeros_like(grad), SOBOLEV_CG_RTOL, len(grad))[0]
+            found, step = search(direction, step, guard=True)
         if found is None:
             found, raw_step = search(grad, raw_step, guard=False)
         if found is None:
@@ -426,14 +409,11 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
     def y_step(y, P):
         Pg = grid.gauss_values(P.matrices()).reshape(-1, d, d)
         keys, inverse = cache.quantize(Pg)
-        A = np.empty((len(Pg), d, d))
-        b = np.empty((len(Pg), d, d))
-        for u, key in enumerate(keys):
-            tensor = cache.w1_tensor(cell, model.W_stiff, key)
-            A[inverse == u] = tensor.A
-            b[inverse == u] = tensor.b
+        tensors = [cache.w1_tensor(cell, model.W_stiff, key) for key in keys]
+        A = np.array([t.A for t in tensors])[inverse]
+        b = np.array([t.b for t in tensors])[inverse]
         K, f = _quadratic_y_system(grid, 1.0, A.reshape(shape), b.reshape(shape))
-        y, iters, _, ok = _solve_y(grid, K, f, y.values, "zero", schedule.y_tol, schedule.y_iters)
+        y, iters, _, ok = _solve_y(grid, K, f, y.values, schedule.y_tol, schedule.y_iters)
         return y, iters, ok
 
     def p_step(y, P):

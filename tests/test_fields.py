@@ -252,13 +252,12 @@ def test_csr_scatter_matches_add_at_oracle(dim, n_el, extent, masked):
         assert np.array_equal(got, 2.0 * once)
 
 
-def _oracle_stiffness(grid, blocks, element_mask=None, components=None):
+def _oracle_stiffness(grid, blocks, element_mask=None):
     els = np.arange(grid.n_elements) if element_mask is None else np.nonzero(element_mask)[0]
-    d = grid.dim if components is None else components
-    K = np.zeros((grid.n_nodes * d,) * 2)
+    K = np.zeros((grid.n_nodes,) * 2)
     for e, block in zip(els, blocks):
-        dofs = [node * d + c for node in grid.el_nodes[e] for c in range(d)]
-        K[np.ix_(dofs, dofs)] += block
+        nodes = grid.el_nodes[e]
+        K[np.ix_(nodes, nodes)] += block
     return K
 
 
@@ -269,16 +268,11 @@ def test_stiffness_matches_dense_scatter_loop(dim, n_el, extent, masked):
     rng = np.random.default_rng(10 * n_el + dim)
     mask = rng.random(grid.n_elements) < 0.6 if masked else None
     n_sel = grid.n_elements if mask is None else int(mask.sum())
-    width = grid.n_corners * dim
-    blocks = rng.standard_normal((n_sel, width, width))
+    blocks = rng.standard_normal((n_sel, grid.n_corners, grid.n_corners))
     K = grid.stiffness(blocks, element_mask=mask)
     assert K.format == "csr"
+    assert K.shape == (grid.n_nodes, grid.n_nodes)
     _assert_rel_close(K.toarray(), _oracle_stiffness(grid, blocks, mask))
-    # scalar field: one component per node, blocks (E', 2^d, 2^d)
-    scalar = rng.standard_normal((n_sel, grid.n_corners, grid.n_corners))
-    Ks = grid.stiffness(scalar, element_mask=mask)
-    assert Ks.shape == (grid.n_nodes, grid.n_nodes)
-    _assert_rel_close(Ks.toarray(), _oracle_stiffness(grid, scalar, mask, components=1))
 
 
 def test_csr_plan_shared_per_grid_shape_and_read_only():

@@ -20,6 +20,8 @@ def test_config_validation():
         lab.StudyConfig(acceptance={"max_final_gp": 0.1}).validate()  # a typo must not drop the gate
     with pytest.raises(lab.ConfigError, match="corection"):
         lab.StudyConfig(toggles={"dissipation": False, "corection": True}).validate()
+    with pytest.raises(lab.ConfigError, match="correction stage"):
+        lab.StudyConfig(toggles={"correction": True}).validate()  # would run without the stage
     with pytest.raises(lab.ConfigError, match="no check"):
         lab.StudyConfig(acceptance={}).validate()  # all([]) would pass it
     with pytest.raises(lab.ConfigError, match="plastik"):

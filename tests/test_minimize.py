@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from hclab import cellproblems as cp, energies, materials, microgeometry as mg, minimize as mz, slgeometry as sg
 from hclab.fields import DeformationField, Grid, PlasticField, prolong_deformation, prolong_plastic
@@ -186,6 +187,43 @@ def test_y_step_is_stationary_for_its_functional(setup, functional):
         second = (Jp - 2.0 * J0 + Jm) / t**2
         assert second > 0.0
         assert abs(Jp - Jm) / (2.0 * t) <= 1e-9 * second
+
+
+def test_cg_solves_each_column_of_the_y_system(setup):
+    """``_cg`` on the eps y-system at the bump P of the stationarity test:
+    each column matches a direct solve, a zero column stays exactly zero from
+    any start, a starved solve reports it, and from zero every column of a
+    loose solve is a descent direction."""
+    _, domain, model, _ = setup
+    grid = domain.grid
+    bump = np.prod(np.sin(np.pi * grid.node_coords()), axis=-1)
+    P = PlasticField(grid, 0.2 * bump[:, None] * np.array([0.9, 0.4, 0.0]), model.K_radius)
+    K, f = mz._assemble_y_system(domain, model, P)
+    assert K.shape == (grid.n_nodes, grid.n_nodes)
+    assert f.shape == (grid.n_nodes, grid.dim)
+    free = ~grid.boundary_node_mask()
+    Kff, ff = K[free][:, free], f[free]
+    assert np.linalg.norm(ff, axis=0).min() > 0.0
+    zero = np.zeros_like(ff)
+
+    X, iters, resid, ok = mz._cg(Kff, ff, zero, 1e-12, 10_000)
+    assert ok and iters > 0
+    assert resid == pytest.approx(np.linalg.norm(Kff @ X - ff))
+    for j in range(grid.dim):
+        direct = scipy.sparse.linalg.spsolve(Kff.tocsc(), ff[:, j])
+        assert np.linalg.norm(X[:, j] - direct) <= 1e-8 * np.linalg.norm(direct)
+
+    B = np.column_stack([ff[:, 0], np.zeros(len(ff))])
+    X0 = np.random.default_rng(3).standard_normal(B.shape)
+    X, _, _, ok = mz._cg(Kff, B, X0, 1e-10, 10_000)
+    assert ok
+    assert np.array_equal(X[:, 1], np.zeros(len(ff)))
+
+    assert not mz._cg(Kff, ff, zero, 1e-10, 1)[3]
+
+    X, _, _, ok = mz._cg(Kff, ff, zero, 1e-3, 10_000)
+    assert ok
+    assert (np.einsum("ij,ij->j", ff, X) > 0.0).all()
 
 
 def test_minimize_P_assembles_each_point_once(setup, monkeypatch):
