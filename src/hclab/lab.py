@@ -73,17 +73,23 @@ class StudyConfig:
             raise ConfigError("eps_list must be strictly decreasing")
         if "mask_file" in self.geometry and not Path(self.geometry["mask_file"]).exists():
             raise ConfigError(f"mask file {self.geometry['mask_file']} does not exist")
+        acceptance = self.acceptance or {}
         for block, keys, known in (("tolerances", self.tolerances, TOLERANCE_KEYS),
                                    ("toggles", self.toggles, TOGGLE_KEYS),
-                                   ("acceptance", self.acceptance or {}, ACCEPTANCE_KEYS)):
+                                   ("acceptance", acceptance, ACCEPTANCE_KEYS)):
             for key in keys:
                 if key not in known:
                     raise ConfigError(f"unknown {block} key {key!r}; known keys: {', '.join(known)}")
         if self.toggles.get("correction"):
             raise ConfigError("toggles.correction is not supported yet: the recovery check does not "
                               "run the correction stage")
-        if self.acceptance is not None and not self.acceptance:
+        if self.acceptance is not None and not acceptance:
             raise ConfigError(f"acceptance block names no check; known keys: {', '.join(ACCEPTANCE_KEYS)}")
+        if acceptance.get("recovery_bound") and not self.toggles.get("recovery_check", True):
+            raise ConfigError("acceptance.recovery_bound needs toggles.recovery_check: without the "
+                              "recovery run the bound has nothing to check")
+        if acceptance.get("require_gap_decreasing") and len(eps) < 2:
+            raise ConfigError("acceptance.require_gap_decreasing needs at least two eps values")
 
     def hash(self) -> str:
         """Short content hash of the study definition (output location excluded)."""
@@ -380,7 +386,7 @@ def evaluate_acceptance(report: StudyReport, acceptance: dict) -> list:
     if acceptance.get("max_unfold_resid") is not None:
         checks.append(("unfold_resid", all(
             row["unfold_resid"] <= acceptance["max_unfold_resid"] for row in report.rows)))
-    if acceptance.get("recovery_bound") and "recovery" in report.extras:
+    if acceptance.get("recovery_bound"):
         checks.append(("recovery_bound", report.extras["recovery"]["bound_ok"]))
     return checks
 

@@ -3,7 +3,9 @@
 Trace-free logarithm coordinates chart a neighborhood of the identity in
 SL(d).  For d=2 the matrix exponential/logarithm and their Frechet
 derivatives have closed forms via Cayley-Hamilton (M^2 = -det(M) I for
-trace-free M), vectorized over stacked arrays; d=3 falls back to scipy.
+trace-free M), vectorized over stacked arrays.  For d >= 3 all four share one
+batched power series (``_series``) inside the radii |M| <= 1 and
+|P - I| <= 0.7, and fall back to scipy beyond.
 
 The dissipation distance between two unimodular matrices is the infimum of
 the path length sum_s Delta(Phi_s, (Phi_{s+1}-Phi_s)/h) * h over piecewise
@@ -247,30 +249,45 @@ def _log_frechet_adjoint2(parts, W: np.ndarray) -> np.ndarray:
     return out
 
 
-_EXP_TERMS = 22
-_LOG_TERMS = 70
 _LOG_SERIES_RADIUS = 0.7
 
 
-def _exp_series(M: np.ndarray) -> np.ndarray:
-    """Batched Taylor exp; converges fast within the chart (|M| <= 1)."""
-    out = np.broadcast_to(np.eye(M.shape[-1]), M.shape).copy()
-    term = out.copy()
-    for n in range(1, _EXP_TERMS + 1):
-        term = np.matmul(term, M) / n
-        out = out + term
+def _series(B: np.ndarray, coeff, W: np.ndarray | None = None) -> np.ndarray:
+    """sum_{n>=1} coeff(n) B^n on stacked matrices, or with W the Frechet sum
+    sum_{n>=1} coeff(n) S_n, S_n = sum_{i+j=n-1} B^i W B^j, by the recurrence
+    S_{n+1} = B S_n + W B^n (two batched matmuls per term).
+
+    Stops once two consecutive terms leave the sum bit for bit unchanged.  One
+    is not enough for the Frechet sum: S_n vanishes for every even n when
+    B = diag(b, -b, 0) and W = E_12, but two consecutive S_n ~ 0 force
+    W B^n ~ 0 and so every later term.  The callers' radius checks make the terms decay
+    geometrically, so the loop ends."""
+    Bn = B
+    S = B if W is None else np.broadcast_to(W, B.shape)
+    out = coeff(1) * S
+    new = np.empty_like(out)  # the sum swaps between two buffers: a term allocates only matmuls
+    n, quiet = 1, 0
+    while quiet < 2:
+        n += 1
+        if W is None:
+            S = Bn = np.matmul(Bn, B)
+        else:
+            S = np.matmul(B, S)
+            S += np.matmul(W, Bn)
+            Bn = np.matmul(Bn, B)
+        np.multiply(S, coeff(n), out=new)
+        new += out
+        quiet = quiet + 1 if np.array_equal(new, out) else 0
+        out, new = new, out
     return out
 
 
-def _log_series(P: np.ndarray) -> np.ndarray:
-    """Batched Mercator log around the identity (spectral radius < 1)."""
-    B = P - np.eye(P.shape[-1])
-    out = np.zeros_like(B)
-    term = np.broadcast_to(np.eye(P.shape[-1]), P.shape).copy()
-    for n in range(1, _LOG_TERMS + 1):
-        term = np.matmul(term, B)
-        out = out + ((-1.0) ** (n + 1) / n) * term
-    return out
+def _exp_coeff(n: int) -> float:
+    return 1.0 / math.factorial(n)
+
+
+def _log_coeff(n: int) -> float:
+    return (-1.0) ** (n + 1) / n
 
 
 def exp_batch(M: np.ndarray) -> np.ndarray:
@@ -280,36 +297,24 @@ def exp_batch(M: np.ndarray) -> np.ndarray:
     if M.shape[-1] == 2:
         return _exp_tf2(M)
     if np.linalg.norm(M, axis=(-2, -1)).max(initial=0.0) <= 1.0:
-        return _exp_series(M)
+        return np.eye(M.shape[-1]) + _series(M, _exp_coeff)
     flat = M.reshape(-1, M.shape[-2], M.shape[-1])
     out = np.stack([scipy.linalg.expm(m) for m in flat])
     return out.reshape(M.shape)
 
 
 def log_batch(P: np.ndarray) -> np.ndarray:
-    """Principal log on stacked matrices near the identity."""
+    """Principal log on stacked matrices near the identity (closed form for
+    2x2, Mercator series for |P - I| <= 0.7 otherwise, scipy beyond)."""
     P = np.asarray(P, dtype=float)
     if P.shape[-1] == 2:
         return _log2_parts(P)[0]
-    dev = np.linalg.norm(P - np.eye(P.shape[-1]), axis=(-2, -1))
-    if dev.max(initial=0.0) <= _LOG_SERIES_RADIUS:
-        return _log_series(P)
+    B = P - np.eye(P.shape[-1])
+    if np.linalg.norm(B, axis=(-2, -1)).max(initial=0.0) <= _LOG_SERIES_RADIUS:
+        return _series(B, _log_coeff)
     flat = P.reshape(-1, P.shape[-2], P.shape[-1])
     out = np.stack([np.real(scipy.linalg.logm(p)) for p in flat])
     return out.reshape(P.shape)
-
-
-def _frechet_series_apply(B: np.ndarray, W: np.ndarray, coeffs) -> np.ndarray:
-    """sum_n c_n S_n with S_n = sum_{i+j=n-1} B^i W B^j, via the recurrence
-    S_{n+1} = B S_n + W B^n (two batched matmuls per term)."""
-    S = np.broadcast_to(W, B.shape).copy()
-    Bn = np.broadcast_to(np.eye(B.shape[-1]), B.shape).copy()
-    out = coeffs[0] * S
-    for n in range(1, len(coeffs)):
-        Bn = np.matmul(Bn, B)
-        S = np.matmul(B, S) + np.matmul(W, Bn)
-        out = out + coeffs[n] * S
-    return out
 
 
 def exp_frechet_adjoint(M: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -317,15 +322,15 @@ def exp_frechet_adjoint(M: np.ndarray, W: np.ndarray) -> np.ndarray:
 
     Meaningful modulo trace: contractions against trace-free directions are
     exact, which is the only way gradient chains use it.  The 2x2 branch
-    differentiates the Cayley-Hamilton closed form; the generic branch applies
-    L_f(A)^* = L_f(A^T) through the batched power series."""
+    differentiates the Cayley-Hamilton closed form.  Otherwise the adjoint is
+    L_exp(M^T, W): the Frechet series of exp at M^T for |M| <= 1, scipy's
+    expm_frechet beyond."""
     M = np.asarray(M, dtype=float)
     W = np.asarray(W, dtype=float)
     if M.shape[-1] == 2:
         return _exp_tf_frechet_adjoint2(M, W)
     if np.linalg.norm(M, axis=(-2, -1)).max(initial=0.0) <= 1.0:
-        coeffs = [1.0 / math.factorial(n) for n in range(1, _EXP_TERMS + 1)]
-        return _frechet_series_apply(np.swapaxes(M, -1, -2), W, coeffs)
+        return _series(np.swapaxes(M, -1, -2), _exp_coeff, W)
     flat_m = M.reshape(-1, M.shape[-2], M.shape[-1])
     flat_w = np.broadcast_to(W, M.shape).reshape(flat_m.shape)
     outs = [scipy.linalg.expm_frechet(m.T, w, compute_expm=False) for m, w in zip(flat_m, flat_w)]
@@ -333,27 +338,22 @@ def exp_frechet_adjoint(M: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def log_frechet_adjoint(A: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """(d log_A)^* W: closed form for 2x2, batched Mercator series near the
-    identity, block-matrix logm fallback."""
+    """(d log_A)^* W = L_log(A^T, W).  The 2x2 branch differentiates the
+    closed form.  Otherwise it is the Frechet series of the Mercator log at
+    A^T for |A - I| <= 0.7, and beyond that the upper-right block of
+    logm([[A^T, W], [0, A^T]])."""
     A = np.asarray(A, dtype=float)
     W = np.asarray(W, dtype=float)
     if A.shape[-1] == 2:
         return _log_frechet_adjoint2(_log2_parts(A)[1], W)
     d = A.shape[-1]
-    dev = np.linalg.norm(A - np.eye(d), axis=(-2, -1))
-    if dev.max(initial=0.0) <= _LOG_SERIES_RADIUS:
-        coeffs = [(-1.0) ** (n + 1) / n for n in range(1, _LOG_TERMS + 1)]
-        B = np.swapaxes(A, -1, -2) - np.eye(d)
-        return _frechet_series_apply(B, W, coeffs)
+    B = np.swapaxes(A, -1, -2) - np.eye(d)
+    if np.linalg.norm(B, axis=(-2, -1)).max(initial=0.0) <= _LOG_SERIES_RADIUS:
+        return _series(B, _log_coeff, W)
     flat_a = A.reshape(-1, d, d)
     flat_w = np.broadcast_to(W, A.shape).reshape(flat_a.shape)
-    outs = []
-    for a, w in zip(flat_a, flat_w):
-        blk = np.zeros((2 * d, 2 * d))
-        blk[:d, :d] = a.T
-        blk[d:, d:] = a.T
-        blk[:d, d:] = w
-        outs.append(np.real(scipy.linalg.logm(blk))[:d, d:])
+    outs = [np.real(scipy.linalg.logm(np.block([[a.T, w], [np.zeros_like(a), a.T]])))[:d, d:]
+            for a, w in zip(flat_a, flat_w)]
     return np.stack(outs).reshape(A.shape)
 
 
@@ -544,12 +544,11 @@ def dissipation_distance_batch(P_bar: np.ndarray, P: np.ndarray, segments: int =
     return segments * np.linalg.norm(step, axis=(-2, -1))
 
 
-def dissipation_integral(domain, P_bar, P, phase: int, segments: int = 8, iters: int = 0) -> float:
+def dissipation_integral(domain, P_bar, P, phase: int, segments: int = 8) -> float:
     """Quadrature of chi^phase(x) D(P_bar(x), P(x)) over the composite.
 
-    Fields are PlasticField instances on the domain grid.  By default each
-    Gauss point uses the exp-curve upper-bound evaluation (iters = 0); pass
-    iters > 0 to refine every point by descent.
+    Fields are PlasticField instances on the domain grid.  Each Gauss point
+    uses the exp-curve upper-bound evaluation of dissipation_distance_batch.
     """
     from hclab import fields as _fields
 
@@ -563,13 +562,6 @@ def dissipation_integral(domain, P_bar, P, phase: int, segments: int = 8, iters:
     Pg = grid.gauss_values(P.matrices())
     Pbg = grid.gauss_values(P_bar.matrices())
     mask = domain.soft_field.reshape(-1) if phase == 0 else ~domain.soft_field.reshape(-1)
-    Pg, Pbg = Pg[mask], Pbg[mask]
-    if iters <= 0:
-        dvals = dissipation_distance_batch(Pbg, Pg, segments=segments)
-    else:
-        dvals = np.empty(Pg.shape[:2])
-        for e in range(Pg.shape[0]):
-            for g in range(Pg.shape[1]):
-                dvals[e, g], _ = dissipation_distance(Pbg[e, g], Pg[e, g], segments=segments, iters=iters)
+    dvals = dissipation_distance_batch(Pbg[mask], Pg[mask], segments=segments)
     w = grid.gauss_weight
     return float(np.sum(dvals) * w * grid.h**grid.dim)

@@ -26,8 +26,14 @@ def test_config_validation():
         lab.StudyConfig(acceptance={}).validate()  # all([]) would pass it
     with pytest.raises(lab.ConfigError, match="plastik"):
         lab.StudyConfig(tolerances={"outer": 1e-8, "plastik": 1e-3}).validate()  # would run at 1e-7
+    off = {"dissipation": False, "recovery_check": False, "correction": False}
+    with pytest.raises(lab.ConfigError, match="recovery_check"):
+        lab.StudyConfig(toggles=off, acceptance={"recovery_bound": True}).validate()  # never evaluated
+    with pytest.raises(lab.ConfigError, match="two eps"):
+        lab.StudyConfig(eps_list=[0.25], acceptance={"require_gap_decreasing": True}).validate()  # all([])
     lab.StudyConfig().validate()
     lab.StudyConfig(acceptance={"max_gap_all": 1e-3}).validate()
+    lab.StudyConfig(acceptance={"recovery_bound": True, "require_gap_decreasing": True}).validate()
 
 
 def test_load_config_rejects_unknown_top_level_key(tmp_path):

@@ -240,7 +240,14 @@ def test_dissipation_continuity_under_uniform_convergence():
     assert errs[-1] < 0.05 * ref
 
 
+def _with_norm(X, r):
+    return X * (r / np.linalg.norm(X, axis=(-2, -1), keepdims=True))
+
+
 def test_series_paths_match_scipy_in_3d():
+    """exp, log and both Frechet adjoints in 3D: the series inside the radii
+    |M| <= 1 and |P - I| <= 0.7, just inside and just outside them (the
+    scipy branches), and exact sums where the terms vanish."""
     rng = np.random.default_rng(16)
     basis = sg.sl_basis(3)
     for _ in range(30):
@@ -255,6 +262,59 @@ def test_series_paths_match_scipy_in_3d():
         ref = np.einsum("ij,kij->k", scipy.linalg.expm_frechet(M.T, W, compute_expm=False), basis)
         assert np.abs(ours - ref).max() < 1e-12
 
+    # |M| = 0.99 (series) and 1.05 (scipy), batched per branch
+    for r in (0.99, 1.05):
+        M = _with_norm(sg.coeffs_to_matrices(rng.standard_normal((10, 8)), 3), r)
+        W = rng.standard_normal(M.shape)
+        assert np.abs(sg.exp_batch(M) - np.array([scipy.linalg.expm(m) for m in M])).max() < 1e-13
+        got = sg.exp_frechet_adjoint(M, W)
+        want = np.array([scipy.linalg.expm_frechet(m.T, w, compute_expm=False) for m, w in zip(M, W)])
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+    # Gauss-like non-unimodular P, |P - I| = 0.69 (series; rank-one B = +-0.69 u u^T
+    # has spectral radius 0.69, the slowest Mercator decay) and 0.75 (scipy)
+    eye = np.eye(3)
+    u = rng.standard_normal((10, 3))
+    edge = np.concatenate([rng.standard_normal((10, 3, 3)),
+                           rng.choice([-1.0, 1.0], (10, 1, 1)) * np.einsum("ni,nj->nij", u, u)])
+    for A, tol in ((_near_identity(rng, 50, 3), 1e-13),
+                   (eye + _with_norm(edge, 0.69), 1e-14),
+                   (eye + _with_norm(rng.standard_normal((5, 3, 3)), 0.75), 1e-13)):
+        want = np.array([np.real(scipy.linalg.logm(a)) for a in A])
+        assert np.abs(sg.log_batch(A) - want).max() < tol
+        W = rng.standard_normal(A.shape)
+        got = sg.log_frechet_adjoint(A, W)
+        want = np.array([_logm_adjoint_oracle(a, w) for a, w in zip(A, W)])
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+    # The series stop once the terms vanish: log I = 0, log(I + N) = N - N^2/2
+    # for nilpotent N, and S_n = 0 at every even n for B = diag(b, -b, 0), W = E_12
+    assert np.array_equal(sg.log_batch(eye), np.zeros((3, 3)))
+    N = _with_norm(np.triu(rng.standard_normal((3, 3)), 1), 0.6)
+    assert np.array_equal(sg.log_batch(eye + N), N - N @ N / 2)
+    E12 = np.outer(eye[0], eye[1])
+    A = np.diag([1.4, 0.6, 1.0])
+    assert sg.log_frechet_adjoint(A, E12) == pytest.approx(_logm_adjoint_oracle(A, E12), abs=1e-14)
+    M = np.diag([0.3, -0.3, 0.0])
+    want = scipy.linalg.expm_frechet(M, E12, compute_expm=False)
+    assert sg.exp_frechet_adjoint(M, E12) == pytest.approx(want, abs=1e-14)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 10**6), st.floats(0.0, 0.9), st.floats(1.05, 1.4),
+       st.floats(0.8, 1.2).filter(lambda s: abs(s - 1.0) > 1e-3))
+def test_exp_log_sl_round_trip_and_chart_errors(d, seed, r, r_out, scale):
+    """log_sl inverts exp_sl inside the chart, rejects a scaled P as not
+    unimodular, and rejects |log P| > 1 (in 3D through the scipy fallback)."""
+    c = np.random.default_rng(seed).standard_normal(d * d - 1)
+    M = sg.coeffs_to_matrices(c / np.linalg.norm(c), d)
+    P = sg.exp_sl(r * M)
+    assert np.abs(sg.log_sl(P).entries - r * M).max() < 1e-10
+    with pytest.raises(sg.NotUnimodular):
+        sg.log_sl(scale * P)
+    with pytest.raises(sg.LogDomain):
+        sg.log_sl(sg.exp_sl(r_out * M))
+
 
 # -- 2x2 closed-form log and its Frechet adjoint ---------------------------------
 
@@ -266,12 +326,12 @@ def _with_c_mu(c, mu):
     return c * np.eye(2) + np.sqrt(abs(mu)) * B
 
 
-def _near_identity_2x2(rng, n):
+def _near_identity(rng, n, d=2):
     """Non-unimodular matrices near I, as the Gauss-point interpolants of P are."""
-    c = rng.standard_normal((n, 3))
+    c = rng.standard_normal((n, d * d - 1))
     c *= (0.4 * rng.random(n) / np.linalg.norm(c, axis=1))[:, None]
-    P = sg.exp_batch(sg.coeffs_to_matrices(c, 2))
-    return P * rng.uniform(0.9, 1.1, n)[:, None, None] + 0.02 * rng.standard_normal((n, 2, 2))
+    P = sg.exp_batch(sg.coeffs_to_matrices(c, d))
+    return P * rng.uniform(0.9, 1.1, n)[:, None, None] + 0.02 * rng.standard_normal((n, d, d))
 
 
 def _log_branch_cases():
@@ -291,15 +351,16 @@ def _log_branch_cases():
 
 def _logm_adjoint_oracle(A, W):
     """(Dlog_A)^* W as the upper-right block of logm([[A^T, W], [0, A^T]])."""
-    blk = np.zeros((4, 4))
-    blk[:2, :2] = blk[2:, 2:] = A.T
-    blk[:2, 2:] = W
-    return np.real(scipy.linalg.logm(blk))[:2, 2:]
+    d = A.shape[-1]
+    blk = np.zeros((2 * d, 2 * d))
+    blk[:d, :d] = blk[d:, d:] = A.T
+    blk[:d, d:] = W
+    return np.real(scipy.linalg.logm(blk))[:d, d:]
 
 
 def test_log2_matches_scipy_logm_on_every_branch():
     rng = np.random.default_rng(21)
-    A = np.concatenate([_log_branch_cases(), _near_identity_2x2(rng, 200)])
+    A = np.concatenate([_log_branch_cases(), _near_identity(rng, 200)])
     r = (np.trace(A, axis1=1, axis2=2) / 2) ** 2 - np.linalg.det(A)
     assert (r > 0).any() and (r < 0).any()
     got = sg.log_batch(A)
@@ -309,7 +370,7 @@ def test_log2_matches_scipy_logm_on_every_branch():
 
 def test_log2_frechet_adjoint_matches_block_logm_on_every_branch():
     rng = np.random.default_rng(22)
-    A = np.concatenate([_log_branch_cases(), _near_identity_2x2(rng, 200)])
+    A = np.concatenate([_log_branch_cases(), _near_identity(rng, 200)])
     W = rng.standard_normal(A.shape)
     got = sg.log_frechet_adjoint(A, W)
     want = np.array([_logm_adjoint_oracle(a, w) for a, w in zip(A, W)])
@@ -336,7 +397,7 @@ def test_log2_kernels_raise_no_floating_point_warnings():
     """The lanes np.where discards (closed form on series lanes and the wrong
     hyperbolic/elliptic branch) must not warn."""
     rng = np.random.default_rng(23)
-    A = np.concatenate([_log_branch_cases(), np.eye(2)[None], _near_identity_2x2(rng, 50)])
+    A = np.concatenate([_log_branch_cases(), np.eye(2)[None], _near_identity(rng, 50)])
     W = rng.standard_normal(A.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
