@@ -18,9 +18,10 @@ of K solved against the d columns of int grad(phi) gives the d x d matrix Q,
 and W1hom(F) = vol W1(F R) - 1/2 tr(D Q D^T) with D = W1'(F R) R^T is a
 quadratic form in F with a d x d coefficient matrix.  The limit functional
 uses the fast path only.  A ``JLimitPass`` is one assembly of it at (y, P):
-it takes one principal log of the Gauss matrices of P, which keys the cache
-and gives the hardening, and keeps what its P-gradient needs, so the
-gradient of an assembled point is finished without a second pass.
+its ``energies.PlasticPass`` takes the one principal log of the Gauss
+matrices of P, which keys the cache and gives the hardening, and the pass
+keeps what its P-gradient needs, so the gradient of an assembled point is
+finished without a second pass.
 
 The stiff window of a (cell, resolution, lam) and the soft window of a
 (cell, resolution, formulation), each a grid with its active and free masks,
@@ -41,7 +42,7 @@ import scipy.optimize
 import scipy.sparse.linalg
 
 from hclab import slgeometry
-from hclab.energies import EnergyBreakdown, log_coefficient_gradient
+from hclab.energies import EnergyBreakdown, PlasticPass
 from hclab.fields import Grid, node_incidence_masks
 from hclab.microgeometry import CellGeometry
 
@@ -401,10 +402,10 @@ class JLimitPass:
 
     J0 books the soft cell value at F = 0 and the soft hardening fraction; J1
     carries the stiff density at the deformation gradient, the stiff
-    hardening fraction, and the plastic-gradient term.  Densities are fetched
-    through the cache at G quantized per Gauss point; the stiff density goes
-    through the quadratic cell tensor, so a non-quadratic W1 raises
-    CellProblemError.
+    hardening fraction, and the plastic-gradient term.  The P-only terms are
+    the ``PlasticPass``'s.  Densities are fetched through the cache at G
+    quantized per Gauss point; the stiff density goes through the quadratic
+    cell tensor, so a non-quadratic W1 raises CellProblemError.
     """
 
     def __init__(self, cell: CellGeometry, model, y, P, cache: HomDensityCache):
@@ -412,71 +413,57 @@ class JLimitPass:
         if P.grid.n_el != grid.n_el or P.grid.dim != grid.dim:
             raise CellProblemError("macro fields live on different grids")
         d = grid.dim
-        self.cell, self.model, self.P, self.cache = cell, model, P, cache
-        Pn = P.matrices()
-        self.Pg = grid.gauss_values(Pn).reshape(-1, d, d)
+        self.cell, self.model, self.cache = cell, model, cache
+        self.plastic = plastic = PlasticPass(model, P)
         self.Gy = grid.gauss_gradients(y.values).reshape(-1, d, d)
-        self.logs = slgeometry.log_batch(self.Pg)
 
         # stiff density through the quadratic fast path (per unique quantized G)
-        self.keys, self.inverse = cache.quantize_logs(self.logs)
-        w1_vals = np.empty(len(self.Pg))
-        soft_vals = np.zeros(len(self.Pg))
+        self.keys, self.inverse = cache.quantize_logs(plastic.logs.reshape(-1, d, d))
+        w1_vals = np.empty(len(self.Gy))
+        soft_vals = np.zeros(len(self.Gy))
         for u, key in enumerate(self.keys):
             sel = self.inverse == u
             w1_vals[sel] = cache.w1_tensor(cell, model.W_stiff, key).evaluate(self.Gy[sel])
             if not cell.degenerate:
                 soft_vals[sel] = cache.qprime(cell, model.W_soft_limit, key).value
 
-        wq = grid.gauss_weight * grid.h**d
-        Hg = model.h0 + model.h1 * np.einsum("...ij,...ij->...", self.logs, self.logs)
-        self.gradP = grid.gauss_gradients(Pn)
-        self.qn = np.einsum("egijk,egijk->eg", self.gradP, self.gradP)
         vol_s, vol_t = float(cell.vol_soft), float(cell.vol_stiff)
-        int_H = float(np.sum(Hg) * wq)
+        int_H = grid.integrate(plastic.hardening)
         self.breakdown = EnergyBreakdown.from_parts(
-            soft_elastic=vol_s * float(np.sum(soft_vals) * wq),
-            stiff_elastic=float(np.sum(w1_vals) * wq),
+            soft_elastic=vol_s * grid.integrate(soft_vals),
+            stiff_elastic=grid.integrate(w1_vals),
             hardening_soft=vol_s * int_H,
             hardening_stiff=vol_t * int_H,
-            grad_P_term=float(np.sum(self.qn ** (model.q / 2.0)) * wq),
+            grad_P_term=plastic.grad_P_term,
         )
 
     def grad_m(self) -> np.ndarray:
         """Gradient with respect to the nodal log coefficients of P.
 
-        Hardening and the q-regularizer differentiate exactly.  The stiff
-        density's G-sensitivity is recovered by central differences of the
-        cached tensors across one quantization step, least-squares fitted on
-        the exponential's tangent directions at the lattice point
+        The stiff density's slope in each log coordinate of G is the central
+        difference of the cached tensors across one quantization step
         (approximate, which only affects the step quality of the line search;
-        the Armijo test runs on the exact assembled energy).
+        the Armijo test runs on the exact assembled energy).  The slopes form
+        the log-space cotangent sum_i slope_i E_i, which the adjoint of the
+        log's differential at the Gauss values of P turns into a cotangent of
+        those values for the ``PlasticPass``.
         """
-        cell, model, cache = self.cell, self.model, self.cache
-        grid = self.P.grid
-        d = grid.dim
-        ksl = d * d - 1
-        sens = np.zeros((len(self.Gy), d, d))
+        cell, model, cache, plastic = self.cell, self.model, self.cache, self.plastic
+        basis = slgeometry.sl_basis(plastic.P.grid.dim)
+        dlog = np.empty_like(self.Gy)
         for u, key in enumerate(self.keys):
             sel = self.inverse == u
             Fsel = self.Gy[sel]
-            slopes = np.zeros((ksl, int(sel.sum())))
-            for i in range(ksl):
+            slopes = np.empty((len(basis), len(Fsel)))
+            for i in range(len(basis)):
                 tp = cache.w1_tensor(cell, model.W_stiff, tuple(k + (j == i) for j, k in enumerate(key)))
                 tm = cache.w1_tensor(cell, model.W_stiff, tuple(k - (j == i) for j, k in enumerate(key)))
                 slopes[i] = (tp.evaluate(Fsel) - tm.evaluate(Fsel)) / (2.0 * cache.step)
-            M_q = slgeometry.coeffs_to_matrices(np.asarray(key, float) * cache.step, d)
-            T = np.stack([
-                slgeometry.exp_batch(M_q + 1e-7 * slgeometry.sl_basis(d)[i]) - slgeometry.exp_batch(M_q - 1e-7 * slgeometry.sl_basis(d)[i])
-                for i in range(ksl)
-            ]) / 2e-7  # tangent directions dexp_M[E_i]
-            Gram = np.einsum("aij,bij->ab", T, T)
-            alpha = np.linalg.solve(Gram, slopes)
-            sens[sel] = np.einsum("ap,aij->pij", alpha, T)
-        shape = (grid.n_elements, grid.n_gauss, d, d)
-        hardening = 2.0 * model.h1 * slgeometry.log_frechet_adjoint(self.Pg, self.logs)
-        dP = (float(cell.vol_soft) + float(cell.vol_stiff)) * hardening.reshape(shape) + sens.reshape(shape)
-        return log_coefficient_gradient(grid, self.P, dP, self.gradP, self.qn, model.q)
+            dlog[sel] = np.einsum("ap,aij->pij", slopes, basis)
+        # the public adjoint, not the pass's closure: in 2D this is its only caller, and
+        # perfbench's per-layer counters read its calls
+        sens = slgeometry.log_frechet_adjoint(plastic.Pg, dlog.reshape(plastic.Pg.shape))
+        return plastic.gradient(sens)
 
 
 def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) -> EnergyBreakdown:

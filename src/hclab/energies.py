@@ -11,26 +11,29 @@ Gradients with respect to the nodal deformation values and the nodal log
 coordinates of P are assembled analytically; the exponential and logarithm
 differentials enter through their closed-form adjoints.
 
+The internal variable enters both functionals alike: the hardening H(P) and
+|grad P|^q pass to the homogenized limit unchanged.  So their terms are one
+``PlasticPass`` per P, which ``JEpsPass`` (here) and
+``cellproblems.JLimitPass`` each hold beside their elastic parts; its
+``gradient(dP)`` pulls a per-Gauss cotangent of the values of P back to the
+nodal log coordinates together with the P-only terms' own.
+
 A ``JEpsPass`` is one assembly at (y, P): it computes the energy and keeps
-the per-Gauss arrays (the inverse of P, F, the log chart, grad P and its
-norms) from which its gradient is finished on request.  ``assemble_J_eps``
-and ``value_and_grad_J_eps`` are thin wrappers over that pass.  The Gauss
-data that depend on y alone are a ``FixedY``, which the P-step of
-``minimize`` builds once and passes as y: every trial point is then valued
-by one pass, and at the point the line search accepts,
+the per-Gauss arrays (the inverse of P, F and its plastic pass) from which
+its gradient is finished on request, handing -F^T W'(F) P^{-T} of both
+phases to the plastic pass; a full gradient makes three scatters.
+``assemble_J_eps`` and ``value_and_grad_J_eps`` are thin wrappers over that
+pass.  The Gauss data that depend on y alone are a ``FixedY``, which the
+P-step of ``minimize`` builds once and passes as y: every trial point is
+then valued by one pass, and at the point the line search accepts,
 ``value_and_grad_J_eps`` finishes the gradient of the pass the FixedY kept
 instead of assembling that point a second time.  ``sobolev_metric`` builds
 the P-step's metric from the same kept pass.
 
-The gradient sums every P-cotangent at each Gauss point (the elastic
--F^T W'(F) P^{-T} of both phases and the hardening 2 h1 (Dlog_P)^*(log P))
-before scattering it, so a full gradient makes three scatters: the y
-cotangent, the P values and the |grad P|^q term; the last two and the
-pull-back to the nodal log coordinates are ``log_coefficient_gradient``,
-which the homogenized functional shares.  For d = 2 the stacked 2x2 products
-and inverses are written entrywise.  Reductions are plain numpy sums
-(pairwise) and the grid's CSR scatters sum in a fixed order, so repeated
-assemblies of the same state are bit-identical.
+For d = 2 the stacked 2x2 products and inverses are written entrywise.
+Reductions are plain numpy sums (pairwise) and the grid's CSR scatters sum
+in a fixed order, so repeated assemblies of the same state are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -98,20 +101,37 @@ def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_coefficient_gradient(grid, P: PlasticField, dP: np.ndarray, gradP: np.ndarray,
-                             qn: np.ndarray, q: float) -> np.ndarray:
-    """Gradient with respect to the nodal log coefficients of P from its
-    per-Gauss cotangents: ``dP`` (E, g, d, d) pairs with the values of P, and
-    the |grad P|^q term, with ``gradP`` its Gauss gradients and ``qn`` their
-    squared norms, pairs with the gradients.  One scatter each, then the
-    adjoint differential of the exponential at the nodes and the projection
-    onto the sl(d) basis."""
-    R_nodes = np.zeros((grid.n_nodes, grid.dim, grid.dim))
-    grid.accumulate_from_values(dP, R_nodes)
-    fac = q * np.power(np.maximum(qn, 1e-300), (q - 2.0) / 2.0)
-    grid.accumulate_from_gradients(fac[..., None, None, None] * gradP, R_nodes)
-    adj = slgeometry.exp_frechet_adjoint(P.log_matrices(), R_nodes)
-    return np.einsum("nij,kij->nk", adj, slgeometry.sl_basis(grid.dim))
+class PlasticPass:
+    """The terms of one P shared by J_eps and J_limit: ``Pg`` (E, g, d, d),
+    the Gauss values of P, with their principal ``logs`` and ``log_adjoint``;
+    ``gradP`` (E, g, d, d, k) and its squared norms ``qn``; the per-Gauss
+    ``hardening``; and ``grad_P_term``, the integral of |grad P|^q."""
+
+    def __init__(self, model, P: PlasticField):
+        grid = P.grid
+        self.model, self.P = model, P
+        Pn = P.matrices()
+        self.Pg = grid.gauss_values(Pn)
+        self.gradP = grid.gauss_gradients(Pn)
+        self.logs, self.log_adjoint = slgeometry.log_and_adjoint(self.Pg)
+        self.qn = np.einsum("egijk,egijk->eg", self.gradP, self.gradP)
+        self.hardening = model.hardening(self.logs)
+        self.grad_P_term = grid.integrate(self.qn ** (model.q / 2.0))
+
+    def gradient(self, dP: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the nodal log coefficients of P, given the
+        per-Gauss cotangent ``dP`` (E, g, d, d) of the values of P from the
+        other terms.  With the hardening's 2 h1 (Dlog_P)^*(log P) added, it
+        and d/dT |T|^q = q |T|^{q-2} T of the gradients are scattered once
+        each, then pulled back by the adjoint differential of the exponential
+        at the nodes and projected onto the sl(d) basis."""
+        model, grid = self.model, self.P.grid
+        R_nodes = np.zeros((grid.n_nodes, grid.dim, grid.dim))
+        grid.accumulate_from_values(2.0 * model.h1 * self.log_adjoint(self.logs) + dP, R_nodes)
+        fac = model.q * np.power(np.maximum(self.qn, 1e-300), (model.q - 2.0) / 2.0)
+        grid.accumulate_from_gradients(fac[..., None, None, None] * self.gradP, R_nodes)
+        adj = slgeometry.exp_frechet_adjoint(self.P.log_matrices(), R_nodes)
+        return np.einsum("nij,kij->nk", adj, slgeometry.sl_basis(grid.dim))
 
 
 class FixedY:
@@ -144,13 +164,11 @@ class JEpsPass:
     and 1 on stiff ones,
 
         d/dG  = s W'(F) P^{-T}
-        d/dP  = -F^T W'(F) P^{-T}
-        d/dP [h0 + h1 |log P|^2] = 2 h1 (Dlog_P)^*(log P)
-        d/dT |T|^q = q |T|^{q-2} T   for the plastic-gradient tensor T,
+        d/dP  = -F^T W'(F) P^{-T},
 
-    then from the P-space cotangents to the nodal log coordinates through the
-    adjoint differential of the exponential.  Boundary rows of the y gradient
-    are zeroed when the field carries the zero-trace condition.
+    the latter handed to the ``PlasticPass``, which adds the P-only terms and
+    pulls the sum back to the nodal log coordinates.  Boundary rows of the y
+    gradient are zeroed when the field carries the zero-trace condition.
     """
 
     def __init__(self, model, fixed: FixedY, P: PlasticField):
@@ -161,29 +179,18 @@ class JEpsPass:
         self.y, self.eps, self.scale = fixed.y, fixed.domain.eps, fixed.scale
         self.soft_els, self.stiff_els = soft_els, stiff_els = fixed.soft_els, fixed.stiff_els
         self.model, self.P = model, P
-
-        Pn = P.matrices()
-        Pg = grid.gauss_values(Pn)                       # (E, g, d, d)
-        self.Pinv = _inv_batch(Pg)
-        self.gradP = grid.gauss_gradients(Pn)            # (E, g, d, d, k)
-        self.logs, self.log_adjoint = slgeometry.log_and_adjoint(Pg)
+        self.plastic = plastic = PlasticPass(model, P)
+        self.Pinv = _inv_batch(plastic.Pg)
 
         self.F = self.scale * _matmul(fixed.G, self.Pinv)
         self.F_soft = self.F[soft_els]
         self.F_stiff = self.F[stiff_els]
-        w_soft = model.W_soft_family.value(self.eps, self.F_soft)
-        w_stiff = model.W_stiff.value(self.F_stiff)
-        Hg = model.h0 + model.h1 * np.einsum("...ij,...ij->...", self.logs, self.logs)
-        self.qn = np.einsum("egijk,egijk->eg", self.gradP, self.gradP)
-        q_term = self.qn ** (model.q / 2.0)
-
-        wq = grid.gauss_weight * grid.h**grid.dim
         self.breakdown = EnergyBreakdown.from_parts(
-            soft_elastic=float(np.sum(w_soft) * wq),
-            stiff_elastic=float(np.sum(w_stiff) * wq),
-            hardening_soft=float(np.sum(Hg[soft_els]) * wq),
-            hardening_stiff=float(np.sum(Hg[stiff_els]) * wq),
-            grad_P_term=float(np.sum(q_term) * wq),
+            soft_elastic=grid.integrate(model.W_soft_family.value(self.eps, self.F_soft)),
+            stiff_elastic=grid.integrate(model.W_stiff.value(self.F_stiff)),
+            hardening_soft=grid.integrate(plastic.hardening, element_mask=soft_els),
+            hardening_stiff=grid.integrate(plastic.hardening, element_mask=stiff_els),
+            grad_P_term=plastic.grad_P_term,
         )
 
     def gradient(self) -> GradJEps:
@@ -196,10 +203,7 @@ class JEpsPass:
         WpPinvT = _matmul(Wp, np.swapaxes(self.Pinv, -1, -2))
         grad_y = np.zeros_like(y.values)
         grid.accumulate_from_gradients(self.scale * WpPinvT, grad_y)
-
-        dP = 2.0 * model.h1 * self.log_adjoint(self.logs)
-        dP -= _matmul(np.swapaxes(self.F, -1, -2), WpPinvT)
-        grad_m = log_coefficient_gradient(grid, self.P, dP, self.gradP, self.qn, model.q)
+        grad_m = self.plastic.gradient(-_matmul(np.swapaxes(self.F, -1, -2), WpPinvT))
         if y.bc == "zero":
             grad_y[grid.boundary_node_mask()] = 0.0
         return GradJEps(grad_y=grad_y, grad_m=grad_m, crease_count=crease)
@@ -251,6 +255,6 @@ def sobolev_metric(domain, model, y, P: PlasticField):
     wq = grid.gauss_weight * grid.h**grid.dim
     mass = 2.0 * model.h1 * np.einsum("gn,gm->nm", grid.N_gauss, grid.N_gauss)
     dNdN = np.einsum("gnk,gmk->gnm", grid.dN_gauss, grid.dN_gauss).reshape(grid.n_gauss, -1)
-    lagged = model.q * point.qn ** ((model.q - 2.0) / 2.0)  # (E, g)
+    lagged = model.q * point.plastic.qn ** ((model.q - 2.0) / 2.0)  # (E, g)
     blocks = (lagged @ dNdN).reshape(-1, grid.n_corners, grid.n_corners) + mass
     return grid.stiffness(wq * blocks)

@@ -169,7 +169,7 @@ def _random_field(grid: Grid, seed: int) -> DeformationField:
 
 def _hardening_continuity_error(domain, model, P: PlasticField) -> float:
     grid = P.grid
-    Hg = model.hardening_smooth(grid.gauss_values(P.matrices()))
+    Hg = energies.PlasticPass(model, P).hardening
     soft = domain.soft_field.reshape(-1)
     int_soft = grid.integrate(Hg, element_mask=soft)
     int_all = grid.integrate(Hg)

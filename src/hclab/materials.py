@@ -176,10 +176,10 @@ class MaterialModel:
     def h1(self) -> float:
         return self.hardening_params[1]
 
-    def hardening_smooth(self, P: np.ndarray) -> np.ndarray:
-        """h0 + h1 |log P|^2 without the K indicator (assembly path: fields
-        are confined to K by construction, so the indicator never fires)."""
-        logs = slgeometry.log_batch(np.asarray(P, dtype=float))
+    def hardening(self, logs: np.ndarray) -> np.ndarray:
+        """H = h0 + h1 |log P|^2 from the principal logs (..., d, d) of P,
+        without the K indicator (assembly path: fields are confined to K by
+        construction, so the indicator never fires)."""
         return self.h0 + self.h1 * _fro2(logs)
 
 
@@ -233,10 +233,9 @@ def eval_hardening(model: MaterialModel, P) -> float:
     if abs(det - 1.0) > 1e-9:
         raise NotUnimodular(f"det P = {det!r} is not 1 within 1e-9")
     logs = slgeometry.log_batch(P)
-    norm = float(np.linalg.norm(logs))
-    if norm > model.K_radius + 1e-12:
+    if float(np.linalg.norm(logs)) > model.K_radius + 1e-12:
         return math.inf
-    return float(model.h0 + model.h1 * norm**2)
+    return float(model.hardening(logs))
 
 
 @dataclass(frozen=True)
@@ -331,11 +330,11 @@ def audit_assumptions(model: MaterialModel, sample_count: int = 10_000, seed: in
     # 2 h1 r_K L_log, L_log estimated from sampled difference quotients.
     idx = rng.permutation(k_count)
     P1m, P2m = Pk, Pk[idx]
-    H1 = model.h0 + model.h1 * _fro2(slgeometry.log_batch(P1m))
-    H2 = model.h0 + model.h1 * _fro2(slgeometry.log_batch(P2m))
+    L1, L2 = slgeometry.log_batch(P1m), slgeometry.log_batch(P2m)
+    H1, H2 = model.hardening(L1), model.hardening(L2)
     diffP = np.linalg.norm(P1m - P2m, axis=(-2, -1))
     keep = diffP > 1e-12
-    quot = np.linalg.norm(slgeometry.log_batch(P1m) - slgeometry.log_batch(P2m), axis=(-2, -1))[keep] / diffP[keep]
+    quot = np.linalg.norm(L1 - L2, axis=(-2, -1))[keep] / diffP[keep]
     L_log = float(np.max(quot)) * 1.05 if keep.any() else 1.0
     bound = 2.0 * model.h1 * model.K_radius * L_log
     margins["H2_lipschitz"] = float(np.min(bound * diffP[keep] - np.abs(H1 - H2)[keep])) if keep.any() else 0.0

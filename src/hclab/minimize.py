@@ -2,7 +2,8 @@
 
 Both functionals run through one alternation, ``_alternate``: a y-step at
 fixed plastic strain, then a P-step at fixed deformation, until an outer
-round lowers the energy by less than ``Schedule.outer_tol``.  The y-step is
+round lowers the energy by less than ``Schedule.outer_tol``; a round that
+raises it by more ends the alternation unconverged.  The y-step is
 quadratic in y for the default densities; both functionals assemble it in
 one shape, from per-Gauss d x d coefficients (``_quadratic_y_system``).  A
 quasi-Newton descent path covers generic composite densities and doubles as
@@ -345,8 +346,9 @@ def _alternate(assemble, y_step, p_step, grid: Grid, r_K: float, init, schedule:
     ``assemble(y, P)`` returns the EnergyBreakdown of the start, ``y_step(y,
     P)`` the new deformation, its CG iteration count and convergence flag, and
     ``p_step(y, P)`` the new plastic field and its SolveReport, which carries
-    the breakdown of its final point.  Stops when an outer round lowers the
-    energy by at most ``outer_tol`` relative.  Returns (y, P, value, report);
+    the breakdown of its final point.  Stops when an outer round changes the
+    energy by at most ``outer_tol`` relative; a round that raises it by more
+    also stops the loop, unconverged.  Returns (y, P, value, report);
     the report's energy trace spans the outer rounds, and the final breakdown
     is attached as ``report.breakdown``.
     """
@@ -372,8 +374,9 @@ def _alternate(assemble, y_step, p_step, grid: Grid, r_K: float, init, schedule:
         gnorms.append(rep_p.gradient_norms[-1] if rep_p.gradient_norms else 0.0)
         value = rep_p.final_value
         trace.append(min(value, trace[-1]))
-        if trace[-2] - value <= schedule.outer_tol * (1.0 + abs(value)):
-            converged = True
+        tol = schedule.outer_tol * (1.0 + abs(value))
+        if trace[-2] - value <= tol:
+            converged = value <= trace[-2] + tol
             break
     report = SolveReport(final_value=bd.total, energy_trace=trace, inner_iterations=inner,
                          gradient_norms=gnorms, converged=converged and y_converged)

@@ -44,7 +44,6 @@ class TwoScaleField:
     ``samples`` holds the m^d low-corner micro nodes per cell (the exact
     reindexing of the low-corner global lattice); ``full`` additionally
     carries the shared top faces so micro-element gradients are available.
-    ``validity`` flags cells inside the domain (extension by zero outside).
     """
 
     dim: int
@@ -52,7 +51,6 @@ class TwoScaleField:
     eps: float
     samples: np.ndarray
     full: np.ndarray
-    validity: np.ndarray
 
     def norm_sq(self) -> float:
         """L2 norm squared on Omega x Q of the piecewise sample table."""
@@ -87,9 +85,8 @@ def unfold(domain: MicroDomain, y: DeformationField) -> TwoScaleField:
     low, full_tbl = _cell_node_tables(domain)
     samples = y.values[low]
     full = y.values[full_tbl]
-    validity = np.ones(samples.shape[0], dtype=bool)
     return TwoScaleField(dim=domain.dim, m=domain.cell.resolution, eps=domain.eps,
-                         samples=samples, full=full, validity=validity)
+                         samples=samples, full=full)
 
 
 def unfold_scaled_gradients(domain: MicroDomain, y: DeformationField) -> np.ndarray:

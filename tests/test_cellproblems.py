@@ -387,8 +387,8 @@ def test_limit_gradient_matches_composite_on_stiff_cell():
 def test_limit_pass_gradient_bit_identical_to_value_and_grad(cell_name):
     """A JLimitPass whose gradient is finished after a later pass was
     assembled gives value_and_grad_J_limit bit for bit at y != 0, P != I, and
-    each pass, its gradient included, takes one principal log of its Gauss
-    matrices."""
+    each pass, its gradient included, calls log_and_adjoint once, on its
+    (E, g) Gauss matrices."""
     cell = mg.builtin_cell(cell_name)
     dim = cell.dim
     model = materials.default_material(dim=dim)
@@ -399,17 +399,17 @@ def test_limit_pass_gradient_bit_identical_to_value_and_grad(cell_name):
     Ps = [PlasticField(grid, 0.03 * rng.standard_normal((grid.n_nodes, dim * dim - 1)), model.K_radius)
           for _ in range(2)]
     logs = []
-    log_batch = sg.log_batch
+    log_and_adjoint = sg.log_and_adjoint
 
     def counted(P):
-        logs.append(len(P))
-        return log_batch(P)
+        logs.append(P.shape[:-2])
+        return log_and_adjoint(P)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sg, "log_batch", counted)
+        mp.setattr(sg, "log_and_adjoint", counted)
         points = [cp.JLimitPass(cell, model, y, P, cache) for P in Ps]
         grads = [point.grad_m() for point in points]
-    assert logs == [grid.n_elements * grid.n_gauss] * 2
+    assert logs == [(grid.n_elements, grid.n_gauss)] * 2
     for P, point, grad_m in zip(Ps, points, grads):
         bd, g = cp.value_and_grad_J_limit(cell, model, y, P, cache)
         assert point.breakdown == bd

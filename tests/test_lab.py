@@ -1,10 +1,16 @@
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hclab import lab
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_config_validation():
@@ -41,6 +47,90 @@ def test_load_config_rejects_unknown_top_level_key(tmp_path):
     path.write_text(json.dumps({"eps_list": [0.25, 0.125], "lambdas": [1, 2]}))
     with pytest.raises(lab.ConfigError, match="lambdas"):
         lab.load_config(path)
+
+
+_SMALL = st.floats(1e-12, 1e-2)
+_CONFIG_VALUES = {
+    "geometry": st.fixed_dictionaries({"builtin": st.sampled_from(["block4", "block8", "stiff4", "fiber3d"])}),
+    "material": st.fixed_dictionaries({}, optional={
+        "gamma": st.floats(0.0, 4.0), "soft": st.sampled_from(["convex", "twowell"]), "h0": st.floats(0.0, 1.0),
+        "h1": st.floats(0.1, 10.0), "r_K": st.floats(0.05, 0.5), "q": st.floats(3.0, 6.0)}),
+    "eps_list": st.sets(st.integers(2, 64), min_size=1, max_size=4).map(
+        lambda ns: [1.0 / n for n in sorted(ns)]),
+    "strip": st.floats(0.0, 1.0),
+    "macro_elements": st.integers(1, 16),
+    "cell_resolution": st.none() | st.integers(4, 64),
+    "quantization_step": st.floats(1e-3, 0.1),
+    "tolerances": st.fixed_dictionaries({}, optional={key: _SMALL for key in lab.TOLERANCE_KEYS}),
+    "seed": st.integers(0, 2**31),
+    "toggles": st.fixed_dictionaries({}, optional={
+        "dissipation": st.booleans(), "recovery_check": st.booleans(), "correction": st.just(False)}),
+    "output_dir": st.sampled_from(["out", "out/a", "runs/b"]),
+    "acceptance": st.none() | st.fixed_dictionaries({}, optional={
+        "require_gap_decreasing": st.booleans(), "max_final_gap": st.floats(0.0, 1.0),
+        "max_gap_all": st.floats(0.0, 1.0), "max_unfold_resid": _SMALL,
+        "recovery_bound": st.booleans()}).filter(bool),
+}
+
+
+@st.composite
+def _valid_config(draw):
+    """A config naming a random subset of the known keys with values that
+    validate; the two acceptance checks that need another setting are
+    switched off when that setting is missing."""
+    data = draw(st.fixed_dictionaries({}, optional=_CONFIG_VALUES))
+    acceptance = data.get("acceptance") or {}
+    if not data.get("toggles", {}).get("recovery_check", True) and "recovery_bound" in acceptance:
+        acceptance["recovery_bound"] = False
+    if len(data.get("eps_list", lab.StudyConfig().eps_list)) < 2 and "require_gap_decreasing" in acceptance:
+        acceptance["require_gap_decreasing"] = False
+    return data
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=_valid_config())
+def test_load_config_round_trips_valid_subsets(tmp_path_factory, data):
+    """Any valid subset of the known keys loads back as written, with every
+    key left out at its default."""
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps(data))
+    loaded = lab.load_config(path)
+    default = lab.StudyConfig()
+    for f in fields(lab.StudyConfig):
+        assert getattr(loaded, f.name) == data.get(f.name, getattr(default, f.name))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(block=st.sampled_from([None, "tolerances", "toggles", "acceptance"]),
+       key=st.text(st.characters(codec="utf-8"), min_size=1, max_size=16))
+def test_load_config_names_an_unknown_key(tmp_path_factory, block, key):
+    """A key outside the known set of the top level or of the tolerances,
+    toggles or acceptance block is a ConfigError that names it."""
+    known = {None: [f.name for f in fields(lab.StudyConfig)], "tolerances": lab.TOLERANCE_KEYS,
+             "toggles": lab.TOGGLE_KEYS, "acceptance": lab.ACCEPTANCE_KEYS}[block]
+    assume(key not in known)
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps({key: 1} if block is None else {block: {key: 1}}))
+    with pytest.raises(lab.ConfigError) as err:
+        lab.load_config(path)
+    assert repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_stock_report_matches_golden(config, tmp_path):
+    """A stock config reproduces its committed report.csv: the config hash
+    exactly and every numeric column to rel 1e-12, which catches a moved
+    solver tolerance (1e-8) but not last-ulp platform noise."""
+    golden = Path(__file__).parent / "golden" / f"{config.stem.removesuffix('_study')}_report.csv"
+    report = lab.run_convergence_study(lab.load_config(config))
+    got = lab.parse_report(lab.emit_report(report, formats=("csv",), outdir=tmp_path)["csv"])
+    want = lab.parse_report(golden)
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        assert got_row.keys() == want_row.keys()
+        assert got_row["config_hash"] == want_row["config_hash"]
+        for column in lab.COLUMNS:
+            assert math.isclose(got_row[column], want_row[column], rel_tol=1e-12, abs_tol=0.0), column
 
 
 def test_config_hash_ignores_output_dir():

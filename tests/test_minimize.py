@@ -380,3 +380,27 @@ def test_non_finite_energy_or_gradient_raises():
     inf_start = energies.EnergyBreakdown.from_parts(np.inf, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(mz.NonFiniteEnergy):
         mz._alternate(lambda y, P: inf_start, None, None, grid, 0.3, None, mz.Schedule())
+
+
+@pytest.mark.parametrize("rise, converged", [(1e-3, False), (1e-12, True)])
+def test_a_rising_outer_round_is_not_convergence(rise, converged):
+    """A round whose P-step raises the energy by more than outer_tol ends the
+    alternation unconverged; a rise within the tolerance still converges."""
+    grid = Grid(2, 2)
+
+    def breakdown(value):
+        return energies.EnergyBreakdown.from_parts(value, 0.0, 0.0, 0.0, 0.0)
+
+    climbing = iter(1.0 + rise * np.arange(1, 10))
+
+    def p_step(y, P):
+        bd = breakdown(float(next(climbing)))
+        rep = mz.SolveReport(final_value=bd.total, energy_trace=[bd.total], inner_iterations=[1],
+                             gradient_norms=[0.0])
+        rep.breakdown = bd
+        return P, rep
+
+    _, _, value, rep = mz._alternate(lambda y, P: breakdown(1.0), lambda y, P: (y, 0, True), p_step,
+                                     grid, 0.3, None, mz.Schedule(outer_tol=1e-8))
+    assert len(rep.inner_iterations) == 1 and value == 1.0 + rise
+    assert rep.converged == converged
