@@ -167,8 +167,8 @@ class JEpsPass:
         d/dP  = -F^T W'(F) P^{-T},
 
     the latter handed to the ``PlasticPass``, which adds the P-only terms and
-    pulls the sum back to the nodal log coordinates.  Boundary rows of the y
-    gradient are zeroed when the field carries the zero-trace condition.
+    pulls the sum back to the nodal log coordinates.  The y gradient has a
+    row for every node, the boundary ones included.
     """
 
     def __init__(self, model, fixed: FixedY, P: PlasticField):
@@ -204,8 +204,6 @@ class JEpsPass:
         grad_y = np.zeros_like(y.values)
         grid.accumulate_from_gradients(self.scale * WpPinvT, grad_y)
         grad_m = self.plastic.gradient(-_matmul(np.swapaxes(self.F, -1, -2), WpPinvT))
-        if y.bc == "zero":
-            grad_y[grid.boundary_node_mask()] = 0.0
         return GradJEps(grad_y=grad_y, grad_m=grad_m, crease_count=crease)
 
 

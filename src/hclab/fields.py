@@ -171,10 +171,11 @@ class Grid:
         return out.reshape((self.n_elements, self.n_gauss) + tail + (self.dim,))
 
     def interpolate_at(self, nodal: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Evaluate the interpolant at arbitrary points of [0,1]^d."""
+        """Evaluate the interpolant at arbitrary points of [0,1]^d; the local
+        coordinate is clamped to [0, 1], as 1/h can round up."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         idx = np.minimum((pts / self.h).astype(int), self.n_el - 1)
-        ref = pts / self.h - idx
+        ref = np.clip(pts / self.h - idx, 0.0, 1.0)
         weights = np.ones((len(pts), self.n_corners))
         for k in range(self.dim):
             weights *= np.where(self.corners[None, :, k] == 0, 1.0 - ref[:, None, k], ref[:, None, k])
@@ -278,11 +279,10 @@ def node_incidence_masks(dim: int, n_el: int, active_elements: np.ndarray):
 
 @dataclass
 class DeformationField:
-    """Nodal vector field y with an optional zero Dirichlet trace."""
+    """Nodal vector field y; its boundary values are the Dirichlet data."""
 
     grid: Grid
     values: np.ndarray
-    bc: str = "zero"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -290,17 +290,13 @@ class DeformationField:
             raise GridMismatch(
                 f"values shape {self.values.shape} does not match grid ({self.grid.n_nodes}, {self.grid.dim})"
             )
-        if self.bc not in ("zero", "free"):
-            raise FieldError(f"bc must be 'zero' or 'free', got {self.bc!r}")
-        if self.bc == "zero":
-            self.values[self.grid.boundary_node_mask()] = 0.0
 
     def copy(self) -> "DeformationField":
-        return DeformationField(self.grid, self.values.copy(), self.bc)
+        return DeformationField(self.grid, self.values.copy())
 
     @classmethod
-    def zero(cls, grid: Grid, bc: str = "zero") -> "DeformationField":
-        return cls(grid, np.zeros((grid.n_nodes, grid.dim)), bc)
+    def zero(cls, grid: Grid) -> "DeformationField":
+        return cls(grid, np.zeros((grid.n_nodes, grid.dim)))
 
 
 @dataclass
@@ -346,7 +342,7 @@ class PlasticField:
 def prolong_deformation(y: DeformationField, fine: Grid) -> DeformationField:
     """Nodal injection: evaluate the coarse interpolant at the fine nodes."""
     vals = y.grid.interpolate_at(y.values, fine.node_coords())
-    return DeformationField(fine, vals, bc=y.bc)
+    return DeformationField(fine, vals)
 
 
 def prolong_plastic(P: PlasticField, fine: Grid) -> PlasticField:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -40,6 +41,9 @@ TOGGLE_KEYS = ("dissipation", "recovery_check", "correction")
 TOLERANCE_KEYS = ("outer", "linear", "cell", "plastic")
 ACCEPTANCE_KEYS = ("require_gap_decreasing", "max_final_gap", "max_gap_all", "max_unfold_resid",
                    "recovery_bound")
+# the parameters of materials.default_material; dim comes from the cell
+MATERIAL_KEYS = tuple(p for p in inspect.signature(materials.default_material).parameters if p != "dim")
+GEOMETRY_KEYS = ("builtin", "mask_file")
 
 
 @dataclass
@@ -71,15 +75,30 @@ class StudyConfig:
                 raise ConfigError(f"eps {e} is not the reciprocal of an integer >= 2")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
-        if "mask_file" in self.geometry and not Path(self.geometry["mask_file"]).exists():
-            raise ConfigError(f"mask file {self.geometry['mask_file']} does not exist")
         acceptance = self.acceptance or {}
-        for block, keys, known in (("tolerances", self.tolerances, TOLERANCE_KEYS),
+        for block, keys, known in (("geometry", self.geometry, GEOMETRY_KEYS),
+                                   ("material", self.material, MATERIAL_KEYS),
+                                   ("tolerances", self.tolerances, TOLERANCE_KEYS),
                                    ("toggles", self.toggles, TOGGLE_KEYS),
                                    ("acceptance", acceptance, ACCEPTANCE_KEYS)):
             for key in keys:
                 if key not in known:
                     raise ConfigError(f"unknown {block} key {key!r}; known keys: {', '.join(known)}")
+        if len(self.geometry) != 1:
+            raise ConfigError(f"geometry must name exactly one of {', '.join(GEOMETRY_KEYS)}")
+        if "mask_file" in self.geometry and not Path(self.geometry["mask_file"]).exists():
+            raise ConfigError(f"mask file {self.geometry['mask_file']} does not exist")
+        if not self.quantization_step > 0:
+            raise ConfigError(f"quantization_step must be positive, got {self.quantization_step}")
+        if self.macro_elements < 1:
+            raise ConfigError(f"macro_elements must be >= 1, got {self.macro_elements}")
+        if not self.strip > 0:
+            raise ConfigError(f"strip must be positive, got {self.strip}")
+        if self.cell_resolution is not None:
+            m = _build_cell(self.geometry).resolution
+            if self.cell_resolution < 1 or self.cell_resolution % m:
+                raise ConfigError(f"cell_resolution must be a positive multiple of the cell's "
+                                  f"resolution {m}, got {self.cell_resolution}")
         if self.toggles.get("correction"):
             raise ConfigError("toggles.correction is not supported yet: the recovery check does not "
                               "run the correction stage")
@@ -115,27 +134,26 @@ def load_config(path) -> StudyConfig:
 def _build_cell(geometry: dict) -> microgeometry.CellGeometry:
     if "builtin" in geometry:
         return microgeometry.builtin_cell(geometry["builtin"])
-    if "mask_file" in geometry:
-        return microgeometry.load_cell_mask(geometry["mask_file"])
-    raise ConfigError("geometry must name a builtin or a mask_file")
+    return microgeometry.load_cell_mask(geometry["mask_file"])
 
 
 def _build_model(material_spec: dict, dim: int) -> materials.MaterialModel:
-    spec = dict(material_spec)
-    spec.setdefault("dim", dim)
-    return materials.default_material(**spec)
+    return materials.default_material(dim=dim, **material_spec)
 
 
 # -- fixed diagnostic fields ---------------------------------------------------
 
 
-def _bump_values(coords: np.ndarray) -> np.ndarray:
+def _bump_field(grid: Grid) -> DeformationField:
+    """Smooth field with zero boundary values (set exactly: sin(pi) is not 0)."""
+    coords = grid.node_coords()
     s = np.prod(np.sin(np.pi * coords), axis=-1)
     out = np.zeros_like(coords)
     out[:, 0] = 0.5 * s
     out[:, 1] = 0.3 * s + 0.2 * np.sin(2.0 * np.pi * coords[:, 0]) * np.prod(
         coords[:, 1:] * (1.0 - coords[:, 1:]), axis=-1)
-    return out
+    out[grid.boundary_node_mask()] = 0.0
+    return DeformationField(grid, out)
 
 
 def _oscillatory_values(coords: np.ndarray) -> np.ndarray:
@@ -161,7 +179,7 @@ def _smooth_plastic(grid: Grid, r_K: float) -> PlasticField:
 def _random_field(grid: Grid, seed: int) -> DeformationField:
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((grid.n_nodes, grid.dim))
-    return DeformationField(grid, vals, bc="free")
+    return DeformationField(grid, vals)
 
 
 # -- per-row diagnostics ---------------------------------------------------------
@@ -252,13 +270,12 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
         bd = row_report.breakdown
 
         ytilde = twoscale.extend_into_inclusions(domain, y)
-        v = DeformationField(grid, y.values - ytilde.values, bc="zero")
+        v = DeformationField(grid, y.values - ytilde.values)
         bd_v = energies.assemble_J_eps(domain, model, v, P)
         remainder = abs((bd.soft_elastic + bd.hardening_soft) - (bd_v.soft_elastic + bd_v.hardening_soft))
 
-        bump = DeformationField(grid, _bump_values(grid.node_coords()), bc="zero")
-        poincare = twoscale.poincare_ratio(domain, bump)
-        osc = DeformationField(grid, _oscillatory_values(grid.node_coords()), bc="free")
+        poincare = twoscale.poincare_ratio(domain, _bump_field(grid))
+        osc = DeformationField(grid, _oscillatory_values(grid.node_coords()))
         c0, c1, _ = twoscale.extension_constants(domain, osc)
         P_smooth = _smooth_plastic(grid, model.K_radius)
         hard_err = _hardening_continuity_error(domain, model, P_smooth)

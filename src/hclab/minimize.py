@@ -153,22 +153,23 @@ def _cg(K, B: np.ndarray, X0: np.ndarray, rtol: float, max_iter: int):
 
 
 def _solve_y(grid: Grid, K, f: np.ndarray, y0: np.ndarray, tol: float, max_iter: int):
-    """``_cg`` for K y = f on the interior nodes, y = 0 on the boundary,
-    started from the nodal values ``y0``.
+    """``_cg`` for K y = f on the interior nodes, started from the nodal
+    values ``y0``, whose boundary values g are the Dirichlet data: it solves
+    K_ff y_f = (f - K g)_f, with g extended by 0 inside.
 
     Returns the field, the iteration count, the residual norm on the interior
     nodes and whether CG reached ``tol``."""
     free = ~grid.boundary_node_mask()
-    sol, iters, resid, ok = _cg(K[free][:, free], f[free], y0[free], tol, max_iter)
-    vals = np.zeros((grid.n_nodes, grid.dim))
-    vals[free] = sol
-    return DeformationField(grid, vals), iters, resid, ok
+    g = np.where(free[:, None], 0.0, y0)
+    sol, iters, resid, ok = _cg(K[free][:, free], (f - K @ g)[free], y0[free], tol, max_iter)
+    g[free] = sol
+    return DeformationField(grid, g), iters, resid, ok
 
 
 def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = None,
                tol: float = 1e-10, max_iter: int = 10_000, force_descent: bool = False):
-    """Minimize the energy over the deformation at fixed plastic strain, with
-    zero trace on the boundary.
+    """Minimize the energy over the deformation at fixed plastic strain; the
+    boundary values of ``y0`` (zero without it) are kept as Dirichlet data.
 
     Quadratic densities: the Hessian system is solved by ``_cg`` to the
     requested tolerance.  Otherwise (or when forced) quasi-Newton descent on
@@ -189,7 +190,7 @@ def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = Non
     free = ~grid.boundary_node_mask()
 
     def field(x):
-        vals = np.zeros((grid.n_nodes, grid.dim))
+        vals = y0v.copy()
         vals[free] = x.reshape(-1, grid.dim)
         return DeformationField(grid, vals)
 

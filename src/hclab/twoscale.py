@@ -152,7 +152,7 @@ def extend_into_inclusions(domain: MicroDomain, y: DeformationField) -> Deformat
     out = y.values.copy()
     nodes = np.nonzero(interior)[0]
     if len(nodes) == 0:
-        return DeformationField(grid, out, bc=y.bc)
+        return DeformationField(grid, out)
     pos = -np.ones(grid.n_nodes, dtype=int)
     pos[nodes] = np.arange(len(nodes))
     neighbors = _lattice_neighbors(grid.dim, grid.n_pts, nodes)
@@ -177,7 +177,7 @@ def extend_into_inclusions(domain: MicroDomain, y: DeformationField) -> Deformat
         raise SolverFailure(f"harmonic extension factorization failed: {exc}") from exc
     for c in range(grid.dim):
         out[nodes, c] = solve(rhs[:, c])
-    return DeformationField(grid, out, bc=y.bc)
+    return DeformationField(grid, out)
 
 
 def extension_constants(domain: MicroDomain, y: DeformationField):
@@ -195,10 +195,10 @@ def extension_constants(domain: MicroDomain, y: DeformationField):
 
 
 def poincare_ratio(domain: MicroDomain, y: DeformationField) -> float:
-    """||y|| / (eps ||grad y||_soft + ||grad y||_stiff) for a zero-trace field."""
-    if y.bc != "zero":
-        raise TwoScaleError("the Poincare diagnostic needs a zero-trace field")
+    """||y|| / (eps ||grad y||_soft + ||grad y||_stiff) for zero boundary values."""
     grid = y.grid
+    if y.values[grid.boundary_node_mask()].any():
+        raise TwoScaleError("the Poincare diagnostic needs zero boundary values")
     soft = domain.soft_field.reshape(-1)
     num = np.sqrt(grid.l2_norm_sq(y.values))
     den = domain.eps * np.sqrt(grid.grad_norm_sq(y.values, element_mask=soft)) + np.sqrt(
@@ -251,7 +251,7 @@ def build_recovery_sequence(domain: MicroDomain, w, P_field: PlasticField | None
         flat = np.ravel_multi_index(glob.T, (n_pts,) * d)
         values[flat] = acc
 
-    fld = DeformationField(grid, values, bc="zero")
+    fld = DeformationField(grid, values)
     if not correction:
         return fld
 
@@ -303,4 +303,4 @@ def build_recovery_sequence(domain: MicroDomain, w, P_field: PlasticField | None
             flat = np.ravel_multi_index(glob.T, (n_pts,) * d)
             corr[flat] = eps * psi_vals
 
-    return DeformationField(grid, values + corr, bc="zero")
+    return DeformationField(grid, values + corr)

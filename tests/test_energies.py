@@ -9,6 +9,12 @@ from hclab.energies import EnergyBreakdown
 from hclab.fields import DeformationField, Grid, GridMismatch, PlasticField
 
 
+def _zero_trace(grid, values):
+    """The field with these values inside and zero boundary values."""
+    values[grid.boundary_node_mask()] = 0.0
+    return DeformationField(grid, values)
+
+
 @pytest.fixture(scope="module")
 def setup():
     cell = mg.builtin_cell("block4")
@@ -33,7 +39,7 @@ def test_constant_state_baseline(setup):
 def test_affine_state_constant_integrands(setup):
     cell, domain, model, grid = setup
     A = np.array([[0.3, -0.2], [0.1, 0.4]])
-    y = DeformationField(grid, grid.node_coords() @ A.T, bc="free")
+    y = DeformationField(grid, grid.node_coords() @ A.T)
     P = PlasticField.identity(grid, model.K_radius)
     bd = energies.assemble_J_eps(domain, model, y, P)
     eps = domain.eps
@@ -79,7 +85,7 @@ def _brute_force_total(domain, model, y, P):
 def test_assembly_matches_brute_force_oracle(setup):
     cell, domain, model, grid = setup
     rng = np.random.default_rng(11)
-    y = DeformationField(grid, 0.2 * rng.standard_normal((grid.n_nodes, 2)), bc="zero")
+    y = _zero_trace(grid, 0.2 * rng.standard_normal((grid.n_nodes, 2)))
     P = PlasticField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
     bd = energies.assemble_J_eps(domain, model, y, P)
     oracle = _brute_force_total(domain, model, y, P)
@@ -89,7 +95,7 @@ def test_assembly_matches_brute_force_oracle(setup):
 def test_breakdown_sum_and_json_roundtrip(setup):
     cell, domain, model, grid = setup
     rng = np.random.default_rng(12)
-    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)), bc="zero")
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
     P = PlasticField(grid, 0.05 * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
     bd = energies.assemble_J_eps(domain, model, y, P)
     parts = (bd.soft_elastic + bd.stiff_elastic + bd.hardening_soft + bd.hardening_stiff
@@ -101,7 +107,7 @@ def test_breakdown_sum_and_json_roundtrip(setup):
 def test_gradient_matches_central_differences(setup):
     cell, domain, model, grid = setup
     rng = np.random.default_rng(13)
-    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)), bc="zero")
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
     P = PlasticField(grid, 0.15 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
     g = energies.value_and_grad_J_eps(domain, model, y, P)[1]
     h = 1e-6
@@ -124,6 +130,27 @@ def test_gradient_matches_central_differences(setup):
         assert g.grad_m[i, k] == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
 
+def test_boundary_rows_of_grad_y_match_central_differences(setup):
+    """grad_y is the derivative with respect to every nodal value: along
+    perturbations supported on boundary nodes it matches central differences
+    of the energy, which are not zero."""
+    cell, domain, model, grid = setup
+    rng = np.random.default_rng(18)
+    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
+    P = PlasticField(grid, 0.15 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
+    g = energies.value_and_grad_J_eps(domain, model, y, P)[1]
+    boundary = grid.boundary_node_mask()
+    h = 1e-6
+    for _ in range(4):
+        dy = rng.standard_normal((grid.n_nodes, 2))
+        dy[~boundary] = 0.0
+        dy /= np.linalg.norm(dy)
+        fd = (energies.assemble_J_eps(domain, model, DeformationField(grid, y.values + h * dy), P).total
+              - energies.assemble_J_eps(domain, model, DeformationField(grid, y.values - h * dy), P).total) / (2 * h)
+        assert abs(fd) > 1e-3
+        assert float(np.sum(g.grad_y * dy)) == pytest.approx(fd, rel=1e-6)
+
+
 def test_gradient_symmetry_vanishing(setup):
     cell, domain, _, grid = setup
     # even density (gamma = 0) on the symmetric domain: grad_y vanishes at 0
@@ -139,7 +166,7 @@ def test_gradient_symmetry_vanishing(setup):
 def test_fused_value_and_grad_consistent(setup):
     cell, domain, model, grid = setup
     rng = np.random.default_rng(14)
-    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)), bc="zero")
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
     P = PlasticField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
     bd, g = energies.value_and_grad_J_eps(domain, model, y, P)
     assert bd == energies.assemble_J_eps(domain, model, y, P)
@@ -151,7 +178,7 @@ def test_fused_value_and_grad_consistent(setup):
 def test_high_contrast_limit_and_continuity(setup):
     cell, domain, model, grid = setup
     rng = np.random.default_rng(15)
-    y = DeformationField(grid, 0.3 * rng.standard_normal((grid.n_nodes, 2)), bc="zero")
+    y = _zero_trace(grid, 0.3 * rng.standard_normal((grid.n_nodes, 2)))
     P = PlasticField.identity(grid, model.K_radius)
     # at P = I the convex soft term is (1 + eps) eps^2 int_soft |grad y|^2,
     # so it vanishes as the contrast eps -> 0
@@ -198,7 +225,7 @@ def test_three_dimensional_assembly_and_gradient():
     assert bd.total == pytest.approx(3.0 * float(domain.measure_stiff()) + model.h0, rel=1e-12)
 
     rng = np.random.default_rng(31)
-    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 3)), bc="zero")
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 3)))
     P = PlasticField(grid, 0.04 * rng.standard_normal((grid.n_nodes, 8)), model.K_radius)
     g = energies.value_and_grad_J_eps(domain, model, y, P)[1]
     h = 1e-6
@@ -210,8 +237,8 @@ def test_three_dimensional_assembly_and_gradient():
     dy = rng.standard_normal((grid.n_nodes, 3))
     dy[grid.boundary_node_mask()] = 0.0
     dy /= np.linalg.norm(dy)
-    yp = DeformationField(grid, y.values + h * dy, bc="zero")
-    ym = DeformationField(grid, y.values - h * dy, bc="zero")
+    yp = DeformationField(grid, y.values + h * dy)
+    ym = DeformationField(grid, y.values - h * dy)
     fd = (energies.assemble_J_eps(domain, model, yp, P).total
           - energies.assemble_J_eps(domain, model, ym, P).total) / (2 * h)
     assert float(np.sum(g.grad_y * dy)) == pytest.approx(fd, rel=1e-5)
@@ -230,7 +257,7 @@ def test_pass_gradient_bit_identical_to_value_and_grad(cell_name):
     model = materials.default_material(dim=dim)
     grid = Grid(dim, domain.n_el)
     rng = np.random.default_rng(16)
-    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, dim)), bc="zero")
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, dim)))
     Ps = [PlasticField(grid, 0.1 * rng.standard_normal((grid.n_nodes, dim * dim - 1)), model.K_radius)
           for _ in range(2)]
     fresh = [energies.value_and_grad_J_eps(domain, model, y, P) for P in Ps]

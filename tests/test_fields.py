@@ -19,7 +19,7 @@ from hclab.fields import (
 def test_linear_field_reproduced():
     grid = Grid(2, 8)
     A = np.array([[0.4, -0.3], [0.2, 0.1]])
-    y = DeformationField(grid, grid.node_coords() @ A.T, bc="free")
+    y = DeformationField(grid, grid.node_coords() @ A.T)
     grads = grid.gauss_gradients(y.values)
     assert np.abs(grads - A).max() < 1e-13
     per_element = np.einsum("nc,gnk->gck", y.values[grid.el_nodes[3]], grid.dN_gauss)
@@ -28,7 +28,7 @@ def test_linear_field_reproduced():
 
 def test_constant_field_zero_gradient():
     grid = Grid(2, 4)
-    y = DeformationField(grid, np.ones((grid.n_nodes, 2)), bc="free")
+    y = DeformationField(grid, np.ones((grid.n_nodes, 2)))
     assert np.abs(grid.gauss_gradients(y.values)).max() < 1e-14
 
 
@@ -37,7 +37,7 @@ def test_gradient_matches_interpolant_finite_differences():
     Gauss-point gradients."""
     grid = Grid(2, 6)
     rng = np.random.default_rng(0)
-    y = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)), bc="free")
+    y = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)))
     grads = grid.gauss_gradients(y.values)
     h = 1e-6
     for el_flat, gp in zip(rng.integers(0, grid.n_elements, 20), rng.integers(0, grid.n_gauss, 20)):
@@ -127,11 +127,15 @@ def test_plastic_projection_and_unimodularity():
     assert np.abs(dets - 1.0).max() < 1e-9
 
 
-def test_zero_trace_enforced():
+def test_field_keeps_its_boundary_values():
+    """Boundary values are Dirichlet data: a field, its copy and its zero
+    hold exactly the values they are given."""
     grid = Grid(2, 4)
-    vals = np.ones((grid.n_nodes, 2))
-    y = DeformationField(grid, vals, bc="zero")
-    assert np.abs(y.values[grid.boundary_node_mask()]).max() == 0.0
+    vals = np.random.default_rng(5).standard_normal((grid.n_nodes, 2))
+    y = DeformationField(grid, vals.copy())
+    assert np.array_equal(y.values, vals)
+    assert np.array_equal(y.copy().values, vals) and y.copy().values is not y.values
+    assert not DeformationField.zero(grid).values.any()
 
 
 def test_grid_mismatch_detected():
@@ -146,12 +150,28 @@ def test_prolongation_exact_on_affine():
     coarse = Grid(2, 4)
     fine = Grid(2, 16)
     A = np.array([[0.2, 0.1], [-0.1, 0.3]])
-    y = DeformationField(coarse, coarse.node_coords() @ A.T, bc="free")
+    y = DeformationField(coarse, coarse.node_coords() @ A.T)
     yf = prolong_deformation(y, fine)
     assert np.abs(yf.values - fine.node_coords() @ A.T).max() < 1e-13
     P = PlasticField(coarse, 0.05 * coarse.node_coords() @ np.ones((2, 3)), 0.3)
     Pf = prolong_plastic(P, fine)
     assert np.abs(Pf.coeffs - 0.05 * fine.node_coords() @ np.ones((2, 3))).max() < 1e-13
+
+
+def test_prolongation_keeps_boundary_values_where_one_over_h_rounds_up():
+    """On Grid(2, 49), 1/h rounds up, so the top-face nodes of the fine grid
+    fall just past the last element: without clamping the local coordinate,
+    zero boundary values leaked 2.0e-14 onto the fine boundary."""
+    coarse, fine = Grid(2, 49), Grid(2, 98)
+    assert 1.0 / coarse.h > coarse.n_el
+    rng = np.random.default_rng(6)
+    vals = rng.standard_normal((coarse.n_nodes, 2))
+    vals[coarse.boundary_node_mask()] = 0.0
+    yf = prolong_deformation(DeformationField(coarse, vals), fine)
+    assert not yf.values[fine.boundary_node_mask()].any()
+    A = np.array([[1.5, 0.2], [-0.3, 1.0 / 1.5]])
+    yf = prolong_deformation(DeformationField(coarse, coarse.node_coords() @ A.T), fine)
+    assert np.abs(yf.values - fine.node_coords() @ A.T).max() < 1e-15
 
 
 def test_node_incidence_masks():

@@ -37,7 +37,23 @@ def test_config_validation():
         lab.StudyConfig(toggles=off, acceptance={"recovery_bound": True}).validate()  # never evaluated
     with pytest.raises(lab.ConfigError, match="two eps"):
         lab.StudyConfig(eps_list=[0.25], acceptance={"require_gap_decreasing": True}).validate()  # all([])
+    with pytest.raises(lab.ConfigError, match="gama"):
+        lab.StudyConfig(material={"gama": 2.0}).validate()  # would fail in default_material
+    with pytest.raises(lab.ConfigError, match="mask_flie"):
+        lab.StudyConfig(geometry={"builtin": "block4", "mask_flie": "x.mask"}).validate()  # would be ignored
+    for geometry in ({}, {"builtin": "block4", "mask_file": "configs/default_study.json"}):
+        with pytest.raises(lab.ConfigError, match="exactly one"):
+            lab.StudyConfig(geometry=geometry).validate()
+    for bad in ({"quantization_step": 0.0}, {"quantization_step": -0.01}, {"macro_elements": 0},
+                {"strip": 0.0}, {"strip": -1.0}, {"cell_resolution": 6}, {"cell_resolution": 0}):
+        name = next(iter(bad))
+        with pytest.raises(lab.ConfigError, match=name):
+            lab.StudyConfig(**bad).validate()
+    with pytest.raises(lab.ConfigError, match="multiple of the cell's resolution 8"):
+        lab.StudyConfig(geometry={"builtin": "block8"}, cell_resolution=12).validate()
     lab.StudyConfig().validate()
+    for cell_resolution in (4, 8, 32):
+        lab.StudyConfig(cell_resolution=cell_resolution).validate()
     lab.StudyConfig(acceptance={"max_gap_all": 1e-3}).validate()
     lab.StudyConfig(acceptance={"recovery_bound": True, "require_gap_decreasing": True}).validate()
 
@@ -54,12 +70,13 @@ _CONFIG_VALUES = {
     "geometry": st.fixed_dictionaries({"builtin": st.sampled_from(["block4", "block8", "stiff4", "fiber3d"])}),
     "material": st.fixed_dictionaries({}, optional={
         "gamma": st.floats(0.0, 4.0), "soft": st.sampled_from(["convex", "twowell"]), "h0": st.floats(0.0, 1.0),
-        "h1": st.floats(0.1, 10.0), "r_K": st.floats(0.05, 0.5), "q": st.floats(3.0, 6.0)}),
+        "h1": st.floats(0.1, 10.0), "r_K": st.floats(0.05, 0.5), "q": st.floats(3.0, 6.0),
+        "twowell_amplitude": st.floats(0.0, 1.0), "twowell_delta": st.floats(0.01, 1.0)}),
     "eps_list": st.sets(st.integers(2, 64), min_size=1, max_size=4).map(
         lambda ns: [1.0 / n for n in sorted(ns)]),
-    "strip": st.floats(0.0, 1.0),
+    "strip": st.floats(0.0, 1.0, exclude_min=True),
     "macro_elements": st.integers(1, 16),
-    "cell_resolution": st.none() | st.integers(4, 64),
+    "cell_resolution": st.none() | st.integers(1, 8),  # times the cell's resolution, see _valid_config
     "quantization_step": st.floats(1e-3, 0.1),
     "tolerances": st.fixed_dictionaries({}, optional={key: _SMALL for key in lab.TOLERANCE_KEYS}),
     "seed": st.integers(0, 2**31),
@@ -77,8 +94,11 @@ _CONFIG_VALUES = {
 def _valid_config(draw):
     """A config naming a random subset of the known keys with values that
     validate; the two acceptance checks that need another setting are
-    switched off when that setting is missing."""
+    switched off when that setting is missing, and a cell resolution is
+    drawn as a multiple of the geometry's."""
     data = draw(st.fixed_dictionaries({}, optional=_CONFIG_VALUES))
+    if data.get("cell_resolution") is not None:
+        data["cell_resolution"] *= lab._build_cell(data.get("geometry", lab.StudyConfig().geometry)).resolution
     acceptance = data.get("acceptance") or {}
     if not data.get("toggles", {}).get("recovery_check", True) and "recovery_bound" in acceptance:
         acceptance["recovery_bound"] = False
@@ -101,12 +121,14 @@ def test_load_config_round_trips_valid_subsets(tmp_path_factory, data):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(block=st.sampled_from([None, "tolerances", "toggles", "acceptance"]),
+@given(block=st.sampled_from([None, "geometry", "material", "tolerances", "toggles", "acceptance"]),
        key=st.text(st.characters(codec="utf-8"), min_size=1, max_size=16))
 def test_load_config_names_an_unknown_key(tmp_path_factory, block, key):
-    """A key outside the known set of the top level or of the tolerances,
-    toggles or acceptance block is a ConfigError that names it."""
-    known = {None: [f.name for f in fields(lab.StudyConfig)], "tolerances": lab.TOLERANCE_KEYS,
+    """A key outside the known set of the top level or of the geometry,
+    material, tolerances, toggles or acceptance block is a ConfigError that
+    names it."""
+    known = {None: [f.name for f in fields(lab.StudyConfig)], "geometry": lab.GEOMETRY_KEYS,
+             "material": lab.MATERIAL_KEYS, "tolerances": lab.TOLERANCE_KEYS,
              "toggles": lab.TOGGLE_KEYS, "acceptance": lab.ACCEPTANCE_KEYS}[block]
     assume(key not in known)
     path = tmp_path_factory.mktemp("cfg") / "cfg.json"

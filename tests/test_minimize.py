@@ -10,6 +10,12 @@ from hclab import cellproblems as cp, energies, materials, microgeometry as mg, 
 from hclab.fields import DeformationField, Grid, PlasticField, prolong_deformation, prolong_plastic
 
 
+def _zero_trace(grid, values):
+    """The field with these values inside and zero boundary values."""
+    values[grid.boundary_node_mask()] = 0.0
+    return DeformationField(grid, values)
+
+
 @pytest.fixture(scope="module")
 def setup():
     cell = mg.builtin_cell("block4")
@@ -63,7 +69,7 @@ def test_minimize_P_identity_at_zero_deformation(setup):
 def test_minimize_P_stationarity_from_random_start(setup):
     cell, domain, model, grid = setup
     rng = np.random.default_rng(1)
-    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)), bc="zero")
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
     P0 = PlasticField(grid, 0.5 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
     P, rep = mz.minimize_P(domain, model, y, P0, tol=1e-7)
     assert rep.converged
@@ -96,7 +102,7 @@ def test_two_random_inits_agree(setup):
     rng = np.random.default_rng(2)
     vals = []
     for _ in range(2):
-        y0 = DeformationField(grid, 0.05 * rng.standard_normal((grid.n_nodes, 2)), bc="zero")
+        y0 = _zero_trace(grid, 0.05 * rng.standard_normal((grid.n_nodes, 2)))
         P0 = PlasticField(grid, 0.2 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
         _, _, value, _ = mz.minimize_J_eps(domain, model, init=(y0, P0))
         vals.append(value)
@@ -136,6 +142,63 @@ def test_y_step_cg_counts_and_failures_are_reported(setup):
                                        schedule=mz.Schedule(y_iters=1))
     assert rep.inner_iterations[0][0] == 1
     assert not rep.converged
+
+
+def _affine_dirichlet_start(grid, A):
+    """Boundary values of y = A x, zero inside; and A x at every node."""
+    affine = grid.node_coords() @ A.T
+    boundary = grid.boundary_node_mask()
+    return DeformationField(grid, np.where(boundary[:, None], affine, 0.0)), affine, boundary
+
+
+@pytest.mark.parametrize("force_descent", [False, True])
+def test_y_step_solves_affine_dirichlet_data(force_descent):
+    """On the homogeneous stiff4 control at P = I, the y-step from boundary
+    values A x (zero inside) keeps them bit for bit and returns the discrete
+    solution y = A x, whose energy is W1(A) + h0: by CG and by the L-BFGS
+    path alike."""
+    domain = mg.build_micro_domain(mg.builtin_cell("stiff4"), 4)
+    model = materials.default_material(dim=2)
+    grid = domain.grid
+    A = np.diag([1.5, 1.0 / 1.5])
+    y0, affine, boundary = _affine_dirichlet_start(grid, A)
+    P = PlasticField.identity(grid, model.K_radius)
+    tol, err = (1e-10, 1e-8) if force_descent else (1e-12, 1e-10)
+    y, rep = mz.minimize_y(domain, model, P, y0=y0, tol=tol, force_descent=force_descent)
+    assert rep.converged
+    assert np.array_equal(y.values[boundary], affine[boundary])
+    assert np.abs(y.values - affine).max() < err
+    assert rep.final_value == pytest.approx(float(model.W_stiff.value(A)) + model.h0, rel=1e-9)
+
+
+@pytest.mark.parametrize("functional", ["eps", "limit"])
+def test_alternation_keeps_affine_dirichlet_data(functional):
+    """From (A x, I) on stiff4, both alternations keep the boundary values of
+    the start bit for bit while the P-step relieves part of the elastic
+    energy of the affine state.  (The limit's P-steps run into
+    LIMIT_P_ITERS here, so its converged flag is not asserted.)"""
+    cell = mg.builtin_cell("stiff4")
+    model = materials.default_material(dim=2)
+    if functional == "eps":
+        domain = mg.build_micro_domain(cell, 4)
+        grid = domain.grid
+
+        def solve(start):
+            return mz.minimize_J_eps(domain, model, init=start)
+    else:
+        grid = Grid(2, 4)
+
+        def solve(start):
+            return mz.minimize_J_limit(cell, model, init=start, cache=cp.HomDensityCache(resolution=4),
+                                       macro_elements=4)
+    A = np.diag([1.5, 1.0 / 1.5])
+    _, affine, boundary = _affine_dirichlet_start(grid, A)
+    y, P, value, rep = solve((DeformationField(grid, affine), PlasticField.identity(grid, model.K_radius)))
+    assert rep.converged or functional == "limit"
+    assert np.array_equal(y.values[boundary], affine[boundary])
+    assert rep.energy_trace[0] == pytest.approx(float(model.W_stiff.value(A)) + model.h0, rel=1e-12)
+    assert value < rep.energy_trace[0] - 0.1
+    assert np.abs(P.coeffs).max() > 0.1
 
 
 def test_limit_no_perforation_control():
@@ -181,7 +244,7 @@ def test_y_step_is_stationary_for_its_functional(setup, functional):
     t = 1e-3
     J0 = energy(y, P)
     for _ in range(4):
-        v = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)), bc="zero").values
+        v = _zero_trace(grid, rng.standard_normal((grid.n_nodes, 2))).values
         Jp = energy(DeformationField(grid, y.values + t * v), P)
         Jm = energy(DeformationField(grid, y.values - t * v), P)
         second = (Jp - 2.0 * J0 + Jm) / t**2
@@ -235,7 +298,7 @@ def test_minimize_P_assembles_each_point_once(setup, monkeypatch):
     P-step."""
     cell, domain, model, grid = setup
     rng = np.random.default_rng(1)
-    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)), bc="zero")
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
     P0 = PlasticField(grid, 0.5 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
     counts = {"grad y": 0, "gauss gradients": 0, "log kernel": 0, "completions": 0}
     assembled = []
@@ -287,7 +350,7 @@ def test_sobolev_and_raw_P_steps_reach_the_same_minimum(setup):
     converge, to the same J."""
     cell, domain, model, grid = setup
     rng = np.random.default_rng(1)
-    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)), bc="zero")
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
     P0 = PlasticField(grid, 0.5 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
     _, rep = mz.minimize_P(domain, model, y, P0, tol=1e-7)
 

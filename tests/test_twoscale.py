@@ -17,7 +17,7 @@ def _domain(cell, n):
 def test_unfold_constant_field(cell):
     domain = _domain(cell, 4)
     grid = Grid(2, domain.n_el)
-    y = DeformationField(grid, np.full((grid.n_nodes, 2), 2.5), bc="free")
+    y = DeformationField(grid, np.full((grid.n_nodes, 2), 2.5))
     tsf = ts.unfold(domain, y)
     assert np.all(tsf.samples == 2.5)
     assert tsf.samples.shape == (16, 16, 2)  # (cells, m^d, components)
@@ -28,7 +28,7 @@ def test_unfold_norm_preservation(cell):
     for n in (4, 8):
         domain = _domain(cell, n)
         grid = Grid(2, domain.n_el)
-        y = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)), bc="free")
+        y = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)))
         tsf = ts.unfold(domain, y)
         assert abs(grid.lattice_norm_sq(y.values) - tsf.norm_sq()) < 1e-12
 
@@ -39,7 +39,7 @@ def test_unfold_gradient_commutation(cell):
     for n in (4, 8):
         domain = _domain(cell, n)
         grid = Grid(2, domain.n_el)
-        y = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)), bc="free")
+        y = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)))
         lhs = ts.unfold_scaled_gradients(domain, y)
         rhs = ts.unfold(domain, y).micro_gradients()
         assert np.abs(lhs - rhs).max() < 1e-12
@@ -56,7 +56,7 @@ def test_extension_affine_exact(cell):
     domain = _domain(cell, 4)
     grid = Grid(2, domain.n_el)
     A = np.array([[0.5, 0.2], [-0.1, 0.3]])
-    y = DeformationField(grid, grid.node_coords() @ A.T + np.array([0.05, -0.1]), bc="free")
+    y = DeformationField(grid, grid.node_coords() @ A.T + np.array([0.05, -0.1]))
     ext = ts.extend_into_inclusions(domain, y)
     assert np.abs(ext.values - y.values).max() < 1e-12
 
@@ -65,12 +65,12 @@ def test_extension_linear_and_idempotent(cell):
     domain = _domain(cell, 4)
     grid = Grid(2, domain.n_el)
     rng = np.random.default_rng(3)
-    y1 = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)), bc="free")
-    y2 = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)), bc="free")
+    y1 = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)))
+    y2 = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)))
     e1 = ts.extend_into_inclusions(domain, y1)
     e2 = ts.extend_into_inclusions(domain, y2)
     combo = ts.extend_into_inclusions(
-        domain, DeformationField(grid, 2.0 * y1.values + 3.0 * y2.values, bc="free"))
+        domain, DeformationField(grid, 2.0 * y1.values + 3.0 * y2.values))
     assert np.abs(combo.values - 2.0 * e1.values - 3.0 * e2.values).max() < 1e-12
     again = ts.extend_into_inclusions(domain, e1)
     assert np.abs(again.values - e1.values).max() < 1e-13
@@ -80,7 +80,7 @@ def test_extension_preserves_matrix_values(cell):
     domain = _domain(cell, 4)
     grid = Grid(2, domain.n_el)
     rng = np.random.default_rng(4)
-    y = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)), bc="free")
+    y = DeformationField(grid, rng.standard_normal((grid.n_nodes, 2)))
     ext = ts.extend_into_inclusions(domain, y)
     interior = ts._interior_soft_nodes(domain)
     assert np.array_equal(ext.values[~interior], y.values[~interior])
@@ -98,18 +98,19 @@ def test_extension_constant_stable_across_eps(cell):
     for n in (4, 8, 16):
         domain = _domain(cell, n)
         grid = Grid(2, domain.n_el)
-        y = DeformationField(grid, _osc(grid.node_coords()), bc="free")
+        y = DeformationField(grid, _osc(grid.node_coords()))
         c0, c1, _ = ts.extension_constants(domain, y)
         consts.append(max(c0, c1))
     assert max(consts) / min(consts) < 1.25
 
 
-def _bump(coords):
-    s = np.prod(np.sin(np.pi * coords), axis=-1)
-    out = np.zeros_like(coords)
+def _bump(grid):
+    s = np.prod(np.sin(np.pi * grid.node_coords()), axis=-1)
+    out = np.zeros((grid.n_nodes, 2))
     out[:, 0] = 0.5 * s
     out[:, 1] = 0.3 * s
-    return out
+    out[grid.boundary_node_mask()] = 0.0
+    return DeformationField(grid, out)
 
 
 def test_poincare_zero_field_raises(cell):
@@ -117,8 +118,18 @@ def test_poincare_zero_field_raises(cell):
     grid = Grid(2, domain.n_el)
     with pytest.raises(ts.ZeroDenominator):
         ts.poincare_ratio(domain, DeformationField.zero(grid))
-    with pytest.raises(ts.TwoScaleError):
-        ts.poincare_ratio(domain, DeformationField(grid, np.zeros((grid.n_nodes, 2)), bc="free"))
+
+
+def test_poincare_rejects_non_zero_boundary_values(cell):
+    """The diagnostic reads the boundary values themselves: one non-zero
+    boundary value of an otherwise valid field is a TwoScaleError."""
+    domain = _domain(cell, 4)
+    grid = Grid(2, domain.n_el)
+    y = _bump(grid)
+    assert ts.poincare_ratio(domain, y) > 0.0
+    y.values[np.flatnonzero(grid.boundary_node_mask())[5], 1] = 1e-300
+    with pytest.raises(ts.TwoScaleError, match="boundary"):
+        ts.poincare_ratio(domain, y)
 
 
 def test_poincare_stable_across_eps(cell):
@@ -126,7 +137,7 @@ def test_poincare_stable_across_eps(cell):
     for n in (4, 8, 16):
         domain = _domain(cell, n)
         grid = Grid(2, domain.n_el)
-        y = DeformationField(grid, _bump(grid.node_coords()), bc="zero")
+        y = _bump(grid)
         ratios.append(ts.poincare_ratio(domain, y))
     assert max(ratios) / min(ratios) < 1.25
 
@@ -146,7 +157,7 @@ def test_poincare_controls_inclusion_oscillations(cell):
     for n in (4, 8, 16):
         domain = _domain(cell, n)
         grid = Grid(2, domain.n_el)
-        bump_ratios.append(ts.poincare_ratio(domain, DeformationField(grid, _bump(grid.node_coords()), bc="zero")))
+        bump_ratios.append(ts.poincare_ratio(domain, _bump(grid)))
         v = ts.build_recovery_sequence(domain, w)
         inc_ratios.append(ts.poincare_ratio(domain, v))
     assert max(inc_ratios) <= 3.0 * max(bump_ratios)
@@ -163,12 +174,12 @@ def _extension_distance(domain, y, y_limit):
 
 def test_extension_distance_constant_sequence(cell):
     grid16 = Grid(2, 16)
-    y_limit = DeformationField(grid16, _bump(grid16.node_coords()), bc="zero")
+    y_limit = _bump(grid16)
     errors = []
     for n in (4, 8, 16):
         domain = _domain(cell, n)
         grid = Grid(2, domain.n_el)
-        y = ts.extend_into_inclusions(domain, DeformationField(grid, _bump(grid.node_coords()), bc="zero"))
+        y = ts.extend_into_inclusions(domain, _bump(grid))
         assert np.sqrt(grid.l2_norm_sq(y.values)) <= 1e6
         errors.append(_extension_distance(domain, y, y_limit))
     # extensions of the (already matrix-consistent) smooth field stay close
@@ -184,14 +195,14 @@ def test_extension_distance_kills_inclusion_part(cell):
         return out
 
     grid16 = Grid(2, 16)
-    y_limit = DeformationField(grid16, _bump(grid16.node_coords()), bc="zero")
+    y_limit = _bump(grid16)
     errors = []
     for n in (4, 8, 16):
         domain = _domain(cell, n)
         grid = Grid(2, domain.n_el)
-        base = DeformationField(grid, _bump(grid.node_coords()), bc="zero")
+        base = _bump(grid)
         v = ts.build_recovery_sequence(domain, w)
-        y = DeformationField(grid, base.values + v.values, bc="zero")
+        y = DeformationField(grid, base.values + v.values)
         assert np.sqrt(grid.l2_norm_sq(y.values)) <= 1e6
         errors.append(_extension_distance(domain, y, y_limit))
     assert errors[-1] < errors[0]
