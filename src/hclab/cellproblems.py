@@ -13,8 +13,11 @@ multi-cell density
 approximated on finite windows, with an exact quadratic fast path.  For the
 isotropic quadratic W1(X) = a |X|^2 + L : X + k and R = G^{-1}, C = R R^T,
 |Y R|^2 = sum_i Y_i C Y_i^T splits the corrector problem into one scalar
-problem per component, all with the same stiffness K(C).  One factorization
-of K solved against the d columns of int grad(phi) gives the d x d matrix Q,
+problem per component, all with the same stiffness K(C).  K(C) is linear in
+C, so each cell window owns its operator basis: the band of the stiffness of
+each entry of C over the window's free nodes, and the d columns of
+int grad(phi).  A solve fills the band of K(C) from that basis and runs one
+banded Cholesky against those columns, which gives the d x d matrix Q,
 and W1hom(F) = vol W1(F R) - 1/2 tr(D Q D^T) with D = W1'(F R) R^T is a
 quadratic form in F with a d x d coefficient matrix.  The limit functional
 uses the fast path only.  A ``JLimitPass`` is one assembly of it at (y, P):
@@ -24,11 +27,11 @@ keeps what its P-gradient needs, so the gradient of an assembled point is
 finished without a second pass.
 
 The stiff window of a (cell, resolution, lam) and the soft window of a
-(cell, resolution, formulation), each a grid with its active and free masks,
-are built once and shared.  Cell values are memoized in a cache
-keyed by the cell, the density and an integer point of a lattice in log
-coordinates; the cache alone quantizes G, which keeps the number of solves
-bounded during limit-functional minimization.  Solves are deterministic, so
+(cell, resolution, formulation), each a grid with its active and free masks
+and its operator basis, are built once and shared read-only.  Cell values
+are memoized in a cache keyed by the cell, the density and an integer point
+of a lattice in log coordinates; the cache alone quantizes G, which keeps the
+number of solves bounded during limit-functional minimization.  Solves are deterministic, so
 cache hits are bit-identical.
 """
 
@@ -36,10 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
-import scipy.sparse.linalg
+import scipy.sparse
 
 from hclab import slgeometry
 from hclab.energies import EnergyBreakdown, PlasticPass
@@ -98,29 +103,78 @@ def _refined_mask(cell: CellGeometry, resolution: int) -> np.ndarray:
     return mask
 
 
+class CellWindow(NamedTuple):
+    """One meshed cell problem and its corrector basis, shared read-only.
+
+    ``grid`` carries energy on its ``active`` elements, the unknowns live on
+    the ``free`` nodes, and the energy is averaged over ``norm``.  The scalar
+    stiffness of C = R R^T is linear in C,
+
+        K(C) = 2a sum_{k <= l} C_kl K^{kl},   K^{kl} = int dN_k dN_l^T (+ transpose if k < l),
+
+    so ``operators`` holds the d(d+1)/2 operators K^{kl} over the free nodes
+    in natural order, each as its upper band (d(d+1)/2, bandwidth + 1, n_free)
+    in LAPACK storage, with the pairs (k, l) in ``_pairs`` order.  ``grad_phi``
+    (n_free, d) holds the integrals of grad(phi_n) over the active elements.
+    """
+
+    grid: Grid
+    active: np.ndarray
+    free: np.ndarray
+    norm: float
+    operators: np.ndarray
+    grad_phi: np.ndarray
+
+
+def _pairs(d: int) -> list:
+    return [(k, l) for k in range(d) for l in range(k, d)]
+
+
+def _window(grid: Grid, active: np.ndarray, free: np.ndarray, norm: float) -> CellWindow:
+    d = grid.dim
+    n_active = int(np.count_nonzero(active))
+    wq = grid.gauss_weight * grid.h**d
+    ops = []
+    for k, l in _pairs(d):
+        block = wq * np.einsum("gn,gm->nm", grid.dN_gauss[:, :, k], grid.dN_gauss[:, :, l])
+        if k != l:
+            block = block + block.T
+        K = grid.stiffness(np.broadcast_to(block, (n_active,) + block.shape), element_mask=active)
+        ops.append(scipy.sparse.triu(K[free][:, free], format="coo"))
+    u = max(int(np.max(op.col - op.row, initial=0)) for op in ops)
+    operators = np.zeros((len(ops), u + 1, int(np.count_nonzero(free))))
+    for band, op in zip(operators, ops):
+        band[u + op.row - op.col, op.col] = op.data
+
+    grad_phi = np.zeros((grid.n_nodes, d))
+    grid.accumulate_from_gradients(np.broadcast_to(np.eye(d), (n_active, grid.n_gauss, d, d)), grad_phi,
+                                   element_mask=active)
+    grad_phi = grad_phi[free]
+    for arr in (active, free, operators, grad_phi):
+        arr.setflags(write=False)
+    return CellWindow(grid, active, free, norm, operators, grad_phi)
+
+
 @lru_cache(maxsize=16)
-def _stiff_window(cell: CellGeometry, resolution: int, lam: int):
-    """(grid, active, free) of the window (0, lam)^d at ``resolution`` elements
-    per unit: the grid, its stiff elements, and the nodes off the window
-    boundary that touch a stiff element.  Built once per (cell, resolution,
-    lam) and shared; the masks are read-only."""
+def _stiff_window(cell: CellGeometry, resolution: int, lam: int) -> CellWindow:
+    """Window (0, lam)^d at ``resolution`` elements per unit: its stiff
+    elements, the nodes off the window boundary that touch a stiff element,
+    norm lam^d, and the corrector basis of those nodes.  Built once per
+    (cell, resolution, lam) and shared read-only."""
     d = cell.dim
     grid = Grid(d, lam * resolution, extent=float(lam))
     active = np.tile(~_refined_mask(cell, resolution), (lam,) * d).reshape(-1)
     _, any_active = node_incidence_masks(d, lam * resolution, active)
     free = (~grid.boundary_node_mask()) & any_active
-    active.setflags(write=False)
-    free.setflags(write=False)
-    return grid, active, free
+    return _window(grid, active, free, float(lam) ** d)
 
 
 @lru_cache(maxsize=16)
-def _soft_window(cell: CellGeometry, resolution: int, formulation: str):
-    """(grid, active, free, norm) of the soft cell problem at ``resolution``:
-    the unit-cell grid, the elements that carry energy, the nodes off the
-    zero-trace boundary, and the measure the energy is averaged over.  Built
-    once per (cell, resolution, formulation) and shared; the masks are
-    read-only."""
+def _soft_window(cell: CellGeometry, resolution: int, formulation: str) -> CellWindow:
+    """Soft cell problem at ``resolution``: the unit-cell grid, the elements
+    that carry energy, the nodes off the zero-trace boundary, the measure the
+    energy is averaged over, and the corrector basis of those nodes.  Built
+    once per (cell, resolution, formulation) and shared read-only."""
     grid = Grid(cell.dim, resolution)
     if formulation == "over_Q":
         active = np.ones(grid.n_elements, dtype=bool)
@@ -134,43 +188,42 @@ def _soft_window(cell: CellGeometry, resolution: int, formulation: str):
         norm = float(cell.vol_soft)
     else:
         raise CellProblemError(f"unknown formulation {formulation!r}")
-    active.setflags(write=False)
-    free.setflags(write=False)
-    return grid, active, free, norm
+    return _window(grid, active, free, norm)
 
 
-def _quadratic_corrector(grid: Grid, active: np.ndarray, free: np.ndarray, density, R: np.ndarray):
-    """Scalar corrector system of the quadratic density W(X R) on the active
-    elements, v zero off the free nodes.
+def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K @ x for the symmetric K whose upper band (LAPACK storage) is ``band``."""
+    u = band.shape[0] - 1
+    out = band[u][:, None] * x
+    for o in range(1, u + 1):
+        diag = band[u - o, o:, None]  # K[j - o, j]
+        out[:-o] += diag * x[o:]
+        out[o:] += diag * x[:-o]
+    return out
+
+
+def _quadratic_corrector(window: CellWindow, density, R: np.ndarray):
+    """Scalar corrector system of the quadratic density W(X R) on the
+    window's active elements, v zero off its free nodes.
 
     With W(X) = a |X|^2 + L : X + k and C = R R^T, the corrector of F
     minimizes sum_i (1/2 v_i.K.v_i + D_i . int grad v_i) over the components
     v_i on the free nodes, where D = W'(F R) R^T is constant over the active
-    elements.  K is the scalar stiffness with element blocks
-    2a wq sum_g dN C dN^T, and int grad v_i = grad_phi^T v_i with grad_phi the
-    (n_free, d) integrals of grad(phi_n) over the active elements.  One
-    factorization of K and one solve with the d columns of grad_phi give
-    Y = K^{-1} grad_phi, and the corrector of any F is v[free] = -Y D^T.
-    Returns (K, grad_phi, Y).
+    elements.  K = 2a sum C_kl K^{kl} is filled from the window's operator
+    basis as one band, int grad v_i = grad_phi^T v_i, and one banded Cholesky
+    solve with the d columns of grad_phi gives Y = K^{-1} grad_phi; the
+    corrector of any F is v[free] = -Y D^T.  Returns (band of K, Y).
     """
-    d = grid.dim
+    d = window.grid.dim
     a, _, _ = density.isotropic_quad_parts(d)
     C = R @ R.T
-    wq = grid.gauss_weight * grid.h**d
-    block = 2.0 * a * wq * np.einsum("gnk,kl,gml->nm", grid.dN_gauss, C, grid.dN_gauss)
-    n_active = int(np.count_nonzero(active))
-    K = grid.stiffness(np.broadcast_to(block, (n_active,) + block.shape), element_mask=active)
-    K = K[free][:, free].tocsc()
+    coeffs = 2.0 * a * np.array([C[k, l] for k, l in _pairs(d)])
+    band = np.tensordot(coeffs, window.operators, axes=1)
     try:
-        lu = scipy.sparse.linalg.splu(K)
-    except RuntimeError as exc:  # pragma: no cover - geometry invariants prevent this
+        Y = scipy.linalg.solveh_banded(band, window.grad_phi, check_finite=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - geometry invariants prevent this
         raise SingularSystem(f"cell stiffness factorization failed: {exc}") from exc
-
-    grad_phi = np.zeros((grid.n_nodes, d))
-    grid.accumulate_from_gradients(np.broadcast_to(np.eye(d), (n_active, grid.n_gauss, d, d)), grad_phi,
-                                   element_mask=active)
-    grad_phi = grad_phi[free]
-    return K, grad_phi, lu.solve(grad_phi)
+    return band, Y
 
 
 def _energy_of(grid: Grid, active: np.ndarray, v: np.ndarray, density, R: np.ndarray, F: np.ndarray):
@@ -190,10 +243,11 @@ def _energy_grad_of(grid: Grid, active: np.ndarray, v: np.ndarray, density, R: n
     return grid.integrate(vals), g
 
 
-def _minimize_cell(grid, active, free, density, R, F, tol, maxiter, restarts, seed, quadratic):
-    """Shared driver: direct sparse solve for quadratic densities, nonlinear CG
-    with seeded restarts otherwise.  v = 0 is always among the starts, so the
-    value never exceeds the test-field energy of the mean deformation."""
+def _minimize_cell(window: CellWindow, density, R, F, tol, maxiter, restarts, seed, quadratic):
+    """Shared driver: banded direct solve for quadratic densities, nonlinear
+    CG with seeded restarts otherwise.  v = 0 is always among the starts, so
+    the value never exceeds the test-field energy of the mean deformation."""
+    grid, active, free = window.grid, window.active, window.free
     d = grid.dim
 
     def pack(x):
@@ -202,11 +256,11 @@ def _minimize_cell(grid, active, free, density, R, F, tol, maxiter, restarts, se
         return v
 
     if quadratic:
-        K, grad_phi, Y = _quadratic_corrector(grid, active, free, density, R)
+        band, Y = _quadratic_corrector(window, density, R)
         D = density.grad(F @ R) @ R.T
         sol = -Y @ D.T
         v = pack(sol)
-        residual = float(np.linalg.norm(K @ sol + grad_phi @ D.T))
+        residual = float(np.linalg.norm(_band_matvec(band, sol) + window.grad_phi @ D.T))
         return v, _energy_of(grid, active, v, density, R, F), 1, residual, True
 
     rng = np.random.default_rng(seed)
@@ -247,11 +301,11 @@ def qprime_W0(cell: CellGeometry, W0, F, G, resolution: int = 32, tol: float = 1
     """
     F = np.asarray(F, dtype=float)
     G = _check_invertible(G)
-    grid, active, free, norm = _soft_window(cell, resolution, formulation)
+    window = _soft_window(cell, resolution, formulation)
     v, energy, iters, residual, converged = _minimize_cell(
-        grid, active, free, W0, G, F, tol, maxiter, restarts, seed, quadratic=W0.is_quadratic
+        window, W0, G, F, tol, maxiter, restarts, seed, quadratic=W0.is_quadratic
     )
-    return CellProblemResult(value=energy / norm, minimizer=v, iterations=iters,
+    return CellProblemResult(value=energy / window.norm, minimizer=v, iterations=iters,
                              residual=residual, formulation=formulation, converged=converged)
 
 
@@ -274,12 +328,12 @@ def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2), resolution: in
         if lam < 1 or lam != int(lam):
             raise CellProblemError("window sizes must be positive integers")
         lam = int(lam)
-        grid, active, free = _stiff_window(cell, resolution, lam)
+        window = _stiff_window(cell, resolution, lam)
         v, energy, iters, residual, converged = _minimize_cell(
-            grid, active, free, W1, Ginv, F, tol, maxiter, 3, seed, quadratic=W1.is_quadratic
+            window, W1, Ginv, F, tol, maxiter, 3, seed, quadratic=W1.is_quadratic
         )
         results[lam] = CellProblemResult(
-            value=energy / float(lam) ** cell.dim, minimizer=v, iterations=iters,
+            value=energy / window.norm, minimizer=v, iterations=iters,
             residual=residual, formulation=f"multicell({lam})", converged=converged,
         )
     top = max(results)
@@ -310,26 +364,26 @@ def effective_quadratic_tensor(cell: CellGeometry, W1, G, resolution: int = 32) 
     """Stiff density at one G for a quadratic W1 = a |X|^2 + L : X + k, window lam = 1.
 
     With R = G^{-1}, C = R R^T, M = L R^T and vol = |stiff cell|, the
-    corrector system (K, grad_phi, Y) of ``_quadratic_corrector`` gives the
-    d x d matrix Q = grad_phi^T K^{-1} grad_phi.  The cell energy of F at its
-    corrector, vol W1(F R) - 1/2 tr(D Q D^T) with D = 2a F C + M, expands to
-    the form of ``EffectiveQuadratic`` with
+    window's grad_phi and the corrector Y = K^{-1} grad_phi of
+    ``_quadratic_corrector`` give the d x d matrix Q = grad_phi^T Y.  The cell
+    energy of F at its corrector, vol W1(F R) - 1/2 tr(D Q D^T) with
+    D = 2a F C + M, expands to the form of ``EffectiveQuadratic`` with
 
         A = vol a C - 2a^2 C Q C,  b = vol M - 2a M Q C,  c = vol k - 1/2 tr(M Q M^T).
 
-    One scalar factorization and one solve with d right-hand sides.
+    One banded Cholesky solve with d right-hand sides.
     """
     if not getattr(W1, "is_quadratic", False):
         raise CellProblemError("effective_quadratic_tensor requires a quadratic stiff density")
     G = _check_invertible(G)
     R = np.linalg.inv(G)
-    grid, active, free = _stiff_window(cell, resolution, 1)
-    _, grad_phi, Y = _quadratic_corrector(grid, active, free, W1, R)
-    Q = grad_phi.T @ Y
+    window = _stiff_window(cell, resolution, 1)
+    _, Y = _quadratic_corrector(window, W1, R)
+    Q = window.grad_phi.T @ Y
     a, L, k = W1.isotropic_quad_parts(cell.dim)
     C = R @ R.T
     M = L @ R.T
-    vol = np.count_nonzero(active) * grid.h**cell.dim
+    vol = np.count_nonzero(window.active) * window.grid.h**cell.dim
     return EffectiveQuadratic(A=vol * a * C - 2.0 * a * a * (C @ Q @ C),
                               b=vol * M - 2.0 * a * (M @ Q @ C),
                               c=float(vol * k - 0.5 * np.trace(M @ Q @ M.T)))
@@ -365,9 +419,21 @@ class HomDensityCache:
 
     def quantize_logs(self, logs: np.ndarray) -> tuple:
         """``quantize`` from the principal logs (N, d, d) of the matrices."""
-        coeffs = slgeometry.matrices_to_coeffs(logs)
-        uniq, inverse = np.unique(np.round(coeffs / self.step).astype(int), axis=0, return_inverse=True)
-        return [tuple(int(i) for i in key) for key in uniq], inverse.reshape(-1)
+        keys = np.round(slgeometry.matrices_to_coeffs(logs) / self.step).astype(np.int64)
+        # one int64 code per row, in lexicographic order (mixed radix over the
+        # column spans); ranks replace the codes before the radix could overflow
+        code = np.zeros(len(keys), dtype=np.int64)
+        size = 1
+        for col in keys.T:
+            low = int(col.min())
+            span = int(col.max()) - low + 1
+            if size * span > 2**62:
+                _, code = np.unique(code, return_inverse=True)
+                size = int(code.max()) + 1
+            code = code * span + (col - low)
+            size *= span
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        return [tuple(key) for key in keys[first].tolist()], inverse.reshape(-1)
 
     def reconstruct(self, key: tuple, dim: int) -> np.ndarray:
         coeffs = np.asarray(key, dtype=float) * self.step

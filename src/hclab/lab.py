@@ -94,11 +94,13 @@ class StudyConfig:
             raise ConfigError(f"macro_elements must be >= 1, got {self.macro_elements}")
         if not self.strip > 0:
             raise ConfigError(f"strip must be positive, got {self.strip}")
-        if self.cell_resolution is not None:
+        try:
             m = _build_cell(self.geometry).resolution
-            if self.cell_resolution < 1 or self.cell_resolution % m:
-                raise ConfigError(f"cell_resolution must be a positive multiple of the cell's "
-                                  f"resolution {m}, got {self.cell_resolution}")
+        except microgeometry.GeometryError as exc:
+            raise ConfigError(f"geometry {self.geometry}: {exc}") from exc
+        if self.cell_resolution is not None and (self.cell_resolution < 1 or self.cell_resolution % m):
+            raise ConfigError(f"cell_resolution must be a positive multiple of the cell's "
+                              f"resolution {m}, got {self.cell_resolution}")
         if self.toggles.get("correction"):
             raise ConfigError("toggles.correction is not supported yet: the recovery check does not "
                               "run the correction stage")

@@ -170,17 +170,16 @@ def load_cell_mask(path) -> CellGeometry:
     if not lines:
         raise GeometryError(f"empty mask file {path}")
     head = lines[0].split()
-    if len(head) != 2:
-        raise GeometryError(f"bad header {lines[0]!r}: expected 'd m'")
+    if len(head) != 2 or head[0] not in ("2", "3") or not head[1].isdigit():
+        raise GeometryError(f"bad header {lines[0]!r}: expected 'd m' with d = 2 or 3")
     dim, m = int(head[0]), int(head[1])
-    rows = [ln for ln in lines[1:] if ln.strip() != ""]
+    rows = [ln.strip() for ln in lines[1:] if ln.strip() != ""]
     expected = m if dim == 2 else m * m
     if len(rows) != expected:
         raise GeometryError(f"expected {expected} data lines, found {len(rows)}")
-    bits = np.array([[ch == "1" for ch in ln.strip()] for ln in rows], dtype=bool)
-    if bits.shape[1] != m:
+    if any(len(ln) != m for ln in rows):
         raise GeometryError(f"data lines must have {m} characters")
-    mask = bits.reshape((m,) * dim)
+    mask = np.array([[ch == "1" for ch in ln] for ln in rows], dtype=bool).reshape((m,) * dim)
     return build_unit_cell(dim, m, mask)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -298,6 +299,141 @@ def test_cache_keys_round_trip_near_identity(dim, data):
     Gq = cache.reconstruct(key, dim)
     assert cache.quantize(Gq[None])[0] == [key]
     assert cache.quantize(np.linalg.inv(Gq)[None])[0] == [tuple(-i for i in key)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.sampled_from([2, 3]), bound=st.sampled_from([3, 60, 10**6]), data=st.data())
+def test_quantize_keys_match_lexicographic_unique(dim, bound, data):
+    """``quantize_logs`` gives the keys and inverse of np.unique(axis=0) on the
+    integer lattice rows, negative entries, repeated rows and single rows
+    included.  At bound 10**6 the column spans overflow one int64 radix code
+    in 2D and 3D, so the codes are ranked on the way."""
+    n = dim * dim - 1
+    row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    pool = data.draw(st.lists(row, min_size=1, max_size=6))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    ints = np.array([pool[i] for i in picks])
+    cache = cp.HomDensityCache(step=1e-2)
+    keys, inverse = cache.quantize_logs(sg.coeffs_to_matrices(ints * cache.step, dim))
+    uniq, expected = np.unique(ints, axis=0, return_inverse=True)
+    assert keys == [tuple(int(i) for i in key) for key in uniq]
+    assert np.array_equal(inverse, expected.reshape(-1))
+
+
+def _unimodular(rng, dim, radius=0.3):
+    c = rng.standard_normal(dim * dim - 1)
+    c *= radius * (0.5 + 0.5 * rng.random()) / np.linalg.norm(c)
+    return sg.exp_batch(sg.coeffs_to_matrices(c, dim))
+
+
+def _direct_corrector(window, density, R):
+    """(K, Y) of the corrector system from the assembled stiffness: element
+    blocks of C = R R^T, ``Grid.stiffness``, the free-node slice and a sparse
+    direct solve, independent of the window's operator basis."""
+    grid, active, free = window.grid, window.active, window.free
+    d = grid.dim
+    a, _, _ = density.isotropic_quad_parts(d)
+    C = R @ R.T
+    wq = grid.gauss_weight * grid.h**d
+    block = 2.0 * a * wq * np.einsum("gnk,kl,gml->nm", grid.dN_gauss, C, grid.dN_gauss)
+    n_active = int(np.count_nonzero(active))
+    K = grid.stiffness(np.broadcast_to(block, (n_active,) + block.shape), element_mask=active)
+    K = K[free][:, free].tocsc()
+    return K, scipy.sparse.linalg.spsolve(K, window.grad_phi)
+
+
+@pytest.mark.parametrize("name, resolution", [("block4", 32), ("fiber3d", 8)])
+def test_effective_tensor_matches_direct_sparse_solve(name, resolution):
+    cell = mg.builtin_cell(name)
+    d = cell.dim
+    stiff = materials.StiffDensity(1.0)
+    a, L, k = stiff.isotropic_quad_parts(d)
+    window = cp._stiff_window(cell, resolution, 1)
+    vol = np.count_nonzero(window.active) * window.grid.h**d
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        G = _unimodular(rng, d)
+        R = np.linalg.inv(G)
+        C, M = R @ R.T, L @ R.T
+        _, Y = _direct_corrector(window, stiff, R)
+        Q = window.grad_phi.T @ Y
+        A = vol * a * C - 2.0 * a * a * (C @ Q @ C)
+        b = vol * M - 2.0 * a * (M @ Q @ C)
+        c = vol * k - 0.5 * np.trace(M @ Q @ M.T)
+        tensor = cp.effective_quadratic_tensor(cell, stiff, G, resolution=resolution)
+        assert np.abs(tensor.A - A).max() <= 1e-12 * np.abs(A).max()
+        assert np.abs(tensor.b - b).max() <= 1e-12 * np.abs(b).max()
+        assert abs(tensor.c - c) <= 1e-12 * abs(c)
+
+
+def test_qprime_residual_matches_direct_sparse_solve(cell, convex_soft):
+    """The quadratic soft solve over Q0 returns the corrector of the direct
+    solve, and its residual is the residual of the assembled system."""
+    window = cp._soft_window(cell, 32, "over_Q0")
+    rng = np.random.default_rng(19)
+    G = _unimodular(rng, 2)
+    F = rng.standard_normal((2, 2))
+    res = cp.qprime_W0(cell, convex_soft, F, G, resolution=32, formulation="over_Q0")
+    K, Y = _direct_corrector(window, convex_soft, G)  # the soft density is evaluated at X G
+    D = convex_soft.grad(F @ G) @ G.T
+    sol = res.minimizer[window.free]
+    assert np.abs(sol + Y @ D.T).max() <= 1e-12 * np.abs(Y @ D.T).max()
+    scale = np.linalg.norm(window.grad_phi @ D.T)
+    direct = np.linalg.norm(K @ sol + window.grad_phi @ D.T)
+    assert res.residual <= 1e-13 * scale and direct <= 1e-13 * scale
+    assert res.residual == pytest.approx(direct, rel=0.5, abs=1e-15 * scale)
+    assert res.converged and np.count_nonzero(res.minimizer[~window.free]) == 0
+
+
+@pytest.mark.parametrize("name, resolution", [("block4", 16), ("fiber3d", 4)])
+def test_tensor_sensitivity_matches_central_differences(name, resolution):
+    """dQ/dC_kl = -2a Y^T K^{kl} Y from the window's operator basis (the
+    sensitivity of homogenized coefficients), against central differences of
+    Q = grad_phi^T K(C)^{-1} grad_phi along symmetric directions of C."""
+    cell = mg.builtin_cell(name)
+    d = cell.dim
+    stiff = materials.StiffDensity(1.0)
+    a, _, _ = stiff.isotropic_quad_parts(d)
+    window = cp._stiff_window(cell, resolution, 1)
+
+    def Q(C):
+        _, Y = cp._quadratic_corrector(window, stiff, np.linalg.cholesky(C))  # any R with R R^T = C
+        return window.grad_phi.T @ Y
+
+    rng = np.random.default_rng(23)
+    R = np.linalg.inv(_unimodular(rng, d))
+    C = R @ R.T
+    _, Y = cp._quadratic_corrector(window, stiff, R)
+    t = 1e-5
+    exact, central = [], []
+    for band, (k, l) in zip(window.operators, cp._pairs(d)):
+        exact.append(-2.0 * a * Y.T @ cp._band_matvec(band, Y))
+        E = np.zeros((d, d))
+        E[k, l] = E[l, k] = 1.0
+        central.append((Q(C + t * E) - Q(C - t * E)) / (2.0 * t))
+    exact, central = np.array(exact), np.array(central)
+    assert np.abs(exact).max() > 1e-3
+    assert np.abs(central - exact).max() <= 1e-7 * np.abs(exact).max()
+
+
+def test_tensor_reuses_the_read_only_window_basis(cell, monkeypatch):
+    """A second tensor on the same window refills values only: it reuses the
+    window's arrays, assembles no stiffness, and cannot write to them."""
+    stiff = materials.StiffDensity(1.0)
+    rng = np.random.default_rng(29)
+    seen = []
+    corrector = cp._quadratic_corrector
+    monkeypatch.setattr(cp, "_quadratic_corrector", lambda window, *args: seen.append(window) or
+                        corrector(window, *args))
+    cp.effective_quadratic_tensor(cell, stiff, _unimodular(rng, 2), resolution=16)
+    monkeypatch.setattr(Grid, "stiffness", lambda *args, **kwargs: pytest.fail("stiffness re-assembled"))
+    cp.effective_quadratic_tensor(cell, stiff, _unimodular(rng, 2), resolution=16)
+    first, second = seen
+    assert second is first is cp._stiff_window(cell, 16, 1)
+    for arr in (first.active, first.free, first.operators, first.grad_phi):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = arr.flat[0]
 
 
 def test_limit_hardening_parts(cell):

@@ -58,6 +58,21 @@ def test_config_validation():
     lab.StudyConfig(acceptance={"recovery_bound": True, "require_gap_decreasing": True}).validate()
 
 
+def test_config_rejects_a_geometry_that_cannot_be_built(tmp_path):
+    """Without ``cell_resolution`` the cell is still built in ``validate``:
+    an unknown builtin and a malformed mask file are config errors, before a
+    study starts."""
+    bad_mask = tmp_path / "short.mask"
+    bad_mask.write_text("2 4\n0000\n0110\n")  # two of four data lines
+    for geometry, match in (({"builtin": "blok4"}, "blok4"), ({"mask_file": str(bad_mask)}, "data lines")):
+        with pytest.raises(lab.ConfigError, match=match):
+            lab.StudyConfig(geometry=geometry).validate()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"geometry": geometry}))
+        with pytest.raises(lab.ConfigError, match=match):
+            lab.load_config(path)
+
+
 def test_load_config_rejects_unknown_top_level_key(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"eps_list": [0.25, 0.125], "lambdas": [1, 2]}))

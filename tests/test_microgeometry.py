@@ -53,6 +53,15 @@ def test_mask_file_roundtrip(tmp_path):
         assert np.array_equal(loaded.soft_mask, cell.soft_mask)
 
 
+@pytest.mark.parametrize("text", ["", "2\n", "x 4\n", "4 2\n00\n00\n", "2 4\n0000\n0110\n",
+                                  "2 2\n00\n000\n", "2 2\n0\n00\n"])
+def test_malformed_mask_file_is_a_geometry_error(tmp_path, text):
+    path = tmp_path / "bad.mask"
+    path.write_text(text)
+    with pytest.raises(mg.GeometryError):
+        mg.load_cell_mask(path)
+
+
 def _admitted_by_enumeration(cell, n, strip):
     """Independent oracle: test the distance predicate on a fine sample of the
     soft set of every cell (distance function is min over coordinates)."""
