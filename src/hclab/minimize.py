@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse
 import scipy.sparse.linalg
 
 from hclab import cellproblems, energies
@@ -96,10 +95,14 @@ def _quadratic_y_system(grid: Grid, scale, A: np.ndarray, b: np.ndarray):
     The quadratic part acts alike on every component of y, so K is the scalar
     nodal operator with element blocks 2 wq scale dN . A . dN, shape
     (n_nodes, n_nodes), and f holds one column per component, shape
-    (n_nodes, d).
+    (n_nodes, d).  The blocks sum_g dN_g . A_g . dN_g^T are one matrix
+    product: A flattened over (g, k, l) per element, times the outer products
+    dN_gk dN_gl^T of the shape gradients, (g d^2, 4^d).
     """
     wq = grid.gauss_weight * grid.h**grid.dim
-    gAg = np.einsum("gnk,egkl,gml->enm", grid.dN_gauss, A, grid.dN_gauss)
+    nc = grid.n_corners
+    outer = np.einsum("gnk,gml->gklnm", grid.dN_gauss, grid.dN_gauss).reshape(-1, nc * nc)
+    gAg = (A.reshape(len(A), -1) @ outer).reshape(-1, nc, nc)
     f = np.zeros((grid.n_nodes, grid.dim))
     grid.accumulate_from_gradients(-b, f)
     return grid.stiffness(2.0 * wq * np.asarray(scale)[..., None, None] * gAg), f
@@ -111,19 +114,22 @@ def _assemble_y_system(domain, model, P: PlasticField):
     With isotropic quadratic parts W(F) = a |F|^2 + L : F + c the energy in
     U = grad y reads a |s U P^{-1}|^2 + L : (s U P^{-1}) + ..., so the
     coefficients are A = P^{-1} P^{-T} scaled by s^2 a per element and
-    b = s L P^{-T}.
+    b = s L P^{-T}.  The inverses and products of the Gauss values of P go
+    through ``energies._inv_batch`` and ``energies._matmul``: closed forms
+    in 2D, numpy's batched routines in 3D.
     """
     grid = domain.grid
     d = grid.dim
     eps = domain.eps
-    Pinv = np.linalg.inv(grid.gauss_values(P.matrices()))
+    Pinv = energies._inv_batch(grid.gauss_values(P.matrices()))
     PinvT = np.swapaxes(Pinv, -1, -2)
     soft = domain.soft_field.reshape(-1)
     a_soft, L_soft, _ = model.W_soft_family.isotropic_quad_parts(eps, d)
     a_stiff, L_stiff, _ = model.W_stiff.isotropic_quad_parts(d)
     scale2 = np.where(soft, (eps**2) * a_soft, a_stiff)  # multiplies |U P^{-1}|^2
-    drive = np.where(soft[:, None, None, None], eps * np.matmul(L_soft, PinvT), np.matmul(L_stiff, PinvT))
-    return _quadratic_y_system(grid, scale2, np.matmul(Pinv, PinvT), drive)
+    drive = np.where(soft[:, None, None, None], eps * energies._matmul(L_soft, PinvT),
+                     energies._matmul(L_stiff, PinvT))
+    return _quadratic_y_system(grid, scale2, energies._matmul(Pinv, PinvT), drive)
 
 
 def _cg(K, B: np.ndarray, X0: np.ndarray, rtol: float, max_iter: int):
@@ -134,8 +140,10 @@ def _cg(K, B: np.ndarray, X0: np.ndarray, rtol: float, max_iter: int):
     Returns X, the largest per-column iteration count, the norm of K X - B and
     whether every column converged.  A zero column returns zero.  From X0 = 0
     every CG iterate x of a non-zero column b has b.x = x.Kx > 0, so for a
-    gradient B, X is a descent direction."""
-    M = scipy.sparse.diags(1.0 / np.maximum(K.diagonal(), 1e-30))
+    gradient B, X is a descent direction.  The Jacobi preconditioner scales
+    the residual entrywise by the inverse diagonal of K."""
+    inv_diag = 1.0 / np.maximum(K.diagonal(), 1e-30)
+    M = scipy.sparse.linalg.LinearOperator(K.shape, matvec=lambda r: inv_diag * r, dtype=float)
     X = np.empty_like(B)
     iters = 0
     converged = True

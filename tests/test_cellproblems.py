@@ -416,6 +416,31 @@ def test_tensor_sensitivity_matches_central_differences(name, resolution):
     assert np.abs(central - exact).max() <= 1e-7 * np.abs(exact).max()
 
 
+@pytest.mark.parametrize("name, resolution", [("block4", 16), ("fiber3d", 4)])
+@pytest.mark.parametrize("problem", ["over_Q0", "over_Q", "multicell"])
+def test_closed_form_cell_energy_matches_full_grid_energy(name, resolution, problem):
+    """The quadratic path's energy vol W(F R) - 1/2 tr(D Q D^T) equals the
+    energy of its corrector integrated over the active elements' Gauss
+    points, for the soft problems and both multi-cell windows."""
+    cell = mg.builtin_cell(name)
+    d = cell.dim
+    model = materials.default_material(dim=d)
+    rng = np.random.default_rng(31)
+    F = 0.5 * rng.standard_normal((d, d))
+    G = _unimodular(rng, d)
+    if problem == "multicell":
+        R = np.linalg.inv(G)
+        res = cp.multicell_W1hom(cell, model.W_stiff, F, G, lambdas=(1, 2), resolution=resolution)
+        cases = [(cp._stiff_window(cell, resolution, lam), model.W_stiff, r) for lam, r in res.per_lambda.items()]
+    else:
+        R = G
+        res = cp.qprime_W0(cell, model.W_soft_limit, F, G, resolution=resolution, formulation=problem)
+        cases = [(cp._soft_window(cell, resolution, problem), model.W_soft_limit, res)]
+    for window, density, r in cases:
+        full, _ = cp._energy_grad_of(window.grid, window.active, r.minimizer, density, R, F)
+        assert r.value * window.norm == pytest.approx(full, rel=1e-12)
+
+
 def test_tensor_reuses_the_read_only_window_basis(cell, monkeypatch):
     """A second tensor on the same window refills values only: it reuses the
     window's arrays, assembles no stiffness, and cannot write to them."""

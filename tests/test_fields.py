@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hclab import slgeometry as sg
+from hclab import cellproblems as cp, microgeometry as mg, slgeometry as sg
 from hclab.fields import (
     DeformationField,
     Grid,
@@ -296,8 +297,105 @@ def test_stiffness_matches_dense_scatter_loop(dim, n_el, extent, masked):
 
 
 def test_csr_plan_shared_per_grid_shape_and_read_only():
+    """Grids of one shape share the read-only Gauss operators, and their
+    stiffness operators share the read-only pattern arrays and own their
+    values: a second refill leaves the first operator alone."""
     a, b = Grid(2, 5), Grid(2, 5)
     assert a._operators() is b._operators()
     assert Grid(2, 5, 2.0)._operators() is not a._operators()
     with pytest.raises(ValueError):
         a._operators().values.data[0] = 1.0
+    blocks = np.random.default_rng(0).standard_normal((2, a.n_elements, 4, 4))
+    K1 = a.stiffness(blocks[0])
+    before = K1.data.copy()
+    K2 = b.stiffness(blocks[1][:10], element_mask=np.arange(a.n_elements) < 10)
+    for first, second in ((K1.indptr, K2.indptr), (K1.indices, K2.indices)):
+        assert np.shares_memory(first, second)
+        with pytest.raises(ValueError):
+            first[0] = first[0]
+    assert not np.shares_memory(K1.data, K2.data)
+    assert np.array_equal(K1.data, before)
+
+
+def _coo_stiffness(grid, blocks, element_mask=None):
+    """COO -> CSR assembly of element blocks, the masked-out blocks left out."""
+    nodes = grid.el_nodes if element_mask is None else grid.el_nodes[element_mask]
+    rows = np.repeat(nodes, grid.n_corners, axis=1).reshape(-1)
+    cols = np.tile(nodes, (1, grid.n_corners)).reshape(-1)
+    shape = (grid.n_nodes, grid.n_nodes)
+    return scipy.sparse.coo_matrix((np.reshape(blocks, -1), (rows, cols)), shape=shape).tocsr()
+
+
+@pytest.mark.parametrize("dim, n_el", [(2, 64), (2, 17), (3, 6)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_stiffness_refill_matches_coo_to_csr(dim, n_el, masked):
+    """The refilled pattern is the COO -> CSR result of the blocks of every
+    element, with zero blocks outside the mask: the same indptr and indices,
+    and in 2D the same data bit for bit (each slot summed in block order).
+    3D rows hold more duplicates than scipy's stable small-row sort, so
+    there the data agree to rel 1e-15.  Masked, the matrix also equals the
+    COO -> CSR assembly of the active blocks alone."""
+    grid = Grid(dim, n_el)
+    rng = np.random.default_rng(n_el)
+    mask = rng.random(grid.n_elements) < 0.6 if masked else None
+    blocks = rng.standard_normal((grid.n_elements, grid.n_corners, grid.n_corners))
+    if masked:
+        blocks[~mask] = 0.0
+    K = grid.stiffness(blocks if mask is None else blocks[mask], element_mask=mask)
+    ref = _coo_stiffness(grid, blocks)
+    assert np.array_equal(K.indptr, ref.indptr) and np.array_equal(K.indices, ref.indices)
+    if dim == 2:
+        assert np.array_equal(K.data, ref.data)
+    else:
+        _assert_rel_close(K.data, ref.data, rel=1e-15)
+    if masked and dim == 2:
+        assert np.array_equal(K.toarray(), _coo_stiffness(grid, blocks[mask], mask).toarray())
+
+
+def test_stiffness_refill_builds_no_coo_matrix(monkeypatch):
+    """Building the pattern of a new grid shape and refilling it go through
+    no COO matrix."""
+    def boom(*args, **kwargs):
+        raise AssertionError("coo_matrix called")
+
+    monkeypatch.setattr(scipy.sparse, "coo_matrix", boom)
+    grid = Grid(2, 11)
+    blocks = np.random.default_rng(1).standard_normal((grid.n_elements, 4, 4))
+    for _ in range(2):
+        K = grid.stiffness(blocks)
+        K = grid.stiffness(blocks[::2], element_mask=np.arange(grid.n_elements) % 2 == 0)
+    assert K.nnz == (3 * grid.n_pts - 2) ** 2
+
+
+def _coo_window_bands(window):
+    """The upper bands of a window's operators K^{kl}, assembled from the
+    active elements' blocks by COO -> CSR."""
+    grid, active, free = window.grid, window.active, window.free
+    d = grid.dim
+    wq = grid.gauss_weight * grid.h**d
+    ops = []
+    for k, l in cp._pairs(d):
+        block = wq * np.einsum("gn,gm->nm", grid.dN_gauss[:, :, k], grid.dN_gauss[:, :, l])
+        if k != l:
+            block = block + block.T
+        blocks = np.broadcast_to(block, (int(np.count_nonzero(active)),) + block.shape)
+        ops.append(scipy.sparse.triu(_coo_stiffness(grid, blocks, active)[free][:, free], format="coo"))
+    u = max(int(np.max(op.col - op.row, initial=0)) for op in ops)
+    bands = np.zeros((len(ops), u + 1, int(np.count_nonzero(free))))
+    for band, op in zip(bands, ops):
+        band[u + op.row - op.col, op.col] = op.data
+    return bands
+
+
+@pytest.mark.parametrize("window", ["stiff1", "stiff2", "over_Q", "over_Q0"])
+def test_2d_cell_window_bands_match_coo_assembly(window):
+    """The 2D cell windows' operator bands, built through the refilled
+    pattern, are bit-identical to the bands of the COO -> CSR assembly."""
+    cell = mg.builtin_cell("block4")
+    if window.startswith("stiff"):
+        win = cp._stiff_window(cell, 16, int(window[-1]))
+    else:
+        win = cp._soft_window(cell, 16, window)
+    bands = _coo_window_bands(win)
+    assert bands.shape == win.operators.shape
+    assert np.array_equal(win.operators, bands)

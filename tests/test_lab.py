@@ -101,7 +101,7 @@ _CONFIG_VALUES = {
     "acceptance": st.none() | st.fixed_dictionaries({}, optional={
         "require_gap_decreasing": st.booleans(), "max_final_gap": st.floats(0.0, 1.0),
         "max_gap_all": st.floats(0.0, 1.0), "max_unfold_resid": _SMALL,
-        "recovery_bound": st.booleans()}).filter(bool),
+        "recovery_bound": st.booleans(), "require_converged": st.booleans()}).filter(bool),
 }
 
 
@@ -260,6 +260,24 @@ def test_evaluate_acceptance(control_report):
     # the control gaps are not strictly decreasing (identically zero)
     checks = lab.evaluate_acceptance(report, {"require_gap_decreasing": True})
     assert not all(ok for _, ok in checks)
+
+
+def test_require_converged_names_the_unconverged_solves(monkeypatch):
+    """With one outer round the eps solve stops unconverged (the reference
+    converges in one): ``require_converged`` fails and names that solve, and
+    the same study without the key passes its acceptance block."""
+    schedule = lab.minimize.Schedule
+    monkeypatch.setattr(lab.minimize, "Schedule", lambda **kw: schedule(outer_iters=1, **kw))
+    cfg = lab.StudyConfig(eps_list=[0.25], toggles={"recovery_check": False},
+                          acceptance={"max_unfold_resid": 1e-12, "require_converged": True})
+    report = lab.run_convergence_study(cfg)
+    solves = report.metadata["solve_reports"]
+    assert solves["reference"]["converged"] and not solves["eps=0.25"]["converged"]
+    assert lab.evaluate_acceptance(report, cfg.acceptance) == [("unfold_resid", True),
+                                                               ("converged[eps=0.25]", False)]
+    assert lab.evaluate_acceptance(report, {"max_unfold_resid": 1e-12}) == [("unfold_resid", True)]
+    monkeypatch.setattr(lab.minimize, "Schedule", schedule)
+    assert lab.evaluate_acceptance(lab.run_convergence_study(cfg), cfg.acceptance)[-1] == ("converged", True)
 
 
 def test_cli_geom_and_audit(capsys):

@@ -289,6 +289,69 @@ def test_cg_solves_each_column_of_the_y_system(setup):
     assert (np.einsum("ij,ij->j", ff, X) > 0.0).all()
 
 
+def _reference_y_system(domain, model, P):
+    """The y-system from numpy's generic inverse and stacked products, the
+    three-operand einsum for the element blocks and a COO -> CSR assembly."""
+    grid, eps, d = domain.grid, domain.eps, domain.grid.dim
+    Pinv = np.linalg.inv(grid.gauss_values(P.matrices()))
+    PinvT = np.swapaxes(Pinv, -1, -2)
+    soft = domain.soft_field.reshape(-1)
+    a_soft, L_soft, _ = model.W_soft_family.isotropic_quad_parts(eps, d)
+    a_stiff, L_stiff, _ = model.W_stiff.isotropic_quad_parts(d)
+    scale2 = np.where(soft, eps**2 * a_soft, a_stiff)
+    drive = np.where(soft[:, None, None, None], eps * np.matmul(L_soft, PinvT), np.matmul(L_stiff, PinvT))
+    gAg = np.einsum("gnk,egkl,gml->enm", grid.dN_gauss, np.matmul(Pinv, PinvT), grid.dN_gauss)
+    wq = grid.gauss_weight * grid.h**d
+    blocks = 2.0 * wq * scale2[:, None, None] * gAg
+    rows = np.repeat(grid.el_nodes, grid.n_corners, axis=1).reshape(-1)
+    cols = np.tile(grid.el_nodes, (1, grid.n_corners)).reshape(-1)
+    K = scipy.sparse.coo_matrix((blocks.reshape(-1), (rows, cols)), shape=(grid.n_nodes,) * 2).tocsr()
+    f = np.zeros((grid.n_nodes, d))
+    grid.accumulate_from_gradients(-drive, f)
+    return K, f
+
+
+@pytest.mark.parametrize("name, n_cells, rel", [("block4", 4, 1e-14), ("fiber3d", 3, 1e-13)])
+def test_y_system_matches_generic_numpy_reference(name, n_cells, rel):
+    """``_assemble_y_system`` (closed-form 2x2 inverse and products, blocks
+    by one matrix product, refilled pattern) at a random P agrees with the
+    generic numpy reference."""
+    cell = mg.builtin_cell(name)
+    domain = mg.build_micro_domain(cell, n_cells, strip=0.5)
+    model = materials.default_material(dim=cell.dim)
+    grid = domain.grid
+    rng = np.random.default_rng(5)
+    P = PlasticField(grid, 0.2 * rng.standard_normal((grid.n_nodes, grid.dim**2 - 1)), model.K_radius)
+    K, f = mz._assemble_y_system(domain, model, P)
+    K_ref, f_ref = _reference_y_system(domain, model, P)
+    assert np.array_equal(K.indptr, K_ref.indptr) and np.array_equal(K.indices, K_ref.indices)
+    assert np.abs(K.data - K_ref.data).max() <= rel * np.abs(K_ref.data).max()
+    assert np.abs(f - f_ref).max() <= rel * np.abs(f_ref).max()
+
+
+def test_cg_matches_scipy_cg_with_a_diagonal_preconditioner(setup):
+    """``_cg``'s entrywise Jacobi scaling gives scipy's CG with
+    M = diags(1 / diag K) bit for bit, with the same iteration count."""
+    _, domain, model, _ = setup
+    grid = domain.grid
+    bump = np.prod(np.sin(np.pi * grid.node_coords()), axis=-1)
+    P = PlasticField(grid, 0.2 * bump[:, None] * np.array([0.9, 0.4, 0.0]), model.K_radius)
+    K, f = mz._assemble_y_system(domain, model, P)
+    free = ~grid.boundary_node_mask()
+    Kff, ff = K[free][:, free], f[free]
+    M = scipy.sparse.diags(1.0 / Kff.diagonal())
+    for X0, rtol in ((np.zeros_like(ff), 1e-10), (np.random.default_rng(2).standard_normal(ff.shape), 1e-6)):
+        X, iters, _, ok = mz._cg(Kff, ff, X0, rtol, 10_000)
+        counts = []
+        for j in range(ff.shape[1]):
+            count = [0]
+            ref, info = scipy.sparse.linalg.cg(Kff, ff[:, j], x0=X0[:, j], M=M, maxiter=10_000, rtol=rtol,
+                                               atol=0.0, callback=lambda _: count.__setitem__(0, count[0] + 1))
+            assert info == 0 and np.array_equal(X[:, j], ref)
+            counts.append(count[0])
+        assert ok and iters == max(counts) > 0
+
+
 def test_minimize_P_assembles_each_point_once(setup, monkeypatch):
     """From the random start of the stationarity test: every P is assembled
     once, only accepted points get their gradient finished, grad y is taken
