@@ -40,7 +40,7 @@ COLUMNS = [
 TOGGLE_KEYS = ("dissipation", "recovery_check", "correction")
 TOLERANCE_KEYS = ("outer", "linear", "cell", "plastic")
 ACCEPTANCE_KEYS = ("require_gap_decreasing", "max_final_gap", "max_gap_all", "max_unfold_resid",
-                   "recovery_bound", "require_converged")
+                   "recovery_bound")
 # the parameters of materials.default_material; dim comes from the cell
 MATERIAL_KEYS = tuple(p for p in inspect.signature(materials.default_material).parameters if p != "dim")
 GEOMETRY_KEYS = ("builtin", "mask_file")
@@ -392,8 +392,8 @@ def parse_report(csv_path) -> list:
 
 
 def evaluate_acceptance(report: StudyReport, acceptance: dict) -> list:
-    """Evaluate the config's acceptance block; returns [(name, ok)].  The
-    ``converged`` check of ``require_converged`` fails when a solve of
+    """Evaluate the config's acceptance block; returns [(name, ok)].  Every
+    block ends with a ``converged`` check, which fails when a solve of
     ``metadata["solve_reports"]`` did not converge, and then names those
     solves: ``converged[reference, eps=0.25]``."""
     checks = []
@@ -410,9 +410,8 @@ def evaluate_acceptance(report: StudyReport, acceptance: dict) -> list:
             row["unfold_resid"] <= acceptance["max_unfold_resid"] for row in report.rows)))
     if acceptance.get("recovery_bound"):
         checks.append(("recovery_bound", report.extras["recovery"]["bound_ok"]))
-    if acceptance.get("require_converged"):
-        failed = [key for key, solve in report.metadata["solve_reports"].items() if not solve["converged"]]
-        checks.append((f"converged[{', '.join(failed)}]" if failed else "converged", not failed))
+    failed = [key for key, solve in report.metadata["solve_reports"].items() if not solve["converged"]]
+    checks.append((f"converged[{', '.join(failed)}]" if failed else "converged", not failed))
     return checks
 
 

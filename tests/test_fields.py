@@ -303,8 +303,9 @@ def test_csr_plan_shared_per_grid_shape_and_read_only():
     a, b = Grid(2, 5), Grid(2, 5)
     assert a._operators() is b._operators()
     assert Grid(2, 5, 2.0)._operators() is not a._operators()
-    with pytest.raises(ValueError):
-        a._operators().values.data[0] = 1.0
+    for mat in (a._operators().values, a._operators().assembly):
+        with pytest.raises(ValueError):
+            mat.data[0] = 1.0
     blocks = np.random.default_rng(0).standard_normal((2, a.n_elements, 4, 4))
     K1 = a.stiffness(blocks[0])
     before = K1.data.copy()

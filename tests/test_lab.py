@@ -101,7 +101,7 @@ _CONFIG_VALUES = {
     "acceptance": st.none() | st.fixed_dictionaries({}, optional={
         "require_gap_decreasing": st.booleans(), "max_final_gap": st.floats(0.0, 1.0),
         "max_gap_all": st.floats(0.0, 1.0), "max_unfold_resid": _SMALL,
-        "recovery_bound": st.booleans(), "require_converged": st.booleans()}).filter(bool),
+        "recovery_bound": st.booleans()}).filter(bool),
 }
 
 
@@ -262,22 +262,22 @@ def test_evaluate_acceptance(control_report):
     assert not all(ok for _, ok in checks)
 
 
-def test_require_converged_names_the_unconverged_solves(monkeypatch):
-    """With one outer round the eps solve stops unconverged (the reference
-    converges in one): ``require_converged`` fails and names that solve, and
-    the same study without the key passes its acceptance block."""
+def test_acceptance_names_the_unconverged_solves(monkeypatch):
+    """Every acceptance block ends with a ``converged`` check.  With one outer
+    round the eps solve stops unconverged (the reference converges in one):
+    the check fails and names that solve.  Unstarved, the same study passes."""
     schedule = lab.minimize.Schedule
     monkeypatch.setattr(lab.minimize, "Schedule", lambda **kw: schedule(outer_iters=1, **kw))
     cfg = lab.StudyConfig(eps_list=[0.25], toggles={"recovery_check": False},
-                          acceptance={"max_unfold_resid": 1e-12, "require_converged": True})
+                          acceptance={"max_unfold_resid": 1e-12})
     report = lab.run_convergence_study(cfg)
     solves = report.metadata["solve_reports"]
     assert solves["reference"]["converged"] and not solves["eps=0.25"]["converged"]
     assert lab.evaluate_acceptance(report, cfg.acceptance) == [("unfold_resid", True),
                                                                ("converged[eps=0.25]", False)]
-    assert lab.evaluate_acceptance(report, {"max_unfold_resid": 1e-12}) == [("unfold_resid", True)]
     monkeypatch.setattr(lab.minimize, "Schedule", schedule)
-    assert lab.evaluate_acceptance(lab.run_convergence_study(cfg), cfg.acceptance)[-1] == ("converged", True)
+    assert lab.evaluate_acceptance(lab.run_convergence_study(cfg), cfg.acceptance) == [("unfold_resid", True),
+                                                                                      ("converged", True)]
 
 
 def test_cli_geom_and_audit(capsys):
@@ -326,4 +326,5 @@ def test_cli_study_run_with_acceptance(tmp_path, capsys):
     assert lab.main(["study", "run", str(path)]) == 0
     out = capsys.readouterr().out
     assert "acceptance final_gap: PASS" in out
+    assert "acceptance converged: PASS" in out
     assert (tmp_path / "out" / "report.csv").exists()
