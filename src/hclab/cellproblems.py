@@ -535,9 +535,3 @@ def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) ->
     """Homogenized functional on a macro grid; see ``JLimitPass``."""
     return JLimitPass(cell, model, y, P, cache).breakdown
 
-
-def value_and_grad_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache):
-    """(EnergyBreakdown, gradient) of one pass of the homogenized functional;
-    the gradient is with respect to the nodal log coefficients of P."""
-    point = JLimitPass(cell, model, y, P, cache)
-    return point.breakdown, point.grad_m()

@@ -59,10 +59,11 @@ def _corner_table(dim: int) -> np.ndarray:
 
 
 def _element_nodes(dim: int, n_el: int) -> np.ndarray:
-    """(E, 2^d) global node of each element corner, elements in C order."""
-    el_idx = np.array(list(np.ndindex((n_el,) * dim)))
-    node_multi = el_idx[:, None, :] + _corner_table(dim)[None, :, :]
-    return np.ravel_multi_index(node_multi.reshape(-1, dim).T, (n_el + 1,) * dim).reshape(n_el**dim, 2**dim)
+    """(E, 2^d) global node of each element corner, elements in C order: the
+    element's low-corner node plus the flat offsets of the 2^d corners."""
+    shape = (n_el + 1,) * dim
+    low = np.arange((n_el + 1) ** dim).reshape(shape)[(slice(n_el),) * dim].reshape(-1)
+    return low[:, None] + np.ravel_multi_index(_corner_table(dim).T, shape)
 
 
 def _gauss_ref(dim: int) -> np.ndarray:

@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -88,12 +89,12 @@ class StudyConfig:
             raise ConfigError(f"geometry must name exactly one of {', '.join(GEOMETRY_KEYS)}")
         if "mask_file" in self.geometry and not Path(self.geometry["mask_file"]).exists():
             raise ConfigError(f"mask file {self.geometry['mask_file']} does not exist")
-        if not self.quantization_step > 0:
-            raise ConfigError(f"quantization_step must be positive, got {self.quantization_step}")
+        if not (self.quantization_step > 0 and math.isfinite(self.quantization_step)):
+            raise ConfigError(f"quantization_step must be positive and finite, got {self.quantization_step}")
         if self.macro_elements < 1:
             raise ConfigError(f"macro_elements must be >= 1, got {self.macro_elements}")
-        if not self.strip > 0:
-            raise ConfigError(f"strip must be positive, got {self.strip}")
+        if not (self.strip > 0 and math.isfinite(self.strip)):
+            raise ConfigError(f"strip must be positive and finite, got {self.strip}")
         try:
             m = _build_cell(self.geometry).resolution
         except microgeometry.GeometryError as exc:

@@ -14,6 +14,7 @@ phase-weighted quadrature is exact with respect to the geometry.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,22 +196,6 @@ def save_cell_mask(path, cell: CellGeometry) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _boundary_distance(corners: np.ndarray, n: int, m: int) -> Fraction:
-    """Exact distance of a set of lattice corners (units 1/(n*m)) to the boundary of (0,1)^d.
-
-    The distance function min_i min(x_i, 1-x_i) is concave, so its minimum
-    over a union of pixels is attained at a pixel corner.
-    """
-    denom = n * m
-    best = None
-    lo = corners.min(axis=1)
-    hi = corners.max(axis=1)
-    for low, high in zip(lo, hi):
-        cand = min(Fraction(int(low), denom), Fraction(denom - int(high), denom))
-        best = cand if best is None else min(best, cand)
-    return best
-
-
 @dataclass(frozen=True)
 class MicroDomain:
     """The eps-scale composite on Omega = (0,1)^d.
@@ -265,56 +250,41 @@ class MicroDomain:
 def build_micro_domain(cell: CellGeometry, n_cells: int, strip: float = 0.5) -> MicroDomain:
     """Assemble the composite: admitted translations and the global phase field.
 
-    A cell t is admitted when dist(eps*(t + soft set), boundary) > strip*eps,
-    evaluated exactly in rational arithmetic on pixel corners.  Degenerate
-    cells (no soft pixels) admit no translations by definition.
+    A cell t is admitted when dist(eps*(t + soft set), boundary) > strip*eps.
+    The test runs in integer pixel units 1/(n*m): for a pixel box [lo, hi) of
+    the cell, the distance function min_i min(x_i, 1-x_i) is concave, so its
+    minimum over the box, and over any union of pixels with that bounding box,
+    is attained at the per-axis extremes, k = min_i min(t_i m + lo_i,
+    n m - t_i m - hi_i) pixels.  As k is an integer and Fraction(strip) is the
+    float's exact value, k > strip*m is the same as k >= floor(strip*m) + 1,
+    with no rounding.  The soft set's box gives ``translations``, the whole
+    cell's box [0, m) gives ``translations_hat``; both list cells in C order.
+    Degenerate cells (no soft pixels) admit no translations by definition.
     """
     if n_cells < 2:
         raise GeometryError(f"n_cells must be >= 2, got {n_cells}")
-    if strip <= 0:
-        raise GeometryError(f"strip must be positive, got {strip}")
+    if not (strip > 0 and math.isfinite(strip)):
+        raise GeometryError(f"strip must be positive and finite, got {strip}")
     d, m = cell.dim, cell.resolution
-    threshold = Fraction(strip) * Fraction(1, n_cells)
+    need = math.floor(Fraction(strip) * m) + 1
+    low = np.moveaxis(np.indices((n_cells,) * d), 0, -1) * m  # (n, ..., n, d): low pixel of each cell
 
-    soft_idx = np.argwhere(cell.soft_mask)
-    # Corner lattice of the soft pixel set in cell-local units of 1/m.
-    if len(soft_idx):
-        corner_offsets = np.array(list(np.ndindex((2,) * d)))
-        soft_corners = np.unique(
-            (soft_idx[:, None, :] + corner_offsets[None, :, :]).reshape(-1, d), axis=0
-        )
-    else:
-        soft_corners = np.empty((0, d), dtype=int)
-    cell_corners = np.array(list(np.ndindex((2,) * d))) * m
+    def clears(lo, hi) -> np.ndarray:
+        return np.minimum(low + lo, n_cells * m - low - hi).min(axis=-1) >= need
 
-    translations = []
-    translations_hat = []
-    for t in np.ndindex((n_cells,) * d):
-        base = np.asarray(t) * m
-        if len(soft_corners):
-            dist = _boundary_distance((base + soft_corners).T, n_cells, m)
-            if dist > threshold:
-                translations.append(tuple(int(i) for i in t))
-        dist_cube = _boundary_distance((base + cell_corners).T, n_cells, m)
-        if dist_cube > threshold:
-            translations_hat.append(tuple(int(i) for i in t))
-
-    if not cell.degenerate and not translations:
+    soft = np.argwhere(cell.soft_mask)
+    admitted = clears(soft.min(axis=0), soft.max(axis=0) + 1) if len(soft) else np.zeros((n_cells,) * d, bool)
+    if not cell.degenerate and not admitted.any():
         raise NoInclusions(
             f"no inclusion fits: strip {strip} at eps=1/{n_cells} excludes every cell"
         )
-
-    soft_field = np.zeros((n_cells * m,) * d, dtype=bool)
-    for t in translations:
-        sl = tuple(slice(ti * m, (ti + 1) * m) for ti in t)
-        soft_field[sl] = cell.soft_mask
     return MicroDomain(
         cell=cell,
         n_cells=n_cells,
         strip=strip,
-        translations=tuple(translations),
-        translations_hat=tuple(translations_hat),
-        soft_field=soft_field,
+        translations=tuple(map(tuple, np.argwhere(admitted).tolist())),
+        translations_hat=tuple(map(tuple, np.argwhere(clears(0, m)).tolist())),
+        soft_field=np.kron(admitted, cell.soft_mask),
     )
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hclab.fields import DeformationField, Grid, GridMismatch, PlasticField, node_incidence_masks
 from hclab.microgeometry import MicroDomain
@@ -64,18 +65,17 @@ class TwoScaleField:
 
 
 def _cell_node_tables(domain: MicroDomain):
-    """Global node indices per (cell, micro node): low corners and full (m+1)^d."""
+    """Global node indices per (cell, micro node), cells and micro nodes in C
+    order: the low corners (m^d) and the full (m+1)^d lattice of each cell.
+
+    The full table is the node lattice's sliding (m+1)^d window taken at every
+    m-th node along each axis; the low-corner table drops each window's top
+    faces."""
     d, n, m = domain.dim, domain.n_cells, domain.cell.resolution
-    n_pts = n * m + 1
-    cells = np.array(list(np.ndindex((n,) * d)))
-    micro_low = np.array(list(np.ndindex((m,) * d)))
-    micro_full = np.array(list(np.ndindex((m + 1,) * d)))
-
-    def table(micro):
-        glob = cells[:, None, :] * m + micro[None, :, :]
-        return np.ravel_multi_index(glob.reshape(-1, d).T, (n_pts,) * d).reshape(len(cells), len(micro))
-
-    return table(micro_low), table(micro_full)
+    nodes = np.arange((n * m + 1) ** d).reshape((n * m + 1,) * d)
+    windows = sliding_window_view(nodes, (m + 1,) * d)[(slice(None, None, m),) * d]
+    low = windows[(Ellipsis,) + (slice(m),) * d]
+    return low.reshape(n**d, m**d), windows.reshape(n**d, (m + 1) ** d)
 
 
 def unfold(domain: MicroDomain, y: DeformationField) -> TwoScaleField:
@@ -96,10 +96,9 @@ def unfold_scaled_gradients(domain: MicroDomain, y: DeformationField) -> np.ndar
         raise GridMismatch("field grid does not match the domain")
     d, n, m = domain.dim, domain.n_cells, domain.cell.resolution
     grads = domain.grid.gauss_gradients(y.values) * domain.eps
-    cells = np.array(list(np.ndindex((n,) * d)))
-    pixels = np.array(list(np.ndindex((m,) * d)))
-    glob = cells[:, None, :] * m + pixels[None, :, :]
-    el_idx = np.ravel_multi_index(glob.reshape(-1, d).T, (n * m,) * d).reshape(len(cells), len(pixels))
+    # element (t m + z) of the (n m)^d grid, axes (t_0, z_0, t_1, z_1, ...) -> (t, z)
+    el_idx = np.arange((n * m) ** d).reshape((n, m) * d).transpose(*range(0, 2 * d, 2), *range(1, 2 * d, 2))
+    el_idx = el_idx.reshape(n**d, m**d)
     return grads[el_idx]
 
 
@@ -127,24 +126,14 @@ def _coarsen_mask(mask: np.ndarray, factor: int):
     return all_
 
 
-def _lattice_neighbors(dim: int, n_pts: int, nodes: np.ndarray):
-    """Neighbor node indices along each +-axis direction for the given nodes."""
-    multi = np.stack(np.unravel_index(nodes, (n_pts,) * dim), axis=-1)
-    out = []
-    for axis in range(dim):
-        for step in (-1, 1):
-            nb = multi.copy()
-            nb[:, axis] += step
-            ok = (nb[:, axis] >= 0) & (nb[:, axis] < n_pts)
-            flat = np.full(len(nodes), -1, dtype=int)
-            flat[ok] = np.ravel_multi_index(nb[ok].T, (n_pts,) * dim)
-            out.append(flat)
-    return out
-
-
 def extend_into_inclusions(domain: MicroDomain, y: DeformationField) -> DeformationField:
     """Discrete harmonic extension: matrix values kept, inclusion-interior
-    nodes replaced by the componentwise lattice-Laplace solution."""
+    nodes replaced by the componentwise lattice-Laplace solution.
+
+    An interior soft node has all its incident elements soft, and
+    ``node_incidence_masks`` counts elements outside the domain as not soft,
+    so such a node never lies on the lattice boundary: its 2d neighbours are
+    the nodes at plus and minus one flat axis stride."""
     if y.grid.n_el != domain.n_el or y.grid.dim != domain.dim:
         raise GridMismatch("field grid does not match the domain")
     grid = y.grid
@@ -155,21 +144,18 @@ def extend_into_inclusions(domain: MicroDomain, y: DeformationField) -> Deformat
         return DeformationField(grid, out)
     pos = -np.ones(grid.n_nodes, dtype=int)
     pos[nodes] = np.arange(len(nodes))
-    neighbors = _lattice_neighbors(grid.dim, grid.n_pts, nodes)
-    rows, cols, vals = [], [], []
+    local = np.arange(len(nodes))
+    rows, cols = [local], [local]
     rhs = np.zeros((len(nodes), grid.dim))
-    rows.extend(range(len(nodes)))
-    cols.extend(range(len(nodes)))
-    vals.extend([2.0 * grid.dim] * len(nodes))
-    for nb in neighbors:
-        inside = nb >= 0
-        nb_in = nb[inside]
-        local = np.nonzero(inside)[0]
-        is_interior = pos[nb_in] >= 0
-        rows.extend(local[is_interior])
-        cols.extend(pos[nb_in[is_interior]])
-        vals.extend([-1.0] * int(is_interior.sum()))
-        rhs[local[~is_interior]] += y.values[nb_in[~is_interior]]
+    for axis in range(grid.dim):
+        stride = grid.n_pts ** (grid.dim - 1 - axis)
+        for nb in (nodes - stride, nodes + stride):
+            is_interior = pos[nb] >= 0
+            rows.append(local[is_interior])
+            cols.append(pos[nb[is_interior]])
+            rhs[~is_interior] += y.values[nb[~is_interior]]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.where(rows == cols, 2.0 * grid.dim, -1.0)
     A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(len(nodes), len(nodes))).tocsc()
     try:
         solve = scipy.sparse.linalg.factorized(A)
@@ -216,10 +202,13 @@ def build_recovery_sequence(domain: MicroDomain, w, P_field: PlasticField | None
                             correction: bool = False, model=None, cache=None) -> DeformationField:
     """Nodal field x -> w_k(x, x/eps) from a macro x micro corrector.
 
-    ``w(x, z)`` is a vectorized callable; per admitted interior cell the macro
-    variable is replaced by the cell average (2^d Gauss quadrature) and the
-    micro variable is sampled at the cell's node lattice, zeroed outside the
-    strict interior of the inclusion.  Cells whose cube leaves the safety
+    ``w(x, z)`` maps arrays of macro points x and micro points z, coordinates
+    on the last axis, to values of the same shape.  It is called once, on all
+    (admitted cell, macro Gauss point, micro node) triples at once, so it must
+    act elementwise over the leading axes.  Per admitted interior cell the
+    macro variable is replaced by the cell average (2^d Gauss quadrature) and
+    the micro variable is sampled at the cell's node lattice, zeroed outside
+    the strict interior of the inclusion.  Cells whose cube leaves the safety
     margin, and the whole stiff region, carry the value zero.
 
     With ``correction=True`` the oscillatory corrector stage is added: per
@@ -232,24 +221,19 @@ def build_recovery_sequence(domain: MicroDomain, w, P_field: PlasticField | None
     grid = domain.grid
     eps = domain.eps
     micro_interior, _ = node_incidence_masks(d, m, domain.cell.soft_mask.reshape(-1))
-    micro_nodes = np.array(list(np.ndindex((m + 1,) * d))) / m  # (Nm, d)
+    micro_nodes = np.indices((m + 1,) * d).reshape(d, -1).T / m  # (Nm, d)
     gauss = Grid(d, 1).gauss_ref  # 2^d macro quadrature points in the unit cell
 
+    hat = np.array(domain.translations_hat, dtype=int).reshape(-1, d)
+    x = (hat[:, None, None, :] + gauss[None, :, None, :]) * eps  # (T, ngp, 1, d)
+    shape = (len(hat), len(gauss), len(micro_nodes), d)
+    w_all = np.asarray(w(np.broadcast_to(x, shape), np.broadcast_to(micro_nodes, shape)), dtype=float)
+    # a running sum over the Gauss points: np.sum may add a 3D cell's 8 terms pairwise, rounding otherwise
+    wbar_all = sum(w_all.swapaxes(0, 1)) / len(gauss)
+    wbar_all[:, ~micro_interior] = 0.0
+    _, full = _cell_node_tables(domain)
     values = np.zeros((grid.n_nodes, d))
-    n_pts = n * m + 1
-    hat = set(domain.translations_hat)
-    wbar = {}
-    for t in domain.translations_hat:
-        x_g = (np.asarray(t)[None, :] + gauss) * eps  # (ngp, d)
-        acc = np.zeros((len(micro_nodes), d))
-        for xg in x_g:
-            acc += np.asarray(w(np.broadcast_to(xg, micro_nodes.shape), micro_nodes), dtype=float)
-        acc /= len(x_g)
-        acc[~micro_interior] = 0.0
-        wbar[t] = acc
-        glob = np.asarray(t)[None, :] * m + np.array(list(np.ndindex((m + 1,) * d)))
-        flat = np.ravel_multi_index(glob.T, (n_pts,) * d)
-        values[flat] = acc
+    values[full[np.ravel_multi_index(hat.T, (n,) * d)]] = wbar_all
 
     fld = DeformationField(grid, values)
     if not correction:
@@ -260,6 +244,8 @@ def build_recovery_sequence(domain: MicroDomain, w, P_field: PlasticField | None
     if m % n:
         raise TwoScaleError("correction stage needs the cell resolution divisible by n_cells")
     r = m // n  # pixels per eps-subcube of the unit cell
+    n_pts = n * m + 1
+    wbar = dict(zip(domain.translations_hat, wbar_all))
     # admissible subcubes: every pixel of the subcube lies in the inclusion
     sub_ok = {}
     for s in np.ndindex((n,) * d):

@@ -10,6 +10,7 @@ from hclab.fields import (
     Grid,
     GridMismatch,
     PlasticField,
+    _element_nodes,
     _shape_gradient_table,
     node_incidence_masks,
     prolong_deformation,
@@ -173,6 +174,17 @@ def test_prolongation_keeps_boundary_values_where_one_over_h_rounds_up():
     A = np.array([[1.5, 0.2], [-0.3, 1.0 / 1.5]])
     yf = prolong_deformation(DeformationField(coarse, coarse.node_coords() @ A.T), fine)
     assert np.abs(yf.values - fine.node_coords() @ A.T).max() < 1e-15
+
+
+@pytest.mark.parametrize("dim, n_el", [(2, 1), (2, 5), (3, 1), (3, 4)])
+def test_element_nodes_match_ndindex_oracle(dim, n_el):
+    """Row e lists the 2^d corners of the e-th element in np.ndindex order,
+    corners in np.ndindex((2,)*d) order, as flat C-order node ids."""
+    want = [[np.ravel_multi_index(tuple(e + np.array(c)), (n_el + 1,) * dim) for c in np.ndindex((2,) * dim)]
+            for e in np.ndindex((n_el,) * dim)]
+    got = _element_nodes(dim, n_el)
+    assert got.shape == (n_el**dim, 2**dim)
+    assert np.array_equal(got, want)
 
 
 def test_node_incidence_masks():

@@ -45,7 +45,8 @@ def test_config_validation():
         with pytest.raises(lab.ConfigError, match="exactly one"):
             lab.StudyConfig(geometry=geometry).validate()
     for bad in ({"quantization_step": 0.0}, {"quantization_step": -0.01}, {"macro_elements": 0},
-                {"strip": 0.0}, {"strip": -1.0}, {"cell_resolution": 6}, {"cell_resolution": 0}):
+                {"strip": 0.0}, {"strip": -1.0}, {"cell_resolution": 6}, {"cell_resolution": 0},
+                {"strip": math.inf}, {"quantization_step": math.inf}):
         name = next(iter(bad))
         with pytest.raises(lab.ConfigError, match=name):
             lab.StudyConfig(**bad).validate()

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -62,30 +63,77 @@ def test_malformed_mask_file_is_a_geometry_error(tmp_path, text):
         mg.load_cell_mask(path)
 
 
+def _boundary_distance(corners, n, m):
+    """Exact distance of a set of lattice corners (units 1/(n*m)) to the
+    boundary of (0,1)^d: min over axes of the lowest and the highest corner,
+    each as a Fraction."""
+    denom = n * m
+    return min(min(Fraction(int(low), denom), Fraction(denom - int(high), denom))
+               for low, high in zip(corners.min(axis=1), corners.max(axis=1)))
+
+
 def _admitted_by_enumeration(cell, n, strip):
-    """Independent oracle: test the distance predicate on a fine sample of the
-    soft set of every cell (distance function is min over coordinates)."""
-    m = cell.resolution
-    admitted = []
-    pts = []
-    for idx in np.argwhere(cell.soft_mask):
-        for corner in np.ndindex((2,) * cell.dim):
-            pts.append((idx + np.array(corner)) / m)
-    pts = np.unique(np.array(pts), axis=0)
-    for t in np.ndindex((n,) * cell.dim):
-        x = (np.asarray(t)[None, :] + pts) / n
-        dist = np.minimum(x, 1.0 - x).min()
-        if dist > strip / n:
-            admitted.append(tuple(t))
-    return admitted
+    """Independent oracle: per cell t in np.ndindex order, the exact rational
+    distance of the corners of the translated soft pixels, and of the whole
+    cell cube, compared with strip/n.  Returns (translations,
+    translations_hat, soft_field), or NoInclusions."""
+    d, m = cell.dim, cell.resolution
+    threshold = Fraction(strip) / n
+    soft_corners = np.array([idx + np.array(corner) for idx in np.argwhere(cell.soft_mask)
+                             for corner in np.ndindex((2,) * d)]).reshape(-1, d)
+    cube_corners = np.array(list(np.ndindex((2,) * d))) * m
+    translations, hat = [], []
+    for t in np.ndindex((n,) * d):
+        base = np.asarray(t) * m
+        if len(soft_corners) and _boundary_distance((base + soft_corners).T, n, m) > threshold:
+            translations.append(t)
+        if _boundary_distance((base + cube_corners).T, n, m) > threshold:
+            hat.append(t)
+    if not cell.degenerate and not translations:
+        return mg.NoInclusions
+    soft_field = np.zeros((n * m,) * d, dtype=bool)
+    for t in translations:
+        soft_field[tuple(slice(ti * m, (ti + 1) * m) for ti in t)] = cell.soft_mask
+    return tuple(translations), tuple(hat), soft_field
+
+
+def _off_centre_cells():
+    """Inclusions whose bounding boxes sit unevenly in the cell, so that the
+    low and high margins differ along every axis."""
+    mask2 = np.zeros((5, 5), dtype=bool)
+    mask2[1:3, 2] = mask2[2, 3] = True  # box [1, 3) x [2, 4)
+    mask3 = np.zeros((5, 5, 5), dtype=bool)
+    mask3[0:2, 1, 2] = mask3[1, 2, 2:4] = True  # box [0, 2) x [1, 3) x [2, 4)
+    return [mg.build_unit_cell(2, 5, mask2), mg.build_unit_cell(3, 5, mask3)]
 
 
 def test_translation_set_matches_enumeration_oracle():
     cell = mg.builtin_cell("block4")
     domain = mg.build_micro_domain(cell, 4, strip=0.5)
-    oracle = _admitted_by_enumeration(cell, 4, 0.5)
-    assert sorted(domain.translations) == sorted(oracle)
     assert len(domain.translations) == 4  # the 2x2 interior cells
+    cells = [mg.builtin_cell(name) for name in ("block4", "block8", "stiff4", "fiber3d")] + _off_centre_cells()
+    # strip * m is an integer for most pairs here: the equality edge, where dist == strip * eps is refused
+    for cell in cells:
+        for n in range(2, 9):
+            for strip in (0.125, 0.25, 0.3, 0.5, 1.0, 2.0):
+                oracle = _admitted_by_enumeration(cell, n, strip)
+                if oracle is mg.NoInclusions:
+                    with pytest.raises(mg.NoInclusions):
+                        mg.build_micro_domain(cell, n, strip=strip)
+                    continue
+                domain = mg.build_micro_domain(cell, n, strip=strip)
+                assert domain.translations == oracle[0], (cell.soft_mask, n, strip)
+                assert domain.translations_hat == oracle[1], (cell.soft_mask, n, strip)
+                assert all(type(i) is int for t in domain.translations + domain.translations_hat for i in t)
+                assert domain.soft_field.dtype == bool
+                assert np.array_equal(domain.soft_field, oracle[2])
+
+
+def test_non_finite_strip_is_a_geometry_error():
+    cell = mg.builtin_cell("block4")
+    for strip in (math.inf, math.nan):
+        with pytest.raises(mg.GeometryError, match="finite"):
+            mg.build_micro_domain(cell, 4, strip=strip)
 
 
 def test_no_inclusions_when_strip_too_wide():

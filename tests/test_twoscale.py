@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from hclab import cellproblems as cp, energies, materials, microgeometry as mg, twoscale as ts
-from hclab.fields import DeformationField, Grid, GridMismatch, PlasticField
+from hclab.fields import DeformationField, Grid, GridMismatch, PlasticField, node_incidence_masks
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,98 @@ def test_unfold_gradient_commutation(cell):
         lhs = ts.unfold_scaled_gradients(domain, y)
         rhs = ts.unfold(domain, y).micro_gradients()
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def _ndindex_table(n, m, d, side, width):
+    """Reference (cell, micro) table: flat index of t*m + z in a side^d C-order
+    lattice, t over np.ndindex((n,)*d) and z over np.ndindex((width,)*d)."""
+    return np.array([[np.ravel_multi_index(tuple(np.array(t) * m + np.array(z)), (side,) * d)
+                      for z in np.ndindex((width,) * d)] for t in np.ndindex((n,) * d)])
+
+
+@pytest.mark.parametrize("name, n", [("block4", 2), ("block4", 5), ("block8", 3), ("fiber3d", 3), ("fiber3d", 4)])
+def test_cell_tables_and_unfolded_gradients_match_ndindex_oracle(name, n):
+    domain = mg.build_micro_domain(mg.builtin_cell(name), n, strip=0.125)
+    d, m = domain.dim, domain.cell.resolution
+    low, full = ts._cell_node_tables(domain)
+    assert np.array_equal(low, _ndindex_table(n, m, d, n * m + 1, m))
+    assert np.array_equal(full, _ndindex_table(n, m, d, n * m + 1, m + 1))
+    rng = np.random.default_rng(2)
+    y = DeformationField(domain.grid, rng.standard_normal((domain.grid.n_nodes, d)))
+    grads = domain.grid.gauss_gradients(y.values) * domain.eps
+    assert np.array_equal(ts.unfold_scaled_gradients(domain, y), grads[_ndindex_table(n, m, d, n * m, m)])
+
+
+def _extension_by_neighbour_loop(domain, y):
+    """The harmonic extension assembled from unravelled neighbour indices with
+    bounds checks, entries appended per direction (axis 0 first, - before +)."""
+    grid = y.grid
+    nodes = np.nonzero(ts._interior_soft_nodes(domain))[0]
+    out = y.values.copy()
+    pos = -np.ones(grid.n_nodes, dtype=int)
+    pos[nodes] = np.arange(len(nodes))
+    multi = np.stack(np.unravel_index(nodes, (grid.n_pts,) * grid.dim), axis=-1)
+    rows, cols, vals = list(range(len(nodes))), list(range(len(nodes))), [2.0 * grid.dim] * len(nodes)
+    rhs = np.zeros((len(nodes), grid.dim))
+    for axis in range(grid.dim):
+        for step in (-1, 1):
+            nb = multi.copy()
+            nb[:, axis] += step
+            ok = (nb[:, axis] >= 0) & (nb[:, axis] < grid.n_pts)
+            flat = np.full(len(nodes), -1, dtype=int)
+            flat[ok] = np.ravel_multi_index(nb[ok].T, (grid.n_pts,) * grid.dim)
+            local = np.nonzero(ok)[0]
+            is_interior = pos[flat[ok]] >= 0
+            rows.extend(local[is_interior])
+            cols.extend(pos[flat[ok][is_interior]])
+            vals.extend([-1.0] * int(is_interior.sum()))
+            rhs[local[~is_interior]] += y.values[flat[ok][~is_interior]]
+    A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(len(nodes), len(nodes))).tocsc()
+    solve = scipy.sparse.linalg.factorized(A)
+    for c in range(grid.dim):
+        out[nodes, c] = solve(rhs[:, c])
+    return out
+
+
+def _recovery_by_cell_loop(domain, w):
+    """The uncorrected recovery field built cell by cell, w called once per
+    (cell, Gauss point) and accumulated in Gauss point order."""
+    d, m = domain.dim, domain.cell.resolution
+    n_pts = domain.n_el + 1
+    micro_interior, _ = node_incidence_masks(d, m, domain.cell.soft_mask.reshape(-1))
+    micro = np.array(list(np.ndindex((m + 1,) * d)))
+    values = np.zeros((domain.grid.n_nodes, d))
+    for t in domain.translations_hat:
+        acc = np.zeros((len(micro), d))
+        for xg in (np.asarray(t)[None, :] + Grid(d, 1).gauss_ref) * domain.eps:
+            acc += np.asarray(w(np.broadcast_to(xg, micro.shape), micro / m), dtype=float)
+        acc /= 2**d
+        acc[~micro_interior] = 0.0
+        values[np.ravel_multi_index((np.asarray(t) * m + micro).T, (n_pts,) * d)] = acc
+    return values
+
+
+def _w_macro_micro(x, z):
+    """A corrector that varies with x and z in every component.  Its output
+    takes the memory layout of the broadcast z, with the Gauss point axis
+    innermost, where a reduction over that axis may add pairwise."""
+    g = 1.0 + 0.5 * np.sin(np.pi * x[..., 0]) * np.cos(np.pi * x[..., -1]) + x[..., 1] ** 2
+    bump = np.prod(np.sin(np.pi * z), axis=-1)
+    out = np.zeros_like(z)
+    for k in range(z.shape[-1]):
+        out[..., k] = g * (k + 1) * bump * np.cos(0.7 * k * z[..., k])
+    return out
+
+
+@pytest.mark.parametrize("name, n", [("block4", 8), ("fiber3d", 3)])
+def test_extension_and_recovery_bit_identical_to_loop_builds(name, n):
+    domain = _domain(mg.builtin_cell(name), n)
+    rng = np.random.default_rng(5)
+    y = DeformationField(domain.grid, rng.standard_normal((domain.grid.n_nodes, domain.dim)))
+    assert np.array_equal(ts.extend_into_inclusions(domain, y).values, _extension_by_neighbour_loop(domain, y))
+    v = ts.build_recovery_sequence(domain, _w_macro_micro).values
+    assert np.abs(v).max() > 0.0
+    assert v.tobytes() == _recovery_by_cell_loop(domain, _w_macro_micro).tobytes()
 
 
 def test_unfold_grid_mismatch(cell):
