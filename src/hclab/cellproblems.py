@@ -43,7 +43,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 
 from hclab import slgeometry
@@ -262,6 +261,9 @@ def _minimize_cell(window: CellWindow, density, R, F, tol, maxiter, restarts, se
         energy = vol * float(density.value(F @ R)) - 0.5 * float(np.trace(D @ (window.grad_phi.T @ Y) @ D.T))
         return pack(sol), energy, 1, residual, True
 
+    # scipy.optimize is imported only here, off the stock (quadratic) path
+    from scipy import optimize
+
     rng = np.random.default_rng(seed)
     n_free = int(free.sum()) * d
     starts = [np.zeros(n_free)]
@@ -277,8 +279,8 @@ def _minimize_cell(window: CellWindow, density, R, F, tol, maxiter, restarts, se
     total_iters = 0
     ok = False
     for x0 in starts:
-        res = scipy.optimize.minimize(objective, x0, jac=True, method="CG",
-                                      options={"maxiter": maxiter, "gtol": tol})
+        res = optimize.minimize(objective, x0, jac=True, method="CG",
+                                options={"maxiter": maxiter, "gtol": tol})
         total_iters += int(res.nit)
         ok = ok or bool(res.success)
         if best is None or res.fun < best.fun:

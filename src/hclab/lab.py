@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--output-dir", default=None)
-    run.add_argument("--eps", type=float, nargs="*", default=None)
+    run.add_argument("--eps", type=float, nargs="+", default=None)
     run.add_argument("--macro-elements", type=int, default=None)
     run.add_argument("--cell-resolution", type=int, default=None)
 
@@ -488,7 +488,7 @@ def main(argv=None) -> int:
             config.seed = args.seed
         if args.output_dir is not None:
             config.output_dir = args.output_dir
-        if args.eps:
+        if args.eps is not None:
             config.eps_list = list(args.eps)
         if args.macro_elements is not None:
             config.macro_elements = args.macro_elements

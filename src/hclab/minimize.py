@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse.linalg
 
 from hclab import cellproblems, energies
@@ -194,7 +193,9 @@ def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = Non
         return y, SolveReport(final_value=value, energy_trace=[value], inner_iterations=[iters],
                               gradient_norms=[resid], converged=ok)
 
-    # descent path
+    # descent path; scipy.optimize is imported only here, off the stock (quadratic) path
+    from scipy import optimize
+
     free = ~grid.boundary_node_mask()
 
     def field(x):
@@ -206,8 +207,8 @@ def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = Non
         bd, g = energies.value_and_grad_J_eps(domain, model, field(x), P)
         return bd.total, g.grad_y[free].reshape(-1)
 
-    res = scipy.optimize.minimize(objective, y0v[free].reshape(-1), jac=True, method="L-BFGS-B",
-                                  options={"maxiter": max_iter, "gtol": tol, "ftol": 0.0})
+    res = optimize.minimize(objective, y0v[free].reshape(-1), jac=True, method="L-BFGS-B",
+                            options={"maxiter": max_iter, "gtol": tol, "ftol": 0.0})
     gnorm = float(np.linalg.norm(res.jac))
     report = SolveReport(final_value=float(res.fun), energy_trace=[float(res.fun)],
                          inner_iterations=[int(res.nit)], gradient_norms=[gnorm],

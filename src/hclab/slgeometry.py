@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 
 class SLError(ValueError):
@@ -502,6 +501,8 @@ def dissipation_distance(
     converged = True
 
     if iters > 0 and segments >= 2:
+        from scipy import optimize  # imported only here, off the stock study's path
+
         B0 = matrices_to_coeffs(log_batch(nodes0[1:-1]))
         shape = B0.shape
         use_analytic = structure.name == "frobenius"
@@ -514,7 +515,7 @@ def dissipation_distance(
             nodes = np.concatenate([F0[None], exp_batch(B), F1[None]], axis=0)
             return _path_value(nodes, structure)
 
-        res = scipy.optimize.minimize(
+        res = optimize.minimize(
             objective,
             B0.reshape(-1),
             jac=use_analytic,

@@ -314,6 +314,14 @@ def test_cli_cell_commands(capsys):
     assert "lambda=1" in out and "estimate" in out
 
 
+def test_cli_study_run_rejects_an_empty_eps_list(capsys):
+    """``--eps`` with no values is a usage error, not a silent no-op."""
+    with pytest.raises(SystemExit) as exc:
+        lab.main(["study", "run", str(ROOT / "configs" / "control_study.json"), "--eps"])
+    assert exc.value.code == 2
+    assert "--eps" in capsys.readouterr().err
+
+
 def test_cli_study_run_with_acceptance(tmp_path, capsys):
     cfg = {
         "geometry": {"builtin": "stiff4"},
