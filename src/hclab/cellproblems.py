@@ -236,43 +236,48 @@ def _energy_grad_of(grid: Grid, active: np.ndarray, v: np.ndarray, density, R: n
     return grid.integrate(vals), g
 
 
-def _minimize_cell(window: CellWindow, density, R, F, tol, maxiter, restarts, seed, quadratic):
-    """Shared driver: banded direct solve for quadratic densities, nonlinear
-    CG with seeded restarts otherwise.  v = 0 is always among the starts, so
-    the value never exceeds the test-field energy of the mean deformation.
+def _pack(window: CellWindow, x: np.ndarray) -> np.ndarray:
+    """Nodal field of the window that is x on its free nodes and 0 elsewhere."""
+    v = np.zeros((window.grid.n_nodes, window.grid.dim))
+    v[window.free] = x.reshape(-1, window.grid.dim)
+    return v
 
-    The quadratic path takes the energy at the corrector in closed form, from
-    the Y it solved for: with D = W'(F R) R^T, Q = grad_phi^T Y and vol the
-    measure of the active elements, it is vol W(F R) - 1/2 tr(D Q D^T)."""
-    grid, active, free = window.grid, window.active, window.free
-    d = grid.dim
 
-    def pack(x):
-        v = np.zeros((grid.n_nodes, d))
-        v[free] = x.reshape(-1, d)
-        return v
+def _quadratic_cell(window: CellWindow, density, R, F):
+    """Banded direct solve of the cell problem of a quadratic density; returns
+    (minimizer, energy, residual).  The energy at the corrector is taken in
+    closed form from the Y solved for: with D = W'(F R) R^T, Q = grad_phi^T Y
+    and vol the measure of the active elements, it is vol W(F R) - 1/2 tr(D Q D^T)."""
+    band, Y = _quadratic_corrector(window, density, R)
+    D = density.grad(F @ R) @ R.T
+    sol = -Y @ D.T
+    residual = float(np.linalg.norm(_band_matvec(band, sol) + window.grad_phi @ D.T))
+    vol = np.count_nonzero(window.active) * window.grid.h**window.grid.dim
+    energy = vol * float(density.value(F @ R)) - 0.5 * float(np.trace(D @ (window.grad_phi.T @ Y) @ D.T))
+    return _pack(window, sol), energy, residual
 
-    if quadratic:
-        band, Y = _quadratic_corrector(window, density, R)
-        D = density.grad(F @ R) @ R.T
-        sol = -Y @ D.T
-        residual = float(np.linalg.norm(_band_matvec(band, sol) + window.grad_phi @ D.T))
-        vol = np.count_nonzero(active) * grid.h**d
-        energy = vol * float(density.value(F @ R)) - 0.5 * float(np.trace(D @ (window.grad_phi.T @ Y) @ D.T))
-        return pack(sol), energy, 1, residual, True
+
+def _minimize_cell(window: CellWindow, density, R, F, tol, maxiter, restarts, seed):
+    """Soft cell solve of ``qprime_W0``: ``_quadratic_cell`` for quadratic
+    densities, nonlinear CG with seeded restarts otherwise.  v = 0 is always among the starts, so
+    the value never exceeds the test-field energy of the mean deformation."""
+    if density.is_quadratic:
+        v, energy, residual = _quadratic_cell(window, density, R, F)
+        return v, energy, 1, residual, True
 
     # scipy.optimize is imported only here, off the stock (quadratic) path
     from scipy import optimize
 
+    grid, active, free = window.grid, window.active, window.free
     rng = np.random.default_rng(seed)
-    n_free = int(free.sum()) * d
+    n_free = int(free.sum()) * grid.dim
     starts = [np.zeros(n_free)]
     scale = 0.1 * (1.0 + float(np.linalg.norm(F)))
     for _ in range(restarts):
         starts.append(scale * rng.standard_normal(n_free))
 
     def objective(x):
-        e, g = _energy_grad_of(grid, active, pack(x), density, R, F)
+        e, g = _energy_grad_of(grid, active, _pack(window, x), density, R, F)
         return e, g[free].reshape(-1)
 
     best = None
@@ -285,7 +290,7 @@ def _minimize_cell(window: CellWindow, density, R, F, tol, maxiter, restarts, se
         ok = ok or bool(res.success)
         if best is None or res.fun < best.fun:
             best = res
-    v = pack(best.x)
+    v = _pack(window, best.x)
     residual = float(np.linalg.norm(best.jac))
     return v, float(best.fun), total_iters, residual, ok or residual <= tol * 10
 
@@ -303,24 +308,23 @@ def qprime_W0(cell: CellGeometry, W0, F, G, resolution: int = 32, tol: float = 1
     F = np.asarray(F, dtype=float)
     G = _check_invertible(G)
     window = _soft_window(cell, resolution, formulation)
-    v, energy, iters, residual, converged = _minimize_cell(
-        window, W0, G, F, tol, maxiter, restarts, seed, quadratic=W0.is_quadratic
-    )
+    v, energy, iters, residual, converged = _minimize_cell(window, W0, G, F, tol, maxiter, restarts, seed)
     return CellProblemResult(value=energy / window.norm, minimizer=v, iterations=iters,
                              residual=residual, formulation=formulation, converged=converged)
 
 
-def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2), resolution: int = 32,
-                    tol: float = 1e-8, seed: int = 0, maxiter: int = 500) -> MulticellResult:
-    """Finite-window values of the stiff multi-cell density.
+def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2), resolution: int = 32) -> MulticellResult:
+    """Finite-window values of the stiff multi-cell density of a quadratic W1.
 
     Each window (0, lam)^d is meshed at the same per-unit resolution, the
     deformation has zero trace on the window boundary, and only stiff pixels
     carry energy.  Pasting lam^d copies of a smaller window's minimizer is
     admissible, so the sequence is nonincreasing in lam up to solver
     tolerance; the largest window provides the estimate (the lam -> infinity
-    limit is never asserted converged).
+    limit is never asserted converged).  Each window is one banded solve.
     """
+    if not getattr(W1, "is_quadratic", False):
+        raise CellProblemError("multicell_W1hom requires a quadratic stiff density")
     F = np.asarray(F, dtype=float)
     G = _check_invertible(G)
     Ginv = np.linalg.inv(G)
@@ -330,12 +334,10 @@ def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2), resolution: in
             raise CellProblemError("window sizes must be positive integers")
         lam = int(lam)
         window = _stiff_window(cell, resolution, lam)
-        v, energy, iters, residual, converged = _minimize_cell(
-            window, W1, Ginv, F, tol, maxiter, 3, seed, quadratic=W1.is_quadratic
-        )
+        v, energy, residual = _quadratic_cell(window, W1, Ginv, F)
         results[lam] = CellProblemResult(
-            value=energy / window.norm, minimizer=v, iterations=iters,
-            residual=residual, formulation=f"multicell({lam})", converged=converged,
+            value=energy / window.norm, minimizer=v, iterations=1,
+            residual=residual, formulation=f"multicell({lam})", converged=True,
         )
     top = max(results)
     return MulticellResult(per_lambda=results, estimate=results[top].value)

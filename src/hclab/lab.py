@@ -15,6 +15,7 @@ import hashlib
 import inspect
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -42,9 +43,22 @@ TOGGLE_KEYS = ("dissipation", "recovery_check", "correction")
 TOLERANCE_KEYS = ("outer", "linear", "cell", "plastic")
 ACCEPTANCE_KEYS = ("require_gap_decreasing", "max_final_gap", "max_gap_all", "max_unfold_resid",
                    "recovery_bound")
+ACCEPTANCE_FLAGS = ("require_gap_decreasing", "recovery_bound")  # the other acceptance keys are bounds
 # the parameters of materials.default_material; dim comes from the cell
 MATERIAL_KEYS = tuple(p for p in inspect.signature(materials.default_material).parameters if p != "dim")
 GEOMETRY_KEYS = ("builtin", "mask_file")
+
+# value types as (test, description); bool is a numbers.Integral but never a number here
+_NUMBER = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number")
+_INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_STRING = (lambda v: isinstance(v, str), "a string")
+
+
+def _check_type(key: str, value, kind) -> None:
+    test, what = kind
+    if not test(value):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -66,25 +80,44 @@ class StudyConfig:
     output_dir: str = "out"
     acceptance: dict | None = None
 
+    def _check_shape(self) -> None:
+        """Every block is an object naming only known keys, and every value
+        has the type the study reads it as."""
+        for block, values, known, kind in (
+                ("geometry", self.geometry, GEOMETRY_KEYS, lambda key: _STRING),
+                ("material", self.material, MATERIAL_KEYS, lambda key: _STRING if key == "soft" else _NUMBER),
+                ("tolerances", self.tolerances, TOLERANCE_KEYS, lambda key: _NUMBER),
+                ("toggles", self.toggles, TOGGLE_KEYS, lambda key: _BOOL),
+                ("acceptance", {} if self.acceptance is None else self.acceptance, ACCEPTANCE_KEYS,
+                 lambda key: _BOOL if key in ACCEPTANCE_FLAGS else _NUMBER)):
+            if not isinstance(values, dict):
+                raise ConfigError(f"{block} must be an object, got {values!r}")
+            for key, value in values.items():
+                if key not in known:
+                    raise ConfigError(f"unknown {block} key {key!r}; known keys: {', '.join(known)}")
+                _check_type(f"{block}.{key}", value, kind(key))
+        if not isinstance(self.eps_list, (list, tuple)):
+            raise ConfigError(f"eps_list must be a list of numbers, got {self.eps_list!r}")
+        for e in self.eps_list:
+            _check_type("each eps_list entry", e, _NUMBER)
+        for key, kind in (("strip", _NUMBER), ("quantization_step", _NUMBER), ("macro_elements", _INTEGER),
+                          ("seed", _INTEGER), ("output_dir", _STRING)):
+            _check_type(key, getattr(self, key), kind)
+        if self.cell_resolution is not None:
+            _check_type("cell_resolution", self.cell_resolution, _INTEGER)
+
     def validate(self) -> None:
+        self._check_shape()
         eps = list(self.eps_list)
         if not eps:
             raise ConfigError("eps_list must not be empty")
         for e in eps:
-            n = round(1.0 / e)
+            n = round(1.0 / e) if 0 < e <= 0.5 else 0
             if abs(e * n - 1.0) > 1e-12 or n < 2:
                 raise ConfigError(f"eps {e} is not the reciprocal of an integer >= 2")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
         acceptance = self.acceptance or {}
-        for block, keys, known in (("geometry", self.geometry, GEOMETRY_KEYS),
-                                   ("material", self.material, MATERIAL_KEYS),
-                                   ("tolerances", self.tolerances, TOLERANCE_KEYS),
-                                   ("toggles", self.toggles, TOGGLE_KEYS),
-                                   ("acceptance", acceptance, ACCEPTANCE_KEYS)):
-            for key in keys:
-                if key not in known:
-                    raise ConfigError(f"unknown {block} key {key!r}; known keys: {', '.join(known)}")
         if len(self.geometry) != 1:
             raise ConfigError(f"geometry must name exactly one of {', '.join(GEOMETRY_KEYS)}")
         if "mask_file" in self.geometry and not Path(self.geometry["mask_file"]).exists():
@@ -103,8 +136,8 @@ class StudyConfig:
             raise ConfigError(f"cell_resolution must be a positive multiple of the cell's "
                               f"resolution {m}, got {self.cell_resolution}")
         if self.toggles.get("correction"):
-            raise ConfigError("toggles.correction is not supported yet: the recovery check does not "
-                              "run the correction stage")
+            raise ConfigError("toggles.correction must be false: the recovery sequence's correction "
+                              "stage was removed")
         if self.acceptance is not None and not acceptance:
             raise ConfigError(f"acceptance block names no check; known keys: {', '.join(ACCEPTANCE_KEYS)}")
         if acceptance.get("recovery_bound") and not self.toggles.get("recovery_check", True):
@@ -125,6 +158,10 @@ def load_config(path) -> StudyConfig:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise IoFailure(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, got {data!r}")
     known = [f.name for f in fields(StudyConfig)]
     for key in data:
         if key not in known:
@@ -310,7 +347,7 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
         def w_zero(x, z):
             return np.zeros_like(x)
 
-        v_k = twoscale.build_recovery_sequence(domain_f, w_zero, P_field=P_f)
+        v_k = twoscale.build_recovery_sequence(domain_f, w_zero)
         bd_rec = energies.assemble_J_eps(domain_f, model, v_k, P_f)
         J0k = bd_rec.soft_elastic + bd_rec.hardening_soft
         J0_limit = ref_bd.soft_elastic + ref_bd.hardening_soft
@@ -420,7 +457,10 @@ def evaluate_acceptance(report: StudyReport, acceptance: dict) -> list:
 
 
 def _parse_matrix(text: str, dim: int) -> np.ndarray:
-    vals = [float(v) for v in text.split(",")]
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"matrix {text!r}: {exc}") from exc
     if len(vals) != dim * dim:
         raise ConfigError(f"expected {dim*dim} entries, got {len(vals)}")
     return np.array(vals).reshape(dim, dim)
@@ -429,7 +469,10 @@ def _parse_matrix(text: str, dim: int) -> np.ndarray:
 def _cell_from_arg(arg: str) -> microgeometry.CellGeometry:
     if arg.startswith("builtin:"):
         return microgeometry.builtin_cell(arg.split(":", 1)[1])
-    return microgeometry.load_cell_mask(arg)
+    try:
+        return microgeometry.load_cell_mask(arg)
+    except OSError as exc:
+        raise IoFailure(f"cannot read cell mask {arg}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,7 +524,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one CLI command.  Exit code 0: done, and every acceptance or audit
+    check passed; 1: a check failed; 2: the command could not run (a usage,
+    config, file or geometry error), reported as ``hclab: error: ...``."""
     args = build_parser().parse_args(argv)
+    try:
+        return _run_command(args)
+    except (ConfigError, IoFailure, microgeometry.GeometryError) as exc:
+        print(f"hclab: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_command(args) -> int:
     if args.command == "study" and args.study_command == "run":
         config = load_config(args.config)
         if args.seed is not None:

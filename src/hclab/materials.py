@@ -20,7 +20,7 @@ float array so the audit and the assembly share one code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -151,7 +151,6 @@ class MaterialModel:
     K_radius: float
     q: float
     growth_constants: tuple
-    finsler: slgeometry.FinslerStructure = field(default_factory=slgeometry.default_finsler)
 
     def __post_init__(self):
         c1, c2, c3 = self.growth_constants
@@ -342,11 +341,12 @@ def audit_assumptions(model: MaterialModel, sample_count: int = 10_000, seed: in
     # Finsler generator: positive 1-homogeneity and the coercivity sandwich.
     Msl = slgeometry.coeffs_to_matrices(rng.standard_normal((k_count, d * d - 1)), d)
     scals = 0.5 + 2.0 * rng.random(k_count)
-    dI = model.finsler.delta_I(Msl)
-    hom_dev = np.abs(model.finsler.delta_I(scals[:, None, None] * Msl) - scals * dI)
+    finsler = slgeometry.default_finsler()
+    dI = finsler.delta_I(Msl)
+    hom_dev = np.abs(finsler.delta_I(scals[:, None, None] * Msl) - scals * dI)
     margins["D1_homogeneous"] = float(1e-9 * np.max(1.0 + dI) - np.max(hom_dev))
     normM = np.linalg.norm(Msl, axis=(-2, -1))
-    margins["D2_lower"] = float(np.min(dI - model.finsler.c4 * normM) + 1e-12)
-    margins["D2_upper"] = float(np.min(model.finsler.c5 * normM - dI) + 1e-12)
+    margins["D2_lower"] = float(np.min(dI - finsler.c4 * normM) + 1e-12)
+    margins["D2_upper"] = float(np.min(finsler.c5 * normM - dI) + 1e-12)
 
     return AssumptionReport(margins=margins, sample_count=sample_count, seed=seed, measured_cK=cK)

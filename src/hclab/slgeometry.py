@@ -388,34 +388,32 @@ def log_sl(P) -> TraceFreeMatrix:
 
 
 # ----------------------------------------------------------------------------
-# Finsler structure and dissipation distance.
+# Finsler generator and dissipation distance.
 
 
 @dataclass(frozen=True)
 class FinslerStructure:
     """Generator Delta_I on sl(d) with its coercivity constants (D1, D2)."""
 
-    name: str
     c4: float
     c5: float
 
     def delta_I(self, N: np.ndarray) -> np.ndarray:
-        """Positively 1-homogeneous generator; default is the Frobenius norm."""
+        """Positively 1-homogeneous generator: the Frobenius norm."""
         return np.linalg.norm(np.asarray(N, float), axis=(-2, -1))
 
 
 def default_finsler() -> FinslerStructure:
     """Von Mises type generator: Delta_I = Frobenius norm (c4 = c5 = 1)."""
-    return FinslerStructure(name="frobenius", c4=1.0, c5=1.0)
+    return FinslerStructure(c4=1.0, c5=1.0)
 
 
-def finsler(F: np.ndarray, M: np.ndarray, structure: FinslerStructure | None = None) -> float:
+def finsler(F: np.ndarray, M: np.ndarray) -> float:
     """Delta(F, M) = Delta_I(F^{-1} M), the translated generator on T SL(d)."""
-    structure = structure or default_finsler()
     F = np.asarray(F, dtype=float)
     if abs(np.linalg.det(F)) < 1e-12:
         raise SingularF("base point F is singular")
-    return float(structure.delta_I(np.linalg.solve(F, np.asarray(M, dtype=float))))
+    return float(default_finsler().delta_I(np.linalg.solve(F, np.asarray(M, dtype=float))))
 
 
 @dataclass
@@ -432,10 +430,10 @@ class PiecewisePath:
             raise NotUnimodular("path node determinant violates the 1e-9 tolerance")
 
 
-def _path_value(nodes: np.ndarray, structure: FinslerStructure) -> float:
+def _path_value(nodes: np.ndarray) -> float:
     """sum_s Delta(Phi_s, (Phi_{s+1}-Phi_s)/h) * h; for 1-homogeneous Delta the h cancels."""
     steps = np.linalg.solve(nodes[:-1], nodes[1:]) - np.eye(nodes.shape[-1])
-    return float(np.sum(structure.delta_I(steps)))
+    return float(np.sum(default_finsler().delta_I(steps)))
 
 
 def _path_value_grad_frob(B_int: np.ndarray, ends: tuple) -> tuple:
@@ -473,18 +471,16 @@ def dissipation_distance(
     F1,
     segments: int = 16,
     iters: int = 200,
-    structure: FinslerStructure | None = None,
     tol: float = 1e-10,
 ) -> tuple:
     """Discretized Finsler distance D(F0, F1) and the realizing path.
 
     Starts from Phi(t) = F0 exp(t log(F0^{-1} F1)) and descends over the log
-    coordinates of the interior nodes (L-BFGS with the analytic gradient for
-    the default generator).  The returned value never exceeds the initial
+    coordinates of the interior nodes (L-BFGS with the analytic gradient of
+    the Frobenius generator).  The returned value never exceeds the initial
     curve's discretized length.  With iters = 0 the exp-curve quadrature
     itself is returned, which is the canonical upper-bound evaluation.
     """
-    structure = structure or default_finsler()
     F0 = np.asarray(F0, dtype=float)
     F1 = np.asarray(F1, dtype=float)
     if segments < 1:
@@ -496,7 +492,7 @@ def dissipation_distance(
     L = log_batch(np.linalg.solve(F0, F1))
     ts = np.linspace(0.0, 1.0, segments + 1)
     nodes0 = np.einsum("ij,sjk->sik", F0, exp_batch(ts[:, None, None] * L))
-    value0 = _path_value(nodes0, structure)
+    value0 = _path_value(nodes0)
     best_nodes, best_value = nodes0, value0
     converged = True
 
@@ -505,20 +501,15 @@ def dissipation_distance(
 
         B0 = matrices_to_coeffs(log_batch(nodes0[1:-1]))
         shape = B0.shape
-        use_analytic = structure.name == "frobenius"
 
         def objective(x):
-            B = coeffs_to_matrices(x.reshape(shape), d)
-            if use_analytic:
-                val, grad = _path_value_grad_frob(B, (F0, F1))
-                return val, grad.reshape(-1)
-            nodes = np.concatenate([F0[None], exp_batch(B), F1[None]], axis=0)
-            return _path_value(nodes, structure)
+            val, grad = _path_value_grad_frob(coeffs_to_matrices(x.reshape(shape), d), (F0, F1))
+            return val, grad.reshape(-1)
 
         res = optimize.minimize(
             objective,
             B0.reshape(-1),
-            jac=use_analytic,
+            jac=True,
             method="L-BFGS-B",
             options={"maxiter": iters, "ftol": tol, "gtol": tol},
         )

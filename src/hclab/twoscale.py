@@ -22,7 +22,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hclab.fields import DeformationField, Grid, GridMismatch, PlasticField, node_incidence_masks
+from hclab.fields import DeformationField, Grid, GridMismatch, node_incidence_masks
 from hclab.microgeometry import MicroDomain
 
 
@@ -110,22 +110,6 @@ def _interior_soft_nodes(domain: MicroDomain) -> np.ndarray:
     return all_soft
 
 
-def _coarsen_mask(mask: np.ndarray, factor: int):
-    """Block-coarsen a pixel mask; None when the blocks are not constant."""
-    if factor <= 1:
-        return mask.copy()
-    d = mask.ndim
-    r = mask.shape[0] // factor
-    shape = sum(((r, factor),) * d, ())
-    blocks = mask.reshape(shape)
-    axes = tuple(2 * k + 1 for k in range(d))
-    any_ = blocks.any(axis=axes)
-    all_ = blocks.all(axis=axes)
-    if not np.array_equal(any_, all_):
-        return None
-    return all_
-
-
 def extend_into_inclusions(domain: MicroDomain, y: DeformationField) -> DeformationField:
     """Discrete harmonic extension: matrix values kept, inclusion-interior
     nodes replaced by the componentwise lattice-Laplace solution.
@@ -198,8 +182,7 @@ def poincare_ratio(domain: MicroDomain, y: DeformationField) -> float:
 # -- recovery -------------------------------------------------------------------
 
 
-def build_recovery_sequence(domain: MicroDomain, w, P_field: PlasticField | None = None,
-                            correction: bool = False, model=None, cache=None) -> DeformationField:
+def build_recovery_sequence(domain: MicroDomain, w) -> DeformationField:
     """Nodal field x -> w_k(x, x/eps) from a macro x micro corrector.
 
     ``w(x, z)`` maps arrays of macro points x and micro points z, coordinates
@@ -210,12 +193,6 @@ def build_recovery_sequence(domain: MicroDomain, w, P_field: PlasticField | None
     the micro variable is sampled at the cell's node lattice, zeroed outside
     the strict interior of the inclusion.  Cells whose cube leaves the safety
     margin, and the whole stiff region, carry the value zero.
-
-    With ``correction=True`` the oscillatory corrector stage is added: per
-    (cell, eps-subcube of the inclusion) the block-averaged micro gradient
-    feeds a cell minimizer psi from the soft cell problem, rescaled by eps and
-    sampled at the sub-lattice; this is the stage that lowers a nonconvex
-    density toward its quasiconvexified value.
     """
     d, n, m = domain.dim, domain.n_cells, domain.cell.resolution
     grid = domain.grid
@@ -234,59 +211,4 @@ def build_recovery_sequence(domain: MicroDomain, w, P_field: PlasticField | None
     _, full = _cell_node_tables(domain)
     values = np.zeros((grid.n_nodes, d))
     values[full[np.ravel_multi_index(hat.T, (n,) * d)]] = wbar_all
-
-    fld = DeformationField(grid, values)
-    if not correction:
-        return fld
-
-    if model is None or cache is None:
-        raise TwoScaleError("the correction stage needs the material model and a density cache")
-    if m % n:
-        raise TwoScaleError("correction stage needs the cell resolution divisible by n_cells")
-    r = m // n  # pixels per eps-subcube of the unit cell
-    n_pts = n * m + 1
-    wbar = dict(zip(domain.translations_hat, wbar_all))
-    # admissible subcubes: every pixel of the subcube lies in the inclusion
-    sub_ok = {}
-    for s in np.ndindex((n,) * d):
-        sl = tuple(slice(si * r, (si + 1) * r) for si in s)
-        sub_ok[s] = bool(domain.cell.soft_mask[sl].all())
-    micro = Grid(d, m)
-    from hclab.cellproblems import qprime_W0
-    from hclab.microgeometry import build_unit_cell
-
-    # psi gets sampled on the (r+1)^d sub-lattice; when the mask coarsens
-    # exactly to resolution r, solving on the coarsened cell avoids aliasing
-    psi_cell, psi_res = domain.cell, m
-    coarse = _coarsen_mask(domain.cell.soft_mask, m // r)
-    if coarse is not None:
-        psi_cell, psi_res = build_unit_cell(d, r, coarse), r
-
-    corr = np.zeros((grid.n_nodes, d))
-    sub_nodes = np.array(list(np.ndindex((r + 1,) * d)))
-    for t in domain.translations_hat:
-        grads = np.einsum("en...,gnk->eg...k", wbar[t][micro.el_nodes], micro.dN_gauss)
-        grads_lat = grads.reshape((m,) * d + grads.shape[1:])
-        if P_field is not None:
-            center = (np.asarray(t) + 0.5) * eps
-            Pc = P_field.grid.interpolate_at(P_field.matrices(), center[None, :])[0]
-            keys, _ = cache.quantize(Pc[None])
-            Ginv = np.linalg.inv(cache.reconstruct(keys[0], d))
-        else:
-            Ginv = np.eye(d)
-        for s, ok in sub_ok.items():
-            if not ok:
-                continue
-            sl = tuple(slice(si * r, (si + 1) * r) for si in s)
-            A_ts = grads_lat[sl].mean(axis=tuple(range(d)) + (d,))
-            res = qprime_W0(psi_cell, model.W_soft_limit, A_ts, Ginv,
-                            resolution=psi_res, formulation="over_Q0", seed=cache.seed)
-            psi = res.minimizer  # nodal field over Q at the psi resolution
-            psi_grid = Grid(d, psi_res)
-            ref = sub_nodes / r  # positions inside the unit subcube
-            psi_vals = psi_grid.interpolate_at(psi, ref)
-            glob = (np.asarray(t) * m + np.asarray(s) * r)[None, :] + sub_nodes
-            flat = np.ravel_multi_index(glob.T, (n_pts,) * d)
-            corr[flat] = eps * psi_vals
-
-    return DeformationField(grid, values + corr)
+    return DeformationField(grid, values)

@@ -263,7 +263,7 @@ def test_criterion_12_multicell_subadditivity(capsys):
     for _ in range(10):
         F = 0.5 * rng.standard_normal((2, 2))
         G = _sample_K_matrices(rng, 1)[0]
-        res = cp.multicell_W1hom(cell, stiff, F, G, lambdas=(1, 2), resolution=8, tol=1e-10)
+        res = cp.multicell_W1hom(cell, stiff, F, G, lambdas=(1, 2), resolution=8)
         mono_ok = mono_ok and (res.per_lambda[2].value <= res.per_lambda[1].value + 1e-8)
         tensor = cp.effective_quadratic_tensor(cell, stiff, G, resolution=8)
         fast_ok = fast_ok and abs(float(tensor.evaluate(F)) - res.per_lambda[1].value) <= 1e-8

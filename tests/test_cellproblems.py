@@ -188,6 +188,14 @@ def test_multicell_subadditive_and_normalized(cell):
         assert res.per_lambda[1].value >= 0.0
 
 
+def test_stiff_cell_densities_reject_a_non_quadratic_density(cell, twowell_soft):
+    """Both stiff-density solvers are banded direct solves of a quadratic W1."""
+    with pytest.raises(cp.CellProblemError, match="quadratic"):
+        cp.multicell_W1hom(cell, twowell_soft, np.zeros((2, 2)), np.eye(2), resolution=4)
+    with pytest.raises(cp.CellProblemError, match="quadratic"):
+        cp.effective_quadratic_tensor(cell, twowell_soft, np.eye(2), resolution=4)
+
+
 def test_effective_tensor_full_cell_norm_square():
     # full cell, W1 = |F|^2: the quadratic form is the identity, no affine part
     cell0 = mg.builtin_cell("stiff4")

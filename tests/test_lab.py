@@ -13,7 +13,7 @@ from hclab import lab
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(lab.ConfigError):
         lab.StudyConfig(eps_list=[0.3]).validate()  # not 1/int
     with pytest.raises(lab.ConfigError):
@@ -52,6 +52,26 @@ def test_config_validation():
             lab.StudyConfig(**bad).validate()
     with pytest.raises(lab.ConfigError, match="multiple of the cell's resolution 8"):
         lab.StudyConfig(geometry={"builtin": "block8"}, cell_resolution=12).validate()
+    # values of the wrong type: each would pass the checks above and fail after a solve, or run
+    # as something else ("yes" is truthy)
+    for bad, name in (({"acceptance": {"max_final_gap": "0.1"}}, "acceptance.max_final_gap"),
+                      ({"seed": 1.5}, "seed"), ({"toggles": {"dissipation": "yes"}}, "toggles.dissipation"),
+                      ({"acceptance": {"recovery_bound": 1}}, "acceptance.recovery_bound"),
+                      ({"macro_elements": True}, "macro_elements"), ({"strip": "0.5"}, "strip"),
+                      ({"eps_list": [0.25, "0.125"]}, "eps_list"), ({"eps_list": "0.25"}, "eps_list"),
+                      ({"material": {"gamma": "2"}}, "material.gamma"), ({"material": {"soft": 1}}, "material.soft"),
+                      ({"tolerances": {"outer": None}}, "tolerances.outer"), ({"toggles": []}, "toggles"),
+                      ({"geometry": {"builtin": 4}}, "geometry.builtin"), ({"output_dir": 3}, "output_dir"),
+                      ({"cell_resolution": 8.0}, "cell_resolution")):
+        with pytest.raises(lab.ConfigError, match=name):
+            lab.StudyConfig(**bad).validate()
+    with pytest.raises(lab.ConfigError, match="reciprocal"):
+        lab.StudyConfig(eps_list=[0.0]).validate()  # not a ZeroDivisionError
+    path = tmp_path / "cfg.json"
+    for text, match in (("7", "JSON object"), ("[0.25]", "JSON object"), ("{", "not valid JSON")):
+        path.write_text(text)  # a raw TypeError or JSONDecodeError before
+        with pytest.raises(lab.ConfigError, match=match):
+            lab.load_config(path)
     lab.StudyConfig().validate()
     for cell_resolution in (4, 8, 32):
         lab.StudyConfig(cell_resolution=cell_resolution).validate()
@@ -320,6 +340,35 @@ def test_cli_study_run_rejects_an_empty_eps_list(capsys):
         lab.main(["study", "run", str(ROOT / "configs" / "control_study.json"), "--eps"])
     assert exc.value.code == 2
     assert "--eps" in capsys.readouterr().err
+
+
+def test_cli_errors_exit_2_with_a_message(tmp_path, capsys):
+    """A command that cannot run exits 2 with one ``hclab: error:`` line,
+    apart from exit 1 for a failed check."""
+    bad_eps = tmp_path / "bad_eps.json"
+    bad_eps.write_text(json.dumps({"eps_list": [0.3]}))
+    for argv, match in ((["study", "run", str(tmp_path / "missing.json")], "missing.json"),
+                        (["study", "run", str(bad_eps)], "eps 0.3"),
+                        (["cell", "qprime", "--F", "1,2,3"], "expected 4 entries"),
+                        (["geom", "check", str(tmp_path / "missing.mask")], "missing.mask"),
+                        (["geom", "check", "builtin:blok4"], "blok4")):
+        assert lab.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hclab: error: ") and match in err and "Traceback" not in err
+
+
+def test_cli_study_run_exit_code_1_on_a_failed_check(tmp_path, capsys):
+    cfg = {
+        "geometry": {"builtin": "stiff4"},
+        "eps_list": [0.25],
+        "toggles": {"dissipation": False, "recovery_check": False, "correction": False},
+        "acceptance": {"max_final_gap": 0.0},  # gap < 0 cannot hold
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(cfg))
+    assert lab.main(["study", "run", str(path)]) == 1
+    assert "acceptance final_gap: FAIL" in capsys.readouterr().out
 
 
 def test_cli_study_run_with_acceptance(tmp_path, capsys):

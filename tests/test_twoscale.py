@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from hclab import cellproblems as cp, energies, materials, microgeometry as mg, twoscale as ts
-from hclab.fields import DeformationField, Grid, GridMismatch, PlasticField, node_incidence_masks
+from hclab import microgeometry as mg, twoscale as ts
+from hclab.fields import DeformationField, Grid, GridMismatch, node_incidence_masks
 
 
 @pytest.fixture(scope="module")
@@ -355,26 +355,3 @@ def test_recovery_micro_gradient_convergence(cell):
     assert errs[0] > errs[1] > errs[2]
     assert errs[-1] < 0.01
 
-
-def test_recovery_correction_lowers_two_well_energy():
-    """The corrected stage (block averages + cell minimizers) pushes the soft
-    energy of the recovery field below the uncorrected one for a nonconvex
-    density; this is the dedicated corrected-path exercise."""
-    mask = np.zeros((16, 16), dtype=bool)
-    mask[4:12, 4:12] = True
-    cell16 = mg.build_unit_cell(2, 16, mask)
-    domain = mg.build_micro_domain(cell16, 4, strip=0.5)
-    model = materials.default_material(dim=2, soft="twowell")
-    cache = cp.HomDensityCache(resolution=16)
-
-    def w_zero(x, z):
-        return np.zeros_like(np.asarray(z, float))
-
-    plain = ts.build_recovery_sequence(domain, w_zero)
-    corrected = ts.build_recovery_sequence(domain, w_zero, correction=True, model=model, cache=cache)
-    grid = Grid(2, domain.n_el)
-    P = PlasticField.identity(grid, model.K_radius)
-    bd_p = energies.assemble_J_eps(domain, model, plain, P)
-    bd_c = energies.assemble_J_eps(domain, model, corrected, P)
-    assert np.abs(corrected.values).max() > 0.0
-    assert bd_c.soft_elastic < bd_p.soft_elastic
