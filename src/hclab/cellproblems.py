@@ -18,21 +18,22 @@ C, so each cell window owns its operator basis: the band of the stiffness of
 each entry of C over the window's free nodes, and the d columns of
 int grad(phi).  A solve fills the band of K(C) from that basis and runs one
 banded Cholesky against those columns, which gives the d x d matrix Q,
-and W1hom(F) = vol W1(F R) - 1/2 tr(D Q D^T) with D = W1'(F R) R^T is a
-quadratic form in F with a d x d coefficient matrix.  The limit functional
-uses the fast path only.  A ``JLimitPass`` is one assembly of it at (y, P):
-its ``energies.PlasticPass`` takes the one principal log of the Gauss
-matrices of P, which keys the cache and gives the hardening, and the pass
-keeps what its P-gradient needs, so the gradient of an assembled point is
-finished without a second pass.
+and the cell energy vol W(F R) - 1/2 tr(D Q D^T) with D = W'(F R) R^T is a
+quadratic form in F whose one closed form is ``_cell_tensor``.  The limit
+functional uses the fast path only.  A ``JLimitPass`` is one assembly of it
+at (y, P): its ``energies.PlasticPass`` takes the one principal log of the
+Gauss matrices of P, which keys the cache and gives the hardening, and the
+pass keeps what its P-gradient needs, so the gradient of an assembled point
+is finished without a second pass.
 
 The stiff window of a (cell, resolution, lam) and the soft window of a
 (cell, resolution, formulation), each a grid with its active and free masks
 and its operator basis, are built once and shared read-only.  Cell values
 are memoized in a cache keyed by the cell, the density and an integer point
-of a lattice in log coordinates; the cache alone quantizes G, which keeps the
-number of solves bounded during limit-functional minimization.  Solves are deterministic, so
-cache hits are bit-identical.
+of a lattice in log coordinates; the cache alone quantizes G, which bounds
+the number of solves, and gathers per-point tensors and slopes from the keys
+(``w1_tensors``, ``w1_slopes``).  Solves are deterministic, so cache hits
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -245,16 +246,13 @@ def _pack(window: CellWindow, x: np.ndarray) -> np.ndarray:
 
 def _quadratic_cell(window: CellWindow, density, R, F):
     """Banded direct solve of the cell problem of a quadratic density; returns
-    (minimizer, energy, residual).  The energy at the corrector is taken in
-    closed form from the Y solved for: with D = W'(F R) R^T, Q = grad_phi^T Y
-    and vol the measure of the active elements, it is vol W(F R) - 1/2 tr(D Q D^T)."""
-    band, Y = _quadratic_corrector(window, density, R)
+    (minimizer, energy, residual).  The energy at the corrector is the cell
+    tensor of ``_cell_tensor`` at F."""
+    tensor, band, Y = _cell_tensor(window, density, R)
     D = density.grad(F @ R) @ R.T
     sol = -Y @ D.T
     residual = float(np.linalg.norm(_band_matvec(band, sol) + window.grad_phi @ D.T))
-    vol = np.count_nonzero(window.active) * window.grid.h**window.grid.dim
-    energy = vol * float(density.value(F @ R)) - 0.5 * float(np.trace(D @ (window.grad_phi.T @ Y) @ D.T))
-    return _pack(window, sol), energy, residual
+    return _pack(window, sol), float(tensor.evaluate(F)), residual
 
 
 def _minimize_cell(window: CellWindow, density, R, F, tol, maxiter, restarts, seed):
@@ -345,12 +343,13 @@ def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2), resolution: in
 
 @dataclass
 class EffectiveQuadratic:
-    """Stiff density at one G for a quadratic W1, exact on the lam = 1 window:
+    """Quadratic cell energy of a quadratic density at one G,
 
         F |-> sum_ijl F_ij A_jl F_il + b : F + c,
 
     with a symmetric d x d matrix A; as a 4-index tensor the quadratic part
-    is delta_ik A_jl, since the cell problem acts alike on every row of F."""
+    is delta_ik A_jl, since the cell problem acts alike on every row of F.
+    A, b and c may be stacked per point, each then evaluated at its own F."""
 
     A: np.ndarray
     b: np.ndarray
@@ -358,38 +357,41 @@ class EffectiveQuadratic:
 
     def evaluate(self, F: np.ndarray) -> np.ndarray:
         F = np.asarray(F, dtype=float)
-        quad = np.einsum("...ij,jl,...il->...", F, self.A, F)
-        lin = np.einsum("ij,...ij->...", self.b, F)
+        quad = np.einsum("...ij,...jl,...il->...", F, self.A, F)
+        lin = np.einsum("...ij,...ij->...", self.b, F)
         return quad + lin + self.c
 
 
-def effective_quadratic_tensor(cell: CellGeometry, W1, G, resolution: int = 32) -> EffectiveQuadratic:
-    """Stiff density at one G for a quadratic W1 = a |X|^2 + L : X + k, window lam = 1.
+def _cell_tensor(window: CellWindow, density, R: np.ndarray):
+    """Cell energy of the quadratic density W = a |X|^2 + L : X + k on the
+    window at its corrector, as an ``EffectiveQuadratic`` in F; also returns
+    the band of K and Y of ``_quadratic_corrector``.
 
-    With R = G^{-1}, C = R R^T, M = L R^T and vol = |stiff cell|, the
-    window's grad_phi and the corrector Y = K^{-1} grad_phi of
-    ``_quadratic_corrector`` give the d x d matrix Q = grad_phi^T Y.  The cell
-    energy of F at its corrector, vol W1(F R) - 1/2 tr(D Q D^T) with
-    D = 2a F C + M, expands to the form of ``EffectiveQuadratic`` with
+    With C = R R^T, M = L R^T, vol the measure of the active elements and
+    Q = grad_phi^T Y, the energy of F, vol W(F R) - 1/2 tr(D Q D^T) with
+    D = W'(F R) R^T = 2a F C + M, expands to
 
         A = vol a C - 2a^2 C Q C,  b = vol M - 2a M Q C,  c = vol k - 1/2 tr(M Q M^T).
-
-    One banded Cholesky solve with d right-hand sides.
     """
-    if not getattr(W1, "is_quadratic", False):
-        raise CellProblemError("effective_quadratic_tensor requires a quadratic stiff density")
-    G = _check_invertible(G)
-    R = np.linalg.inv(G)
-    window = _stiff_window(cell, resolution, 1)
-    _, Y = _quadratic_corrector(window, W1, R)
+    band, Y = _quadratic_corrector(window, density, R)
     Q = window.grad_phi.T @ Y
-    a, L, k = W1.isotropic_quad_parts(cell.dim)
+    a, L, k = density.isotropic_quad_parts(window.grid.dim)
     C = R @ R.T
     M = L @ R.T
-    vol = np.count_nonzero(window.active) * window.grid.h**cell.dim
-    return EffectiveQuadratic(A=vol * a * C - 2.0 * a * a * (C @ Q @ C),
-                              b=vol * M - 2.0 * a * (M @ Q @ C),
-                              c=float(vol * k - 0.5 * np.trace(M @ Q @ M.T)))
+    vol = np.count_nonzero(window.active) * window.grid.h**window.grid.dim
+    tensor = EffectiveQuadratic(A=vol * a * C - 2.0 * a * a * (C @ Q @ C),
+                                b=vol * M - 2.0 * a * (M @ Q @ C),
+                                c=float(vol * k - 0.5 * np.trace(M @ Q @ M.T)))
+    return tensor, band, Y
+
+
+def effective_quadratic_tensor(cell: CellGeometry, W1, G, resolution: int = 32) -> EffectiveQuadratic:
+    """Stiff density at one G for a quadratic W1, exact on the lam = 1
+    window: the ``_cell_tensor`` of R = G^{-1}, one banded Cholesky solve
+    with d right-hand sides."""
+    if not getattr(W1, "is_quadratic", False):
+        raise CellProblemError("effective_quadratic_tensor requires a quadratic stiff density")
+    return _cell_tensor(_stiff_window(cell, resolution, 1), W1, np.linalg.inv(_check_invertible(G)))[0]
 
 
 # ----------------------------------------------------------------------------
@@ -462,6 +464,25 @@ class HomDensityCache:
             )
         return self._w1[entry]
 
+    def w1_tensors(self, cell: CellGeometry, density, keys, inverse: np.ndarray) -> EffectiveQuadratic:
+        """The tensors of the lattice points ``keys`` gathered per point: A,
+        b and c stacked along ``inverse``, the index of each point's key."""
+        tensors = [self.w1_tensor(cell, density, tuple(key)) for key in keys]
+        return EffectiveQuadratic(A=np.array([t.A for t in tensors])[inverse],
+                                  b=np.array([t.b for t in tensors])[inverse],
+                                  c=np.array([t.c for t in tensors])[inverse])
+
+    def w1_slopes(self, cell: CellGeometry, density, keys, inverse: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Slopes (d^2 - 1, N) of the stiff density at the points F (N, d, d)
+        along each log coordinate of G: central differences of the tensors
+        one lattice step above and below each point's key."""
+        def at(shifted):
+            return self.w1_tensors(cell, density, shifted.tolist(), inverse).evaluate(F)
+
+        keys = np.array(keys)
+        shifts = np.eye(keys.shape[1], dtype=np.int64)
+        return np.array([at(keys + s) - at(keys - s) for s in shifts]) / (2.0 * self.step)
+
 
 class JLimitPass:
     """One assembly of the homogenized functional at (y, P) on a macro grid:
@@ -488,13 +509,9 @@ class JLimitPass:
 
         # stiff density through the quadratic fast path (per unique quantized G)
         self.keys, self.inverse = cache.quantize_logs(plastic.logs.reshape(-1, d, d))
-        w1_vals = np.empty(len(self.Gy))
-        soft_vals = np.zeros(len(self.Gy))
-        for u, key in enumerate(self.keys):
-            sel = self.inverse == u
-            w1_vals[sel] = cache.w1_tensor(cell, model.W_stiff, key).evaluate(self.Gy[sel])
-            if not cell.degenerate:
-                soft_vals[sel] = cache.qprime(cell, model.W_soft_limit, key).value
+        w1_vals = cache.w1_tensors(cell, model.W_stiff, self.keys, self.inverse).evaluate(self.Gy)
+        soft_vals = np.array([0.0 if cell.degenerate else cache.qprime(cell, model.W_soft_limit, key).value
+                              for key in self.keys])[self.inverse]
 
         vol_s, vol_t = float(cell.vol_soft), float(cell.vol_stiff)
         int_H = grid.integrate(plastic.hardening)
@@ -517,18 +534,9 @@ class JLimitPass:
         log's differential at the Gauss values of P turns into a cotangent of
         those values for the ``PlasticPass``.
         """
-        cell, model, cache, plastic = self.cell, self.model, self.cache, self.plastic
-        basis = slgeometry.sl_basis(plastic.P.grid.dim)
-        dlog = np.empty_like(self.Gy)
-        for u, key in enumerate(self.keys):
-            sel = self.inverse == u
-            Fsel = self.Gy[sel]
-            slopes = np.empty((len(basis), len(Fsel)))
-            for i in range(len(basis)):
-                tp = cache.w1_tensor(cell, model.W_stiff, tuple(k + (j == i) for j, k in enumerate(key)))
-                tm = cache.w1_tensor(cell, model.W_stiff, tuple(k - (j == i) for j, k in enumerate(key)))
-                slopes[i] = (tp.evaluate(Fsel) - tm.evaluate(Fsel)) / (2.0 * cache.step)
-            dlog[sel] = np.einsum("ap,aij->pij", slopes, basis)
+        plastic = self.plastic
+        slopes = self.cache.w1_slopes(self.cell, self.model.W_stiff, self.keys, self.inverse, self.Gy)
+        dlog = np.einsum("ap,aij->pij", slopes, slgeometry.sl_basis(plastic.P.grid.dim))
         # the public adjoint, not the pass's closure: in 2D this is its only caller, and
         # perfbench's per-layer counters read its calls
         sens = slgeometry.log_frechet_adjoint(plastic.Pg, dlog.reshape(plastic.Pg.shape))

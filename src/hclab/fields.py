@@ -209,9 +209,7 @@ class Grid:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         idx = np.minimum((pts / self.h).astype(int), self.n_el - 1)
         ref = np.clip(pts / self.h - idx, 0.0, 1.0)
-        weights = np.ones((len(pts), self.n_corners))
-        for k in range(self.dim):
-            weights *= np.where(self.corners[None, :, k] == 0, 1.0 - ref[:, None, k], ref[:, None, k])
+        weights = _shape_value_table(self.corners, ref)
         node_multi = idx[:, None, :] + self.corners[None, :, :]
         nodes = np.ravel_multi_index(node_multi.reshape(-1, self.dim).T, (self.n_pts,) * self.dim).reshape(
             len(pts), self.n_corners
@@ -339,12 +337,23 @@ class DeformationField:
         return cls(grid, np.zeros((grid.n_nodes, grid.dim)))
 
 
+def project_to_ball(coeffs: np.ndarray, r_K: float) -> np.ndarray:
+    """Rows of ``coeffs`` projected radially onto the ball |m| <= r_K, in a
+    copy if any row moves; a small relative pad keeps it idempotent under rounding."""
+    norms = np.linalg.norm(coeffs, axis=1)
+    over = norms > r_K * (1.0 + 1e-14)
+    if over.any():
+        coeffs = coeffs.copy()
+        coeffs[over] *= (r_K / norms[over])[:, None]
+    return coeffs
+
+
 @dataclass
 class PlasticField:
     """Nodal SL(d) field stored as trace-free log coefficients inside the K ball.
 
-    Writes project radially onto |M| <= r_K, so membership in K is an
-    invariant of the data rather than a runtime check.
+    Construction projects them onto |M| <= r_K (``project_to_ball``, into a
+    copy), so membership in K is an invariant of the data, not a runtime check.
     """
 
     grid: Grid
@@ -352,18 +361,11 @@ class PlasticField:
     r_K: float
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        coeffs = np.asarray(self.coeffs, dtype=float)
         k = self.grid.dim**2 - 1
-        if self.coeffs.shape != (self.grid.n_nodes, k):
-            raise GridMismatch(f"coeffs shape {self.coeffs.shape} does not match ({self.grid.n_nodes}, {k})")
-        self.project()
-
-    def project(self) -> None:
-        # small relative pad keeps the projection idempotent under rounding
-        norms = np.linalg.norm(self.coeffs, axis=1)
-        over = norms > self.r_K * (1.0 + 1e-14)
-        if over.any():
-            self.coeffs[over] *= (self.r_K / norms[over])[:, None]
+        if coeffs.shape != (self.grid.n_nodes, k):
+            raise GridMismatch(f"coeffs shape {coeffs.shape} does not match ({self.grid.n_nodes}, {k})")
+        self.coeffs = project_to_ball(coeffs, self.r_K)
 
     def log_matrices(self) -> np.ndarray:
         return slgeometry.coeffs_to_matrices(self.coeffs, self.grid.dim)

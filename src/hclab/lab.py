@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from hclab import cellproblems, energies, materials, microgeometry, minimize, slgeometry, twoscale
-from hclab.fields import DeformationField, Grid, PlasticField, prolong_deformation, prolong_plastic
+from hclab.fields import DeformationField, FieldError, Grid, PlasticField, prolong_deformation, prolong_plastic
 
 
 class IoFailure(OSError):
@@ -129,12 +129,16 @@ class StudyConfig:
         if not (self.strip > 0 and math.isfinite(self.strip)):
             raise ConfigError(f"strip must be positive and finite, got {self.strip}")
         try:
-            m = _build_cell(self.geometry).resolution
+            cell = _build_cell(self.geometry)
         except microgeometry.GeometryError as exc:
             raise ConfigError(f"geometry {self.geometry}: {exc}") from exc
-        if self.cell_resolution is not None and (self.cell_resolution < 1 or self.cell_resolution % m):
+        try:
+            _build_model(self.material, cell.dim)
+        except materials.MaterialError as exc:
+            raise ConfigError(f"material {self.material}: {exc}") from exc
+        if self.cell_resolution is not None and (self.cell_resolution < 1 or self.cell_resolution % cell.resolution):
             raise ConfigError(f"cell_resolution must be a positive multiple of the cell's "
-                              f"resolution {m}, got {self.cell_resolution}")
+                              f"resolution {cell.resolution}, got {self.cell_resolution}")
         if self.toggles.get("correction"):
             raise ConfigError("toggles.correction must be false: the recovery sequence's correction "
                               "stage was removed")
@@ -247,6 +251,16 @@ def _unfold_residual(domain, seed: int) -> float:
     return max(norm_dev, grad_dev)
 
 
+def _row(eps: float, bd, min_J: float, chash: str, **diagnostics) -> dict:
+    """One report row: the columns of the breakdown ``bd``, its gap to the
+    reference ``min_J``, the named diagnostic columns, and 0.0 in every other."""
+    row = dict.fromkeys(COLUMNS, 0.0)
+    row.update(eps=eps, infJ=bd.total, soft_el=bd.soft_elastic, stiff_el=bd.stiff_elastic,
+               hard_soft=bd.hardening_soft, hard_stiff=bd.hardening_stiff, gradP=bd.grad_P_term,
+               gap=abs(bd.total - min_J) / max(1.0, abs(min_J)), **diagnostics, config_hash=chash)
+    return row
+
+
 @dataclass
 class StudyReport:
     """Reference row + per-eps rows, all carrying the config hash."""
@@ -281,15 +295,7 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
     ref_bd = ref_report.breakdown
     solve_reports = {"reference": asdict(ref_report)}
     chash = config.hash()
-    reference = {
-        "eps": 0.0, "infJ": min_J,
-        "soft_el": ref_bd.soft_elastic, "stiff_el": ref_bd.stiff_elastic,
-        "hard_soft": ref_bd.hardening_soft, "hard_stiff": ref_bd.hardening_stiff,
-        "gradP": ref_bd.grad_P_term, "diss_soft": 0.0, "diss_stiff": 0.0,
-        "remainder": 0.0, "poincare": 0.0, "ext_const": 0.0,
-        "hard_cont_err": 0.0, "unfold_resid": 0.0, "gap": 0.0,
-        "config_hash": chash,
-    }
+    reference = _row(0.0, ref_bd, min_J, chash)
 
     rows = []
     artifacts = {"reference": (y_ref, P_ref), "rows": {}}
@@ -303,7 +309,7 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
         else:
             y_prev, P_prev = prev
             init = (prolong_deformation(y_prev, grid), prolong_plastic(P_prev, grid))
-        y, P, value, row_report = minimize.minimize_J_eps(domain, model, init=init, schedule=schedule)
+        y, P, _, row_report = minimize.minimize_J_eps(domain, model, init=init, schedule=schedule)
         solve_reports[f"eps={eps!r}"] = asdict(row_report)
         prev = (y, P)
         artifacts["rows"][eps] = (domain, y, P)
@@ -328,16 +334,9 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
         else:
             d0 = d1 = 0.0
 
-        rows.append({
-            "eps": eps, "infJ": value,
-            "soft_el": bd.soft_elastic, "stiff_el": bd.stiff_elastic,
-            "hard_soft": bd.hardening_soft, "hard_stiff": bd.hardening_stiff,
-            "gradP": bd.grad_P_term, "diss_soft": d0, "diss_stiff": d1,
-            "remainder": remainder, "poincare": poincare, "ext_const": max(c0, c1),
-            "hard_cont_err": hard_err, "unfold_resid": resid,
-            "gap": abs(value - min_J) / max(1.0, abs(min_J)),
-            "config_hash": chash,
-        })
+        rows.append(_row(eps, bd, min_J, chash, diss_soft=d0, diss_stiff=d1, remainder=remainder,
+                         poincare=poincare, ext_const=max(c0, c1), hard_cont_err=hard_err,
+                         unfold_resid=resid))
 
     extras = {}
     if config.toggles.get("recovery_check", True):
@@ -526,11 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one CLI command.  Exit code 0: done, and every acceptance or audit
     check passed; 1: a check failed; 2: the command could not run (a usage,
-    config, file or geometry error), reported as ``hclab: error: ...``."""
+    config, file, geometry, material, cell-problem or grid error), reported
+    as ``hclab: error: ...``."""
     args = build_parser().parse_args(argv)
     try:
         return _run_command(args)
-    except (ConfigError, IoFailure, microgeometry.GeometryError) as exc:
+    except (ConfigError, IoFailure, microgeometry.GeometryError, materials.MaterialError,
+            cellproblems.CellProblemError, FieldError) as exc:
         print(f"hclab: error: {exc}", file=sys.stderr)
         return 2
 
@@ -576,7 +577,10 @@ def _run_command(args) -> int:
                   f" converged {res.converged})")
             return 0
         if args.cell_command == "multicell":
-            lambdas = tuple(int(v) for v in args.lambdas.split(","))
+            try:
+                lambdas = tuple(int(v) for v in args.lambdas.split(","))
+            except ValueError as exc:
+                raise ConfigError(f"lambdas {args.lambdas!r}: {exc}") from exc
             stiff = materials.StiffDensity(args.gamma)
             res = cellproblems.multicell_W1hom(cell, stiff, F, G, lambdas=lambdas,
                                                resolution=args.resolution)

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from hclab import cellproblems, energies
-from hclab.fields import DeformationField, Grid, PlasticField
+from hclab.fields import DeformationField, Grid, PlasticField, project_to_ball
 
 # P-step budget of the homogenized functional.  Its stiff density is a
 # staircase in P (the cache quantizes G), so the P-step can stall on a flat
@@ -231,9 +231,10 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
     raw gradient.  Every trial point costs one assembly, and only the
     accepted point is finished, so no point is assembled twice.
 
-    The trial point is project(m - t H^{-1} g), H^{-1} g by ``_cg`` from
-    zero to relative SOBOLEV_CG_RTOL per column, which keeps it a descent
-    direction.  The Barzilai-Borwein step t = dm.H dm / dm.dg is
+    The trial point is project(m - t H^{-1} g), with the radial projection
+    ``fields.project_to_ball`` and H^{-1} g by ``_cg`` from zero to relative
+    SOBOLEV_CG_RTOL per column, which keeps it a descent direction.  The
+    Barzilai-Borwein step t = dm.H dm / dm.dg is
     measured in the metric (dm.dm / dm.dg for the raw gradient) and starts
     at 1; an Armijo backtracking on the assembled energy, with drop =
     g.(m - cand), safeguards it.  A Euclidean projection of a non-Euclidean
@@ -246,14 +247,6 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
     breakdown of the final point attached as ``report.breakdown``.
     """
     r_K = P0.r_K
-
-    def project(m):
-        norms = np.linalg.norm(m, axis=1)
-        over = norms > r_K
-        if over.any():
-            m = m.copy()
-            m[over] *= (r_K / norms[over])[:, None]
-        return m
 
     def field(m):
         return PlasticField(P0.grid, m.copy(), r_K=r_K)
@@ -272,7 +265,7 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
         """Armijo backtracking along -direction from ``step``: the accepted
         (m, breakdown, finish) or None, and the last step tried."""
         for _ in range(50):
-            cand = project(m - step * direction)
+            cand = project_to_ball(m - step * direction, r_K)
             drop = float(np.sum(grad * (m - cand)))
             if guard and drop <= 0.0:
                 return None, step
@@ -282,7 +275,7 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
             step *= 0.5
         return None, step
 
-    m = project(P0.coeffs.copy())
+    m = P0.coeffs.copy()
     breakdown, finish = evaluated(m)
     val = breakdown.total
     grad, H = finished(finish)
@@ -293,7 +286,7 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
     prev_m = prev_g = None
     it = 0
     for it in range(1, max_iter + 1):
-        pg_norm = float(np.linalg.norm(m - project(m - grad)))
+        pg_norm = float(np.linalg.norm(m - project_to_ball(m - grad, r_K)))
         grad_norms.append(pg_norm)
         if pg_norm <= tol * (1.0 + abs(val)):
             converged = True
@@ -421,11 +414,8 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
 
     def y_step(y, P):
         Pg = grid.gauss_values(P.matrices()).reshape(-1, d, d)
-        keys, inverse = cache.quantize(Pg)
-        tensors = [cache.w1_tensor(cell, model.W_stiff, key) for key in keys]
-        A = np.array([t.A for t in tensors])[inverse]
-        b = np.array([t.b for t in tensors])[inverse]
-        K, f = _quadratic_y_system(grid, 1.0, A.reshape(shape), b.reshape(shape))
+        tensors = cache.w1_tensors(cell, model.W_stiff, *cache.quantize(Pg))
+        K, f = _quadratic_y_system(grid, 1.0, tensors.A.reshape(shape), tensors.b.reshape(shape))
         y, iters, _, ok = _solve_y(grid, K, f, y.values, schedule.y_tol, schedule.y_iters)
         return y, iters, ok
 

@@ -64,6 +64,11 @@ class TwoScaleField:
         return np.einsum("cen...,gnk->ceg...k", self.full[:, micro.el_nodes], micro.dN_gauss)
 
 
+def _check_grid(domain: MicroDomain, y: DeformationField) -> None:
+    if y.grid.n_el != domain.n_el or y.grid.dim != domain.dim:
+        raise GridMismatch("field grid does not match the domain")
+
+
 def _cell_node_tables(domain: MicroDomain):
     """Global node indices per (cell, micro node), cells and micro nodes in C
     order: the low corners (m^d) and the full (m+1)^d lattice of each cell.
@@ -80,8 +85,7 @@ def _cell_node_tables(domain: MicroDomain):
 
 def unfold(domain: MicroDomain, y: DeformationField) -> TwoScaleField:
     """Exact unfolding of a nodal field: sample (cell t, micro z) = y(eps(t+z))."""
-    if y.grid.n_el != domain.n_el or y.grid.dim != domain.dim:
-        raise GridMismatch("field grid does not match the domain")
+    _check_grid(domain, y)
     low, full_tbl = _cell_node_tables(domain)
     samples = y.values[low]
     full = y.values[full_tbl]
@@ -92,8 +96,7 @@ def unfold(domain: MicroDomain, y: DeformationField) -> TwoScaleField:
 def unfold_scaled_gradients(domain: MicroDomain, y: DeformationField) -> np.ndarray:
     """Unfolding of eps * grad(y): (cells, pixels, ngp, d, d), ordered like
     TwoScaleField.micro_gradients() so the commutation identity is elementwise."""
-    if y.grid.n_el != domain.n_el or y.grid.dim != domain.dim:
-        raise GridMismatch("field grid does not match the domain")
+    _check_grid(domain, y)
     d, n, m = domain.dim, domain.n_cells, domain.cell.resolution
     grads = domain.grid.gauss_gradients(y.values) * domain.eps
     # element (t m + z) of the (n m)^d grid, axes (t_0, z_0, t_1, z_1, ...) -> (t, z)
@@ -118,8 +121,7 @@ def extend_into_inclusions(domain: MicroDomain, y: DeformationField) -> Deformat
     ``node_incidence_masks`` counts elements outside the domain as not soft,
     so such a node never lies on the lattice boundary: its 2d neighbours are
     the nodes at plus and minus one flat axis stride."""
-    if y.grid.n_el != domain.n_el or y.grid.dim != domain.dim:
-        raise GridMismatch("field grid does not match the domain")
+    _check_grid(domain, y)
     grid = y.grid
     interior = _interior_soft_nodes(domain)
     out = y.values.copy()
@@ -166,6 +168,7 @@ def extension_constants(domain: MicroDomain, y: DeformationField):
 
 def poincare_ratio(domain: MicroDomain, y: DeformationField) -> float:
     """||y|| / (eps ||grad y||_soft + ||grad y||_stiff) for zero boundary values."""
+    _check_grid(domain, y)
     grid = y.grid
     if y.values[grid.boundary_node_mask()].any():
         raise TwoScaleError("the Poincare diagnostic needs zero boundary values")

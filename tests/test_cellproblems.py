@@ -273,6 +273,33 @@ def test_cache_determinism_and_quantization(cell):
     assert fresh.qprime(cell, twowell, key).value == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("name, resolution", [("block4", 8), ("fiber3d", 4)])
+def test_stacked_tensors_and_slopes_match_per_key_lookups(name, resolution):
+    """``w1_tensors`` evaluates every point bit for bit as its key's own
+    tensor does, and ``w1_slopes`` are the per-key central differences."""
+    cell = mg.builtin_cell(name)
+    d = cell.dim
+    stiff = materials.StiffDensity(1.0)
+    cache = cp.HomDensityCache(step=0.05, resolution=resolution)
+    rng = np.random.default_rng(17)
+    n_coeffs = d * d - 1
+    logs = sg.coeffs_to_matrices(0.1 * rng.standard_normal((3, n_coeffs))[rng.integers(0, 3, 12)], d)
+    keys, inverse = cache.quantize(sg.exp_batch(logs))
+    assert 1 < len(keys) < 12
+    F = 0.3 * rng.standard_normal((12, d, d))
+    stacked = cache.w1_tensors(cell, stiff, keys, inverse).evaluate(F)
+    single = np.array([cache.w1_tensor(cell, stiff, keys[u]).evaluate(F[p]) for p, u in enumerate(inverse)])
+    assert stacked.tobytes() == single.tobytes()
+    slopes = cache.w1_slopes(cell, stiff, keys, inverse, F)
+    assert slopes.shape == (n_coeffs, 12)
+    for p, u in enumerate(inverse):
+        for i in range(n_coeffs):
+            up = cache.w1_tensor(cell, stiff, tuple(k + (j == i) for j, k in enumerate(keys[u])))
+            down = cache.w1_tensor(cell, stiff, tuple(k - (j == i) for j, k in enumerate(keys[u])))
+            expected = (up.evaluate(F[p]) - down.evaluate(F[p])) / (2.0 * cache.step)
+            assert slopes[i, p] == expected
+
+
 def test_cache_entries_are_per_cell_and_density(cell, convex_soft, twowell_soft):
     """One cache serving two cells, or two soft densities, returns each its own values."""
     stiff = materials.StiffDensity(1.0)

@@ -13,6 +13,7 @@ from hclab.fields import (
     _element_nodes,
     _shape_gradient_table,
     node_incidence_masks,
+    project_to_ball,
     prolong_deformation,
     prolong_plastic,
 )
@@ -127,6 +128,17 @@ def test_plastic_projection_and_unimodularity():
     assert np.all(norms <= 0.3 + 1e-14)
     dets = np.linalg.det(P.matrices())
     assert np.abs(dets - 1.0).max() < 1e-9
+
+
+def test_plastic_projection_leaves_the_input_array_unchanged():
+    grid = Grid(2, 2)
+    coeffs = np.zeros((grid.n_nodes, 3))
+    coeffs[0] = [1.0, 0.0, 0.0]
+    before = coeffs.copy()
+    P = PlasticField(grid, coeffs, r_K=0.3)
+    assert np.array_equal(coeffs, before)
+    assert np.array_equal(P.coeffs[0], [0.3, 0.0, 0.0]) and np.array_equal(P.coeffs[1:], before[1:])
+    assert project_to_ball(P.coeffs, 0.3) is P.coeffs  # inside the ball: no copy, no change
 
 
 def test_field_keeps_its_boundary_values():

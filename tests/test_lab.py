@@ -67,6 +67,12 @@ def test_config_validation(tmp_path):
             lab.StudyConfig(**bad).validate()
     with pytest.raises(lab.ConfigError, match="reciprocal"):
         lab.StudyConfig(eps_list=[0.0]).validate()  # not a ZeroDivisionError
+    # values default_material rejects: a MaterialError at the start of the run before
+    with pytest.raises(lab.ConfigError, match="Morrey"):
+        lab.StudyConfig(geometry={"builtin": "fiber3d"}, material={"q": 3.0},
+                        eps_list=[1 / 3]).validate()  # q must exceed d = 3
+    with pytest.raises(lab.ConfigError, match="bogus"):
+        lab.StudyConfig(material={"soft": "bogus"}).validate()
     path = tmp_path / "cfg.json"
     for text, match in (("7", "JSON object"), ("[0.25]", "JSON object"), ("{", "not valid JSON")):
         path.write_text(text)  # a raw TypeError or JSONDecodeError before
@@ -106,7 +112,7 @@ _CONFIG_VALUES = {
     "geometry": st.fixed_dictionaries({"builtin": st.sampled_from(["block4", "block8", "stiff4", "fiber3d"])}),
     "material": st.fixed_dictionaries({}, optional={
         "gamma": st.floats(0.0, 4.0), "soft": st.sampled_from(["convex", "twowell"]), "h0": st.floats(0.0, 1.0),
-        "h1": st.floats(0.1, 10.0), "r_K": st.floats(0.05, 0.5), "q": st.floats(3.0, 6.0),
+        "h1": st.floats(0.1, 10.0), "r_K": st.floats(0.05, 0.5), "q": st.floats(3.0, 6.0, exclude_min=True),
         "twowell_amplitude": st.floats(0.0, 1.0), "twowell_delta": st.floats(0.01, 1.0)}),
     "eps_list": st.sets(st.integers(2, 64), min_size=1, max_size=4).map(
         lambda ns: [1.0 / n for n in sorted(ns)]),
@@ -351,7 +357,14 @@ def test_cli_errors_exit_2_with_a_message(tmp_path, capsys):
                         (["study", "run", str(bad_eps)], "eps 0.3"),
                         (["cell", "qprime", "--F", "1,2,3"], "expected 4 entries"),
                         (["geom", "check", str(tmp_path / "missing.mask")], "missing.mask"),
-                        (["geom", "check", "builtin:blok4"], "blok4")):
+                        (["geom", "check", "builtin:blok4"], "blok4"),
+                        (["audit", "model", "--gamma", "-5"], "growth constants"),
+                        (["audit", "model", "--samples", "0"], "sample_count"),
+                        (["cell", "qprime", "--resolution", "6"], "multiple of the cell resolution"),
+                        (["cell", "qprime", "--G", "0,0,0,0"], "singular"),
+                        (["cell", "multicell", "--lambdas", "0"], "positive integers"),
+                        (["cell", "multicell", "--lambdas", "a"], "lambdas 'a'"),
+                        (["cell", "multicell", "--resolution", "0"], "n_el")):
         assert lab.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("hclab: error: ") and match in err and "Traceback" not in err

@@ -142,8 +142,9 @@ def test_extension_and_recovery_bit_identical_to_loop_builds(name, n):
 def test_unfold_grid_mismatch(cell):
     domain = _domain(cell, 4)
     wrong = DeformationField.zero(Grid(2, 8))
-    with pytest.raises(GridMismatch):
-        ts.unfold(domain, wrong)
+    for check in (ts.unfold, ts.unfold_scaled_gradients, ts.extend_into_inclusions, ts.poincare_ratio):
+        with pytest.raises(GridMismatch):
+            check(domain, wrong)
 
 
 def test_extension_affine_exact(cell):
