@@ -24,15 +24,18 @@ functional uses the fast path only.  A ``JLimitPass`` is one assembly of it
 at (y, P): its ``energies.PlasticPass`` takes the one principal log of the
 Gauss matrices of P, which keys the cache and gives the hardening, and the
 pass keeps what its P-gradient needs, so the gradient of an assembled point
-is finished without a second pass.
+is finished without a second pass.  The data that depend on y alone are a
+``FixedYLimit``, which the limit P-step builds once: grad y at the Gauss
+points and, per lattice key, the stiff energy of its cell tensor there, so
+that a trial point gathers its stiff term and its slopes from those rows.
 
 The stiff window of a (cell, resolution, lam) and the soft window of a
 (cell, resolution, formulation), each a grid with its active and free masks
 and its operator basis, are built once and shared read-only.  Cell values
 are memoized in a cache keyed by the cell, the density and an integer point
 of a lattice in log coordinates; the cache alone quantizes G, which bounds
-the number of solves, and gathers per-point tensors and slopes from the keys
-(``w1_tensors``, ``w1_slopes``).  Solves are deterministic, so cache hits
+the number of solves, and gathers per-point tensors from the keys
+(``w1_tensors``, for the y-step).  Solves are deterministic, so cache hits
 are bit-identical.
 """
 
@@ -261,7 +264,7 @@ def _minimize_cell(window: CellWindow, density, R, F, tol, maxiter, restarts, se
     the value never exceeds the test-field energy of the mean deformation."""
     if density.is_quadratic:
         v, energy, residual = _quadratic_cell(window, density, R, F)
-        return v, energy, 1, residual, True
+        return v, energy, 1, residual, bool(np.isfinite(residual) and np.isfinite(energy))
 
     # scipy.optimize is imported only here, off the stock (quadratic) path
     from scipy import optimize
@@ -472,16 +475,38 @@ class HomDensityCache:
                                   b=np.array([t.b for t in tensors])[inverse],
                                   c=np.array([t.c for t in tensors])[inverse])
 
-    def w1_slopes(self, cell: CellGeometry, density, keys, inverse: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """Slopes (d^2 - 1, N) of the stiff density at the points F (N, d, d)
-        along each log coordinate of G: central differences of the tensors
-        one lattice step above and below each point's key."""
-        def at(shifted):
-            return self.w1_tensors(cell, density, shifted.tolist(), inverse).evaluate(F)
 
-        keys = np.array(keys)
-        shifts = np.eye(keys.shape[1], dtype=np.int64)
-        return np.array([at(keys + s) - at(keys - s) for s in shifts]) / (2.0 * self.step)
+class FixedYLimit:
+    """The Gauss data of J_limit that depend on the deformation alone, the
+    counterpart of ``energies.FixedY`` for the limit P-step: ``Gy`` (N, d, d),
+    grad y at the Gauss points, and for each lattice key the stiff energy
+    of its cell tensor at every Gauss point, a row of N values filled on
+    first use.
+
+    Passed as ``y`` to ``JLimitPass`` or ``assemble_J_limit``, one
+    FixedYLimit serves every assembly at its deformation: a trial point then
+    gathers its stiff energies from the rows instead of evaluating tensors
+    at y again.
+    """
+
+    def __init__(self, cell: CellGeometry, model, y, cache: HomDensityCache):
+        d = y.grid.dim
+        self.cell, self.model, self.y, self.cache = cell, model, y, cache
+        self.Gy = y.grid.gauss_gradients(y.values).reshape(-1, d, d)
+        self.points = np.arange(len(self.Gy))
+        self._rows: dict = {}
+
+    def stiff(self, keys, inverse: np.ndarray) -> np.ndarray:
+        """Stiff energy (N,) at each Gauss point p for the key ``keys[inverse[p]]``."""
+        rows = []
+        for key in keys:
+            key = tuple(key)
+            row = self._rows.get(key)
+            if row is None:
+                tensor = self.cache.w1_tensor(self.cell, self.model.W_stiff, key)
+                row = self._rows[key] = tensor.evaluate(self.Gy)
+            rows.append(row)
+        return np.array(rows)[inverse, self.points]
 
 
 class JLimitPass:
@@ -499,17 +524,19 @@ class JLimitPass:
     """
 
     def __init__(self, cell: CellGeometry, model, y, P, cache: HomDensityCache):
-        grid = y.grid
+        fixed = y if isinstance(y, FixedYLimit) else FixedYLimit(cell, model, y, cache)
+        if fixed.cell is not cell or fixed.model is not model or fixed.cache is not cache:
+            raise CellProblemError("the fixed deformation data belong to another cell, model or cache")
+        grid = fixed.y.grid
         if P.grid.n_el != grid.n_el or P.grid.dim != grid.dim:
             raise CellProblemError("macro fields live on different grids")
         d = grid.dim
-        self.cell, self.model, self.cache = cell, model, cache
+        self.cache, self.fixed = cache, fixed
         self.plastic = plastic = PlasticPass(model, P)
-        self.Gy = grid.gauss_gradients(y.values).reshape(-1, d, d)
 
         # stiff density through the quadratic fast path (per unique quantized G)
         self.keys, self.inverse = cache.quantize_logs(plastic.logs.reshape(-1, d, d))
-        w1_vals = cache.w1_tensors(cell, model.W_stiff, self.keys, self.inverse).evaluate(self.Gy)
+        w1_vals = fixed.stiff(self.keys, self.inverse)
         soft_vals = np.array([0.0 if cell.degenerate else cache.qprime(cell, model.W_soft_limit, key).value
                               for key in self.keys])[self.inverse]
 
@@ -527,15 +554,22 @@ class JLimitPass:
         """Gradient with respect to the nodal log coefficients of P.
 
         The stiff density's slope in each log coordinate of G is the central
-        difference of the cached tensors across one quantization step
-        (approximate, which only affects the step quality of the line search;
-        the Armijo test runs on the exact assembled energy).  The slopes form
+        difference of the ``FixedYLimit`` rows one quantization step above
+        and below each point's key (approximate, which only affects the step
+        quality of the line search; the Armijo test runs on the exact
+        assembled energy).  The slopes form
         the log-space cotangent sum_i slope_i E_i, which the adjoint of the
         log's differential at the Gauss values of P turns into a cotangent of
         those values for the ``PlasticPass``.
         """
-        plastic = self.plastic
-        slopes = self.cache.w1_slopes(self.cell, self.model.W_stiff, self.keys, self.inverse, self.Gy)
+        plastic, fixed = self.plastic, self.fixed
+        keys = np.array(self.keys)
+
+        def stiff_at(shift):
+            return fixed.stiff((keys + shift).tolist(), self.inverse)
+
+        shifts = np.eye(keys.shape[1], dtype=np.int64)
+        slopes = np.array([stiff_at(s) - stiff_at(-s) for s in shifts]) / (2.0 * self.cache.step)
         dlog = np.einsum("ap,aij->pij", slopes, slgeometry.sl_basis(plastic.P.grid.dim))
         # the public adjoint, not the pass's closure: in 2D this is its only caller, and
         # perfbench's per-layer counters read its calls

@@ -462,6 +462,8 @@ def _parse_matrix(text: str, dim: int) -> np.ndarray:
         raise ConfigError(f"matrix {text!r}: {exc}") from exc
     if len(vals) != dim * dim:
         raise ConfigError(f"expected {dim*dim} entries, got {len(vals)}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"matrix {text!r}: entries must be finite")
     return np.array(vals).reshape(dim, dim)
 
 
@@ -602,7 +604,7 @@ def _run_command(args) -> int:
         cell = _cell_from_arg(args.cell)
         print(f"dim {cell.dim}, resolution {cell.resolution}, |soft| = {cell.vol_soft}"
               f" ({float(cell.vol_soft):.6g}), degenerate {cell.degenerate}")
-        if args.n_cells:
+        if args.n_cells is not None:
             domain = microgeometry.build_micro_domain(cell, args.n_cells, strip=args.strip)
             print(f"eps = 1/{args.n_cells}: |T| = {len(domain.translations)},"
                   f" |T_hat| = {len(domain.translations_hat)},"

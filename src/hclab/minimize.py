@@ -15,7 +15,10 @@ is a Sobolev-gradient descent: its direction solves H x = g with the lagged
 H1 operator of the hardening and |grad P|^q terms
 (``energies.sobolev_metric``), whose h^-2 conditioning would otherwise
 double the iteration count with each halving of eps.  The homogenized P-step
-keeps the raw gradient (see ``LIMIT_P_ITERS``).
+keeps the raw gradient (see ``LIMIT_P_ITERS``).  Both P-steps hold y fixed
+and compute what depends on it alone once per step, ``energies.FixedY`` for
+the composite and ``cellproblems.FixedYLimit`` for the homogenized
+functional, so an Armijo trial pays only for its P.
 
 Every nodal linear system has one shape, a scalar sparse nodal operator with
 one right-hand-side column per component (d for y, d^2 - 1 for the P
@@ -405,7 +408,8 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
                      schedule: Schedule | None = None):
     """Alternating minimization of the homogenized functional on a macro grid;
     see ``_alternate``.  The y-step assembles from the quadratic cell tensors
-    (A, b) at the quantized G of each Gauss point."""
+    (A, b) at the quantized G of each Gauss point.  The P-step builds one
+    ``cellproblems.FixedYLimit`` at its y and values every trial through it."""
     schedule = schedule or Schedule()
     cache = cache if cache is not None else cellproblems.HomDensityCache()
     grid = Grid(cell.dim, macro_elements)
@@ -420,8 +424,10 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
         return y, iters, ok
 
     def p_step(y, P):
+        fixed = cellproblems.FixedYLimit(cell, model, y, cache)
+
         def evaluate(Pc):
-            point = cellproblems.JLimitPass(cell, model, y, Pc, cache)
+            point = cellproblems.JLimitPass(cell, model, fixed, Pc, cache)
             return point.breakdown, lambda: (point.grad_m(), None)
 
         return _projected_descent(evaluate, P, schedule.p_tol, LIMIT_P_ITERS)

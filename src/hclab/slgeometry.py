@@ -76,13 +76,19 @@ def sl_basis(dim: int) -> np.ndarray:
 
 def coeffs_to_matrices(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """Map basis coefficients (..., dim^2-1) to trace-free matrices (..., dim, dim)."""
-    return np.tensordot(coeffs, sl_basis(dim), axes=([-1], [0]))
+    coeffs = np.asarray(coeffs, dtype=float)
+    k = dim * dim - 1
+    out = coeffs.reshape(-1, k) @ sl_basis(dim).reshape(k, dim * dim)
+    return out.reshape(coeffs.shape[:-1] + (dim, dim))
 
 
 def matrices_to_coeffs(mats: np.ndarray) -> np.ndarray:
     """Project matrices onto the orthonormal sl(d) basis."""
+    mats = np.asarray(mats, dtype=float)
     dim = mats.shape[-1]
-    return np.tensordot(mats, sl_basis(dim), axes=([-2, -1], [1, 2]))
+    k = dim * dim - 1
+    out = mats.reshape(-1, dim * dim) @ sl_basis(dim).reshape(k, dim * dim).T
+    return out.reshape(mats.shape[:-2] + (k,))
 
 
 @dataclass(frozen=True)
@@ -176,27 +182,33 @@ def _log_f_funcs(c: np.ndarray, mu: np.ndarray):
 
     Series in r = mu/c^2 around 0 matches both the hyperbolic (mu > 0) and
     elliptic (mu < 0) branches; f_c = -1/det A on every branch.  Requires
-    c > 0 and det A > 0.  Branchless: every lane evaluates the series and
-    both closed forms and ``np.where`` keeps one.  Discarded lanes get
-    arguments that keep them finite: u = c/2 on series lanes, and artanh sees
-    0 on elliptic lanes, where u/c = tan(angle) may exceed 1.
+    c > 0 and det A > 0.  The series is a few multiply-adds and runs on
+    every lane.  The closed forms, with their sqrt, artanh and arctan, run
+    only on the lanes with |r| beyond ``_LOG_SERIES_CUT``, gathered by mask
+    and written back over the series, so series lanes (all of them near the
+    identity) pay for no closed form.  Among those lanes both angles are
+    taken and ``np.where`` keeps one, which is cheaper than splitting them
+    again; artanh sees 0 on elliptic lanes, where u/c = tan(angle) may
+    exceed 1.  Accepts 0-d input, as ``log_sl`` passes one matrix.
     """
     c = np.asarray(c, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    det = c * c - mu
     r = mu / (c * c)
-    small = np.abs(r) <= _LOG_SERIES_CUT
-    f_series = (1.0 + r * (1.0 / 3.0 + r * (1.0 / 5.0 + r * (1.0 / 7.0)))) / c
-    fmu_series = (1.0 / 3.0 + r * (2.0 / 5.0 + r * (3.0 / 7.0 + r * (4.0 / 9.0)))) / (c * c * c)
-    # u = sqrt|mu|; the angle is artanh(u/c) (mu > 0, where u < c) or arctan(u/c)
-    pos = mu > 0
-    u = np.where(small, 0.5 * c, np.sqrt(np.abs(mu)))
-    t = u / c
-    th = np.where(pos, np.arctanh(np.where(pos, t, 0.0)), np.arctan(t))
-    f = np.where(small, f_series, th / u)
-    fmu_closed = np.where(pos, c * u / det - th, th - c * u / det) / (2.0 * u * u * u)
-    fmu = np.where(small, fmu_series, fmu_closed)
-    fc = -1.0 / det
+    # np.asarray: arithmetic on 0-d input yields scalars, which take no masked writes
+    f = np.asarray((1.0 + r * (1.0 / 3.0 + r * (1.0 / 5.0 + r * (1.0 / 7.0)))) / c)
+    fmu = np.asarray((1.0 / 3.0 + r * (2.0 / 5.0 + r * (3.0 / 7.0 + r * (4.0 / 9.0)))) / (c * c * c))
+    far = np.abs(r) > _LOG_SERIES_CUT
+    if far.any():
+        cf, muf = c[far], mu[far]
+        # u = sqrt|mu|; the angle is artanh(u/c) (mu > 0, where u < c) or arctan(u/c)
+        u = np.sqrt(np.abs(muf))
+        t = u / cf
+        pos = muf > 0
+        th = np.where(pos, np.arctanh(np.where(pos, t, 0.0)), np.arctan(t))
+        cud = cf * u / (cf * cf - muf)
+        f[far] = th / u
+        fmu[far] = np.where(pos, cud - th, th - cud) / (2.0 * u * u * u)
+    fc = -1.0 / (c * c - mu)
     return f, fc, fmu
 
 

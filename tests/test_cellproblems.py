@@ -6,7 +6,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hclab import cellproblems as cp, energies, materials, microgeometry as mg, slgeometry as sg
+from hclab import cellproblems as cp, energies, lab, materials, microgeometry as mg, slgeometry as sg
 from hclab.fields import DeformationField, Grid, PlasticField
 
 
@@ -275,28 +275,38 @@ def test_cache_determinism_and_quantization(cell):
 
 @pytest.mark.parametrize("name, resolution", [("block4", 8), ("fiber3d", 4)])
 def test_stacked_tensors_and_slopes_match_per_key_lookups(name, resolution):
-    """``w1_tensors`` evaluates every point bit for bit as its key's own
-    tensor does, and ``w1_slopes`` are the per-key central differences."""
+    """``w1_tensors`` and a ``FixedYLimit``'s stiff rows evaluate every Gauss
+    point bit for bit as its key's own tensor does, and the slopes from the
+    rows of the keys one lattice step above and below are the per-key
+    central differences."""
     cell = mg.builtin_cell(name)
     d = cell.dim
-    stiff = materials.StiffDensity(1.0)
+    model = materials.default_material(dim=d)
+    stiff = model.W_stiff
     cache = cp.HomDensityCache(step=0.05, resolution=resolution)
+    grid = Grid(d, 2 if d == 2 else 1)
     rng = np.random.default_rng(17)
+    y = DeformationField(grid, 0.3 * rng.standard_normal((grid.n_nodes, d)))
+    fixed = cp.FixedYLimit(cell, model, y, cache)
+    n = len(fixed.Gy)
+    assert n == grid.n_elements * grid.n_gauss
     n_coeffs = d * d - 1
-    logs = sg.coeffs_to_matrices(0.1 * rng.standard_normal((3, n_coeffs))[rng.integers(0, 3, 12)], d)
+    logs = sg.coeffs_to_matrices(0.1 * rng.standard_normal((3, n_coeffs))[rng.integers(0, 3, n)], d)
     keys, inverse = cache.quantize(sg.exp_batch(logs))
-    assert 1 < len(keys) < 12
-    F = 0.3 * rng.standard_normal((12, d, d))
-    stacked = cache.w1_tensors(cell, stiff, keys, inverse).evaluate(F)
-    single = np.array([cache.w1_tensor(cell, stiff, keys[u]).evaluate(F[p]) for p, u in enumerate(inverse)])
+    assert 1 < len(keys) < n
+    stacked = cache.w1_tensors(cell, stiff, keys, inverse).evaluate(fixed.Gy)
+    single = np.array([cache.w1_tensor(cell, stiff, keys[u]).evaluate(fixed.Gy[p]) for p, u in enumerate(inverse)])
     assert stacked.tobytes() == single.tobytes()
-    slopes = cache.w1_slopes(cell, stiff, keys, inverse, F)
-    assert slopes.shape == (n_coeffs, 12)
+    assert fixed.stiff(keys, inverse).tobytes() == single.tobytes()
+    shifts = np.eye(n_coeffs, dtype=np.int64)
+    slopes = np.array([fixed.stiff((np.array(keys) + s).tolist(), inverse)
+                       - fixed.stiff((np.array(keys) - s).tolist(), inverse) for s in shifts]) / (2.0 * cache.step)
+    assert slopes.shape == (n_coeffs, n)
     for p, u in enumerate(inverse):
         for i in range(n_coeffs):
             up = cache.w1_tensor(cell, stiff, tuple(k + (j == i) for j, k in enumerate(keys[u])))
             down = cache.w1_tensor(cell, stiff, tuple(k - (j == i) for j, k in enumerate(keys[u])))
-            expected = (up.evaluate(F[p]) - down.evaluate(F[p])) / (2.0 * cache.step)
+            expected = (up.evaluate(fixed.Gy[p]) - down.evaluate(fixed.Gy[p])) / (2.0 * cache.step)
             assert slopes[i, p] == expected
 
 
@@ -615,3 +625,60 @@ def test_limit_pass_gradient_bit_identical_to_fresh_pass(cell_name):
         assert point.breakdown == bd
         assert np.array_equal(grad_m, g)
         assert np.abs(g).max() > 0.0
+
+
+def test_fixed_y_limit_pass_bit_identical_to_plain_field_pass(cell):
+    """A JLimitPass on one FixedYLimit shared by several P, as a limit P-step
+    makes them, gives the breakdown and grad_m of a pass on the plain field
+    bit for bit, and its stiff energy is the stacked tensors' at grad y: at
+    the start of the limit benchmark (8 x 8 macro grid, the lab's smooth
+    plastic field, y = 0) and at random states with y != 0."""
+    model = materials.default_material(dim=2)
+    cache = cp.HomDensityCache(resolution=8)
+    grid = Grid(2, 8)
+    rng = np.random.default_rng(19)
+    y0 = DeformationField.zero(grid)
+    start = lab._smooth_plastic(grid, model.K_radius)
+    states = [(y0, start)]
+    for _ in range(6):
+        y = DeformationField(grid, 0.2 * rng.standard_normal((grid.n_nodes, 2)))
+        scale = rng.uniform(0.005, 0.1)
+        states.append((y, PlasticField(grid, scale * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)))
+    for y, P in states:
+        fixed = cp.FixedYLimit(cell, model, y, cache)
+        # rows filled by passes at other P first, as the Armijo trials of a P-step fill them
+        for other in (P.coeffs * 0.5, P.coeffs[::-1]):
+            cp.JLimitPass(cell, model, fixed, PlasticField(grid, other, model.K_radius), cache).grad_m()
+        shared = cp.JLimitPass(cell, model, fixed, P, cache)
+        plain = cp.JLimitPass(cell, model, y, P, cache)
+        assert shared.breakdown == plain.breakdown
+        assert shared.breakdown == cp.assemble_J_limit(cell, model, fixed, P, cache)
+        assert np.array_equal(shared.grad_m(), plain.grad_m())
+        Gy = grid.gauss_gradients(y.values).reshape(-1, 2, 2)
+        stacked = cache.w1_tensors(cell, model.W_stiff, shared.keys, shared.inverse).evaluate(Gy)
+        assert shared.breakdown.stiff_elastic == grid.integrate(stacked)
+    assert len(shared.keys) > 20
+
+
+def test_fixed_y_limit_belongs_to_one_cell_model_and_cache(cell):
+    model = materials.default_material(dim=2)
+    cache = cp.HomDensityCache(resolution=8)
+    grid = Grid(2, 2)
+    y, P = DeformationField.zero(grid), PlasticField.identity(grid, r_K=model.K_radius)
+    fixed = cp.FixedYLimit(cell, model, y, cache)
+    for args in ((mg.builtin_cell("stiff4"), model, cache), (cell, materials.default_material(dim=2), cache),
+                 (cell, model, cp.HomDensityCache(resolution=8))):
+        with pytest.raises(cp.CellProblemError, match="another cell, model or cache"):
+            cp.JLimitPass(args[0], args[1], fixed, P, args[2])
+
+
+def test_quadratic_cell_solve_with_a_non_finite_value_is_not_converged(cell, convex_soft):
+    """The quadratic branch reports converged only for a finite residual and
+    energy; a finite F still converges."""
+    G = np.eye(2)
+    assert cp.qprime_W0(cell, convex_soft, np.full((2, 2), 0.1), G, resolution=4).converged
+    for bad in (np.nan, np.inf):
+        F = np.array([[bad, 0.0], [0.0, 0.0]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = cp.qprime_W0(cell, convex_soft, F, G, resolution=4)
+        assert not np.isfinite(res.value) and not res.converged

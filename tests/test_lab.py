@@ -356,8 +356,11 @@ def test_cli_errors_exit_2_with_a_message(tmp_path, capsys):
     for argv, match in ((["study", "run", str(tmp_path / "missing.json")], "missing.json"),
                         (["study", "run", str(bad_eps)], "eps 0.3"),
                         (["cell", "qprime", "--F", "1,2,3"], "expected 4 entries"),
+                        (["cell", "qprime", "--F", "nan,0,0,0", "--resolution", "4"], "must be finite"),
+                        (["cell", "multicell", "--G", "1,0,0,inf"], "must be finite"),
                         (["geom", "check", str(tmp_path / "missing.mask")], "missing.mask"),
                         (["geom", "check", "builtin:blok4"], "blok4"),
+                        (["geom", "check", "builtin:block4", "--n-cells", "0"], "n_cells must be >= 2"),
                         (["audit", "model", "--gamma", "-5"], "growth constants"),
                         (["audit", "model", "--samples", "0"], "sample_count"),
                         (["cell", "qprime", "--resolution", "6"], "multiple of the cell resolution"),

@@ -417,3 +417,76 @@ def test_log2_outside_chart_raises_log_domain(bad):
         sg.log_batch(batch)
     with pytest.raises(sg.LogDomain):
         sg.log_frechet_adjoint(batch, np.ones((2, 2, 2)))
+
+
+def _log_f_funcs_branchless(c, mu):
+    """The f-functions by the earlier branchless formula, kept as an oracle:
+    every lane evaluates the series and both closed forms, and ``np.where``
+    keeps one."""
+    c = np.asarray(c, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    det = c * c - mu
+    r = mu / (c * c)
+    small = np.abs(r) <= sg._LOG_SERIES_CUT
+    f_series = (1.0 + r * (1.0 / 3.0 + r * (1.0 / 5.0 + r * (1.0 / 7.0)))) / c
+    fmu_series = (1.0 / 3.0 + r * (2.0 / 5.0 + r * (3.0 / 7.0 + r * (4.0 / 9.0)))) / (c * c * c)
+    pos = mu > 0
+    u = np.where(small, 0.5 * c, np.sqrt(np.abs(mu)))
+    t = u / c
+    th = np.where(pos, np.arctanh(np.where(pos, t, 0.0)), np.arctan(t))
+    f = np.where(small, f_series, th / u)
+    fmu_closed = np.where(pos, c * u / det - th, th - c * u / det) / (2.0 * u * u * u)
+    return f, -1.0 / det, np.where(small, fmu_series, fmu_closed)
+
+
+def _f_lanes(rng, n, sign, r_low, r_high):
+    """(c, mu) lanes with c in [0.8, 1.2] and r = mu / c^2 = sign |r|, |r|
+    log-uniform in [r_low, r_high], so that every decade, the one next to
+    the series cut included, gets lanes."""
+    c = rng.uniform(0.8, 1.2, n)
+    return c, sign * np.exp(rng.uniform(np.log(r_low), np.log(r_high), n)) * c * c
+
+
+@pytest.mark.parametrize("case", ["series", "hyperbolic", "elliptic", "mixed", "0-d"])
+def test_log_f_funcs_bit_identical_to_the_branchless_formula(case):
+    """The masked kernel, which skips the closed forms on series lanes, gives
+    the branchless formula's f, f_c and f_mu bit for bit, shape included."""
+    rng = np.random.default_rng(31)
+    cut = sg._LOG_SERIES_CUT
+    lanes = {"series": [(1.0, 1e-12, cut), (-1.0, 1e-12, cut)],
+             "hyperbolic": [(1.0, cut * (1 + 1e-12), 0.9)],
+             "elliptic": [(-1.0, cut * (1 + 1e-12), 5.0)]}
+    if case in lanes:
+        parts = [_f_lanes(rng, 500, *args) for args in lanes[case]]
+        inputs = [tuple(np.concatenate(arrays) for arrays in zip(*parts))]
+    elif case == "mixed":
+        parts = [_f_lanes(rng, 150, *args) for args in sum(lanes.values(), [])]
+        order = rng.permutation(600)
+        c, mu = (np.concatenate(arrays)[order].reshape(150, 4) for arrays in zip(*parts))
+        inputs = [(c, mu)]
+    else:
+        # np.float64 scalars, as log_sl's single matrix hands them over, on every branch
+        inputs = [(np.float64(c), np.float64(r * c * c))
+                  for c in (0.9, 1.0, 1.1) for r in (0.0, 0.5 * cut, -0.5 * cut, 0.3, -0.3, -3.0)]
+    for c, mu in inputs:
+        for got, want in zip(sg._log_f_funcs(c, mu), _log_f_funcs_branchless(c, mu)):
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_basis_maps_bit_identical_to_tensordot(d):
+    """``coeffs_to_matrices`` and ``matrices_to_coeffs`` give the tensordot
+    contractions over the basis bit for bit, with and without batch axes."""
+    rng = np.random.default_rng(32)
+    basis = sg.sl_basis(d)
+    k = d * d - 1
+    for shape in ((), (1,), (81,), (16_384,), (64, 4), (3, 5, 7)):
+        coeffs = rng.standard_normal(shape + (k,))
+        mats = rng.standard_normal(shape + (d, d))
+        got = sg.coeffs_to_matrices(coeffs, d)
+        want = np.tensordot(coeffs, basis, axes=([-1], [0]))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = sg.matrices_to_coeffs(mats)
+        want = np.tensordot(mats, basis, axes=([-2, -1], [1, 2]))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
