@@ -51,7 +51,7 @@ import scipy.sparse
 
 from hclab import slgeometry
 from hclab.energies import EnergyBreakdown, PlasticPass
-from hclab.fields import Grid, node_incidence_masks
+from hclab.fields import Grid, check_same_grid, node_incidence_masks
 from hclab.microgeometry import CellGeometry
 
 
@@ -75,7 +75,6 @@ class CellProblemResult:
     minimizer: np.ndarray | None
     iterations: int
     residual: float
-    formulation: str
     converged: bool = True
 
 
@@ -136,10 +135,9 @@ def _pairs(d: int) -> list:
 def _window(grid: Grid, active: np.ndarray, free: np.ndarray, norm: float) -> CellWindow:
     d = grid.dim
     n_active = int(np.count_nonzero(active))
-    wq = grid.gauss_weight * grid.h**d
     ops = []
     for k, l in _pairs(d):
-        block = wq * np.einsum("gn,gm->nm", grid.dN_gauss[:, :, k], grid.dN_gauss[:, :, l])
+        block = grid.quad_weight * np.einsum("gn,gm->nm", grid.dN_gauss[:, :, k], grid.dN_gauss[:, :, l])
         if k != l:
             block = block + block.T
         K = grid.stiffness(np.broadcast_to(block, (n_active,) + block.shape), element_mask=active)
@@ -311,7 +309,7 @@ def qprime_W0(cell: CellGeometry, W0, F, G, resolution: int = 32, tol: float = 1
     window = _soft_window(cell, resolution, formulation)
     v, energy, iters, residual, converged = _minimize_cell(window, W0, G, F, tol, maxiter, restarts, seed)
     return CellProblemResult(value=energy / window.norm, minimizer=v, iterations=iters,
-                             residual=residual, formulation=formulation, converged=converged)
+                             residual=residual, converged=converged)
 
 
 def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2), resolution: int = 32) -> MulticellResult:
@@ -336,10 +334,8 @@ def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2), resolution: in
         lam = int(lam)
         window = _stiff_window(cell, resolution, lam)
         v, energy, residual = _quadratic_cell(window, W1, Ginv, F)
-        results[lam] = CellProblemResult(
-            value=energy / window.norm, minimizer=v, iterations=1,
-            residual=residual, formulation=f"multicell({lam})", converged=True,
-        )
+        results[lam] = CellProblemResult(value=energy / window.norm, minimizer=v, iterations=1,
+                                         residual=residual, converged=True)
     top = max(results)
     return MulticellResult(per_lambda=results, estimate=results[top].value)
 
@@ -528,8 +524,7 @@ class JLimitPass:
         if fixed.cell is not cell or fixed.model is not model or fixed.cache is not cache:
             raise CellProblemError("the fixed deformation data belong to another cell, model or cache")
         grid = fixed.y.grid
-        if P.grid.n_el != grid.n_el or P.grid.dim != grid.dim:
-            raise CellProblemError("macro fields live on different grids")
+        check_same_grid(P.grid, grid, "plastic field and deformation")
         d = grid.dim
         self.cache, self.fixed = cache, fixed
         self.plastic = plastic = PlasticPass(model, P)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hclab import slgeometry
-from hclab.fields import DeformationField, GridMismatch, PlasticField
+from hclab.fields import DeformationField, GridMismatch, PlasticField, check_same_grid
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,6 @@ class GradJEps:
     grad_y: np.ndarray
     grad_m: np.ndarray
     crease_count: int = 0
-
-
-def _check_grids(domain, y: DeformationField) -> None:
-    if y.grid.dim != domain.dim or y.grid.n_el != domain.n_el:
-        raise GridMismatch(f"deformation grid {y.grid.n_el} does not match domain grid {domain.n_el}")
 
 
 def _inv_batch(A: np.ndarray) -> np.ndarray:
@@ -146,11 +141,11 @@ class FixedY:
     """
 
     def __init__(self, domain, y: DeformationField):
-        _check_grids(domain, y)
+        check_same_grid(y.grid, domain, "deformation and domain")
         self.domain = domain
         self.y = y
         self.G = y.grid.gauss_gradients(y.values)  # (E, g, d, d)
-        self.soft_els = domain.soft_field.reshape(-1)
+        self.soft_els = domain.soft_elements
         self.stiff_els = ~self.soft_els
         self.scale = np.where(self.soft_els, domain.eps, 1.0)[:, None, None, None]
         self.latest = None
@@ -173,8 +168,7 @@ class JEpsPass:
 
     def __init__(self, model, fixed: FixedY, P: PlasticField):
         grid = fixed.y.grid
-        if P.grid.n_el != grid.n_el or P.grid.dim != grid.dim:
-            raise GridMismatch("plastic field grid does not match the deformation grid")
+        check_same_grid(P.grid, grid, "plastic field and deformation")
         # the y data, not the FixedY itself: FixedY.latest refers to this pass
         self.y, self.eps, self.scale = fixed.y, fixed.domain.eps, fixed.scale
         self.soft_els, self.stiff_els = soft_els, stiff_els = fixed.soft_els, fixed.stiff_els
@@ -239,7 +233,7 @@ def sobolev_metric(domain, model, y, P: PlasticField):
     """The metric of the composite P-step at (y, P): the sparse scalar nodal
     operator
 
-        H = sum_g wq [2 h1 N_g N_g^T + q |grad P_g|^(q-2) dN_g dN_g^T],
+        H = sum_g w [2 h1 N_g N_g^T + q |grad P_g|^(q-2) dN_g dN_g^T],
 
     which acts alike on each sl-coefficient column.  Its mass part is the
     exact Hessian of the hardening at P = I in the orthonormal ``sl_basis``
@@ -250,9 +244,8 @@ def sobolev_metric(domain, model, y, P: PlasticField):
     """
     point = _pass(domain, model, y, P)
     grid = point.y.grid
-    wq = grid.gauss_weight * grid.h**grid.dim
     mass = 2.0 * model.h1 * np.einsum("gn,gm->nm", grid.N_gauss, grid.N_gauss)
     dNdN = np.einsum("gnk,gmk->gnm", grid.dN_gauss, grid.dN_gauss).reshape(grid.n_gauss, -1)
     lagged = model.q * point.plastic.qn ** ((model.q - 2.0) / 2.0)  # (E, g)
     blocks = (lagged @ dNdN).reshape(-1, grid.n_corners, grid.n_corners) + mass
-    return grid.stiffness(wq * blocks)
+    return grid.stiffness(grid.quad_weight * blocks)

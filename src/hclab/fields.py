@@ -3,7 +3,9 @@
 Nodes sit at pixel corners, elements coincide with pixels, and every energy
 term is integrated with the same 2^d tensor Gauss rule, so phase-weighted
 quadrature is exact with respect to the geometry and quadratic densities of
-multilinear gradients are integrated exactly per element.
+multilinear gradients are integrated exactly per element, each point with
+the weight ``Grid.quad_weight`` = 2^-d h^d.  ``check_same_grid`` is the one
+check that combined fields and domains share a grid.
 
 Deformations are nodal vectors; plastic strains are nodal sl(d) coefficient
 vectors (orthonormal basis, so the K-ball constraint is a Euclidean ball) and
@@ -48,6 +50,13 @@ class GridMismatch(ValueError):
 
 class FieldError(ValueError):
     pass
+
+
+def check_same_grid(a, b, what: str) -> None:
+    """Raise GridMismatch unless ``a`` and ``b``, grids or domains, have the
+    same ``dim`` and ``n_el``; ``what`` names the pair in the message."""
+    if (a.dim, a.n_el) != (b.dim, b.n_el):
+        raise GridMismatch(f"{what}: grid {a.n_el}^{a.dim} does not match {b.n_el}^{b.dim}")
 
 
 _GAUSS_1D = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
@@ -175,6 +184,7 @@ class Grid:
         self.gauss_ref = _gauss_ref(dim)  # (ngp, d)
         self.n_gauss = 2**dim
         self.gauss_weight = 0.5**dim  # per point, reference cell measure 1
+        self.quad_weight = self.gauss_weight * self.h**dim  # per point of an element, measure h^d
         self.N_gauss = _shape_value_table(self.corners, self.gauss_ref)  # (ngp, 2^d)
         self.dN_gauss = _shape_gradient_table(self.corners, self.gauss_ref) / self.h  # physical (ngp, 2^d, d)
 
@@ -222,13 +232,13 @@ class Grid:
         S = self._all_elements(S, element_mask)
         flat = np.moveaxis(S.reshape(self.n_elements, self.n_gauss, -1, self.dim), -1, 2)
         flat = flat.reshape(self.n_elements * self.n_gauss * self.dim, -1)
-        out += (self._operators().gradients.T @ flat).reshape(out.shape) * (self.gauss_weight * self.h**self.dim)
+        out += (self._operators().gradients.T @ flat).reshape(out.shape) * self.quad_weight
 
     def accumulate_from_values(self, S: np.ndarray, out: np.ndarray, element_mask=None) -> None:
         """out[node] += sum_g w S[e,g,...] N[g,n]."""
         S = self._all_elements(S, element_mask)
         flat = S.reshape(self.n_elements * self.n_gauss, -1)
-        out += (self._operators().values.T @ flat).reshape(out.shape) * (self.gauss_weight * self.h**self.dim)
+        out += (self._operators().values.T @ flat).reshape(out.shape) * self.quad_weight
 
     def stiffness(self, blocks: np.ndarray, element_mask=None) -> scipy.sparse.csr_matrix:
         """Sparse (n_nodes, n_nodes) operator of a scalar nodal field from
@@ -252,7 +262,7 @@ class Grid:
     def integrate(self, per_gauss: np.ndarray, element_mask=None) -> float:
         """Integral of a per-(element, gauss) scalar sample over the (masked) elements."""
         vals = per_gauss if element_mask is None else per_gauss[element_mask]
-        return float(np.sum(vals) * self.gauss_weight * self.h**self.dim)
+        return float(np.sum(vals) * self.quad_weight)
 
     # -- node classification and norms ----------------------------------------
     def boundary_node_mask(self) -> np.ndarray:

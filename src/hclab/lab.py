@@ -6,6 +6,8 @@ report whose columns are the checkable quantities of the theory: energy
 breakdowns, the splitting remainder, Poincare and extension constants,
 hardening-continuity errors, unfolding residuals, and the gap to the
 homogenized minimum.  Identical config and seed give bit-identical reports.
+A config's ``tolerances`` and ``toggles`` blocks may name any subset of their
+keys; ``TOLERANCE_DEFAULTS`` and ``TOGGLE_DEFAULTS`` fill in the rest.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ COLUMNS = [
     "diss_soft", "diss_stiff", "remainder", "poincare", "ext_const",
     "hard_cont_err", "unfold_resid", "gap",
 ]
-TOGGLE_KEYS = ("dissipation", "recovery_check", "correction")
-TOLERANCE_KEYS = ("outer", "linear", "cell", "plastic")
+TOLERANCE_DEFAULTS = {"outer": 1e-8, "linear": 1e-10, "cell": 1e-8, "plastic": 1e-7}
+TOGGLE_DEFAULTS = {"dissipation": False, "recovery_check": True, "correction": False}
+TOLERANCE_KEYS = tuple(TOLERANCE_DEFAULTS)
+TOGGLE_KEYS = tuple(TOGGLE_DEFAULTS)
 ACCEPTANCE_KEYS = ("require_gap_decreasing", "max_final_gap", "max_gap_all", "max_unfold_resid",
                    "recovery_bound")
 ACCEPTANCE_FLAGS = ("require_gap_decreasing", "recovery_bound")  # the other acceptance keys are bounds
@@ -72,11 +76,9 @@ class StudyConfig:
     macro_elements: int = 8
     cell_resolution: int | None = None
     quantization_step: float = 1e-2
-    tolerances: dict = field(default_factory=lambda: {
-        "outer": 1e-8, "linear": 1e-10, "cell": 1e-8, "plastic": 1e-7})
+    tolerances: dict = field(default_factory=lambda: dict(TOLERANCE_DEFAULTS))
     seed: int = 1234
-    toggles: dict = field(default_factory=lambda: {
-        "dissipation": False, "recovery_check": True, "correction": False})
+    toggles: dict = field(default_factory=lambda: dict(TOGGLE_DEFAULTS))
     output_dir: str = "out"
     acceptance: dict | None = None
 
@@ -139,16 +141,21 @@ class StudyConfig:
         if self.cell_resolution is not None and (self.cell_resolution < 1 or self.cell_resolution % cell.resolution):
             raise ConfigError(f"cell_resolution must be a positive multiple of the cell's "
                               f"resolution {cell.resolution}, got {self.cell_resolution}")
-        if self.toggles.get("correction"):
+        _, toggles = self.settings()
+        if toggles["correction"]:
             raise ConfigError("toggles.correction must be false: the recovery sequence's correction "
                               "stage was removed")
         if self.acceptance is not None and not acceptance:
             raise ConfigError(f"acceptance block names no check; known keys: {', '.join(ACCEPTANCE_KEYS)}")
-        if acceptance.get("recovery_bound") and not self.toggles.get("recovery_check", True):
+        if acceptance.get("recovery_bound") and not toggles["recovery_check"]:
             raise ConfigError("acceptance.recovery_bound needs toggles.recovery_check: without the "
                               "recovery run the bound has nothing to check")
         if acceptance.get("require_gap_decreasing") and len(eps) < 2:
             raise ConfigError("acceptance.require_gap_decreasing needs at least two eps values")
+
+    def settings(self) -> tuple:
+        """(tolerances, toggles): both blocks with the defaults filled in for the keys they omit."""
+        return {**TOLERANCE_DEFAULTS, **self.tolerances}, {**TOGGLE_DEFAULTS, **self.toggles}
 
     def hash(self) -> str:
         """Short content hash of the study definition (output location excluded)."""
@@ -232,7 +239,7 @@ def _random_field(grid: Grid, seed: int) -> DeformationField:
 def _hardening_continuity_error(domain, model, P: PlasticField) -> float:
     grid = P.grid
     Hg = energies.PlasticPass(model, P).hardening
-    soft = domain.soft_field.reshape(-1)
+    soft = domain.soft_elements
     int_soft = grid.integrate(Hg, element_mask=soft)
     int_all = grid.integrate(Hg)
     vol_s = float(domain.cell.vol_soft)
@@ -278,17 +285,14 @@ class StudyReport:
 def run_convergence_study(config: StudyConfig) -> StudyReport:
     """Execute the full pipeline; see the module docstring for the stages."""
     config.validate()
+    tolerances, toggles = config.settings()
     cell = _build_cell(config.geometry)
     model = _build_model(config.material, cell.dim)
     cell_res = config.cell_resolution if config.cell_resolution else cell.resolution
     cache = cellproblems.HomDensityCache(
-        step=config.quantization_step, resolution=cell_res,
-        tol=config.tolerances.get("cell", 1e-8), seed=config.seed)
-    schedule = minimize.Schedule(
-        outer_tol=config.tolerances.get("outer", 1e-8),
-        y_tol=config.tolerances.get("linear", 1e-10),
-        p_tol=config.tolerances.get("plastic", 1e-7),
-    )
+        step=config.quantization_step, resolution=cell_res, tol=tolerances["cell"], seed=config.seed)
+    schedule = minimize.Schedule(outer_tol=tolerances["outer"], y_tol=tolerances["linear"],
+                                 p_tol=tolerances["plastic"])
 
     y_ref, P_ref, min_J, ref_report = minimize.minimize_J_limit(
         cell, model, cache=cache, macro_elements=config.macro_elements, schedule=schedule)
@@ -322,12 +326,12 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
 
         poincare = twoscale.poincare_ratio(domain, _bump_field(grid))
         osc = DeformationField(grid, _oscillatory_values(grid.node_coords()))
-        c0, c1, _ = twoscale.extension_constants(domain, osc)
+        c0, c1 = twoscale.extension_constants(domain, osc)
         P_smooth = _smooth_plastic(grid, model.K_radius)
         hard_err = _hardening_continuity_error(domain, model, P_smooth)
         resid = _unfold_residual(domain, config.seed)
 
-        if config.toggles.get("dissipation", False):
+        if toggles["dissipation"]:
             P_bar = PlasticField.identity(grid, r_K=model.K_radius)
             d0 = slgeometry.dissipation_integral(domain, P_bar, P, phase=0)
             d1 = slgeometry.dissipation_integral(domain, P_bar, P, phase=1)
@@ -339,7 +343,7 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
                          unfold_resid=resid))
 
     extras = {}
-    if config.toggles.get("recovery_check", True):
+    if toggles["recovery_check"]:
         eps_f = config.eps_list[-1]
         domain_f, y_f, P_f = artifacts["rows"][eps_f]
 
@@ -551,7 +555,6 @@ def _run_command(args) -> int:
             config.macro_elements = args.macro_elements
         if args.cell_resolution is not None:
             config.cell_resolution = args.cell_resolution
-        config.validate()
         report = run_convergence_study(config)
         paths = emit_report(report, outdir=config.output_dir)
         print(f"reference min J = {report.metadata['min_J']:.8g}")

@@ -33,7 +33,7 @@ class MaterialError(ValueError):
 
 
 class NotUnimodular(MaterialError):
-    """det P violates the unimodularity tolerance (1e-9)."""
+    """det P violates the unimodularity tolerance ``slgeometry.DET_TOL``."""
 
 
 def _fro2(F: np.ndarray) -> np.ndarray:
@@ -66,7 +66,6 @@ class SoftConvexFamily:
     """W0_eps(F) = (1 + eps) |F|^2, pointwise limit |F|^2."""
 
     is_quadratic = True
-    is_convex = True
 
     def value(self, eps: float, F: np.ndarray) -> np.ndarray:
         return (1.0 + eps) * _fro2(np.asarray(F, dtype=float))
@@ -78,9 +77,6 @@ class SoftConvexFamily:
     def isotropic_quad_parts(self, eps: float, dim: int):
         return 1.0 + eps, np.zeros((dim, dim)), 0.0
 
-    def limit(self):
-        return FrozenSoft(self, 0.0)
-
 
 class SoftTwoWellFamily:
     """Two-well option: wells at +-A (rank one) plus a small convex stabilizer.
@@ -90,7 +86,6 @@ class SoftTwoWellFamily:
     """
 
     is_quadratic = False
-    is_convex = False
 
     def __init__(self, dim: int = 2, amplitude: float = 0.8, delta: float = 0.1):
         A = np.zeros((dim, dim))
@@ -113,9 +108,6 @@ class SoftTwoWellFamily:
         if return_crease:
             return g, int(np.count_nonzero(np.abs(lo - hi) < 1e-12))
         return g
-
-    def limit(self):
-        return FrozenSoft(self, 0.0)
 
 
 class FrozenSoft:
@@ -165,7 +157,7 @@ class MaterialModel:
     def W_soft_limit(self) -> FrozenSoft:
         """The eps -> 0 soft density; one object per model, so cell caches
         keyed by density identity find it again."""
-        return self.W_soft_family.limit()
+        return FrozenSoft(self.W_soft_family, 0.0)
 
     @property
     def h0(self) -> float:
@@ -226,11 +218,12 @@ def eval_density(model: MaterialModel, phase: str, eps: float, F) -> float:
 
 
 def eval_hardening(model: MaterialModel, P) -> float:
-    """H(P) = h0 + h1 |log P|^2 on K, +inf outside; det P must be 1 to 1e-9."""
+    """H(P) = h0 + h1 |log P|^2 on K, +inf outside; det P must be 1 to
+    ``slgeometry.DET_TOL``."""
     P = np.asarray(P, dtype=float)
     det = float(np.linalg.det(P))
-    if abs(det - 1.0) > 1e-9:
-        raise NotUnimodular(f"det P = {det!r} is not 1 within 1e-9")
+    if abs(det - 1.0) > slgeometry.DET_TOL:
+        raise NotUnimodular(f"det P = {det!r} is not 1 within {slgeometry.DET_TOL}")
     logs = slgeometry.log_batch(P)
     if float(np.linalg.norm(logs)) > model.K_radius + 1e-12:
         return math.inf

@@ -9,7 +9,8 @@ the matrix always owns a full collar along the boundary of Omega.
 
 Everything is pixel-exact: volumes are rationals, the phase of a point is a
 pixel lookup, and grids downstream place nodes at pixel corners so that
-phase-weighted quadrature is exact with respect to the geometry.
+phase-weighted quadrature is exact with respect to the geometry, and the
+phase of each grid element is ``MicroDomain.soft_elements``.
 """
 
 from __future__ import annotations
@@ -203,7 +204,8 @@ class MicroDomain:
     ``translations`` are the integer cell indices whose inclusion copy clears
     the boundary strip, ``translations_hat`` those whose *entire cell cube*
     clears it (used by unfolding-restricted constructions).  ``soft_field``
-    marks the soft pixels of the global ``(n_cells * m)^d`` pixel grid.
+    marks the soft pixels of the global ``(n_cells * m)^d`` pixel grid, and
+    ``soft_elements`` is the same mask flat, in the element order of ``grid``.
     """
 
     cell: CellGeometry
@@ -228,6 +230,11 @@ class MicroDomain:
     def n_el(self) -> int:
         """Pixels (= elements) per side of the global grid."""
         return self.n_cells * self.cell.resolution
+
+    @property
+    def soft_elements(self) -> np.ndarray:
+        """(E,) read-only phase of each element of ``grid``: True where soft."""
+        return self.soft_field.reshape(-1)
 
     @cached_property
     def grid(self) -> Grid:

@@ -3,7 +3,8 @@
 Both functionals run through one alternation, ``_alternate``: a y-step at
 fixed plastic strain, then a P-step at fixed deformation, until an outer
 round lowers the energy by less than ``Schedule.outer_tol``; a round that
-raises it by more ends the alternation unconverged.  The y-step is
+raises it by more ends the alternation unconverged, and so does a y-step or
+composite P-step that stops short of its tolerance.  The y-step is
 quadratic in y for the default densities; both functionals assemble it in
 one shape, from per-Gauss d x d coefficients (``_quadratic_y_system``).  A
 quasi-Newton descent path covers generic composite densities and doubles as
@@ -91,23 +92,23 @@ def _quadratic_y_system(grid: Grid, scale, A: np.ndarray, b: np.ndarray):
     """Sparse Hessian K and right-hand side f of a y-energy that is quadratic
     in U = grad y with per-Gauss d x d coefficients:
 
-        sum_g wq (scale sum_i U_i A U_i^T + b : U),
+        sum_g w (scale sum_i U_i A U_i^T + b : U),
 
-    with ``scale`` per element (or a scalar) and A, b of shape (E, g, d, d).
+    with the Gauss weight w (``Grid.quad_weight``), ``scale`` per element
+    (or a scalar) and A, b of shape (E, g, d, d).
     The quadratic part acts alike on every component of y, so K is the scalar
-    nodal operator with element blocks 2 wq scale dN . A . dN, shape
+    nodal operator with element blocks 2 w scale dN . A . dN, shape
     (n_nodes, n_nodes), and f holds one column per component, shape
     (n_nodes, d).  The blocks sum_g dN_g . A_g . dN_g^T are one matrix
     product: A flattened over (g, k, l) per element, times the outer products
     dN_gk dN_gl^T of the shape gradients, (g d^2, 4^d).
     """
-    wq = grid.gauss_weight * grid.h**grid.dim
     nc = grid.n_corners
     outer = np.einsum("gnk,gml->gklnm", grid.dN_gauss, grid.dN_gauss).reshape(-1, nc * nc)
     gAg = (A.reshape(len(A), -1) @ outer).reshape(-1, nc, nc)
     f = np.zeros((grid.n_nodes, grid.dim))
     grid.accumulate_from_gradients(-b, f)
-    return grid.stiffness(2.0 * wq * np.asarray(scale)[..., None, None] * gAg), f
+    return grid.stiffness(2.0 * grid.quad_weight * np.asarray(scale)[..., None, None] * gAg), f
 
 
 def _assemble_y_system(domain, model, P: PlasticField):
@@ -125,7 +126,7 @@ def _assemble_y_system(domain, model, P: PlasticField):
     eps = domain.eps
     Pinv = energies._inv_batch(grid.gauss_values(P.matrices()))
     PinvT = np.swapaxes(Pinv, -1, -2)
-    soft = domain.soft_field.reshape(-1)
+    soft = domain.soft_elements
     a_soft, L_soft, _ = model.W_soft_family.isotropic_quad_parts(eps, d)
     a_stiff, L_stiff, _ = model.W_stiff.isotropic_quad_parts(d)
     scale2 = np.where(soft, (eps**2) * a_soft, a_stiff)  # multiplies |U P^{-1}|^2
@@ -351,12 +352,13 @@ def _alternate(assemble, y_step, p_step, grid: Grid, r_K: float, init, schedule:
 
     ``assemble(y, P)`` returns the EnergyBreakdown of the start, ``y_step(y,
     P)`` the new deformation, its CG iteration count and convergence flag, and
-    ``p_step(y, P)`` the new plastic field and its SolveReport, which carries
-    the breakdown of its final point.  Stops when an outer round changes the
-    energy by at most ``outer_tol`` relative; a round that raises it by more
-    also stops the loop, unconverged.  Returns (y, P, value, report);
-    the report's energy trace spans the outer rounds, and the final breakdown
-    is attached as ``report.breakdown``.
+    ``p_step(y, P)`` the new plastic field, its SolveReport, which carries
+    the breakdown of its final point, and its convergence flag.  Stops when
+    an outer round changes the energy by at most ``outer_tol`` relative; a
+    round that raises it by more also stops the loop, unconverged, and so
+    does any y-step or P-step that did not converge.  Returns (y, P, value,
+    report); the report's energy trace spans the outer rounds, and the final
+    breakdown is attached as ``report.breakdown``.
     """
     if init is None:
         y = DeformationField.zero(grid)
@@ -370,11 +372,11 @@ def _alternate(assemble, y_step, p_step, grid: Grid, r_K: float, init, schedule:
     inner = []
     gnorms = []
     converged = False
-    y_converged = True
+    steps_converged = True
     for _ in range(schedule.outer_iters):
         y, y_iters, y_ok = y_step(y, P)
-        y_converged &= y_ok
-        P, rep_p = p_step(y, P)
+        P, rep_p, p_ok = p_step(y, P)
+        steps_converged &= y_ok and p_ok
         bd = rep_p.breakdown
         inner.append((y_iters, rep_p.inner_iterations[0]))
         gnorms.append(rep_p.gradient_norms[-1] if rep_p.gradient_norms else 0.0)
@@ -385,7 +387,7 @@ def _alternate(assemble, y_step, p_step, grid: Grid, r_K: float, init, schedule:
             converged = value <= trace[-2] + tol
             break
     report = SolveReport(final_value=bd.total, energy_trace=trace, inner_iterations=inner,
-                         gradient_norms=gnorms, converged=converged and y_converged)
+                         gradient_norms=gnorms, converged=converged and steps_converged)
     report.breakdown = bd
     return y, P, bd.total, report
 
@@ -398,10 +400,12 @@ def minimize_J_eps(domain, model, init=None, schedule: Schedule | None = None):
         y, rep = minimize_y(domain, model, P, y0=y, tol=schedule.y_tol, max_iter=schedule.y_iters)
         return y, rep.inner_iterations[0], rep.converged
 
-    return _alternate(
-        lambda y, P: energies.assemble_J_eps(domain, model, y, P), y_step,
-        lambda y, P: minimize_P(domain, model, y, P, tol=schedule.p_tol, max_iter=schedule.p_iters),
-        domain.grid, model.K_radius, init, schedule)
+    def p_step(y, P):
+        P, rep = minimize_P(domain, model, y, P, tol=schedule.p_tol, max_iter=schedule.p_iters)
+        return P, rep, rep.converged
+
+    return _alternate(lambda y, P: energies.assemble_J_eps(domain, model, y, P), y_step, p_step,
+                      domain.grid, model.K_radius, init, schedule)
 
 
 def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8,
@@ -430,7 +434,9 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
             point = cellproblems.JLimitPass(cell, model, fixed, Pc, cache)
             return point.breakdown, lambda: (point.grad_m(), None)
 
-        return _projected_descent(evaluate, P, schedule.p_tol, LIMIT_P_ITERS)
+        # the flag is not read (True): the staircase P-step stalls at LIMIT_P_ITERS on
+        # limit_block4's first round and on the fiber3d reference, until ROADMAP item 2
+        return *_projected_descent(evaluate, P, schedule.p_tol, LIMIT_P_ITERS), True
 
     return _alternate(lambda y, P: cellproblems.assemble_J_limit(cell, model, y, P, cache),
                       y_step, p_step, grid, model.K_radius, init, schedule)

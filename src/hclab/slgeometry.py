@@ -5,7 +5,8 @@ SL(d).  For d=2 the matrix exponential/logarithm and their Frechet
 derivatives have closed forms via Cayley-Hamilton (M^2 = -det(M) I for
 trace-free M), vectorized over stacked arrays.  For d >= 3 all four share one
 batched power series (``_series``) inside the radii |M| <= 1 and
-|P - I| <= 0.7, and fall back to scipy beyond.
+|P - I| <= 0.7, and one per-matrix scipy loop beyond (``_per_matrix``).
+``exp_sl`` validates its input as a ``TraceFreeMatrix``.
 
 The dissipation distance between two unimodular matrices is the infimum of
 the path length sum_s Delta(Phi_s, (Phi_{s+1}-Phi_s)/h) * h over piecewise
@@ -108,15 +109,6 @@ class TraceFreeMatrix:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
-
-
-def _as_tracefree_array(M) -> np.ndarray:
-    if isinstance(M, TraceFreeMatrix):
-        return M.entries
-    e = np.asarray(M, dtype=float)
-    if abs(np.trace(e)) > 1e-10:
-        raise SLError(f"matrix is not trace-free (trace {np.trace(e):.3e})")
-    return e
 
 
 # ----------------------------------------------------------------------------
@@ -293,6 +285,18 @@ def _series(B: np.ndarray, coeff, W: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _per_matrix(fn, A: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
+    """``fn`` on each matrix of the stack A (with W, on each pair of A and W
+    broadcast to A's shape), stacked back into A's shape: the scipy fallback
+    of the four chart kernels beyond the series radii."""
+    flat = A.reshape((-1,) + A.shape[-2:])
+    if W is None:
+        outs = [fn(a) for a in flat]
+    else:
+        outs = [fn(a, w) for a, w in zip(flat, np.broadcast_to(W, A.shape).reshape(flat.shape))]
+    return np.stack(outs).reshape(A.shape)
+
+
 def _exp_coeff(n: int) -> float:
     return 1.0 / math.factorial(n)
 
@@ -309,9 +313,7 @@ def exp_batch(M: np.ndarray) -> np.ndarray:
         return _exp_tf2(M)
     if np.linalg.norm(M, axis=(-2, -1)).max(initial=0.0) <= 1.0:
         return np.eye(M.shape[-1]) + _series(M, _exp_coeff)
-    flat = M.reshape(-1, M.shape[-2], M.shape[-1])
-    out = np.stack([scipy.linalg.expm(m) for m in flat])
-    return out.reshape(M.shape)
+    return _per_matrix(scipy.linalg.expm, M)
 
 
 def log_batch(P: np.ndarray) -> np.ndarray:
@@ -323,9 +325,7 @@ def log_batch(P: np.ndarray) -> np.ndarray:
     B = P - np.eye(P.shape[-1])
     if np.linalg.norm(B, axis=(-2, -1)).max(initial=0.0) <= _LOG_SERIES_RADIUS:
         return _series(B, _log_coeff)
-    flat = P.reshape(-1, P.shape[-2], P.shape[-1])
-    out = np.stack([np.real(scipy.linalg.logm(p)) for p in flat])
-    return out.reshape(P.shape)
+    return _per_matrix(lambda p: np.real(scipy.linalg.logm(p)), P)
 
 
 def exp_frechet_adjoint(M: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -342,10 +342,7 @@ def exp_frechet_adjoint(M: np.ndarray, W: np.ndarray) -> np.ndarray:
         return _exp_tf_frechet_adjoint2(M, W)
     if np.linalg.norm(M, axis=(-2, -1)).max(initial=0.0) <= 1.0:
         return _series(np.swapaxes(M, -1, -2), _exp_coeff, W)
-    flat_m = M.reshape(-1, M.shape[-2], M.shape[-1])
-    flat_w = np.broadcast_to(W, M.shape).reshape(flat_m.shape)
-    outs = [scipy.linalg.expm_frechet(m.T, w, compute_expm=False) for m, w in zip(flat_m, flat_w)]
-    return np.stack(outs).reshape(M.shape)
+    return _per_matrix(lambda m, w: scipy.linalg.expm_frechet(m.T, w, compute_expm=False), M, W)
 
 
 def log_frechet_adjoint(A: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -361,11 +358,11 @@ def log_frechet_adjoint(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     B = np.swapaxes(A, -1, -2) - np.eye(d)
     if np.linalg.norm(B, axis=(-2, -1)).max(initial=0.0) <= _LOG_SERIES_RADIUS:
         return _series(B, _log_coeff, W)
-    flat_a = A.reshape(-1, d, d)
-    flat_w = np.broadcast_to(W, A.shape).reshape(flat_a.shape)
-    outs = [np.real(scipy.linalg.logm(np.block([[a.T, w], [np.zeros_like(a), a.T]])))[:d, d:]
-            for a, w in zip(flat_a, flat_w)]
-    return np.stack(outs).reshape(A.shape)
+
+    def block_log(a, w):
+        return np.real(scipy.linalg.logm(np.block([[a.T, w], [np.zeros_like(a), a.T]])))[:d, d:]
+
+    return _per_matrix(block_log, A, W)
 
 
 def log_and_adjoint(P: np.ndarray):
@@ -382,12 +379,14 @@ def log_and_adjoint(P: np.ndarray):
 
 
 def exp_sl(M) -> np.ndarray:
-    """Exponential chart sl(d) -> SL(d)."""
-    return exp_batch(_as_tracefree_array(M))
+    """Exponential chart sl(d) -> SL(d); an array is validated as a ``TraceFreeMatrix``."""
+    if not isinstance(M, TraceFreeMatrix):
+        M = TraceFreeMatrix(M)
+    return exp_batch(M.entries)
 
 
 def log_sl(P) -> TraceFreeMatrix:
-    """Inverse chart; requires det P = 1 (to 1e-9) and |log P| <= 1."""
+    """Inverse chart; requires det P = 1 (to ``DET_TOL``) and |log P| <= 1."""
     P = np.asarray(P, dtype=float)
     det = np.linalg.det(P)
     if abs(det - 1.0) > DET_TOL:
@@ -439,7 +438,7 @@ class PiecewisePath:
     def __post_init__(self):
         dets = np.linalg.det(self.nodes)
         if np.any(np.abs(dets - 1.0) > DET_TOL):
-            raise NotUnimodular("path node determinant violates the 1e-9 tolerance")
+            raise NotUnimodular(f"path node determinant violates the {DET_TOL} tolerance")
 
 
 def _path_value(nodes: np.ndarray) -> float:
@@ -554,18 +553,14 @@ def dissipation_integral(domain, P_bar, P, phase: int, segments: int = 8) -> flo
     Fields are PlasticField instances on the domain grid.  Each Gauss point
     uses the exp-curve upper-bound evaluation of dissipation_distance_batch.
     """
-    from hclab import fields as _fields
+    from hclab.fields import check_same_grid  # fields imports this module
 
     if phase not in (0, 1):
         raise SLError("phase must be 0 (soft) or 1 (stiff)")
     grid = P.grid
-    if P_bar.grid.n_el != grid.n_el or P_bar.grid.dim != grid.dim:
-        raise _fields.GridMismatch("P_bar and P live on different grids")
-    if grid.n_el != domain.n_el:
-        raise _fields.GridMismatch("fields do not match the domain grid")
+    check_same_grid(P_bar.grid, grid, "P_bar and P")
+    check_same_grid(grid, domain, "fields and domain")
+    mask = domain.soft_elements if phase == 0 else ~domain.soft_elements
     Pg = grid.gauss_values(P.matrices())
     Pbg = grid.gauss_values(P_bar.matrices())
-    mask = domain.soft_field.reshape(-1) if phase == 0 else ~domain.soft_field.reshape(-1)
-    dvals = dissipation_distance_batch(Pbg[mask], Pg[mask], segments=segments)
-    w = grid.gauss_weight
-    return float(np.sum(dvals) * w * grid.h**grid.dim)
+    return grid.integrate(dissipation_distance_batch(Pbg[mask], Pg[mask], segments=segments))

@@ -22,7 +22,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hclab.fields import DeformationField, Grid, GridMismatch, node_incidence_masks
+from hclab.fields import DeformationField, Grid, check_same_grid, node_incidence_masks
 from hclab.microgeometry import MicroDomain
 
 
@@ -64,11 +64,6 @@ class TwoScaleField:
         return np.einsum("cen...,gnk->ceg...k", self.full[:, micro.el_nodes], micro.dN_gauss)
 
 
-def _check_grid(domain: MicroDomain, y: DeformationField) -> None:
-    if y.grid.n_el != domain.n_el or y.grid.dim != domain.dim:
-        raise GridMismatch("field grid does not match the domain")
-
-
 def _cell_node_tables(domain: MicroDomain):
     """Global node indices per (cell, micro node), cells and micro nodes in C
     order: the low corners (m^d) and the full (m+1)^d lattice of each cell.
@@ -85,7 +80,7 @@ def _cell_node_tables(domain: MicroDomain):
 
 def unfold(domain: MicroDomain, y: DeformationField) -> TwoScaleField:
     """Exact unfolding of a nodal field: sample (cell t, micro z) = y(eps(t+z))."""
-    _check_grid(domain, y)
+    check_same_grid(y.grid, domain, "field and domain")
     low, full_tbl = _cell_node_tables(domain)
     samples = y.values[low]
     full = y.values[full_tbl]
@@ -96,7 +91,7 @@ def unfold(domain: MicroDomain, y: DeformationField) -> TwoScaleField:
 def unfold_scaled_gradients(domain: MicroDomain, y: DeformationField) -> np.ndarray:
     """Unfolding of eps * grad(y): (cells, pixels, ngp, d, d), ordered like
     TwoScaleField.micro_gradients() so the commutation identity is elementwise."""
-    _check_grid(domain, y)
+    check_same_grid(y.grid, domain, "field and domain")
     d, n, m = domain.dim, domain.n_cells, domain.cell.resolution
     grads = domain.grid.gauss_gradients(y.values) * domain.eps
     # element (t m + z) of the (n m)^d grid, axes (t_0, z_0, t_1, z_1, ...) -> (t, z)
@@ -108,11 +103,6 @@ def unfold_scaled_gradients(domain: MicroDomain, y: DeformationField) -> np.ndar
 # -- extension ------------------------------------------------------------------
 
 
-def _interior_soft_nodes(domain: MicroDomain) -> np.ndarray:
-    all_soft, _ = node_incidence_masks(domain.dim, domain.n_el, domain.soft_field.reshape(-1))
-    return all_soft
-
-
 def extend_into_inclusions(domain: MicroDomain, y: DeformationField) -> DeformationField:
     """Discrete harmonic extension: matrix values kept, inclusion-interior
     nodes replaced by the componentwise lattice-Laplace solution.
@@ -121,9 +111,9 @@ def extend_into_inclusions(domain: MicroDomain, y: DeformationField) -> Deformat
     ``node_incidence_masks`` counts elements outside the domain as not soft,
     so such a node never lies on the lattice boundary: its 2d neighbours are
     the nodes at plus and minus one flat axis stride."""
-    _check_grid(domain, y)
+    check_same_grid(y.grid, domain, "field and domain")
     grid = y.grid
-    interior = _interior_soft_nodes(domain)
+    interior, _ = node_incidence_masks(domain.dim, domain.n_el, domain.soft_elements)
     out = y.values.copy()
     nodes = np.nonzero(interior)[0]
     if len(nodes) == 0:
@@ -153,26 +143,26 @@ def extend_into_inclusions(domain: MicroDomain, y: DeformationField) -> Deformat
 
 
 def extension_constants(domain: MicroDomain, y: DeformationField):
-    """Measured norm-inflation constants of the extension and the extension itself."""
+    """Measured norm-inflation constants (L2, H1 seminorm) of the extension."""
     ytilde = extend_into_inclusions(domain, y)
     grid = y.grid
-    stiff = ~domain.soft_field.reshape(-1)
+    stiff = ~domain.soft_elements
     num0 = np.sqrt(grid.l2_norm_sq(ytilde.values))
     den0 = np.sqrt(grid.l2_norm_sq(y.values, element_mask=stiff))
     num1 = np.sqrt(grid.grad_norm_sq(ytilde.values))
     den1 = np.sqrt(grid.grad_norm_sq(y.values, element_mask=stiff))
     if den0 < 1e-30 or den1 < 1e-30:
         raise ZeroDenominator("field vanishes on the stiff part")
-    return num0 / den0, num1 / den1, ytilde
+    return num0 / den0, num1 / den1
 
 
 def poincare_ratio(domain: MicroDomain, y: DeformationField) -> float:
     """||y|| / (eps ||grad y||_soft + ||grad y||_stiff) for zero boundary values."""
-    _check_grid(domain, y)
+    check_same_grid(y.grid, domain, "field and domain")
     grid = y.grid
     if y.values[grid.boundary_node_mask()].any():
         raise TwoScaleError("the Poincare diagnostic needs zero boundary values")
-    soft = domain.soft_field.reshape(-1)
+    soft = domain.soft_elements
     num = np.sqrt(grid.l2_norm_sq(y.values))
     den = domain.eps * np.sqrt(grid.grad_norm_sq(y.values, element_mask=soft)) + np.sqrt(
         grid.grad_norm_sq(y.values, element_mask=~soft)

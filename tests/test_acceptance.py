@@ -45,7 +45,7 @@ def _sample_K_matrices(rng, count, r_K=0.3, dim=2):
 def test_criterion_01_zero_cell_value(capsys):
     """Convex |F|^2 soft density: QW0(0, G) vanishes for G in K^{-1}."""
     cell = mg.builtin_cell("block4")
-    soft = materials.SoftConvexFamily().limit()
+    soft = materials.FrozenSoft(materials.SoftConvexFamily(), 0.0)
     rng = np.random.default_rng(101)
     t0 = time.time()
     worst = 0.0
@@ -119,7 +119,7 @@ def test_criterion_05_poincare_extension_stability(capsys):
         grid = Grid(2, domain.n_el)
         poin.append(ts.poincare_ratio(domain, lab._bump_field(grid)))
         osc = DeformationField(grid, lab._oscillatory_values(grid.node_coords()))
-        c0, c1, _ = ts.extension_constants(domain, osc)
+        c0, c1 = ts.extension_constants(domain, osc)
         ext.append(max(c0, c1))
     vp = max(poin) / min(poin) - 1.0
     ve = max(ext) / min(ext) - 1.0

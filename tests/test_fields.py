@@ -4,7 +4,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hclab import cellproblems as cp, microgeometry as mg, slgeometry as sg
+from hclab import cellproblems as cp, energies, materials, microgeometry as mg, slgeometry as sg, twoscale as ts
 from hclab.fields import (
     DeformationField,
     Grid,
@@ -158,6 +158,40 @@ def test_grid_mismatch_detected():
         DeformationField(grid, np.zeros((10, 2)))
     with pytest.raises(GridMismatch):
         PlasticField(grid, np.zeros((grid.n_nodes, 5)), 0.3)
+
+
+def _mismatched_call(entry):
+    """A call of ``entry`` that combines a field with a grid it does not live on."""
+    cell = mg.builtin_cell("block4")
+    domain = mg.build_micro_domain(cell, 4)  # 16^2 elements
+    model = materials.default_material(dim=2)
+    here, other = domain.grid, Grid(2, 8)
+
+    def P(grid):
+        return PlasticField.identity(grid, model.K_radius)
+
+    y, y_other = DeformationField.zero(here), DeformationField.zero(other)
+    return {
+        "assemble_J_eps": lambda: energies.assemble_J_eps(domain, model, y_other, P(here)),
+        "value_and_grad_J_eps": lambda: energies.value_and_grad_J_eps(domain, model, y, P(other)),
+        "assemble_J_limit": lambda: cp.assemble_J_limit(cell, model, y, P(other), cp.HomDensityCache()),
+        "unfold": lambda: ts.unfold(domain, y_other),
+        "extend_into_inclusions": lambda: ts.extend_into_inclusions(domain, y_other),
+        "poincare_ratio": lambda: ts.poincare_ratio(domain, y_other),
+        "dissipation_integral[P_bar]": lambda: sg.dissipation_integral(domain, P(other), P(here), 0),
+        # n_el agrees, the dimension does not
+        "dissipation_integral[domain]": lambda: sg.dissipation_integral(domain, P(Grid(3, 16)), P(Grid(3, 16)), 1),
+    }[entry]
+
+
+@pytest.mark.parametrize("entry", ["assemble_J_eps", "value_and_grad_J_eps", "assemble_J_limit", "unfold",
+                                   "extend_into_inclusions", "poincare_ratio", "dissipation_integral[P_bar]",
+                                   "dissipation_integral[domain]"])
+def test_every_entry_point_rejects_a_field_from_another_grid(entry):
+    """Each entry point that combines fields with a domain or with each other
+    checks grid agreement through ``check_same_grid``: same class, every one."""
+    with pytest.raises(GridMismatch, match="does not match"):
+        _mismatched_call(entry)()
 
 
 def test_prolongation_exact_on_affine():

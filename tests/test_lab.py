@@ -307,6 +307,50 @@ def test_acceptance_names_the_unconverged_solves(monkeypatch):
                                                                                       ("converged", True)]
 
 
+def test_acceptance_names_a_solve_whose_p_step_ran_out(monkeypatch):
+    """A composite P-step cut short by its iteration budget makes its solve
+    unconverged, even when the outer rounds settle: the ``converged`` check
+    fails and names the solve.  The limit P-step keeps its own budget, so the
+    reference still converges."""
+    schedule = lab.minimize.Schedule
+    monkeypatch.setattr(lab.minimize, "Schedule", lambda **kw: schedule(p_iters=1, **kw))
+    cfg = lab.StudyConfig(eps_list=[0.25], toggles={"recovery_check": False},
+                          acceptance={"max_unfold_resid": 1e-12})
+    report = lab.run_convergence_study(cfg)
+    solves = report.metadata["solve_reports"]
+    assert len(solves["eps=0.25"]["inner_iterations"]) < schedule().outer_iters  # the rounds settled
+    assert solves["reference"]["converged"] and not solves["eps=0.25"]["converged"]
+    assert lab.evaluate_acceptance(report, cfg.acceptance)[-1] == ("converged[eps=0.25]", False)
+
+
+def test_config_tolerance_defaults_are_the_solvers_defaults():
+    tolerances = lab.StudyConfig().tolerances
+    schedule, cache = lab.minimize.Schedule(), lab.cellproblems.HomDensityCache()
+    assert tolerances == {"outer": schedule.outer_tol, "linear": schedule.y_tol, "cell": cache.tol,
+                          "plastic": schedule.p_tol}
+    assert lab.StudyConfig().quantization_step == cache.step
+    assert lab.StudyConfig().toggles == lab.TOGGLE_DEFAULTS
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_partial_tolerance_block_runs_with_the_defaults_for_the_rest(monkeypatch):
+    """A tolerances block that names one key: the study runs with that value
+    and the defaults for the other three."""
+    seen = {}
+
+    def reference_solve(cell, model, cache, macro_elements, schedule):
+        seen.update(cell=cache.tol, outer=schedule.outer_tol, linear=schedule.y_tol, plastic=schedule.p_tol)
+        raise _Stop
+
+    monkeypatch.setattr(lab.minimize, "minimize_J_limit", reference_solve)
+    with pytest.raises(_Stop):
+        lab.run_convergence_study(lab.StudyConfig(tolerances={"plastic": 1e-5}))
+    assert seen == {**lab.TOLERANCE_DEFAULTS, "plastic": 1e-5}
+
+
 def test_cli_geom_and_audit(capsys):
     assert lab.main(["geom", "check", "builtin:block4", "--n-cells", "4"]) == 0
     out = capsys.readouterr().out

@@ -524,7 +524,7 @@ def test_a_rising_outer_round_is_not_convergence(rise, converged):
         rep = mz.SolveReport(final_value=bd.total, energy_trace=[bd.total], inner_iterations=[1],
                              gradient_norms=[0.0])
         rep.breakdown = bd
-        return P, rep
+        return P, rep, True
 
     _, _, value, rep = mz._alternate(lambda y, P: breakdown(1.0), lambda y, P: (y, 0, True), p_step,
                                      grid, 0.3, None, mz.Schedule(outer_tol=1e-8))

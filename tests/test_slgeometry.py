@@ -65,6 +65,19 @@ def test_log_domain_and_unimodularity_errors():
         sg.log_sl(big)
 
 
+@pytest.mark.parametrize("trace, ok", [(1e-11, False), (1e-13, True)])
+def test_exp_sl_and_tracefree_matrix_share_one_trace_tolerance(trace, ok):
+    """An array handed to ``exp_sl`` is held to ``TRACE_TOL`` as a
+    ``TraceFreeMatrix`` is: trace 1e-11 is rejected by both, 1e-13 passes both."""
+    M = np.array([[trace, 0.2], [-0.1, 0.0]])
+    if ok:
+        assert np.array_equal(sg.exp_sl(M), sg.exp_sl(sg.TraceFreeMatrix(M)))
+    else:
+        for call in (sg.TraceFreeMatrix, sg.exp_sl):
+            with pytest.raises(sg.SLError, match="trace"):
+                call(M)
+
+
 def test_tracefree_validation():
     with pytest.raises(sg.SLError):
         sg.TraceFreeMatrix(np.eye(2))
