@@ -5,6 +5,8 @@ problems for the homogenized densities, two-scale operators, and minimization
 studies that check convergence of minima against the homogenized reference.
 """
 
+from hclab.energies import dissipation_integral
+from hclab.materials import MaterialModel, audit_assumptions, default_material, eval_density, eval_hardening
 from hclab.microgeometry import (
     CellGeometry,
     MicroDomain,
@@ -14,8 +16,7 @@ from hclab.microgeometry import (
     load_cell_mask,
     phase_indicator,
 )
-from hclab.materials import MaterialModel, audit_assumptions, default_material, eval_density, eval_hardening
-from hclab.slgeometry import dissipation_distance, dissipation_integral, exp_sl, finsler, log_sl
+from hclab.slgeometry import dissipation_distance, exp_sl, finsler, log_sl
 
 __all__ = [
     "CellGeometry",

@@ -247,13 +247,15 @@ def _pack(window: CellWindow, x: np.ndarray) -> np.ndarray:
 
 def _quadratic_cell(window: CellWindow, density, R, F):
     """Banded direct solve of the cell problem of a quadratic density; returns
-    (minimizer, energy, residual).  The energy at the corrector is the cell
+    (minimizer, energy, residual, converged), converged when the residual and
+    the energy are both finite.  The energy at the corrector is the cell
     tensor of ``_cell_tensor`` at F."""
     tensor, band, Y = _cell_tensor(window, density, R)
     D = density.grad(F @ R) @ R.T
     sol = -Y @ D.T
     residual = float(np.linalg.norm(_band_matvec(band, sol) + window.grad_phi @ D.T))
-    return _pack(window, sol), float(tensor.evaluate(F)), residual
+    energy = float(tensor.evaluate(F))
+    return _pack(window, sol), energy, residual, bool(np.isfinite(residual) and np.isfinite(energy))
 
 
 def _minimize_cell(window: CellWindow, density, R, F, tol, maxiter, restarts, seed):
@@ -261,8 +263,8 @@ def _minimize_cell(window: CellWindow, density, R, F, tol, maxiter, restarts, se
     densities, nonlinear CG with seeded restarts otherwise.  v = 0 is always among the starts, so
     the value never exceeds the test-field energy of the mean deformation."""
     if density.is_quadratic:
-        v, energy, residual = _quadratic_cell(window, density, R, F)
-        return v, energy, 1, residual, bool(np.isfinite(residual) and np.isfinite(energy))
+        v, energy, residual, converged = _quadratic_cell(window, density, R, F)
+        return v, energy, 1, residual, converged
 
     # scipy.optimize is imported only here, off the stock (quadratic) path
     from scipy import optimize
@@ -333,9 +335,9 @@ def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2), resolution: in
             raise CellProblemError("window sizes must be positive integers")
         lam = int(lam)
         window = _stiff_window(cell, resolution, lam)
-        v, energy, residual = _quadratic_cell(window, W1, Ginv, F)
+        v, energy, residual, converged = _quadratic_cell(window, W1, Ginv, F)
         results[lam] = CellProblemResult(value=energy / window.norm, minimizer=v, iterations=1,
-                                         residual=residual, converged=True)
+                                         residual=residual, converged=converged)
     top = max(results)
     return MulticellResult(per_lambda=results, estimate=results[top].value)
 

@@ -28,7 +28,9 @@ P-step of ``minimize`` builds once and passes as y: every trial point is
 then valued by one pass, and at the point the line search accepts,
 ``value_and_grad_J_eps`` finishes the gradient of the pass the FixedY kept
 instead of assembling that point a second time.  ``sobolev_metric`` builds
-the P-step's metric from the same kept pass.
+the P-step's metric from the same kept pass.  ``dissipation_integral`` is the
+quadrature of the dissipation distance D(P_bar, P) over one phase; it is a
+report column, not a term of either functional.
 
 For d = 2 the stacked 2x2 products and inverses are written entrywise.
 Reductions are plain numpy sums (pairwise) and the grid's CSR scatters sum
@@ -249,3 +251,18 @@ def sobolev_metric(domain, model, y, P: PlasticField):
     lagged = model.q * point.plastic.qn ** ((model.q - 2.0) / 2.0)  # (E, g)
     blocks = (lagged @ dNdN).reshape(-1, grid.n_corners, grid.n_corners) + mass
     return grid.stiffness(grid.quad_weight * blocks)
+
+
+def dissipation_integral(domain, P_bar: PlasticField, P: PlasticField, phase: int, segments: int = 8) -> float:
+    """Quadrature of chi^phase(x) D(P_bar(x), P(x)) over the composite, with
+    phase 0 the soft and 1 the stiff elements.  Each Gauss point uses the
+    exp-curve upper-bound evaluation ``slgeometry.dissipation_distance_batch``."""
+    if phase not in (0, 1):
+        raise slgeometry.SLError("phase must be 0 (soft) or 1 (stiff)")
+    grid = P.grid
+    check_same_grid(P_bar.grid, grid, "P_bar and P")
+    check_same_grid(grid, domain, "fields and domain")
+    mask = domain.soft_elements if phase == 0 else ~domain.soft_elements
+    Pg = grid.gauss_values(P.matrices())
+    Pbg = grid.gauss_values(P_bar.matrices())
+    return grid.integrate(slgeometry.dissipation_distance_batch(Pbg[mask], Pg[mask], segments=segments))

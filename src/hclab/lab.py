@@ -7,7 +7,8 @@ breakdowns, the splitting remainder, Poincare and extension constants,
 hardening-continuity errors, unfolding residuals, and the gap to the
 homogenized minimum.  Identical config and seed give bit-identical reports.
 A config's ``tolerances`` and ``toggles`` blocks may name any subset of their
-keys; ``TOLERANCE_DEFAULTS`` and ``TOGGLE_DEFAULTS`` fill in the rest.
+keys; ``TOLERANCE_DEFAULTS`` and ``TOGGLE_DEFAULTS`` fill in the rest.  Every
+number in a config is finite, and every tolerance positive.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hclab import cellproblems, energies, materials, microgeometry, minimize, slgeometry, twoscale
+from hclab import cellproblems, energies, materials, microgeometry, minimize, twoscale
 from hclab.fields import DeformationField, FieldError, Grid, PlasticField, prolong_deformation, prolong_plastic
 
 
@@ -53,7 +54,8 @@ MATERIAL_KEYS = tuple(p for p in inspect.signature(materials.default_material).p
 GEOMETRY_KEYS = ("builtin", "mask_file")
 
 # value types as (test, description); bool is a numbers.Integral but never a number here
-_NUMBER = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number")
+_NUMBER = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v),
+           "a finite number")
 _INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer")
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
 _STRING = (lambda v: isinstance(v, str), "a string")
@@ -124,12 +126,12 @@ class StudyConfig:
             raise ConfigError(f"geometry must name exactly one of {', '.join(GEOMETRY_KEYS)}")
         if "mask_file" in self.geometry and not Path(self.geometry["mask_file"]).exists():
             raise ConfigError(f"mask file {self.geometry['mask_file']} does not exist")
-        if not (self.quantization_step > 0 and math.isfinite(self.quantization_step)):
-            raise ConfigError(f"quantization_step must be positive and finite, got {self.quantization_step}")
+        if self.quantization_step <= 0:
+            raise ConfigError(f"quantization_step must be positive, got {self.quantization_step}")
         if self.macro_elements < 1:
             raise ConfigError(f"macro_elements must be >= 1, got {self.macro_elements}")
-        if not (self.strip > 0 and math.isfinite(self.strip)):
-            raise ConfigError(f"strip must be positive and finite, got {self.strip}")
+        if self.strip <= 0:
+            raise ConfigError(f"strip must be positive, got {self.strip}")
         try:
             cell = _build_cell(self.geometry)
         except microgeometry.GeometryError as exc:
@@ -141,7 +143,10 @@ class StudyConfig:
         if self.cell_resolution is not None and (self.cell_resolution < 1 or self.cell_resolution % cell.resolution):
             raise ConfigError(f"cell_resolution must be a positive multiple of the cell's "
                               f"resolution {cell.resolution}, got {self.cell_resolution}")
-        _, toggles = self.settings()
+        tolerances, toggles = self.settings()
+        for key, tol in tolerances.items():
+            if tol <= 0:
+                raise ConfigError(f"tolerances.{key} must be positive, got {tol}")
         if toggles["correction"]:
             raise ConfigError("toggles.correction must be false: the recovery sequence's correction "
                               "stage was removed")
@@ -333,8 +338,8 @@ def run_convergence_study(config: StudyConfig) -> StudyReport:
 
         if toggles["dissipation"]:
             P_bar = PlasticField.identity(grid, r_K=model.K_radius)
-            d0 = slgeometry.dissipation_integral(domain, P_bar, P, phase=0)
-            d1 = slgeometry.dissipation_integral(domain, P_bar, P, phase=1)
+            d0 = energies.dissipation_integral(domain, P_bar, P, phase=0)
+            d1 = energies.dissipation_integral(domain, P_bar, P, phase=1)
         else:
             d0 = d1 = 0.0
 
@@ -586,7 +591,7 @@ def _run_command(args) -> int:
                 lambdas = tuple(int(v) for v in args.lambdas.split(","))
             except ValueError as exc:
                 raise ConfigError(f"lambdas {args.lambdas!r}: {exc}") from exc
-            stiff = materials.StiffDensity(args.gamma)
+            stiff = materials.default_material(dim=d, gamma=args.gamma).W_stiff
             res = cellproblems.multicell_W1hom(cell, stiff, F, G, lambdas=lambdas,
                                                resolution=args.resolution)
             for lam, r in sorted(res.per_lambda.items()):

@@ -15,6 +15,12 @@ K = { exp(M) : tr M = 0, |M| <= r_K }:  H(P) = h0 + h1 |log P|^2.
 
 Densities evaluate on stacked arrays of matrices; every value is a plain
 float array so the audit and the assembly share one code path.
+
+``MaterialModel`` rejects non-finite growth constants, hardening parameters,
+q and r_K.  ``audit_assumptions`` samples the claimed constants of the
+growth, Lipschitz, eps-convergence and compactness assumptions; each margin
+compares the model with a bound it does not define itself, so each can fail.
+The dissipation generator is the Frobenius norm, with no constants to audit.
 """
 
 from __future__ import annotations
@@ -145,13 +151,18 @@ class MaterialModel:
     growth_constants: tuple
 
     def __post_init__(self):
+        # each test is written so that a NaN fails it
         c1, c2, c3 = self.growth_constants
-        if not (0 < c1 <= c2) or c3 <= 0:
-            raise MaterialError(f"growth constants must satisfy 0 < c1 <= c2, c3 > 0, got {self.growth_constants}")
-        if self.q <= self.dim:
-            raise MaterialError(f"plastic-gradient exponent must exceed the dimension (Morrey): q={self.q}, d={self.dim}")
-        if self.K_radius <= 0:
-            raise MaterialError("K_radius must be positive")
+        if not (0 < c1 <= c2 < math.inf and 0 < c3 < math.inf):
+            raise MaterialError(f"growth constants must be finite with 0 < c1 <= c2, c3 > 0, "
+                                f"got {self.growth_constants}")
+        if not all(math.isfinite(h) for h in self.hardening_params):
+            raise MaterialError(f"hardening parameters must be finite, got {self.hardening_params}")
+        if not (self.dim < self.q < math.inf):
+            raise MaterialError(f"plastic-gradient exponent must be finite and exceed the dimension (Morrey): "
+                                f"q={self.q}, d={self.dim}")
+        if not (0 < self.K_radius < math.inf):
+            raise MaterialError(f"K_radius must be positive and finite, got {self.K_radius}")
 
     @cached_property
     def W_soft_limit(self) -> FrozenSoft:
@@ -257,8 +268,8 @@ def _sample_matrices(rng, count, dim, radius):
 
 
 def audit_assumptions(model: MaterialModel, sample_count: int = 10_000, seed: int = 0) -> AssumptionReport:
-    """Sample-based audit of the growth, Lipschitz, convergence, compactness,
-    and generator assumptions, with the model's claimed constants.
+    """Sample-based audit of the growth, Lipschitz, convergence and
+    compactness assumptions, with the model's claimed constants.
 
     Failures never raise; they show up as negative margins.  The report is a
     deterministic function of (model, sample_count, seed).
@@ -277,27 +288,29 @@ def audit_assumptions(model: MaterialModel, sample_count: int = 10_000, seed: in
         n2 = _fro2(mats)
         return float(np.min(values - c1 * n2)), float(np.min(c2 * (n2 + 1.0) - values))
 
+    # both draws start with 0 and I, and an identical pair would pin the min at 0
+    differ = np.any(F != F2, axis=(-2, -1))
+
     def lipschitz_margin(va, vb):
         bound = c3 * (1.0 + np.linalg.norm(F, axis=(-2, -1)) + np.linalg.norm(F2, axis=(-2, -1)))
-        return float(np.min(bound * np.linalg.norm(F - F2, axis=(-2, -1)) - np.abs(va - vb)))
+        slack = bound * np.linalg.norm(F - F2, axis=(-2, -1)) - np.abs(va - vb)
+        return float(np.min(slack[differ])) if differ.any() else 0.0
 
     w1a, w1b = model.W_stiff.value(F), model.W_stiff.value(F2)
     margins["E1_lower"], margins["E1_upper"] = growth_margins(w1a, F)
     margins["E2_lipschitz"] = lipschitz_margin(w1a, w1b)
 
-    lo3 = up3 = lip4 = math.inf
+    # np.min over the eps probes, not Python's min, which drops a NaN after the first item
+    soft = []
     for eps in eps_probe:
         va, vb = model.W_soft_family.value(eps, F), model.W_soft_family.value(eps, F2)
-        a, b = growth_margins(va, F)
-        lo3, up3 = min(lo3, a), min(up3, b)
-        lip4 = min(lip4, lipschitz_margin(va, vb))
-    margins["E3_lower"], margins["E3_upper"] = lo3, up3
-    margins["E4_lipschitz"] = lip4
+        soft.append((*growth_margins(va, F), lipschitz_margin(va, vb)))
+    margins["E3_lower"], margins["E3_upper"], margins["E4_lipschitz"] = (float(m) for m in np.min(soft, axis=0))
 
     limit = model.W_soft_limit.value(F)
     scale = 1.0 + _fro2(F)
     devs = [float(np.max(np.abs(model.W_soft_family.value(eps, F) - limit) / scale)) for eps in eps_probe]
-    margins["E5_monotone"] = min(devs[i] - devs[i + 1] for i in range(len(devs) - 1))
+    margins["E5_monotone"] = float(np.min(-np.diff(devs)))
     # convergence rate check: the final deviation must have shrunk at least
     # one tenth as fast as the eps ratio suggests (constant families pass at 0)
     if devs[0] == 0.0:
@@ -306,7 +319,7 @@ def audit_assumptions(model: MaterialModel, sample_count: int = 10_000, seed: in
         margins["E5_final"] = 10.0 * devs[0] * (eps_probe[-1] / eps_probe[0]) - devs[-1]
 
     # Compact set K: measured c_K on boundary and interior samples, against the
-    # analytic bound 2 sqrt(d) e^{r_K}, and the chain |G| <= c_K |G F^{-1}|.
+    # analytic bound 2 sqrt(d) e^{r_K}.
     k_count = max(64, sample_count // 10)
     coeffs = rng.standard_normal((k_count, d * d - 1))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
@@ -314,9 +327,6 @@ def audit_assumptions(model: MaterialModel, sample_count: int = 10_000, seed: in
     Pk = slgeometry.exp_batch(slgeometry.coeffs_to_matrices(coeffs * radii[:, None], d))
     cK = float(np.max(np.linalg.norm(Pk, axis=(-2, -1)) + np.linalg.norm(np.linalg.inv(Pk), axis=(-2, -1))))
     margins["Pbound_analytic"] = 2.0 * math.sqrt(d) * math.exp(model.K_radius) - cK
-    G = _sample_matrices(rng, k_count, d, radius=5.0)
-    chain = cK * np.linalg.norm(G @ np.linalg.inv(Pk), axis=(-2, -1)) - np.linalg.norm(G, axis=(-2, -1))
-    margins["Pbound_chain"] = float(np.min(chain))
 
     # Hardening: H finite exactly on K, Lipschitz on K with the analytic bound
     # 2 h1 r_K L_log, L_log estimated from sampled difference quotients.
@@ -330,16 +340,5 @@ def audit_assumptions(model: MaterialModel, sample_count: int = 10_000, seed: in
     L_log = float(np.max(quot)) * 1.05 if keep.any() else 1.0
     bound = 2.0 * model.h1 * model.K_radius * L_log
     margins["H2_lipschitz"] = float(np.min(bound * diffP[keep] - np.abs(H1 - H2)[keep])) if keep.any() else 0.0
-
-    # Finsler generator: positive 1-homogeneity and the coercivity sandwich.
-    Msl = slgeometry.coeffs_to_matrices(rng.standard_normal((k_count, d * d - 1)), d)
-    scals = 0.5 + 2.0 * rng.random(k_count)
-    finsler = slgeometry.default_finsler()
-    dI = finsler.delta_I(Msl)
-    hom_dev = np.abs(finsler.delta_I(scals[:, None, None] * Msl) - scals * dI)
-    margins["D1_homogeneous"] = float(1e-9 * np.max(1.0 + dI) - np.max(hom_dev))
-    normM = np.linalg.norm(Msl, axis=(-2, -1))
-    margins["D2_lower"] = float(np.min(dI - finsler.c4 * normM) + 1e-12)
-    margins["D2_upper"] = float(np.min(finsler.c5 * normM - dI) + 1e-12)
 
     return AssumptionReport(margins=margins, sample_count=sample_count, seed=seed, measured_cK=cK)

@@ -1,4 +1,7 @@
-"""Charts on SL(d), the Finsler generator, and the dissipation distance.
+"""Charts on SL(d), the Frobenius generator, and the dissipation distance.
+
+A leaf module: it imports nothing else from the package.  Quadrature of the
+distance over a domain's fields is ``energies.dissipation_integral``.
 
 Trace-free logarithm coordinates chart a neighborhood of the identity in
 SL(d).  For d=2 the matrix exponential/logarithm and their Frechet
@@ -10,7 +13,8 @@ batched power series (``_series``) inside the radii |M| <= 1 and
 
 The dissipation distance between two unimodular matrices is the infimum of
 the path length sum_s Delta(Phi_s, (Phi_{s+1}-Phi_s)/h) * h over piecewise
-paths on SL(d); it is computed by descent on the log coordinates of the
+paths on SL(d), where the generator Delta(F, M) = |F^{-1} M| is the
+Frobenius norm; it is computed by descent on the log coordinates of the
 interior nodes, starting from the one-parameter curve
 Phi(t) = F0 exp(t log(F0^{-1} F1)).  The distance is treated as possibly
 non-symmetric throughout.
@@ -402,37 +406,19 @@ def log_sl(P) -> TraceFreeMatrix:
 # Finsler generator and dissipation distance.
 
 
-@dataclass(frozen=True)
-class FinslerStructure:
-    """Generator Delta_I on sl(d) with its coercivity constants (D1, D2)."""
-
-    c4: float
-    c5: float
-
-    def delta_I(self, N: np.ndarray) -> np.ndarray:
-        """Positively 1-homogeneous generator: the Frobenius norm."""
-        return np.linalg.norm(np.asarray(N, float), axis=(-2, -1))
-
-
-def default_finsler() -> FinslerStructure:
-    """Von Mises type generator: Delta_I = Frobenius norm (c4 = c5 = 1)."""
-    return FinslerStructure(c4=1.0, c5=1.0)
-
-
 def finsler(F: np.ndarray, M: np.ndarray) -> float:
-    """Delta(F, M) = Delta_I(F^{-1} M), the translated generator on T SL(d)."""
+    """Delta(F, M) = |F^{-1} M|, the translated generator on T SL(d)."""
     F = np.asarray(F, dtype=float)
     if abs(np.linalg.det(F)) < 1e-12:
         raise SingularF("base point F is singular")
-    return float(default_finsler().delta_I(np.linalg.solve(F, np.asarray(M, dtype=float))))
+    return float(np.linalg.norm(np.linalg.solve(F, np.asarray(M, dtype=float)), axis=(-2, -1)))
 
 
 @dataclass
 class PiecewisePath:
-    """Discrete path on SL(d): nodes plus the relative log of each step."""
+    """Discrete path on SL(d): its nodes, and whether the descent that found it converged."""
 
     nodes: np.ndarray
-    rel_logs: np.ndarray
     converged: bool = True
 
     def __post_init__(self):
@@ -444,7 +430,7 @@ class PiecewisePath:
 def _path_value(nodes: np.ndarray) -> float:
     """sum_s Delta(Phi_s, (Phi_{s+1}-Phi_s)/h) * h; for 1-homogeneous Delta the h cancels."""
     steps = np.linalg.solve(nodes[:-1], nodes[1:]) - np.eye(nodes.shape[-1])
-    return float(np.sum(default_finsler().delta_I(steps)))
+    return float(np.sum(np.linalg.norm(steps, axis=(-2, -1))))
 
 
 def _path_value_grad_frob(B_int: np.ndarray, ends: tuple) -> tuple:
@@ -499,7 +485,7 @@ def dissipation_distance(
     d = F0.shape[-1]
     if np.allclose(F0, F1, atol=1e-15, rtol=0.0):
         nodes = np.repeat(F0[None], segments + 1, axis=0)
-        return 0.0, PiecewisePath(nodes=nodes, rel_logs=np.zeros((segments, d, d)))
+        return 0.0, PiecewisePath(nodes=nodes)
     L = log_batch(np.linalg.solve(F0, F1))
     ts = np.linspace(0.0, 1.0, segments + 1)
     nodes0 = np.einsum("ij,sjk->sik", F0, exp_batch(ts[:, None, None] * L))
@@ -530,9 +516,7 @@ def dissipation_distance(
             best_value = float(res.fun)
         converged = bool(res.success) or res.fun <= value0 + tol
 
-    rel = log_batch(np.linalg.solve(best_nodes[:-1], best_nodes[1:]))
-    path = PiecewisePath(nodes=best_nodes, rel_logs=rel, converged=converged)
-    return best_value, path
+    return best_value, PiecewisePath(nodes=best_nodes, converged=converged)
 
 
 def dissipation_distance_batch(P_bar: np.ndarray, P: np.ndarray, segments: int = 8) -> np.ndarray:
@@ -545,22 +529,3 @@ def dissipation_distance_batch(P_bar: np.ndarray, P: np.ndarray, segments: int =
     L = log_batch(np.linalg.solve(P_bar, P))
     step = exp_batch(L / segments) - np.eye(P.shape[-1])
     return segments * np.linalg.norm(step, axis=(-2, -1))
-
-
-def dissipation_integral(domain, P_bar, P, phase: int, segments: int = 8) -> float:
-    """Quadrature of chi^phase(x) D(P_bar(x), P(x)) over the composite.
-
-    Fields are PlasticField instances on the domain grid.  Each Gauss point
-    uses the exp-curve upper-bound evaluation of dissipation_distance_batch.
-    """
-    from hclab.fields import check_same_grid  # fields imports this module
-
-    if phase not in (0, 1):
-        raise SLError("phase must be 0 (soft) or 1 (stiff)")
-    grid = P.grid
-    check_same_grid(P_bar.grid, grid, "P_bar and P")
-    check_same_grid(grid, domain, "fields and domain")
-    mask = domain.soft_elements if phase == 0 else ~domain.soft_elements
-    Pg = grid.gauss_values(P.matrices())
-    Pbg = grid.gauss_values(P_bar.matrices())
-    return grid.integrate(dissipation_distance_batch(Pbg[mask], Pg[mask], segments=segments))

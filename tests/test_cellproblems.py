@@ -674,7 +674,8 @@ def test_fixed_y_limit_belongs_to_one_cell_model_and_cache(cell):
 
 def test_quadratic_cell_solve_with_a_non_finite_value_is_not_converged(cell, convex_soft):
     """The quadratic branch reports converged only for a finite residual and
-    energy; a finite F still converges."""
+    energy; a finite F still converges.  ``multicell_W1hom`` reads the same
+    flag for each window."""
     G = np.eye(2)
     assert cp.qprime_W0(cell, convex_soft, np.full((2, 2), 0.1), G, resolution=4).converged
     for bad in (np.nan, np.inf):
@@ -682,3 +683,11 @@ def test_quadratic_cell_solve_with_a_non_finite_value_is_not_converged(cell, con
         with np.errstate(invalid="ignore", over="ignore"):
             res = cp.qprime_W0(cell, convex_soft, F, G, resolution=4)
         assert not np.isfinite(res.value) and not res.converged
+    zero = np.zeros((2, 2))
+    assert all(r.converged for r in cp.multicell_W1hom(cell, materials.StiffDensity(1.0), zero, G,
+                                                       resolution=4).per_lambda.values())
+    with np.errstate(invalid="ignore"):
+        multi = cp.multicell_W1hom(cell, materials.StiffDensity(np.nan), zero, G, resolution=4)
+    assert set(multi.per_lambda) == {1, 2}
+    assert all(not np.isfinite(r.value) and not r.converged for r in multi.per_lambda.values())
+

@@ -178,9 +178,10 @@ def _mismatched_call(entry):
         "unfold": lambda: ts.unfold(domain, y_other),
         "extend_into_inclusions": lambda: ts.extend_into_inclusions(domain, y_other),
         "poincare_ratio": lambda: ts.poincare_ratio(domain, y_other),
-        "dissipation_integral[P_bar]": lambda: sg.dissipation_integral(domain, P(other), P(here), 0),
+        "dissipation_integral[P_bar]": lambda: energies.dissipation_integral(domain, P(other), P(here), 0),
         # n_el agrees, the dimension does not
-        "dissipation_integral[domain]": lambda: sg.dissipation_integral(domain, P(Grid(3, 16)), P(Grid(3, 16)), 1),
+        "dissipation_integral[domain]": lambda: energies.dissipation_integral(
+            domain, P(Grid(3, 16)), P(Grid(3, 16)), 1),
     }[entry]
 
 

@@ -46,14 +46,16 @@ def test_config_validation(tmp_path):
             lab.StudyConfig(geometry=geometry).validate()
     for bad in ({"quantization_step": 0.0}, {"quantization_step": -0.01}, {"macro_elements": 0},
                 {"strip": 0.0}, {"strip": -1.0}, {"cell_resolution": 6}, {"cell_resolution": 0},
-                {"strip": math.inf}, {"quantization_step": math.inf}):
+                {"strip": math.inf}, {"quantization_step": math.inf},
+                # a negative P-step tolerance ran every P-step to its full iteration budget
+                {"tolerances": {"plastic": -1.0}}, {"tolerances": {"outer": 0.0}}):
         name = next(iter(bad))
         with pytest.raises(lab.ConfigError, match=name):
             lab.StudyConfig(**bad).validate()
     with pytest.raises(lab.ConfigError, match="multiple of the cell's resolution 8"):
         lab.StudyConfig(geometry={"builtin": "block8"}, cell_resolution=12).validate()
-    # values of the wrong type: each would pass the checks above and fail after a solve, or run
-    # as something else ("yes" is truthy)
+    # values of the wrong type or not finite: each would pass the checks above and fail after a
+    # solve, or run as something else ("yes" is truthy; r_K = NaN switched the K projection off)
     for bad, name in (({"acceptance": {"max_final_gap": "0.1"}}, "acceptance.max_final_gap"),
                       ({"seed": 1.5}, "seed"), ({"toggles": {"dissipation": "yes"}}, "toggles.dissipation"),
                       ({"acceptance": {"recovery_bound": 1}}, "acceptance.recovery_bound"),
@@ -62,7 +64,11 @@ def test_config_validation(tmp_path):
                       ({"material": {"gamma": "2"}}, "material.gamma"), ({"material": {"soft": 1}}, "material.soft"),
                       ({"tolerances": {"outer": None}}, "tolerances.outer"), ({"toggles": []}, "toggles"),
                       ({"geometry": {"builtin": 4}}, "geometry.builtin"), ({"output_dir": 3}, "output_dir"),
-                      ({"cell_resolution": 8.0}, "cell_resolution")):
+                      ({"cell_resolution": 8.0}, "cell_resolution"),
+                      ({"material": {"r_K": math.nan}}, "material.r_K must be a finite number"),
+                      ({"eps_list": [0.25, math.nan]}, "eps_list entry must be a finite number"),
+                      ({"tolerances": {"cell": -math.inf}}, "tolerances.cell must be a finite number"),
+                      ({"acceptance": {"max_final_gap": math.nan}}, "acceptance.max_final_gap")):
         with pytest.raises(lab.ConfigError, match=name):
             lab.StudyConfig(**bad).validate()
     with pytest.raises(lab.ConfigError, match="reciprocal"):
@@ -73,8 +79,12 @@ def test_config_validation(tmp_path):
                         eps_list=[1 / 3]).validate()  # q must exceed d = 3
     with pytest.raises(lab.ConfigError, match="bogus"):
         lab.StudyConfig(material={"soft": "bogus"}).validate()
+    with pytest.raises(lab.ConfigError, match="growth constants"):
+        lab.StudyConfig(material={"gamma": 1e308}).validate()  # finite, but c2 = 2 gamma + 2 is not
     path = tmp_path / "cfg.json"
-    for text, match in (("7", "JSON object"), ("[0.25]", "JSON object"), ("{", "not valid JSON")):
+    for text, match in (("7", "JSON object"), ("[0.25]", "JSON object"), ("{", "not valid JSON"),
+                        ('{"material": {"r_K": NaN}}', "material.r_K"),  # Python's json reads NaN
+                        ('{"strip": Infinity}', "strip")):
         path.write_text(text)  # a raw TypeError or JSONDecodeError before
         with pytest.raises(lab.ConfigError, match=match):
             lab.load_config(path)
@@ -411,7 +421,10 @@ def test_cli_errors_exit_2_with_a_message(tmp_path, capsys):
                         (["cell", "qprime", "--G", "0,0,0,0"], "singular"),
                         (["cell", "multicell", "--lambdas", "0"], "positive integers"),
                         (["cell", "multicell", "--lambdas", "a"], "lambdas 'a'"),
-                        (["cell", "multicell", "--resolution", "0"], "n_el")):
+                        (["cell", "multicell", "--resolution", "0"], "n_el"),
+                        (["cell", "multicell", "--gamma", "nan"], "growth constants"),
+                        (["cell", "multicell", "--gamma", "inf"], "growth constants"),
+                        (["cell", "multicell", "--gamma", "1e308"], "growth constants")):
         assert lab.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("hclab: error: ") and match in err and "Traceback" not in err

@@ -107,12 +107,28 @@ def test_audit_flags_noncoercive_density():
     assert report.margins["E1_lower"] < 0.0
 
 
+def test_audit_margins_of_a_nan_density_read_nan():
+    """A soft density that is NaN at the smallest eps probe fails every
+    margin that samples it: the minima over the probes keep the NaN, where
+    Python's min skipped a NaN after the first item."""
+
+    class NanAtSmallestEps(materials.SoftConvexFamily):
+        def value(self, eps, F):
+            return super().value(eps, F) * (math.nan if eps == 1e-3 else 1.0)
+
+    model = materials.default_material(dim=2)
+    model.W_soft_family = NanAtSmallestEps()
+    report = materials.audit_assumptions(model, sample_count=500, seed=0)
+    for name in ("E3_lower", "E3_upper", "E4_lipschitz", "E5_monotone", "E5_final"):
+        assert math.isnan(report.margins[name]), name
+    assert not report.is_pass
+
+
 def test_measured_cK_against_analytic_bound():
     model = materials.default_material(dim=2, r_K=0.3)
     report = materials.audit_assumptions(model, sample_count=2000, seed=5)
     assert report.measured_cK <= 2.0 * math.exp(0.3) * math.sqrt(2.0) + 1e-9
     assert report.margins["Pbound_analytic"] >= 0.0
-    assert report.margins["Pbound_chain"] >= 0.0
 
 
 def test_growth_sandwich_default_constants():
@@ -134,3 +150,79 @@ def test_model_validation():
         materials.MaterialModel(
             dim=2, W_stiff=materials.StiffDensity(), W_soft_family=materials.SoftConvexFamily(),
             hardening_params=(0.1, 5.0), K_radius=-1.0, q=4.0, growth_constants=(1.0, 4.0, 6.0))
+    # each check fails on NaN, and the numbers must be finite: a NaN r_K switched the K projection off
+    for kwargs, match in (({"q": math.nan}, "Morrey"), ({"q": math.inf}, "Morrey"),
+                          ({"r_K": math.nan}, "K_radius"), ({"r_K": math.inf}, "K_radius"),
+                          ({"h0": math.nan}, "hardening"), ({"h1": math.inf}, "hardening"),
+                          ({"gamma": math.nan}, "growth constants"), ({"gamma": math.inf}, "growth constants"),
+                          ({"gamma": 1e308}, "growth constants"), ({"twowell_amplitude": math.nan}, "growth")):
+        with pytest.raises(materials.MaterialError, match=match):
+            materials.default_material(dim=2, **kwargs)
+
+
+class _NonConvergentSoft(materials.SoftConvexFamily):
+    """(2 - eps) |F|^2 for eps > 0, |F|^2 at eps = 0: the distance to the
+    limit grows as eps -> 0."""
+
+    def value(self, eps, F):
+        return (2.0 - eps if eps > 0 else 1.0) * materials._fro2(np.asarray(F, dtype=float))
+
+
+def _claims(**claims):
+    """The model's growth constants with the named ones replaced."""
+    def claim(model, monkeypatch):
+        names = ("c1", "c2", "c3")
+        monkeypatch.setattr(model, "growth_constants",
+                            tuple(claims.get(n, c) for n, c in zip(names, model.growth_constants)))
+    return claim
+
+
+def _non_convergent_soft(model, monkeypatch):
+    monkeypatch.setattr(model, "W_soft_family", _NonConvergentSoft())
+
+
+def _steeper_hardening(model, monkeypatch):
+    """H = h0 + 3 h1 |log P|^2, steeper than the h1 the Lipschitz bound reads."""
+    monkeypatch.setattr(model, "hardening", lambda logs: model.h0 + 3.0 * model.h1 * materials._fro2(logs))
+
+
+def _exp_chart_off(model, monkeypatch):
+    """An exp chart that returns exp(4M): K's samples leave the analytic c_K bound."""
+    exp_batch = sg.exp_batch
+    monkeypatch.setattr(sg, "exp_batch", lambda M: exp_batch(4.0 * M))
+
+
+# each margin of the audit, and a change to the model or chart that it must refute
+_BREAKERS = {
+    "E1_lower": _claims(c1=3.0),  # W1 = 2 |F|^2 - 2 tr F + 2 is not 3-coercive
+    "E1_upper": _claims(c2=1.0),  # c2 = c1
+    "E2_lipschitz": _claims(c3=1e-3),
+    "E3_lower": _claims(c1=3.0),
+    "E3_upper": _claims(c2=1.0),
+    "E4_lipschitz": _claims(c3=1e-3),
+    "E5_monotone": _non_convergent_soft,
+    "E5_final": _non_convergent_soft,
+    "H2_lipschitz": _steeper_hardening,
+    "Pbound_analytic": _exp_chart_off,
+}
+
+
+def test_audit_reports_exactly_the_margins_that_can_fail():
+    """Pins the margin set: a new margin needs an entry in ``_BREAKERS``.
+    The Lipschitz margins skip the identical pairs (0, 0) and (I, I) of the
+    two draws, which pinned them at exactly 0."""
+    report = materials.audit_assumptions(materials.default_material(dim=2), sample_count=200, seed=0)
+    assert set(report.margins) == set(_BREAKERS)
+    assert report.margins["E2_lipschitz"] > 0.0 and report.margins["E4_lipschitz"] > 0.0
+
+
+@pytest.mark.parametrize("name", sorted(_BREAKERS))
+def test_each_audit_margin_can_fail(name, monkeypatch):
+    """Every margin is >= 0 on the stock model and < 0 on a model (or chart)
+    that breaks the assumption it samples."""
+    stock = materials.audit_assumptions(materials.default_material(dim=2), sample_count=2000, seed=0)
+    assert stock.margins[name] >= 0.0
+    model = materials.default_material(dim=2)
+    _BREAKERS[name](model, monkeypatch)
+    report = materials.audit_assumptions(model, sample_count=2000, seed=0)
+    assert report.margins[name] < 0.0 and not report.is_pass
