@@ -37,6 +37,13 @@ of a lattice in log coordinates; the cache alone quantizes G, which bounds
 the number of solves, and gathers per-point tensors from the keys
 (``w1_tensors``, for the y-step).  Solves are deterministic, so cache hits
 are bit-identical.
+
+This module owns the defaults of the cell solves: ``CELL_TOL``, the
+tolerance of a nonlinear soft cell solve; ``CELL_RESOLUTION``, the cell
+grid's elements per unit length; and ``LATTICE_STEP``, the step of the
+density cache's lattice in log coordinates.  The functions and
+``HomDensityCache`` here default to them, and ``lab`` reads them for its
+config defaults and CLI flags.
 """
 
 from __future__ import annotations
@@ -53,6 +60,11 @@ from hclab import slgeometry
 from hclab.energies import EnergyBreakdown, PlasticPass
 from hclab.fields import Grid, check_same_grid, node_incidence_masks
 from hclab.microgeometry import CellGeometry
+
+
+CELL_TOL = 1e-8
+CELL_RESOLUTION = 32
+LATTICE_STEP = 1e-2
 
 
 class CellProblemError(ValueError):
@@ -258,10 +270,11 @@ def _quadratic_cell(window: CellWindow, density, R, F):
     return _pack(window, sol), energy, residual, bool(np.isfinite(residual) and np.isfinite(energy))
 
 
-def _minimize_cell(window: CellWindow, density, R, F, tol, maxiter, restarts, seed):
+def _minimize_cell(window: CellWindow, density, R, F, tol, restarts, seed):
     """Soft cell solve of ``qprime_W0``: ``_quadratic_cell`` for quadratic
-    densities, nonlinear CG with seeded restarts otherwise.  v = 0 is always among the starts, so
-    the value never exceeds the test-field energy of the mean deformation."""
+    densities, nonlinear CG with seeded restarts of at most 500 iterations
+    each otherwise.  v = 0 is always among the starts, so the value never
+    exceeds the test-field energy of the mean deformation."""
     if density.is_quadratic:
         v, energy, residual, converged = _quadratic_cell(window, density, R, F)
         return v, energy, 1, residual, converged
@@ -286,7 +299,7 @@ def _minimize_cell(window: CellWindow, density, R, F, tol, maxiter, restarts, se
     ok = False
     for x0 in starts:
         res = optimize.minimize(objective, x0, jac=True, method="CG",
-                                options={"maxiter": maxiter, "gtol": tol})
+                                options={"maxiter": 500, "gtol": tol})
         total_iters += int(res.nit)
         ok = ok or bool(res.success)
         if best is None or res.fun < best.fun:
@@ -296,9 +309,8 @@ def _minimize_cell(window: CellWindow, density, R, F, tol, maxiter, restarts, se
     return v, float(best.fun), total_iters, residual, ok or residual <= tol * 10
 
 
-def qprime_W0(cell: CellGeometry, W0, F, G, resolution: int = 32, tol: float = 1e-8,
-              formulation: str = "over_Q0", restarts: int = 3, seed: int = 0,
-              maxiter: int = 500) -> CellProblemResult:
+def qprime_W0(cell: CellGeometry, W0, F, G, resolution: int = CELL_RESOLUTION, tol: float = CELL_TOL,
+              formulation: str = "over_Q0", restarts: int = 3, seed: int = 0) -> CellProblemResult:
     """Quasiconvexified soft cell value QW0(F, G).
 
     formulation "over_Q": zero trace on the whole cell, plain integral over Q.
@@ -309,12 +321,13 @@ def qprime_W0(cell: CellGeometry, W0, F, G, resolution: int = 32, tol: float = 1
     F = np.asarray(F, dtype=float)
     G = _check_invertible(G)
     window = _soft_window(cell, resolution, formulation)
-    v, energy, iters, residual, converged = _minimize_cell(window, W0, G, F, tol, maxiter, restarts, seed)
+    v, energy, iters, residual, converged = _minimize_cell(window, W0, G, F, tol, restarts, seed)
     return CellProblemResult(value=energy / window.norm, minimizer=v, iterations=iters,
                              residual=residual, converged=converged)
 
 
-def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2), resolution: int = 32) -> MulticellResult:
+def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2),
+                    resolution: int = CELL_RESOLUTION) -> MulticellResult:
     """Finite-window values of the stiff multi-cell density of a quadratic W1.
 
     Each window (0, lam)^d is meshed at the same per-unit resolution, the
@@ -386,7 +399,7 @@ def _cell_tensor(window: CellWindow, density, R: np.ndarray):
     return tensor, band, Y
 
 
-def effective_quadratic_tensor(cell: CellGeometry, W1, G, resolution: int = 32) -> EffectiveQuadratic:
+def effective_quadratic_tensor(cell: CellGeometry, W1, G, resolution: int = CELL_RESOLUTION) -> EffectiveQuadratic:
     """Stiff density at one G for a quadratic W1, exact on the lam = 1
     window: the ``_cell_tensor`` of R = G^{-1}, one banded Cholesky solve
     with d right-hand sides."""
@@ -410,7 +423,8 @@ class HomDensityCache:
     assemblies.
     """
 
-    def __init__(self, step: float = 1e-2, resolution: int = 32, tol: float = 1e-8, seed: int = 0):
+    def __init__(self, step: float = LATTICE_STEP, resolution: int = CELL_RESOLUTION, tol: float = CELL_TOL,
+                 seed: int = 0):
         self.step = float(step)
         self.resolution = int(resolution)
         self.tol = float(tol)

@@ -6,7 +6,9 @@ The total energy of a state (y, P) on the eps-composite is
     stiff:  int chi1 W1( grad(y) P^{-1} )
     + int H(P)  (booked per phase)  + int |grad P|^q
 
-with the contrast factor eps multiplying grad(y) only in the soft term.
+with the contrast factor eps multiplying grad(y) only in the soft term
+(``MicroDomain.contrast``, which the quadratic y-step of ``minimize`` reads
+too).
 Gradients with respect to the nodal deformation values and the nodal log
 coordinates of P are assembled analytically; the exponential and logarithm
 differentials enter through their closed-form adjoints.
@@ -133,7 +135,8 @@ class PlasticPass:
 
 class FixedY:
     """The Gauss data of J_eps that depend on the deformation alone: grad y
-    at the Gauss points, the phase of each element and its contrast factor.
+    at the Gauss points, the phase of each element and its contrast factor
+    (``MicroDomain.contrast``).
 
     Passed as ``y`` to ``assemble_J_eps`` or ``value_and_grad_J_eps``, one
     FixedY serves every assembly at its deformation, and it keeps the latest
@@ -149,7 +152,7 @@ class FixedY:
         self.G = y.grid.gauss_gradients(y.values)  # (E, g, d, d)
         self.soft_els = domain.soft_elements
         self.stiff_els = ~self.soft_els
-        self.scale = np.where(self.soft_els, domain.eps, 1.0)[:, None, None, None]
+        self.scale = domain.contrast[:, None, None, None]
         self.latest = None
 
 
@@ -253,7 +256,7 @@ def sobolev_metric(domain, model, y, P: PlasticField):
     return grid.stiffness(grid.quad_weight * blocks)
 
 
-def dissipation_integral(domain, P_bar: PlasticField, P: PlasticField, phase: int, segments: int = 8) -> float:
+def dissipation_integral(domain, P_bar: PlasticField, P: PlasticField, phase: int) -> float:
     """Quadrature of chi^phase(x) D(P_bar(x), P(x)) over the composite, with
     phase 0 the soft and 1 the stiff elements.  Each Gauss point uses the
     exp-curve upper-bound evaluation ``slgeometry.dissipation_distance_batch``."""
@@ -265,4 +268,4 @@ def dissipation_integral(domain, P_bar: PlasticField, P: PlasticField, phase: in
     mask = domain.soft_elements if phase == 0 else ~domain.soft_elements
     Pg = grid.gauss_values(P.matrices())
     Pbg = grid.gauss_values(P_bar.matrices())
-    return grid.integrate(slgeometry.dissipation_distance_batch(Pbg[mask], Pg[mask], segments=segments))
+    return grid.integrate(slgeometry.dissipation_distance_batch(Pbg[mask], Pg[mask]))

@@ -9,6 +9,14 @@ homogenized minimum.  Identical config and seed give bit-identical reports.
 A config's ``tolerances`` and ``toggles`` blocks may name any subset of their
 keys; ``TOLERANCE_DEFAULTS`` and ``TOGGLE_DEFAULTS`` fill in the rest.  Every
 number in a config is finite, and every tolerance positive.
+
+The solver defaults are not stated here: ``TOLERANCE_DEFAULTS`` reads them
+from ``minimize.Schedule`` and ``cellproblems.CELL_TOL``, the default
+``quantization_step`` is ``cellproblems.LATTICE_STEP`` and the CLI's
+``--resolution`` is ``cellproblems.CELL_RESOLUTION``.  ``StudyConfig.validate``
+returns the cell and model it built, so a study builds each once, and one
+reader, ``_build_cell``, turns a config's geometry block or a CLI cell
+argument into a cell, with an unreadable mask file an ``IoFailure``.
 """
 
 from __future__ import annotations
@@ -42,7 +50,9 @@ COLUMNS = [
     "diss_soft", "diss_stiff", "remainder", "poincare", "ext_const",
     "hard_cont_err", "unfold_resid", "gap",
 ]
-TOLERANCE_DEFAULTS = {"outer": 1e-8, "linear": 1e-10, "cell": 1e-8, "plastic": 1e-7}
+# the solvers' own defaults, read from their owners
+TOLERANCE_DEFAULTS = {"outer": minimize.Schedule.outer_tol, "linear": minimize.Schedule.y_tol,
+                      "cell": cellproblems.CELL_TOL, "plastic": minimize.Schedule.p_tol}
 TOGGLE_DEFAULTS = {"dissipation": False, "recovery_check": True, "correction": False}
 TOLERANCE_KEYS = tuple(TOLERANCE_DEFAULTS)
 TOGGLE_KEYS = tuple(TOGGLE_DEFAULTS)
@@ -77,7 +87,7 @@ class StudyConfig:
     strip: float = 0.5
     macro_elements: int = 8
     cell_resolution: int | None = None
-    quantization_step: float = 1e-2
+    quantization_step: float = cellproblems.LATTICE_STEP
     tolerances: dict = field(default_factory=lambda: dict(TOLERANCE_DEFAULTS))
     seed: int = 1234
     toggles: dict = field(default_factory=lambda: dict(TOGGLE_DEFAULTS))
@@ -110,7 +120,9 @@ class StudyConfig:
         if self.cell_resolution is not None:
             _check_type("cell_resolution", self.cell_resolution, _INTEGER)
 
-    def validate(self) -> None:
+    def validate(self) -> tuple:
+        """Raise a ConfigError unless the study can run; returns the (cell,
+        model) built on the way, which ``run_convergence_study`` uses."""
         self._check_shape()
         eps = list(self.eps_list)
         if not eps:
@@ -124,8 +136,6 @@ class StudyConfig:
         acceptance = self.acceptance or {}
         if len(self.geometry) != 1:
             raise ConfigError(f"geometry must name exactly one of {', '.join(GEOMETRY_KEYS)}")
-        if "mask_file" in self.geometry and not Path(self.geometry["mask_file"]).exists():
-            raise ConfigError(f"mask file {self.geometry['mask_file']} does not exist")
         if self.quantization_step <= 0:
             raise ConfigError(f"quantization_step must be positive, got {self.quantization_step}")
         if self.macro_elements < 1:
@@ -134,10 +144,10 @@ class StudyConfig:
             raise ConfigError(f"strip must be positive, got {self.strip}")
         try:
             cell = _build_cell(self.geometry)
-        except microgeometry.GeometryError as exc:
+        except (microgeometry.GeometryError, IoFailure) as exc:
             raise ConfigError(f"geometry {self.geometry}: {exc}") from exc
         try:
-            _build_model(self.material, cell.dim)
+            model = _build_model(self.material, cell.dim)
         except materials.MaterialError as exc:
             raise ConfigError(f"material {self.material}: {exc}") from exc
         if self.cell_resolution is not None and (self.cell_resolution < 1 or self.cell_resolution % cell.resolution):
@@ -157,6 +167,7 @@ class StudyConfig:
                               "recovery run the bound has nothing to check")
         if acceptance.get("require_gap_decreasing") and len(eps) < 2:
             raise ConfigError("acceptance.require_gap_decreasing needs at least two eps values")
+        return cell, model
 
     def settings(self) -> tuple:
         """(tolerances, toggles): both blocks with the defaults filled in for the keys they omit."""
@@ -188,9 +199,15 @@ def load_config(path) -> StudyConfig:
 
 
 def _build_cell(geometry: dict) -> microgeometry.CellGeometry:
+    """The cell of a geometry block, ``{"builtin": name}`` or ``{"mask_file":
+    path}``; a mask file that cannot be read is an IoFailure."""
     if "builtin" in geometry:
         return microgeometry.builtin_cell(geometry["builtin"])
-    return microgeometry.load_cell_mask(geometry["mask_file"])
+    path = geometry["mask_file"]
+    try:
+        return microgeometry.load_cell_mask(path)
+    except OSError as exc:
+        raise IoFailure(f"cannot read cell mask {path}: {exc}") from exc
 
 
 def _build_model(material_spec: dict, dim: int) -> materials.MaterialModel:
@@ -289,10 +306,8 @@ class StudyReport:
 
 def run_convergence_study(config: StudyConfig) -> StudyReport:
     """Execute the full pipeline; see the module docstring for the stages."""
-    config.validate()
+    cell, model = config.validate()
     tolerances, toggles = config.settings()
-    cell = _build_cell(config.geometry)
-    model = _build_model(config.material, cell.dim)
     cell_res = config.cell_resolution if config.cell_resolution else cell.resolution
     cache = cellproblems.HomDensityCache(
         step=config.quantization_step, resolution=cell_res, tol=tolerances["cell"], seed=config.seed)
@@ -386,40 +401,31 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def emit_report(report: StudyReport, formats=("csv", "json"), outdir=None) -> dict:
-    """Write the report files; returns {format: path}.  Bytes are a pure
+def emit_report(report: StudyReport, outdir) -> dict:
+    """Write ``report.csv``, ``report_long.csv`` and ``report.json`` into
+    ``outdir``; returns {"csv", "long", "json": path}.  Bytes are a pure
     function of the report contents."""
-    outdir = Path(outdir if outdir is not None else report.metadata["config"]["output_dir"])
+    outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create output dir {outdir}: {exc}") from exc
-    paths = {}
-    if "csv" in formats:
-        lines = [",".join(COLUMNS + ["config_hash"])]
-        for row in report.all_rows():
-            lines.append(",".join(_fmt(row[c]) for c in COLUMNS) + "," + row["config_hash"])
-        path = outdir / "report.csv"
-        path.write_text("\n".join(lines) + "\n")
-        paths["csv"] = path
-        long_lines = ["eps,metric,value"]
-        for row in report.all_rows():
-            for c in COLUMNS[1:]:
-                long_lines.append(f"{_fmt(row['eps'])},{c},{_fmt(row[c])}")
-        long_path = outdir / "report_long.csv"
-        long_path.write_text("\n".join(long_lines) + "\n")
-        paths["long"] = long_path
-    if "json" in formats:
-        payload = {
-            "config_hash": report.config_hash,
-            "reference": report.reference,
-            "rows": report.rows,
-            "metadata": report.metadata,
-            "extras": report.extras,
-        }
-        path = outdir / "report.json"
-        path.write_text(json.dumps(payload, sort_keys=True, indent=1))
-        paths["json"] = path
+    lines = [",".join(COLUMNS + ["config_hash"])]
+    long_lines = ["eps,metric,value"]
+    for row in report.all_rows():
+        lines.append(",".join(_fmt(row[c]) for c in COLUMNS) + "," + row["config_hash"])
+        long_lines.extend(f"{_fmt(row['eps'])},{c},{_fmt(row[c])}" for c in COLUMNS[1:])
+    payload = {
+        "config_hash": report.config_hash,
+        "reference": report.reference,
+        "rows": report.rows,
+        "metadata": report.metadata,
+        "extras": report.extras,
+    }
+    paths = {"csv": outdir / "report.csv", "long": outdir / "report_long.csv", "json": outdir / "report.json"}
+    paths["csv"].write_text("\n".join(lines) + "\n")
+    paths["long"].write_text("\n".join(long_lines) + "\n")
+    paths["json"].write_text(json.dumps(payload, sort_keys=True, indent=1))
     return paths
 
 
@@ -477,12 +483,9 @@ def _parse_matrix(text: str, dim: int) -> np.ndarray:
 
 
 def _cell_from_arg(arg: str) -> microgeometry.CellGeometry:
-    if arg.startswith("builtin:"):
-        return microgeometry.builtin_cell(arg.split(":", 1)[1])
-    try:
-        return microgeometry.load_cell_mask(arg)
-    except OSError as exc:
-        raise IoFailure(f"cannot read cell mask {arg}: {exc}") from exc
+    """The cell of a CLI argument, ``builtin:NAME`` or a mask file path."""
+    name = arg.removeprefix("builtin:")
+    return _build_cell({"builtin": name} if name != arg else {"mask_file": arg})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,14 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     qp.add_argument("--cell", default="builtin:block4")
     qp.add_argument("--F", default=None)
     qp.add_argument("--G", default=None)
-    qp.add_argument("--resolution", type=int, default=32)
+    qp.add_argument("--resolution", type=int, default=cellproblems.CELL_RESOLUTION)
     qp.add_argument("--formulation", default="over_Q0", choices=["over_Q0", "over_Q"])
     qp.add_argument("--soft", default="convex", choices=["convex", "twowell"])
     mc = cell_sub.add_parser("multicell", help="multi-cell stiff density")
     mc.add_argument("--cell", default="builtin:block4")
     mc.add_argument("--F", default=None)
     mc.add_argument("--G", default=None)
-    mc.add_argument("--resolution", type=int, default=32)
+    mc.add_argument("--resolution", type=int, default=cellproblems.CELL_RESOLUTION)
     mc.add_argument("--lambdas", default="1,2")
     mc.add_argument("--gamma", type=float, default=1.0)
 

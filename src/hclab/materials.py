@@ -94,6 +94,8 @@ class SoftTwoWellFamily:
     is_quadratic = False
 
     def __init__(self, dim: int = 2, amplitude: float = 0.8, delta: float = 0.1):
+        if not (math.isfinite(amplitude) and math.isfinite(delta)):
+            raise MaterialError(f"two-well amplitude and delta must be finite, got {amplitude}, {delta}")
         A = np.zeros((dim, dim))
         A[0, 0] = amplitude
         self.A = A

@@ -11,6 +11,11 @@ Everything is pixel-exact: volumes are rationals, the phase of a point is a
 pixel lookup, and grids downstream place nodes at pixel corners so that
 phase-weighted quadrature is exact with respect to the geometry, and the
 phase of each grid element is ``MicroDomain.soft_elements``.
+
+A cell is its mask: ``build_unit_cell(soft_mask)`` validates the mask, and
+the cell's dimension, resolution, volumes and degeneracy are read off it.
+The high contrast, eps multiplying grad y on soft elements and 1 on stiff
+ones, is stated once, as ``MicroDomain.contrast``.
 """
 
 from __future__ import annotations
@@ -80,59 +85,67 @@ class CellGeometry:
     """Unit periodicity cell: pixel partition into soft inclusion and stiff matrix.
 
     ``soft_mask[i0, ..., i_{d-1}]`` is True when the pixel with low corner
-    ``(i0, ..., i_{d-1}) / resolution`` belongs to the soft phase.  Volumes are
-    exact rationals (pixel counts over ``resolution**dim``).  Cells compare
+    ``(i0, ..., i_{d-1}) / resolution`` belongs to the soft phase.  The mask
+    is the cell: its dimension, resolution, exact rational volumes (pixel
+    counts over ``resolution**dim``) and whether it is degenerate (no soft
+    pixel) are read off it, the last three computed once.  Cells compare
     and hash by identity, so a cell can key the caches of its cell problems.
     """
 
-    dim: int
-    resolution: int
     soft_mask: np.ndarray
-    vol_soft: Fraction
-    vol_stiff: Fraction
-    degenerate: bool = False
 
     def __post_init__(self):
         self.soft_mask.setflags(write=False)
 
     @property
+    def dim(self) -> int:
+        return self.soft_mask.ndim
+
+    @property
+    def resolution(self) -> int:
+        return self.soft_mask.shape[0]
+
+    @property
     def soft_pixel_count(self) -> int:
         return int(self.soft_mask.sum())
 
+    @cached_property
+    def vol_soft(self) -> Fraction:
+        return Fraction(self.soft_pixel_count, self.soft_mask.size)
 
-def build_unit_cell(dim: int, resolution: int, soft_mask) -> CellGeometry:
+    @cached_property
+    def vol_stiff(self) -> Fraction:
+        return 1 - self.vol_soft
+
+    @cached_property
+    def degenerate(self) -> bool:
+        return not self.soft_mask.any()
+
+
+def build_unit_cell(soft_mask) -> CellGeometry:
     """Validate a pixel mask and return the periodicity cell.
 
-    The stiff set must be edge-connected inside the cell and its periodic
-    extension must be connected, which is checked on a 3^d block of copies.
-    An all-soft mask is rejected; an all-stiff mask is accepted and flagged
-    degenerate (homogeneous control medium).
+    The mask must be a square (2D) or cube (3D) of pixels.  The stiff set
+    must be edge-connected inside the cell and its periodic extension must
+    be connected, which is checked on a 3^d block of copies.  An all-soft
+    mask is rejected; an all-stiff mask is accepted and flagged degenerate
+    (homogeneous control medium).
     """
-    if dim not in (2, 3):
-        raise GeometryError(f"dim must be 2 or 3, got {dim}")
     mask = np.asarray(soft_mask, dtype=bool)
-    if mask.shape != (resolution,) * dim:
-        raise GeometryError(f"mask shape {mask.shape} does not match resolution {resolution}^{dim}")
+    if mask.ndim not in (2, 3):
+        raise GeometryError(f"dim must be 2 or 3, got {mask.ndim}")
+    if len(set(mask.shape)) != 1:
+        raise GeometryError(f"mask shape {mask.shape} does not have equal sides")
     stiff = ~mask
     if not stiff.any():
         raise EmptyPhase("soft mask is all-true: no stiff matrix left")
-    degenerate = not mask.any()
-    if not degenerate:
+    if mask.any():
         if not _connected(stiff):
             raise DisconnectedMatrix("stiff phase is not edge-connected within the cell")
-        tiled = np.tile(stiff, (3,) * dim)
+        tiled = np.tile(stiff, (3,) * mask.ndim)
         if not _connected(tiled):
             raise DisconnectedMatrix("periodic extension of the stiff phase is disconnected (3^d tiling test)")
-    count = int(mask.sum())
-    vol_soft = Fraction(count, resolution**dim)
-    return CellGeometry(
-        dim=dim,
-        resolution=resolution,
-        soft_mask=mask,
-        vol_soft=vol_soft,
-        vol_stiff=Fraction(1) - vol_soft,
-        degenerate=degenerate,
-    )
+    return CellGeometry(soft_mask=mask)
 
 
 def builtin_cell(name: str) -> CellGeometry:
@@ -146,17 +159,17 @@ def builtin_cell(name: str) -> CellGeometry:
     if name == "block4":
         mask = np.zeros((4, 4), dtype=bool)
         mask[1:3, 1:3] = True
-        return build_unit_cell(2, 4, mask)
+        return build_unit_cell(mask)
     if name == "block8":
         mask = np.zeros((8, 8), dtype=bool)
         mask[2:6, 2:6] = True
-        return build_unit_cell(2, 8, mask)
+        return build_unit_cell(mask)
     if name == "stiff4":
-        return build_unit_cell(2, 4, np.zeros((4, 4), dtype=bool))
+        return build_unit_cell(np.zeros((4, 4), dtype=bool))
     if name == "fiber3d":
         mask = np.zeros((4, 4, 4), dtype=bool)
         mask[1:3, 1:3, :] = True
-        return build_unit_cell(3, 4, mask)
+        return build_unit_cell(mask)
     raise GeometryError(f"unknown builtin cell {name!r}")
 
 
@@ -164,25 +177,31 @@ def load_cell_mask(path) -> CellGeometry:
     """Read the ASCII mask format: first line "d m", then the 0/1 grid.
 
     For d=2 there follow m lines of m characters; for d=3, m blocks of m lines
-    separated by blank lines.  '1' marks a soft pixel; the first data line is
-    the low-corner row (row-major, origin at the low corner).
+    separated by blank lines.  '1' marks a soft pixel and '0' a stiff one;
+    any other character, or a file that is not text, is a GeometryError.  The
+    first data line is the low-corner row (row-major, origin at the low
+    corner).  A file that cannot be read raises the OSError of the read.
     """
-    text = Path(path).read_text()
-    lines = [ln.rstrip() for ln in text.splitlines()]
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise GeometryError(f"mask file {path} is not text: {exc}") from exc
+    lines = [ln.strip() for ln in text.splitlines()]
     if not lines:
         raise GeometryError(f"empty mask file {path}")
     head = lines[0].split()
     if len(head) != 2 or head[0] not in ("2", "3") or not head[1].isdigit():
         raise GeometryError(f"bad header {lines[0]!r}: expected 'd m' with d = 2 or 3")
     dim, m = int(head[0]), int(head[1])
-    rows = [ln.strip() for ln in lines[1:] if ln.strip() != ""]
+    rows = [(number, ln) for number, ln in enumerate(lines[1:], start=2) if ln != ""]
     expected = m if dim == 2 else m * m
     if len(rows) != expected:
         raise GeometryError(f"expected {expected} data lines, found {len(rows)}")
-    if any(len(ln) != m for ln in rows):
-        raise GeometryError(f"data lines must have {m} characters")
-    mask = np.array([[ch == "1" for ch in ln] for ln in rows], dtype=bool).reshape((m,) * dim)
-    return build_unit_cell(dim, m, mask)
+    for number, ln in rows:
+        if len(ln) != m or set(ln) - {"0", "1"}:
+            raise GeometryError(f"line {number} {ln!r}: data lines must have {m} characters, each 0 or 1")
+    mask = np.array([[ch == "1" for ch in ln] for _, ln in rows], dtype=bool).reshape((m,) * dim)
+    return build_unit_cell(mask)
 
 
 def save_cell_mask(path, cell: CellGeometry) -> None:
@@ -204,8 +223,9 @@ class MicroDomain:
     ``translations`` are the integer cell indices whose inclusion copy clears
     the boundary strip, ``translations_hat`` those whose *entire cell cube*
     clears it (used by unfolding-restricted constructions).  ``soft_field``
-    marks the soft pixels of the global ``(n_cells * m)^d`` pixel grid, and
-    ``soft_elements`` is the same mask flat, in the element order of ``grid``.
+    marks the soft pixels of the global ``(n_cells * m)^d`` pixel grid,
+    ``soft_elements`` is the same mask flat, in the element order of ``grid``,
+    and ``contrast`` the factor of grad y per element.
     """
 
     cell: CellGeometry
@@ -235,6 +255,16 @@ class MicroDomain:
     def soft_elements(self) -> np.ndarray:
         """(E,) read-only phase of each element of ``grid``: True where soft."""
         return self.soft_field.reshape(-1)
+
+    @cached_property
+    def contrast(self) -> np.ndarray:
+        """(E,) read-only factor of grad y on each element of ``grid``: eps
+        where soft, 1 where stiff.  The one statement of the high contrast,
+        read by the composite energy (``energies.FixedY``) and its quadratic
+        y-step (``minimize._assemble_y_system``)."""
+        s = np.where(self.soft_elements, self.eps, 1.0)
+        s.setflags(write=False)
+        return s
 
     @cached_property
     def grid(self) -> Grid:
@@ -306,7 +336,7 @@ def phase_indicator(domain: MicroDomain, phase: int, point) -> int:
     x = np.asarray(point, dtype=float)
     if x.shape != (domain.dim,):
         raise GeometryError(f"point must have {domain.dim} coordinates")
-    if (x < 0).any() or (x > 1).any():
+    if not ((x >= 0) & (x <= 1)).all():  # NaN fails this test
         raise OutOfDomain(f"point {point} lies outside [0,1]^{domain.dim}")
     n_el = domain.n_el
     idx = np.minimum((x * n_el).astype(int), n_el - 1)

@@ -25,6 +25,12 @@ Every nodal linear system has one shape, a scalar sparse nodal operator with
 one right-hand-side column per component (d for y, d^2 - 1 for the P
 coefficients), and one solver, the per-column Jacobi-preconditioned CG
 ``_cg``.
+
+``Schedule`` owns the solver defaults: the outer, linear (y-step) and
+plastic tolerances and the y- and P-step budgets.  ``minimize_y`` and
+``minimize_P`` take theirs from it, and so does ``lab.TOLERANCE_DEFAULTS``.
+The soft-phase contrast of the y-step is the domain's
+``MicroDomain.contrast``, the array the energy itself reads.
 """
 
 from __future__ import annotations
@@ -74,7 +80,9 @@ class SolveReport:
 
 @dataclass
 class Schedule:
-    """Outer alternation budget and per-block tolerances."""
+    """Outer alternation budget and per-block tolerances and budgets: the
+    one owner of the solver defaults, which ``minimize_y``, ``minimize_P``
+    and ``lab.TOLERANCE_DEFAULTS`` read."""
 
     outer_iters: int = 200
     outer_tol: float = 1e-8
@@ -115,23 +123,23 @@ def _assemble_y_system(domain, model, P: PlasticField):
     """Sparse Hessian and linear term of y -> J_eps(y, P) for quadratic densities.
 
     With isotropic quadratic parts W(F) = a |F|^2 + L : F + c the energy in
-    U = grad y reads a |s U P^{-1}|^2 + L : (s U P^{-1}) + ..., so the
-    coefficients are A = P^{-1} P^{-T} scaled by s^2 a per element and
-    b = s L P^{-T}.  The inverses and products of the Gauss values of P go
-    through ``energies._inv_batch`` and ``energies._matmul``: closed forms
-    in 2D, numpy's batched routines in 3D.
+    U = grad y reads a |s U P^{-1}|^2 + L : (s U P^{-1}) + ..., with s the
+    domain's ``contrast`` (eps soft, 1 stiff), so the coefficients are
+    A = P^{-1} P^{-T} scaled by s^2 a per element and b = s L P^{-T}.  The
+    inverses and products of the Gauss values of P go through
+    ``energies._inv_batch`` and ``energies._matmul``: closed forms in 2D,
+    numpy's batched routines in 3D.
     """
     grid = domain.grid
     d = grid.dim
-    eps = domain.eps
     Pinv = energies._inv_batch(grid.gauss_values(P.matrices()))
     PinvT = np.swapaxes(Pinv, -1, -2)
-    soft = domain.soft_elements
-    a_soft, L_soft, _ = model.W_soft_family.isotropic_quad_parts(eps, d)
+    soft, s = domain.soft_elements, domain.contrast
+    a_soft, L_soft, _ = model.W_soft_family.isotropic_quad_parts(domain.eps, d)
     a_stiff, L_stiff, _ = model.W_stiff.isotropic_quad_parts(d)
-    scale2 = np.where(soft, (eps**2) * a_soft, a_stiff)  # multiplies |U P^{-1}|^2
-    drive = np.where(soft[:, None, None, None], eps * energies._matmul(L_soft, PinvT),
-                     energies._matmul(L_stiff, PinvT))
+    scale2 = s * s * np.where(soft, a_soft, a_stiff)  # multiplies |U P^{-1}|^2
+    drive = s[:, None, None, None] * np.where(soft[:, None, None, None], energies._matmul(L_soft, PinvT),
+                                              energies._matmul(L_stiff, PinvT))
     return _quadratic_y_system(grid, scale2, energies._matmul(Pinv, PinvT), drive)
 
 
@@ -178,7 +186,7 @@ def _solve_y(grid: Grid, K, f: np.ndarray, y0: np.ndarray, tol: float, max_iter:
 
 
 def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = None,
-               tol: float = 1e-10, max_iter: int = 10_000, force_descent: bool = False):
+               tol: float = Schedule.y_tol, max_iter: int = Schedule.y_iters, force_descent: bool = False):
     """Minimize the energy over the deformation at fixed plastic strain; the
     boundary values of ``y0`` (zero without it) are kept as Dirichlet data.
 
@@ -324,7 +332,7 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
 
 
 def minimize_P(domain, model, y: DeformationField, P0: PlasticField,
-               tol: float = 1e-7, max_iter: int = 10_000):
+               tol: float = Schedule.p_tol, max_iter: int = Schedule.p_iters):
     """Projected descent for the plastic strain at fixed deformation,
     preconditioned by ``energies.sobolev_metric`` (see ``_projected_descent``).
 

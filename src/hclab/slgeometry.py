@@ -519,13 +519,14 @@ def dissipation_distance(
     return best_value, PiecewisePath(nodes=best_nodes, converged=converged)
 
 
-def dissipation_distance_batch(P_bar: np.ndarray, P: np.ndarray, segments: int = 8) -> np.ndarray:
+def dissipation_distance_batch(P_bar: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Exp-curve quadrature of D on stacked pairs (upper-bound evaluation).
 
-    Along Phi(t) = P_bar exp(t L), L = log(P_bar^{-1} P), every segment costs
-    |exp(L/S) - I|; this is the iters = 0 path of dissipation_distance,
-    vectorized for field quadrature.
+    Along Phi(t) = P_bar exp(t L), L = log(P_bar^{-1} P), each of S = 8
+    segments costs |exp(L/S) - I|; this is the iters = 0 path of
+    ``dissipation_distance(segments=8)``, vectorized for field quadrature.
     """
+    segments = 8
     L = log_batch(np.linalg.solve(P_bar, P))
     step = exp_batch(L / segments) - np.eye(P.shape[-1])
     return segments * np.linalg.norm(step, axis=(-2, -1))

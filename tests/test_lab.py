@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hclab import lab
+from hclab.fields import DeformationField
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -197,7 +198,7 @@ def test_stock_report_matches_golden(config, tmp_path):
     solver tolerance (1e-8) but not last-ulp platform noise."""
     golden = Path(__file__).parent / "golden" / f"{config.stem.removesuffix('_study')}_report.csv"
     report = lab.run_convergence_study(lab.load_config(config))
-    got = lab.parse_report(lab.emit_report(report, formats=("csv",), outdir=tmp_path)["csv"])
+    got = lab.parse_report(lab.emit_report(report, outdir=tmp_path)["csv"])
     want = lab.parse_report(golden)
     assert len(got) == len(want)
     for got_row, want_row in zip(got, want):
@@ -299,6 +300,63 @@ def test_evaluate_acceptance(control_report):
     assert not all(ok for _, ok in checks)
 
 
+# A two-eps block4 study: gaps 0.32 and 0.18, unfolding residuals 0, recovery J0 0.014 under its bound 0.076.
+_BLOCK4_ACCEPTANCE = {"require_gap_decreasing": True, "max_final_gap": 0.25, "max_gap_all": 0.35,
+                      "max_unfold_resid": 1e-12, "recovery_bound": True}
+
+
+def _shift_the_reference(monkeypatch):
+    solve = lab.minimize.minimize_J_limit
+
+    def shifted(*args, **kwargs):
+        y, P, value, report = solve(*args, **kwargs)
+        return y, P, value + 10.0, report
+
+    monkeypatch.setattr(lab.minimize, "minimize_J_limit", shifted)
+
+
+def _perturb_one_unfolded_sample(monkeypatch):
+    unfold = lab.twoscale.unfold
+
+    def perturbed(domain, y):
+        field = unfold(domain, y)
+        field.samples[0, 0, 0] += 1e-6
+        return field
+
+    monkeypatch.setattr(lab.twoscale, "unfold", perturbed)
+
+
+def _large_recovery_field(monkeypatch):
+    build = lab.twoscale.build_recovery_sequence
+
+    def large(domain, w):
+        v = build(domain, w)
+        return DeformationField(v.grid, v.values + lab._random_field(v.grid, 0).values)
+
+    monkeypatch.setattr(lab.twoscale, "build_recovery_sequence", large)
+
+
+@pytest.mark.parametrize("perturb, failing", [
+    (None, set()),
+    (_shift_the_reference, {"gap_decreasing", "final_gap", "gap_all"}),
+    (_perturb_one_unfolded_sample, {"unfold_resid"}),
+    (_large_recovery_field, {"recovery_bound"}),
+], ids=["unperturbed", "reference", "unfolding", "recovery"])
+def test_each_acceptance_key_fails_on_a_perturbed_run(monkeypatch, perturb, failing):
+    """Each acceptance key fails when the quantity it checks is wrong, its
+    bound unchanged: a reference min J shifted by 10 fails the three gap
+    keys, one unfolded sample off by 1e-6 fails ``unfold_resid``, and a
+    recovery field plus a random field fails ``recovery_bound``.  The same
+    study unperturbed passes every key."""
+    if perturb is not None:
+        perturb(monkeypatch)
+    cfg = lab.StudyConfig(eps_list=[0.25, 0.125], acceptance=dict(_BLOCK4_ACCEPTANCE))
+    checks = lab.evaluate_acceptance(lab.run_convergence_study(cfg), cfg.acceptance)
+    assert [name for name, _ in checks] == ["gap_decreasing", "final_gap", "gap_all", "unfold_resid",
+                                            "recovery_bound", "converged"]
+    assert {name for name, ok in checks if not ok} == failing
+
+
 def test_acceptance_names_the_unconverged_solves(monkeypatch):
     """Every acceptance block ends with a ``converged`` check.  With one outer
     round the eps solve stops unconverged (the reference converges in one):
@@ -340,6 +398,16 @@ def test_config_tolerance_defaults_are_the_solvers_defaults():
                           "plastic": schedule.p_tol}
     assert lab.StudyConfig().quantization_step == cache.step
     assert lab.StudyConfig().toggles == lab.TOGGLE_DEFAULTS
+
+
+def test_a_study_builds_its_cell_once(monkeypatch):
+    """``validate`` hands the study the cell it built, so a study checks its
+    cell's connectivity once."""
+    built = []
+    build = lab.microgeometry.build_unit_cell
+    monkeypatch.setattr(lab.microgeometry, "build_unit_cell", lambda *args: built.append(args) or build(*args))
+    lab.run_convergence_study(lab.StudyConfig(eps_list=[0.25], toggles={"recovery_check": False}))
+    assert len(built) == 1
 
 
 class _Stop(Exception):
@@ -407,8 +475,22 @@ def test_cli_errors_exit_2_with_a_message(tmp_path, capsys):
     apart from exit 1 for a failed check."""
     bad_eps = tmp_path / "bad_eps.json"
     bad_eps.write_text(json.dumps({"eps_list": [0.3]}))
+    # mask files a config or the CLI names: a directory, bytes that are not text, and a pixel
+    # that is neither 0 nor 1, which must not count as stiff
+    mask_dir = tmp_path / "masks"
+    mask_dir.mkdir()
+    dir_mask = tmp_path / "dir_mask.json"
+    dir_mask.write_text(json.dumps({"geometry": {"mask_file": str(mask_dir)}}))
+    binary = tmp_path / "binary.mask"
+    binary.write_bytes(b"2 4\n\xff\xfe\x00\x01\n")
+    letter = tmp_path / "letter.mask"
+    letter.write_text("2 4\n0000\n000x\n0000\n0000\n")
     for argv, match in ((["study", "run", str(tmp_path / "missing.json")], "missing.json"),
                         (["study", "run", str(bad_eps)], "eps 0.3"),
+                        (["study", "run", str(dir_mask)], "cannot read cell mask"),
+                        (["geom", "check", str(mask_dir)], "cannot read cell mask"),
+                        (["geom", "check", str(binary)], "is not text"),
+                        (["geom", "check", str(letter)], "line 3 '000x'"),
                         (["cell", "qprime", "--F", "1,2,3"], "expected 4 entries"),
                         (["cell", "qprime", "--F", "nan,0,0,0", "--resolution", "4"], "must be finite"),
                         (["cell", "multicell", "--G", "1,0,0,inf"], "must be finite"),

@@ -155,7 +155,10 @@ def test_model_validation():
                           ({"r_K": math.nan}, "K_radius"), ({"r_K": math.inf}, "K_radius"),
                           ({"h0": math.nan}, "hardening"), ({"h1": math.inf}, "hardening"),
                           ({"gamma": math.nan}, "growth constants"), ({"gamma": math.inf}, "growth constants"),
-                          ({"gamma": 1e308}, "growth constants"), ({"twowell_amplitude": math.nan}, "growth")):
+                          ({"gamma": 1e308}, "growth constants"), ({"twowell_amplitude": math.nan}, "growth"),
+                          # min(1.0, nan) is 1.0, so the growth constants alone let a NaN delta through
+                          ({"soft": "twowell", "twowell_delta": math.nan}, "must be finite"),
+                          ({"soft": "twowell", "twowell_amplitude": math.inf}, "must be finite")):
         with pytest.raises(materials.MaterialError, match=match):
             materials.default_material(dim=2, **kwargs)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ def test_full_column_disconnects_2d():
     mask = np.zeros((4, 4), dtype=bool)
     mask[:, 1] = True
     with pytest.raises(mg.DisconnectedMatrix):
-        mg.build_unit_cell(2, 4, mask)
+        mg.build_unit_cell(mask)
 
 
 def test_fiber_3d_accepted():
@@ -32,16 +33,30 @@ def test_fiber_3d_accepted():
 
 def test_all_soft_rejected_all_stiff_degenerate():
     with pytest.raises(mg.EmptyPhase):
-        mg.build_unit_cell(2, 4, np.ones((4, 4), dtype=bool))
-    cell = mg.build_unit_cell(2, 4, np.zeros((4, 4), dtype=bool))
+        mg.build_unit_cell(np.ones((4, 4), dtype=bool))
+    cell = mg.build_unit_cell(np.zeros((4, 4), dtype=bool))
     assert cell.degenerate
+
+
+def test_a_cell_is_its_mask():
+    """The mask is the cell's one field; its dimension, resolution, volumes
+    and degeneracy are read off it, and cells hash by identity."""
+    mask = np.zeros((5, 5, 5), dtype=bool)
+    mask[1:3, 1:3, :] = True
+    cell = mg.build_unit_cell(mask)
+    assert [f.name for f in dataclasses.fields(mg.CellGeometry)] == ["soft_mask"]
+    assert (cell.dim, cell.resolution, cell.vol_soft, cell.vol_stiff, cell.degenerate) == (
+        3, 5, Fraction(4, 25), Fraction(21, 25), False)
+    assert not cell.soft_mask.flags.writeable
+    twin = mg.build_unit_cell(mask.copy())
+    assert twin != cell and len({cell, twin}) == 2
 
 
 def test_bad_mask_shape():
     with pytest.raises(mg.GeometryError):
-        mg.build_unit_cell(2, 4, np.zeros((4, 3), dtype=bool))
+        mg.build_unit_cell(np.zeros((4, 3), dtype=bool))
     with pytest.raises(mg.GeometryError):
-        mg.build_unit_cell(4, 4, np.zeros((4, 4, 4, 4), dtype=bool))
+        mg.build_unit_cell(np.zeros((4, 4, 4, 4), dtype=bool))
 
 
 def test_mask_file_roundtrip(tmp_path):
@@ -55,7 +70,8 @@ def test_mask_file_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["", "2\n", "x 4\n", "4 2\n00\n00\n", "2 4\n0000\n0110\n",
-                                  "2 2\n00\n000\n", "2 2\n0\n00\n"])
+                                  "2 2\n00\n000\n", "2 2\n0\n00\n",
+                                  "2 2\n0x\n00\n"])  # only 0 and 1 are pixels
 def test_malformed_mask_file_is_a_geometry_error(tmp_path, text):
     path = tmp_path / "bad.mask"
     path.write_text(text)
@@ -104,7 +120,7 @@ def _off_centre_cells():
     mask2[1:3, 2] = mask2[2, 3] = True  # box [1, 3) x [2, 4)
     mask3 = np.zeros((5, 5, 5), dtype=bool)
     mask3[0:2, 1, 2] = mask3[1, 2, 2:4] = True  # box [0, 2) x [1, 3) x [2, 4)
-    return [mg.build_unit_cell(2, 5, mask2), mg.build_unit_cell(3, 5, mask3)]
+    return [mg.build_unit_cell(mask2), mg.build_unit_cell(mask3)]
 
 
 def test_translation_set_matches_enumeration_oracle():
@@ -177,8 +193,9 @@ def test_phase_indicator_basics():
     assert mg.phase_indicator(domain, 0, [0.01, 0.5]) == 0
     # center of an admitted inclusion pixel
     assert mg.phase_indicator(domain, 0, [0.375, 0.375]) == 1
-    with pytest.raises(mg.OutOfDomain):
-        mg.phase_indicator(domain, 0, [1.5, 0.5])
+    for point in ([1.5, 0.5], [math.nan, 0.5], [0.5, math.nan]):  # NaN must fail the range test
+        with pytest.raises(mg.OutOfDomain):
+            mg.phase_indicator(domain, 0, point)
     with pytest.raises(mg.GeometryError):
         mg.phase_indicator(domain, 2, [0.5, 0.5])
 

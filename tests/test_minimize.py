@@ -329,6 +329,34 @@ def test_y_system_matches_generic_numpy_reference(name, n_cells, rel):
     assert np.abs(f - f_ref).max() <= rel * np.abs(f_ref).max()
 
 
+@pytest.mark.parametrize("name, n_cells", [("block4", 3), ("block4", 4), ("fiber3d", 3)])
+def test_soft_contrast_is_read_from_the_domain_bit_for_bit(name, n_cells, monkeypatch):
+    """The energy's factor of grad y and the y-step's coefficients both come
+    from ``MicroDomain.contrast`` s and equal, bit for bit, the phase-branched
+    forms eps on soft and 1 on stiff elements, eps**2 a_soft and
+    eps L_soft P^-T against a_stiff and L_stiff P^-T: s s is eps eps or 1,
+    and 1 times x is x."""
+    cell = mg.builtin_cell(name)
+    domain = mg.build_micro_domain(cell, n_cells, strip=0.5)
+    model = materials.default_material(dim=cell.dim)
+    grid, eps, d, soft = domain.grid, domain.eps, domain.dim, domain.soft_elements
+    assert not domain.contrast.flags.writeable
+    assert np.array_equal(domain.contrast, np.where(soft, eps, 1.0))
+    assert energies.FixedY(domain, DeformationField.zero(grid)).scale.base is domain.contrast
+
+    rng = np.random.default_rng(7)
+    P = PlasticField(grid, 0.2 * rng.standard_normal((grid.n_nodes, d * d - 1)), model.K_radius)
+    seen = {}
+    monkeypatch.setattr(mz, "_quadratic_y_system", lambda grid, scale, A, b: seen.update(scale=scale, b=b))
+    mz._assemble_y_system(domain, model, P)
+    PinvT = np.swapaxes(energies._inv_batch(grid.gauss_values(P.matrices())), -1, -2)
+    a_soft, L_soft, _ = model.W_soft_family.isotropic_quad_parts(eps, d)
+    a_stiff, L_stiff, _ = model.W_stiff.isotropic_quad_parts(d)
+    assert np.array_equal(seen["scale"], np.where(soft, (eps**2) * a_soft, a_stiff))
+    assert np.array_equal(seen["b"], np.where(soft[:, None, None, None], eps * energies._matmul(L_soft, PinvT),
+                                              energies._matmul(L_stiff, PinvT)))
+
+
 def test_cg_matches_scipy_cg_with_a_diagonal_preconditioner(setup):
     """``_cg``'s entrywise Jacobi scaling gives scipy's CG with
     M = diags(1 / diag K) bit for bit, with the same iteration count."""
