@@ -21,13 +21,15 @@ banded Cholesky against those columns, which gives the d x d matrix Q,
 and the cell energy vol W(F R) - 1/2 tr(D Q D^T) with D = W'(F R) R^T is a
 quadratic form in F whose one closed form is ``_cell_tensor``.  The limit
 functional uses the fast path only.  A ``JLimitPass`` is one assembly of it
-at (y, P): its ``energies.PlasticPass`` takes the one principal log of the
-Gauss matrices of P, which keys the cache and gives the hardening, and the
-pass keeps what its P-gradient needs, so the gradient of an assembled point
-is finished without a second pass.  The data that depend on y alone are a
-``FixedYLimit``, which the limit P-step builds once: grad y at the Gauss
-points and, per lattice key, the stiff energy of its cell tensor there, so
-that a trial point gathers its stiff term and its slopes from those rows.
+at (y, P): it takes the one principal log of the Gauss matrices of P, which
+keys the cache as the y-step's ``HomDensityCache.quantize`` does, while its
+``energies.PlasticPass`` reads the hardening at the interpolated log
+coordinates as J_eps does; the pass keeps what its P-gradient needs, so the
+gradient of an assembled point is finished without a second pass.  The data
+that depend on y alone are a ``FixedYLimit``, which the limit P-step builds
+once: grad y at the Gauss points and, per lattice key, the stiff energy of
+its cell tensor there, so that a trial point gathers its stiff term and its
+slopes from those rows.
 
 The stiff window of a (cell, resolution, lam) and the soft window of a
 (cell, resolution, formulation), each a grid with its active and free masks
@@ -544,9 +546,13 @@ class JLimitPass:
         d = grid.dim
         self.cache, self.fixed = cache, fixed
         self.plastic = plastic = PlasticPass(model, P)
+        self.Pg = grid.gauss_values(plastic.Pn)
 
-        # stiff density through the quadratic fast path (per unique quantized G)
-        self.keys, self.inverse = cache.quantize_logs(plastic.logs.reshape(-1, d, d))
+        # stiff density through the quadratic fast path (per unique quantized G),
+        # keyed on the principal log of each Gauss value of P, as the y-step's
+        # ``HomDensityCache.quantize`` keys it
+        logs, _ = slgeometry.log_and_adjoint(self.Pg)
+        self.keys, self.inverse = cache.quantize_logs(logs.reshape(-1, d, d))
         w1_vals = fixed.stiff(self.keys, self.inverse)
         soft_vals = np.array([0.0 if cell.degenerate else cache.qprime(cell, model.W_soft_limit, key).value
                               for key in self.keys])[self.inverse]
@@ -582,9 +588,9 @@ class JLimitPass:
         shifts = np.eye(keys.shape[1], dtype=np.int64)
         slopes = np.array([stiff_at(s) - stiff_at(-s) for s in shifts]) / (2.0 * self.cache.step)
         dlog = np.einsum("ap,aij->pij", slopes, slgeometry.sl_basis(plastic.P.grid.dim))
-        # the public adjoint, not the pass's closure: in 2D this is its only caller, and
-        # perfbench's per-layer counters read its calls
-        sens = slgeometry.log_frechet_adjoint(plastic.Pg, dlog.reshape(plastic.Pg.shape))
+        # the public adjoint: in 2D this is its only caller, and perfbench's
+        # per-layer counters read its calls
+        sens = slgeometry.log_frechet_adjoint(self.Pg, dlog.reshape(self.Pg.shape))
         return plastic.gradient(sens)
 
 

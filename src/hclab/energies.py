@@ -8,10 +8,17 @@ The total energy of a state (y, P) on the eps-composite is
 
 with the contrast factor eps multiplying grad(y) only in the soft term
 (``MicroDomain.contrast``, which the quadratic y-step of ``minimize`` reads
-too).
+too).  P is stored by its nodal log coordinates m_n (``PlasticField``), and
+the hardening is read at their interpolant m_g = sum_n N_n(x_g) m_n:
+H_g = h0 + h1 |m_g|^2.  Its integral is the quadratic form
+h0 |Omega| + h1 sum_k m_k^T M m_k with the mass matrix M (``Grid.mass``),
+booked per phase, so no matrix log is taken in J_eps.  |m_g| <= r_K at every
+Gauss point, because m_g is a convex combination of nodal coordinates in the
+convex K ball.  The elastic terms and |grad P|^q read the interpolant of the
+nodal values P_n = exp(m_n).
 Gradients with respect to the nodal deformation values and the nodal log
-coordinates of P are assembled analytically; the exponential and logarithm
-differentials enter through their closed-form adjoints.
+coordinates of P are assembled analytically; the differential of the
+exponential enters through its closed-form adjoint at the nodes.
 
 The internal variable enters both functionals alike: the hardening H(P) and
 |grad P|^q pass to the homogenized limit unchanged.  So their terms are one
@@ -21,18 +28,24 @@ The internal variable enters both functionals alike: the hardening H(P) and
 nodal log coordinates together with the P-only terms' own.
 
 A ``JEpsPass`` is one assembly at (y, P): it computes the energy and keeps
-the per-Gauss arrays (the inverse of P, F and its plastic pass) from which
-its gradient is finished on request, handing -F^T W'(F) P^{-T} of both
-phases to the plastic pass; a full gradient makes three scatters.
+the per-Gauss arrays its gradient reads, the inverse of P and F, beside the
+plastic pass's nodal values of P and per-Gauss scalars.  Its gradient is
+finished on request: it hands -F^T W'(F) P^{-T} of both phases to the
+plastic pass after releasing W'(F) and W'(F) P^{-T}, so at the gradient's
+peak a 2D pass holds about six arrays of the size of one (E, g, d, d) Gauss
+array.  A full gradient makes two scatters and one product with the
+plastic pass's lagged Laplacian.
 ``assemble_J_eps`` and ``value_and_grad_J_eps`` are thin wrappers over that
 pass.  The Gauss data that depend on y alone are a ``FixedY``, which the
 P-step of ``minimize`` builds once and passes as y: every trial point is
 then valued by one pass, and at the point the line search accepts,
 ``value_and_grad_J_eps`` finishes the gradient of the pass the FixedY kept
 instead of assembling that point a second time.  ``sobolev_metric`` builds
-the P-step's metric from the same kept pass.  ``dissipation_integral`` is the
-quadrature of the dissipation distance D(P_bar, P) over one phase; it is a
-report column, not a term of either functional.
+the P-step's metric from the same kept pass: the Laplacian its gradient
+built plus 2 h1 M, the exact Hessian of the hardening.
+``dissipation_integral`` is the quadrature of the dissipation distance
+D(P_bar, P) over one phase; it is a report column, not a term of either
+functional.
 
 For d = 2 the stacked 2x2 products and inverses are written entrywise.
 Reductions are plain numpy sums (pairwise) and the grid's CSR scatters sum
@@ -43,6 +56,7 @@ bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,36 +115,58 @@ def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 class PlasticPass:
-    """The terms of one P shared by J_eps and J_limit: ``Pg`` (E, g, d, d),
-    the Gauss values of P, with their principal ``logs`` and ``log_adjoint``;
-    ``gradP`` (E, g, d, d, k) and its squared norms ``qn``; the per-Gauss
-    ``hardening``; and ``grad_P_term``, the integral of |grad P|^q."""
+    """The terms of one P shared by J_eps and J_limit: ``Pn`` (n_nodes, d, d),
+    the nodal values of P; ``qn`` (E, g), the squared norms of grad P at the
+    Gauss points; the per-Gauss ``hardening``; and ``grad_P_term``, the
+    integral of |grad P|^q.  Callers that need the Gauss values of P
+    interpolate ``Pn`` themselves; the pass keeps neither them nor grad P.
+
+    The hardening is read at the interpolated log coordinates
+    m_g = sum_n N_n(x_g) m_n, H_g = h0 + h1 |m_g|^2, so no matrix log is
+    taken: its integral is the quadratic form h0 |Omega| + h1 sum_k m_k^T M m_k
+    with the mass matrix M (``Grid.mass``), booked per phase, and its
+    gradient is 2 h1 M m in the coefficients.  As m_g is a convex combination
+    of nodal coefficients in the K ball, |m_g| <= r_K at every Gauss point.
+    The continuum H is unchanged; the quadrature differs from h1 |log P_g|^2
+    of the interpolated P by O(h^2 |grad m|^2), a change of quadrature type
+    like mass lumping (the exponential-map parametrisation of Simo 1992 and
+    Miehe 1996)."""
 
     def __init__(self, model, P: PlasticField):
         grid = P.grid
         self.model, self.P = model, P
-        Pn = P.matrices()
-        self.Pg = grid.gauss_values(Pn)
-        self.gradP = grid.gauss_gradients(Pn)
-        self.logs, self.log_adjoint = slgeometry.log_and_adjoint(self.Pg)
-        self.qn = np.einsum("egijk,egijk->eg", self.gradP, self.gradP)
-        self.hardening = model.hardening(self.logs)
+        # H at the interpolated log coordinates m_g, as their trace-free matrices
+        self.hardening = model.hardening(slgeometry.coeffs_to_matrices(grid.gauss_values(P.coeffs), grid.dim))
+        self.Pn = P.matrices()
+        gradP = grid.gauss_gradients(self.Pn)
+        self.qn = np.einsum("egijk,egijk->eg", gradP, gradP)
         self.grad_P_term = grid.integrate(self.qn ** (model.q / 2.0))
+
+    @cached_property
+    def laplacian(self):
+        """The lagged (Kacanov) operator sum_g w q |grad P_g|^(q-2) dN_g dN_g^T
+        of |grad P|^q at this P, sparse (n_nodes, n_nodes): applied to the
+        nodal values ``Pn`` it gives their gradient q |T|^(q-2) T scattered
+        by grad N.  Since q > d >= 2 the weight is finite, and 0 where
+        grad P = 0.  Built on first use and kept with the pass."""
+        grid, q = self.P.grid, self.model.q
+        dNdN = np.einsum("gnk,gmk->gnm", grid.dN_gauss, grid.dN_gauss).reshape(grid.n_gauss, -1)
+        blocks = (grid.quad_weight * q * self.qn ** ((q - 2.0) / 2.0)) @ dNdN
+        return grid.stiffness(blocks.reshape(-1, grid.n_corners, grid.n_corners))
 
     def gradient(self, dP: np.ndarray) -> np.ndarray:
         """Gradient with respect to the nodal log coefficients of P, given the
         per-Gauss cotangent ``dP`` (E, g, d, d) of the values of P from the
-        other terms.  With the hardening's 2 h1 (Dlog_P)^*(log P) added, it
-        and d/dT |T|^q = q |T|^{q-2} T of the gradients are scattered once
-        each, then pulled back by the adjoint differential of the exponential
-        at the nodes and projected onto the sl(d) basis."""
+        other terms.  ``dP`` scattered to the nodes and the |grad P|^q term's
+        ``laplacian @ Pn`` are pulled back by the adjoint differential of the
+        exponential at the nodes and projected onto the sl(d) basis; the
+        hardening's 2 h1 M m is added in the coefficients."""
         model, grid = self.model, self.P.grid
-        R_nodes = np.zeros((grid.n_nodes, grid.dim, grid.dim))
-        grid.accumulate_from_values(2.0 * model.h1 * self.log_adjoint(self.logs) + dP, R_nodes)
-        fac = model.q * np.power(np.maximum(self.qn, 1e-300), (model.q - 2.0) / 2.0)
-        grid.accumulate_from_gradients(fac[..., None, None, None] * self.gradP, R_nodes)
+        R_nodes = (self.laplacian @ self.Pn.reshape(grid.n_nodes, -1)).reshape(self.Pn.shape)
+        grid.accumulate_from_values(dP, R_nodes)
         adj = slgeometry.exp_frechet_adjoint(self.P.log_matrices(), R_nodes)
-        return np.einsum("nij,kij->nk", adj, slgeometry.sl_basis(grid.dim))
+        grad = np.einsum("nij,kij->nk", adj, slgeometry.sl_basis(grid.dim))
+        return grad + 2.0 * model.h1 * (grid.mass @ self.P.coeffs)
 
 
 class FixedY:
@@ -179,14 +215,12 @@ class JEpsPass:
         self.soft_els, self.stiff_els = soft_els, stiff_els = fixed.soft_els, fixed.stiff_els
         self.model, self.P = model, P
         self.plastic = plastic = PlasticPass(model, P)
-        self.Pinv = _inv_batch(plastic.Pg)
+        self.Pinv = _inv_batch(grid.gauss_values(plastic.Pn))
 
         self.F = self.scale * _matmul(fixed.G, self.Pinv)
-        self.F_soft = self.F[soft_els]
-        self.F_stiff = self.F[stiff_els]
         self.breakdown = EnergyBreakdown.from_parts(
-            soft_elastic=grid.integrate(model.W_soft_family.value(self.eps, self.F_soft)),
-            stiff_elastic=grid.integrate(model.W_stiff.value(self.F_stiff)),
+            soft_elastic=grid.integrate(model.W_soft_family.value(self.eps, self.F[soft_els])),
+            stiff_elastic=grid.integrate(model.W_stiff.value(self.F[stiff_els])),
             hardening_soft=grid.integrate(plastic.hardening, element_mask=soft_els),
             hardening_stiff=grid.integrate(plastic.hardening, element_mask=stiff_els),
             grad_P_term=plastic.grad_P_term,
@@ -194,16 +228,21 @@ class JEpsPass:
 
     def gradient(self) -> GradJEps:
         """Gradient with respect to all degrees of freedom; per-Gauss
-        cotangents of both phases, each scattered once."""
+        cotangents of both phases, each scattered once.  W'(F) and W'(F) P^{-T}
+        are released before the plastic pass's gradient runs."""
         model, y, grid = self.model, self.y, self.y.grid
         Wp = np.empty_like(self.F)
-        Wp[self.soft_els], crease = model.W_soft_family.grad(self.eps, self.F_soft, return_crease=True)
-        Wp[self.stiff_els] = model.W_stiff.grad(self.F_stiff)
+        Wp[self.soft_els], crease = model.W_soft_family.grad(self.eps, self.F[self.soft_els], return_crease=True)
+        Wp[self.stiff_els] = model.W_stiff.grad(self.F[self.stiff_els])
         WpPinvT = _matmul(Wp, np.swapaxes(self.Pinv, -1, -2))
+        del Wp
+        dP = _matmul(np.swapaxes(self.F, -1, -2), WpPinvT)
+        dP *= -1.0
+        WpPinvT *= self.scale
         grad_y = np.zeros_like(y.values)
-        grid.accumulate_from_gradients(self.scale * WpPinvT, grad_y)
-        grad_m = self.plastic.gradient(-_matmul(np.swapaxes(self.F, -1, -2), WpPinvT))
-        return GradJEps(grad_y=grad_y, grad_m=grad_m, crease_count=crease)
+        grid.accumulate_from_gradients(WpPinvT, grad_y)
+        del WpPinvT
+        return GradJEps(grad_y=grad_y, grad_m=self.plastic.gradient(dP), crease_count=crease)
 
 
 def _pass(domain, model, y, P: PlasticField) -> JEpsPass:
@@ -238,22 +277,19 @@ def sobolev_metric(domain, model, y, P: PlasticField):
     """The metric of the composite P-step at (y, P): the sparse scalar nodal
     operator
 
-        H = sum_g w [2 h1 N_g N_g^T + q |grad P_g|^(q-2) dN_g dN_g^T],
+        H = 2 h1 M + sum_g w q |grad P_g|^(q-2) dN_g dN_g^T,
 
-    which acts alike on each sl-coefficient column.  Its mass part is the
-    exact Hessian of the hardening at P = I in the orthonormal ``sl_basis``
-    coordinates; the weighted Laplacian is the lagged-diffusivity (Kacanov)
-    linearisation of |grad P|^q at this pass's grad P.  Since q > d >= 2 the
-    weight is finite, and 0 where grad P = 0.  ``y`` as in
+    which acts alike on each sl-coefficient column.  Its mass part 2 h1 M
+    (``Grid.mass``) is the exact Hessian of the hardening at every P in the
+    orthonormal ``sl_basis`` coordinates, since the hardening is read at the
+    interpolated log coordinates (``PlasticPass``); the weighted Laplacian is
+    the pass's ``laplacian``, the lagged-diffusivity (Kacanov) linearisation
+    of |grad P|^q at this pass's grad P.  ``y`` as in
     ``value_and_grad_J_eps``: the latest pass of a FixedY at this P is reused.
     """
     point = _pass(domain, model, y, P)
     grid = point.y.grid
-    mass = 2.0 * model.h1 * np.einsum("gn,gm->nm", grid.N_gauss, grid.N_gauss)
-    dNdN = np.einsum("gnk,gmk->gnm", grid.dN_gauss, grid.dN_gauss).reshape(grid.n_gauss, -1)
-    lagged = model.q * point.plastic.qn ** ((model.q - 2.0) / 2.0)  # (E, g)
-    blocks = (lagged @ dNdN).reshape(-1, grid.n_corners, grid.n_corners) + mass
-    return grid.stiffness(grid.quad_weight * blocks)
+    return grid.operator(point.plastic.laplacian.data + 2.0 * model.h1 * grid.mass.data)
 
 
 def dissipation_integral(domain, P_bar: PlasticField, P: PlasticField, phase: int) -> float:

@@ -28,14 +28,16 @@ The same cache entry holds the CSR pattern of the shape's nodal operators
 (``Grid.stiffness``) and a CSR assembly matrix of ones that sums the
 element-block entries into the pattern's slots, 12 4^d bytes per element
 plus row pointers: 1.1 MB at 64^2 elements, 4.1 MB at 16^3.  Each operator
-computes only its values, as one product with that matrix.
+computes only its values, as one product with that matrix, and operators of
+one shape combine by their values (``Grid.operator``).  A grid builds its
+mass matrix (``Grid.mass``) on first use and keeps it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -252,12 +254,27 @@ class Grid:
         out blocks count as zero).  Only the values are computed per call,
         each the sum of its block entries in element order; the read-only
         ``indptr`` and ``indices`` are shared by every operator of the shape."""
+        return self.operator(self._operators().assembly @ self._all_elements(blocks, element_mask).reshape(-1))
+
+    def operator(self, values: np.ndarray) -> scipy.sparse.csr_matrix:
+        """The nodal operator with ``values`` in the slots of the grid shape's
+        CSR pattern.  Operators that ``stiffness`` built on this shape share
+        that pattern, so a linear combination of them is the operator of the
+        same combination of their ``data``, with no new index arrays."""
         ops = self._operators()
-        data = ops.assembly @ self._all_elements(blocks, element_mask).reshape(-1)
-        K = scipy.sparse.csr_matrix((data, ops.stiffness_indices, ops.stiffness_indptr),
+        K = scipy.sparse.csr_matrix((values, ops.stiffness_indices, ops.stiffness_indptr),
                                     shape=(self.n_nodes, self.n_nodes))
         K.has_canonical_format = True
         return K
+
+    @cached_property
+    def mass(self) -> scipy.sparse.csr_matrix:
+        """The mass matrix sum_g w N_g N_g^T of the multilinear interpolant,
+        (n_nodes, n_nodes); m^T M m is the integral of the squared
+        interpolant of m, exactly (the Gauss rule integrates it exactly).
+        Built on first use and kept with the grid."""
+        block = self.quad_weight * self.N_gauss.T @ self.N_gauss
+        return self.stiffness(np.broadcast_to(block, (self.n_elements,) + block.shape))
 
     def integrate(self, per_gauss: np.ndarray, element_mask=None) -> float:
         """Integral of a per-(element, gauss) scalar sample over the (masked) elements."""

@@ -13,8 +13,10 @@ number in a config is finite, and every tolerance positive.
 The solver defaults are not stated here: ``TOLERANCE_DEFAULTS`` reads them
 from ``minimize.Schedule`` and ``cellproblems.CELL_TOL``, the default
 ``quantization_step`` is ``cellproblems.LATTICE_STEP`` and the CLI's
-``--resolution`` is ``cellproblems.CELL_RESOLUTION``.  ``StudyConfig.validate``
-returns the cell and model it built, so a study builds each once, and one
+``--resolution`` is ``cellproblems.CELL_RESOLUTION``; the audit's
+``--samples`` is ``materials.AUDIT_SAMPLES``.  ``StudyConfig.validate``
+returns the cell and model it built, so a study builds each once (``hclab
+study run`` applies its overrides before that one validation), and one
 reader, ``_build_cell``, turns a config's geometry block or a CLI cell
 argument into a cell, with an unreadable mask file an ``IoFailure``.
 """
@@ -181,6 +183,14 @@ class StudyConfig:
 
 
 def load_config(path) -> StudyConfig:
+    """The validated study config of a JSON file."""
+    cfg = _read_config(path)
+    cfg.validate()
+    return cfg
+
+
+def _read_config(path) -> StudyConfig:
+    """The study config of a JSON file, its keys checked but not validated."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -193,9 +203,7 @@ def load_config(path) -> StudyConfig:
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}; known keys: {', '.join(known)}")
-    cfg = StudyConfig(**data)
-    cfg.validate()
-    return cfg
+    return StudyConfig(**data)
 
 
 def _build_cell(geometry: dict) -> microgeometry.CellGeometry:
@@ -522,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser("audit", help="assumption audits")
     audit_sub = audit.add_subparsers(dest="audit_command", required=True)
     am = audit_sub.add_parser("model", help="audit the standing assumptions of a model")
-    am.add_argument("--samples", type=int, default=10_000)
+    am.add_argument("--samples", type=int, default=materials.AUDIT_SAMPLES)
     am.add_argument("--seed", type=int, default=0)
     am.add_argument("--gamma", type=float, default=1.0)
     am.add_argument("--soft", default="convex", choices=["convex", "twowell"])
@@ -552,7 +560,8 @@ def main(argv=None) -> int:
 
 def _run_command(args) -> int:
     if args.command == "study" and args.study_command == "run":
-        config = load_config(args.config)
+        # validated once, with the overrides applied, by run_convergence_study
+        config = _read_config(args.config)
         if args.seed is not None:
             config.seed = args.seed
         if args.output_dir is not None:

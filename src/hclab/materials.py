@@ -181,9 +181,10 @@ class MaterialModel:
         return self.hardening_params[1]
 
     def hardening(self, logs: np.ndarray) -> np.ndarray:
-        """H = h0 + h1 |log P|^2 from the principal logs (..., d, d) of P,
-        without the K indicator (assembly path: fields are confined to K by
-        construction, so the indicator never fires)."""
+        """H = h0 + h1 |log P|^2 from the logs (..., d, d) of P, without the
+        K indicator.  The assembly passes the interpolated log coordinates
+        at the Gauss points (``energies.PlasticPass``); they lie in the K
+        ball by convexity, so the indicator never fires."""
         return self.h0 + self.h1 * _fro2(logs)
 
 
@@ -243,6 +244,10 @@ def eval_hardening(model: MaterialModel, P) -> float:
     return float(model.hardening(logs))
 
 
+# the audit's default sample count, which ``hclab audit model --samples`` reads too
+AUDIT_SAMPLES = 10_000
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     """Worst-case violation margins of the standing assumptions; >= 0 means pass."""
@@ -269,7 +274,7 @@ def _sample_matrices(rng, count, dim, radius):
     return out
 
 
-def audit_assumptions(model: MaterialModel, sample_count: int = 10_000, seed: int = 0) -> AssumptionReport:
+def audit_assumptions(model: MaterialModel, sample_count: int = AUDIT_SAMPLES, seed: int = 0) -> AssumptionReport:
     """Sample-based audit of the growth, Lipschitz, convergence and
     compactness assumptions, with the model's claimed constants.
 

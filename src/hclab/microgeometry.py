@@ -129,9 +129,11 @@ def build_unit_cell(soft_mask) -> CellGeometry:
     must be edge-connected inside the cell and its periodic extension must
     be connected, which is checked on a 3^d block of copies.  An all-soft
     mask is rejected; an all-stiff mask is accepted and flagged degenerate
-    (homogeneous control medium).
+    (homogeneous control medium).  The cell keeps a read-only copy of the
+    mask, so the caller's array stays writable and later edits to it do not
+    reach the cell.
     """
-    mask = np.asarray(soft_mask, dtype=bool)
+    mask = np.array(soft_mask, dtype=bool)
     if mask.ndim not in (2, 3):
         raise GeometryError(f"dim must be 2 or 3, got {mask.ndim}")
     if len(set(mask.shape)) != 1:

@@ -323,6 +323,7 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
         prev_m, prev_g = m, grad
         m, breakdown, finish = found
         val = breakdown.total
+        H = None  # release the previous point's metric before building this one's
         grad, H = finished(finish)
         trace.append(val)
     report = SolveReport(final_value=val, energy_trace=trace, inner_iterations=[it],

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from hclab import energies, materials, microgeometry as mg
+from hclab import energies, materials, microgeometry as mg, slgeometry as sg
 from hclab.energies import EnergyBreakdown
 from hclab.fields import DeformationField, Grid, GridMismatch, PlasticField
 
@@ -74,9 +75,9 @@ def _brute_force_total(domain, model, y, P):
                     W = float(model.W_soft_family.value(domain.eps, domain.eps * G @ Pinv))
                 else:
                     W = float(model.W_stiff.value(G @ Pinv))
-                import scipy.linalg
-
-                H = model.h0 + model.h1 * np.linalg.norm(scipy.linalg.logm(Pg)) ** 2
+                # the hardening at the interpolated log coordinates of P
+                m = sum(N[i] * P.coeffs[n] for i, n in enumerate(nodes))
+                H = model.h0 + model.h1 * float(m @ m)
                 qv = np.sum(gradP * gradP) ** (model.q / 2.0)
                 total += (W + H + qv) * 0.25 * grid.h**2
     return total
@@ -311,3 +312,69 @@ def test_sobolev_metric_is_hardening_hessian_at_identity_and_spd(setup):
     dense = H_P.toarray()
     assert np.array_equal(dense, dense.T)
     assert np.linalg.eigvalsh(dense).min() > 0.0
+
+
+@pytest.mark.parametrize("cell_name", ["block4", "fiber3d"])
+def test_composite_pass_takes_no_matrix_log(cell_name, monkeypatch):
+    """A JEpsPass value, its gradient and the P-step metric call none of the
+    log kernels: the hardening reads the interpolated log coordinates."""
+    cell = mg.builtin_cell(cell_name)
+    dim = cell.dim
+    domain = mg.build_micro_domain(cell, 4 if dim == 2 else 3, strip=0.5)
+    model = materials.default_material(dim=dim)
+    grid = domain.grid
+    rng = np.random.default_rng(21)
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, dim)))
+    P = PlasticField(grid, 0.1 * rng.standard_normal((grid.n_nodes, dim * dim - 1)), model.K_radius)
+    calls = []
+    for name in ("log_batch", "log_and_adjoint", "log_frechet_adjoint"):
+        kernel = getattr(sg, name)
+        monkeypatch.setattr(sg, name, lambda *args, _name=name, _kernel=kernel: calls.append(_name) or _kernel(*args))
+    fixed = energies.FixedY(domain, y)
+    bd = energies.assemble_J_eps(domain, model, fixed, P)
+    g = energies.value_and_grad_J_eps(domain, model, fixed, P)[1]
+    energies.sobolev_metric(domain, model, fixed, P)
+    assert calls == []
+    assert np.isfinite(bd.total) and np.abs(g.grad_m).max() > 0.0
+
+
+def test_hardening_is_the_mass_quadratic_form(setup):
+    """The booked hardening of both phases is h0 |Omega| + h1 sum_k m_k^T M m_k
+    in the nodal log coordinates, with M the grid's mass matrix, and the
+    P-step metric's mass part is its Hessian 2 h1 M at a rough P too."""
+    cell, domain, model, grid = setup
+    rng = np.random.default_rng(22)
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
+    P = PlasticField(grid, 0.5 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
+    bd = energies.assemble_J_eps(domain, model, y, P)
+    quadratic = model.h0 + model.h1 * float(np.sum(P.coeffs * (grid.mass @ P.coeffs)))
+    assert bd.hardening_soft + bd.hardening_stiff == pytest.approx(quadratic, rel=1e-12)
+    H = energies.sobolev_metric(domain, model, y, P)
+    laplacian = energies.PlasticPass(model, P).laplacian
+    assert np.abs((H - laplacian - 2.0 * model.h1 * grid.mass).toarray()).max() <= 1e-15 * np.abs(H.data).max()
+
+
+def test_composite_gradient_peak_memory_is_bounded():
+    """One fresh value_and_grad_J_eps on the 64 x 64 block4 composite
+    (eps = 1/16) peaks below 8 arrays of the size of one (E, g, d, d) Gauss
+    array, measured by tracemalloc after a first call has built the grid's
+    cached operators.  It measured 6.4 such arrays."""
+    cell = mg.builtin_cell("block4")
+    domain = mg.build_micro_domain(cell, 16, strip=0.5)
+    model = materials.default_material(dim=2)
+    grid = domain.grid
+    assert grid.n_el == 64
+    rng = np.random.default_rng(3)
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
+    P = PlasticField(grid, 0.1 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
+    first = energies.value_and_grad_J_eps(domain, model, y, P)
+    gauss_array = grid.n_elements * grid.n_gauss * 2 * 2 * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        again = energies.value_and_grad_J_eps(domain, model, y, P)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert again[0] == first[0] and np.array_equal(again[1].grad_m, first[1].grad_m)
+    assert peak <= 8 * gauss_array

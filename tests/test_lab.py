@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from dataclasses import fields
@@ -408,6 +409,25 @@ def test_a_study_builds_its_cell_once(monkeypatch):
     monkeypatch.setattr(lab.microgeometry, "build_unit_cell", lambda *args: built.append(args) or build(*args))
     lab.run_convergence_study(lab.StudyConfig(eps_list=[0.25], toggles={"recovery_check": False}))
     assert len(built) == 1
+
+
+def test_study_run_through_the_cli_builds_its_cell_once(monkeypatch, tmp_path):
+    """``hclab study run`` applies its overrides before the one validation,
+    so a study run through the CLI builds its cell once too."""
+    built = []
+    build = lab.microgeometry.build_unit_cell
+    monkeypatch.setattr(lab.microgeometry, "build_unit_cell", lambda *args: built.append(args) or build(*args))
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({"eps_list": [0.25, 0.125], "toggles": {"recovery_check": False}}))
+    assert lab.main(["study", "run", str(config), "--eps", "0.25", "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(built) == 1
+    assert lab.parse_report(tmp_path / "out" / "report.csv")[-1]["eps"] == 0.25
+
+
+def test_cli_audit_samples_default_is_the_librarys():
+    args = lab.build_parser().parse_args(["audit", "model"])
+    assert args.samples == lab.materials.AUDIT_SAMPLES
+    assert inspect.signature(lab.materials.audit_assumptions).parameters["sample_count"].default == args.samples
 
 
 class _Stop(Exception):

@@ -52,6 +52,17 @@ def test_a_cell_is_its_mask():
     assert twin != cell and len({cell, twin}) == 2
 
 
+def test_build_unit_cell_copies_the_callers_mask():
+    """The cell's mask is a read-only copy: the caller's array stays
+    writable, and editing it leaves the cell alone."""
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[1:3, 1:3] = True
+    cell = mg.build_unit_cell(mask)
+    mask[0, 0] = True
+    assert not cell.soft_mask[0, 0] and cell.soft_pixel_count == 4
+    assert not cell.soft_mask.flags.writeable
+
+
 def test_bad_mask_shape():
     with pytest.raises(mg.GeometryError):
         mg.build_unit_cell(np.zeros((4, 3), dtype=bool))

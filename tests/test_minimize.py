@@ -383,15 +383,15 @@ def test_cg_matches_scipy_cg_with_a_diagonal_preconditioner(setup):
 def test_minimize_P_assembles_each_point_once(setup, monkeypatch):
     """From the random start of the stationarity test: every P is assembled
     once, only accepted points get their gradient finished, grad y is taken
-    once for the whole P-step, and each pass runs the 2x2 log kernel once
-    (its adjoint reuses it).  Without the cyclic garbage collector, a pass's
-    arrays are freed before the next pass is assembled, and none outlive the
-    P-step."""
+    once for the whole P-step, and each pass takes the exponential of its
+    nodal log coordinates once (its gradient and metric reuse it).  Without
+    the cyclic garbage collector, a pass's arrays are freed before the next
+    pass is assembled, and none outlive the P-step."""
     cell, domain, model, grid = setup
     rng = np.random.default_rng(1)
     y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
     P0 = PlasticField(grid, 0.5 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
-    counts = {"grad y": 0, "gauss gradients": 0, "log kernel": 0, "completions": 0}
+    counts = {"grad y": 0, "gauss gradients": 0, "exp": 0, "completions": 0}
     assembled = []
 
     def counting(fn, key):
@@ -417,7 +417,7 @@ def test_minimize_P_assembles_each_point_once(setup, monkeypatch):
     monkeypatch.setattr(energies.JEpsPass, "__init__", recording_init)
     monkeypatch.setattr(Grid, "gauss_gradients", recording_gauss_gradients)
     monkeypatch.setattr(energies.JEpsPass, "gradient", counting(energies.JEpsPass.gradient, "completions"))
-    monkeypatch.setattr(sg, "_log_f_funcs", counting(sg._log_f_funcs, "log kernel"))
+    monkeypatch.setattr(sg, "exp_batch", counting(sg.exp_batch, "exp"))
     gc.disable()
     try:
         P, rep = mz.minimize_P(domain, model, y, P0, tol=1e-7)
@@ -431,7 +431,7 @@ def test_minimize_P_assembles_each_point_once(setup, monkeypatch):
     assert counts["completions"] == len(rep.energy_trace)
     assert counts["grad y"] == 1
     assert counts["gauss gradients"] == len(assembled) + 1
-    assert counts["log kernel"] == len(assembled)
+    assert counts["exp"] == len(assembled)
     assert rep.breakdown == energies.assemble_J_eps(domain, model, y, P)
 
 
