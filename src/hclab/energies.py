@@ -31,10 +31,12 @@ A ``JEpsPass`` is one assembly at (y, P): it computes the energy and keeps
 the per-Gauss arrays its gradient reads, the inverse of P and F, beside the
 plastic pass's nodal values of P and per-Gauss scalars.  Its gradient is
 finished on request: it hands -F^T W'(F) P^{-T} of both phases to the
-plastic pass after releasing W'(F) and W'(F) P^{-T}, so at the gradient's
-peak a 2D pass holds about six arrays of the size of one (E, g, d, d) Gauss
-array.  A full gradient makes two scatters and one product with the
-plastic pass's lagged Laplacian.
+plastic pass after releasing W'(F), and the plastic pass frees it after its
+scatter, so at the gradient's peak a 2D pass holds about six arrays of the
+size of one (E, g, d, d) Gauss array.  A gradient makes one scatter and one
+product with the plastic pass's lagged Laplacian; the scatter of the y part
+waits for the first read of ``GradJEps.grad_y``, which the P-step never
+makes.
 ``assemble_J_eps`` and ``value_and_grad_J_eps`` are thin wrappers over that
 pass.  The Gauss data that depend on y alone are a ``FixedY``, which the
 P-step of ``minimize`` builds once and passes as y: every trial point is
@@ -81,13 +83,24 @@ class EnergyBreakdown:
         return cls(*parts, total=float(sum(parts)))
 
 
-@dataclass
 class GradJEps:
-    """Gradient of the energy: nodal y part, nodal sl-coefficient part."""
+    """Gradient of the energy: ``grad_m``, the nodal sl-coefficient part,
+    and ``grad_y``, the nodal y part, which is scattered from the per-Gauss
+    cotangent s W'(F) P^{-T} on its first read and kept; the cotangent is
+    released then.  The P-step reads ``grad_m`` alone and so pays for no y
+    scatter.  ``crease_count`` counts the soft density's crease points."""
 
-    grad_y: np.ndarray
-    grad_m: np.ndarray
-    crease_count: int = 0
+    def __init__(self, grid, dG: np.ndarray, grad_m: np.ndarray, crease_count: int):
+        self._grid, self._dG = grid, dG
+        self.grad_m, self.crease_count = grad_m, crease_count
+
+    @cached_property
+    def grad_y(self) -> np.ndarray:
+        grid = self._grid
+        grad_y = np.zeros((grid.n_nodes, grid.dim))
+        grid.accumulate_from_gradients(self._dG, grad_y)
+        self._dG = None
+        return grad_y
 
 
 def _inv_batch(A: np.ndarray) -> np.ndarray:
@@ -160,10 +173,13 @@ class PlasticPass:
         other terms.  ``dP`` scattered to the nodes and the |grad P|^q term's
         ``laplacian @ Pn`` are pulled back by the adjoint differential of the
         exponential at the nodes and projected onto the sl(d) basis; the
-        hardening's 2 h1 M m is added in the coefficients."""
+        hardening's 2 h1 M m is added in the coefficients.  ``dP`` is
+        dropped after its scatter, so a caller that keeps no reference to it
+        has it freed before the adjoint runs."""
         model, grid = self.model, self.P.grid
         R_nodes = (self.laplacian @ self.Pn.reshape(grid.n_nodes, -1)).reshape(self.Pn.shape)
         grid.accumulate_from_values(dP, R_nodes)
+        del dP
         adj = slgeometry.exp_frechet_adjoint(self.P.log_matrices(), R_nodes)
         grad = np.einsum("nij,kij->nk", adj, slgeometry.sl_basis(grid.dim))
         return grad + 2.0 * model.h1 * (grid.mass @ self.P.coeffs)
@@ -227,22 +243,26 @@ class JEpsPass:
         )
 
     def gradient(self) -> GradJEps:
-        """Gradient with respect to all degrees of freedom; per-Gauss
-        cotangents of both phases, each scattered once.  W'(F) and W'(F) P^{-T}
-        are released before the plastic pass's gradient runs."""
-        model, y, grid = self.model, self.y, self.y.grid
+        """Gradient with respect to all degrees of freedom, from per-Gauss
+        cotangents of both phases.  W'(F) is released once W'(F) P^{-T} is
+        formed, and the P cotangent is handed to the plastic pass without a
+        reference here, which frees it after its scatter; s W'(F) P^{-T}
+        waits in the GradJEps for a read of ``grad_y``."""
+        model = self.model
         Wp = np.empty_like(self.F)
         Wp[self.soft_els], crease = model.W_soft_family.grad(self.eps, self.F[self.soft_els], return_crease=True)
         Wp[self.stiff_els] = model.W_stiff.grad(self.F[self.stiff_els])
         WpPinvT = _matmul(Wp, np.swapaxes(self.Pinv, -1, -2))
         del Wp
+        grad_m = self.plastic.gradient(self._P_cotangent(WpPinvT))
+        WpPinvT *= self.scale
+        return GradJEps(self.y.grid, WpPinvT, grad_m, crease)
+
+    def _P_cotangent(self, WpPinvT: np.ndarray) -> np.ndarray:
+        """-F^T W'(F) P^{-T}, the elastic terms' cotangent of the Gauss values of P."""
         dP = _matmul(np.swapaxes(self.F, -1, -2), WpPinvT)
         dP *= -1.0
-        WpPinvT *= self.scale
-        grad_y = np.zeros_like(y.values)
-        grid.accumulate_from_gradients(WpPinvT, grad_y)
-        del WpPinvT
-        return GradJEps(grad_y=grad_y, grad_m=self.plastic.gradient(dP), crease_count=crease)
+        return dP
 
 
 def _pass(domain, model, y, P: PlasticField) -> JEpsPass:

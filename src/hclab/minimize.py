@@ -24,7 +24,9 @@ functional, so an Armijo trial pays only for its P.
 Every nodal linear system has one shape, a scalar sparse nodal operator with
 one right-hand-side column per component (d for y, d^2 - 1 for the P
 coefficients), and one solver, the per-column Jacobi-preconditioned CG
-``_cg``.
+``_cg``: a plain numpy loop that does the operations of scipy's sparse
+``cg`` in its order, so it gives scipy's iterates and counts bit for bit
+without scipy's per-iteration operator wrapper and callback calls.
 
 ``Schedule`` owns the solver defaults: the outer, linear (y-step) and
 plastic tolerances and the y- and P-step budgets.  ``minimize_y`` and
@@ -38,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from hclab import cellproblems, energies
 from hclab.fields import DeformationField, Grid, PlasticField, project_to_ball
@@ -146,29 +147,58 @@ def _assemble_y_system(domain, model, P: PlasticField):
 def _cg(K, B: np.ndarray, X0: np.ndarray, rtol: float, max_iter: int):
     """Solve K X = B for every column of B by Jacobi-preconditioned CG, each
     column started from that column of X0 and stopped once its residual is
-    at most ``rtol`` times its right-hand side.
+    below ``rtol`` times its right-hand side.
 
     Returns X, the largest per-column iteration count, the norm of K X - B and
     whether every column converged.  A zero column returns zero.  From X0 = 0
     every CG iterate x of a non-zero column b has b.x = x.Kx > 0, so for a
-    gradient B, X is a descent direction.  The Jacobi preconditioner scales
-    the residual entrywise by the inverse diagonal of K."""
+    gradient B, X is a descent direction.
+
+    Each column runs the preconditioned CG of Hestenes and Stiefel (1952) in
+    the form of Barrett et al., *Templates* (1994), as a plain loop with
+    the operations of scipy's sparse ``cg`` in its order (stop test
+    |r| < rtol |b|; z = (1 / diag K) r, rho = r.z; p = z, then p = rho/rho_prev
+    p + z; q = K p, alpha = rho / p.q; x += alpha p, r -= alpha q), so its
+    iterates and counts are scipy's with M = diags(1 / diag K) bit for bit,
+    without scipy's per-iteration operator wrappers.  Every vector reaches
+    ``np.dot`` contiguous: a strided column rounds differently."""
     inv_diag = 1.0 / np.maximum(K.diagonal(), 1e-30)
-    M = scipy.sparse.linalg.LinearOperator(K.shape, matvec=lambda r: inv_diag * r, dtype=float)
     X = np.empty_like(B)
     iters = 0
     converged = True
     for j in range(B.shape[1]):
-        count = [0]
-
-        def step(_):
-            count[0] += 1
-
-        X[:, j], info = scipy.sparse.linalg.cg(K, B[:, j], x0=X0[:, j], M=M, maxiter=max_iter,
-                                               rtol=rtol, atol=0.0, callback=step)
-        iters = max(iters, count[0])
-        converged &= info == 0
+        X[:, j], count, ok = _cg_column(K, inv_diag, B[:, j].copy(), X0[:, j].copy(), rtol, max_iter)
+        iters = max(iters, count)
+        converged &= ok
     return X, iters, float(np.linalg.norm(K @ X - B)), converged
+
+
+def _cg_column(K, inv_diag: np.ndarray, b: np.ndarray, x: np.ndarray, rtol: float, max_iter: int):
+    """One column of ``_cg``: b and x are contiguous and owned, and x is
+    updated in place.  Returns x, the iteration count and whether the stop
+    test was met; a zero b returns zero after no iteration."""
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return b, 0, True
+    atol = rtol * float(b_norm)
+    r = b - K @ x if x.any() else b
+    p = rho_prev = None
+    for it in range(max_iter):
+        if np.linalg.norm(r) < atol:
+            return x, it, True
+        z = inv_diag * r
+        rho = np.dot(r, z)
+        if p is None:
+            p = z
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = K @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, max_iter, False
 
 
 def _solve_y(grid: Grid, K, f: np.ndarray, y0: np.ndarray, tol: float, max_iter: int):
@@ -341,7 +371,8 @@ def minimize_P(domain, model, y: DeformationField, P0: PlasticField,
     point is valued by ``assemble_J_eps``; at the accepted point
     ``value_and_grad_J_eps`` finishes the gradient of the pass the FixedY
     kept, and the metric is built from that pass's grad P, so that point is
-    not assembled again.  Going through these public functions keeps trials
+    not assembled again.  Only ``grad_m`` is read, so the y part of the
+    gradient is never scattered (``energies.GradJEps``).  Going through these public functions keeps trials
     and accepted steps countable as their calls, which is how perfbench's
     ``minimize.armijo_*`` counters read them."""
     fixed = energies.FixedY(domain, y)

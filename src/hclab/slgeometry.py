@@ -123,35 +123,48 @@ class TraceFreeMatrix:
 _SERIES_CUT = 1e-6
 
 
-def _cs_funcs(nu: np.ndarray):
-    """C(nu), S(nu), and their nu-derivatives, stable through nu = 0."""
+def _cs_values(nu: np.ndarray):
+    """C(nu) and S(nu), stable through nu = 0, and the mask of the lanes
+    with |nu| <= ``_SERIES_CUT``, which take the Taylor series; the others
+    take cosh and sinh of sqrt(nu) (nu > 0) or cos and sin of sqrt(-nu).
+    The values part of ``_cs_funcs``, for ``_exp_tf2``, which reads no
+    derivative."""
     nu = np.asarray(nu, dtype=float)
     C = np.empty_like(nu)
     S = np.empty_like(nu)
-    Sp = np.empty_like(nu)
     small = np.abs(nu) <= _SERIES_CUT
     ns = nu[small]
     C[small] = 1.0 + ns / 2.0 + ns**2 / 24.0 + ns**3 / 720.0
     S[small] = 1.0 + ns / 6.0 + ns**2 / 120.0 + ns**3 / 5040.0
-    Sp[small] = 1.0 / 6.0 + ns / 60.0 + ns**2 / 2520.0
     pos = (~small) & (nu > 0)
     sp = np.sqrt(nu[pos])
     C[pos] = np.cosh(sp)
     S[pos] = np.sinh(sp) / sp
-    Sp[pos] = (C[pos] - S[pos]) / (2.0 * nu[pos])
     neg = (~small) & (nu < 0)
     sn = np.sqrt(-nu[neg])
     C[neg] = np.cos(sn)
     S[neg] = np.sin(sn) / sn
-    Sp[neg] = (C[neg] - S[neg]) / (2.0 * nu[neg])
-    Cp = S / 2.0
-    return C, S, Cp, Sp
+    return C, S, small
+
+
+def _cs_funcs(nu: np.ndarray):
+    """C(nu), S(nu), and their nu-derivatives C' = S/2 and S', stable
+    through nu = 0: ``_cs_values`` and, on its series lanes, the series of
+    S', elsewhere S' = (C - S) / (2 nu)."""
+    nu = np.asarray(nu, dtype=float)
+    C, S, small = _cs_values(nu)
+    Sp = np.empty_like(nu)
+    ns = nu[small]
+    Sp[small] = 1.0 / 6.0 + ns / 60.0 + ns**2 / 2520.0
+    far = ~small
+    Sp[far] = (C[far] - S[far]) / (2.0 * nu[far])
+    return C, S, S / 2.0, Sp
 
 
 def _exp_tf2(M: np.ndarray) -> np.ndarray:
-    """exp on stacked 2x2 trace-free matrices."""
+    """exp on stacked 2x2 trace-free matrices, C(nu) I + S(nu) M."""
     nu = -(M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0])
-    C, S, _, _ = _cs_funcs(nu)
+    C, S, _ = _cs_values(nu)
     eye = np.eye(2)
     return C[..., None, None] * eye + S[..., None, None] * M
 

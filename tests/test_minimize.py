@@ -380,6 +380,113 @@ def test_cg_matches_scipy_cg_with_a_diagonal_preconditioner(setup):
         assert ok and iters == max(counts) > 0
 
 
+def _scipy_cg(K, B, X0, rtol, max_iter):
+    """scipy's CG with M = diags(1 / diag K), column by column: X, the
+    per-column iteration counts and scipy's ``info`` flags."""
+    M = scipy.sparse.diags(1.0 / K.diagonal())
+    X = np.empty_like(B)
+    counts, infos = [], []
+    for j in range(B.shape[1]):
+        count = [0]
+        X[:, j], info = scipy.sparse.linalg.cg(K, B[:, j], x0=X0[:, j], M=M, maxiter=max_iter, rtol=rtol,
+                                               atol=0.0, callback=lambda _: count.__setitem__(0, count[0] + 1))
+        counts.append(count[0])
+        infos.append(info)
+    return X, counts, infos
+
+
+def test_cg_is_scipy_cg_bit_for_bit_on_every_kind_of_system(setup, monkeypatch):
+    """``_cg`` gives the X and iteration counts of scipy's CG with
+    M = diags(1 / diag K) bit for bit: on a budget that runs out (3
+    iterations, unconverged), on a zero column beside a non-zero one from a
+    random start, on the Sobolev metric's system at SOBOLEV_CG_RTOL, and on
+    the empty y-system of a one-element macro grid, which has no free node."""
+    _, domain, model, _ = setup
+    grid = domain.grid
+    bump = np.prod(np.sin(np.pi * grid.node_coords()), axis=-1)
+    P = PlasticField(grid, 0.2 * bump[:, None] * np.array([0.9, 0.4, 0.0]), model.K_radius)
+    K, f = mz._assemble_y_system(domain, model, P)
+    free = ~grid.boundary_node_mask()
+    Kff, ff = K[free][:, free], f[free]
+
+    X, iters, _, ok = mz._cg(Kff, ff, np.zeros_like(ff), 1e-10, 3)
+    ref, counts, infos = _scipy_cg(Kff, ff, np.zeros_like(ff), 1e-10, 3)
+    assert np.array_equal(X, ref) and iters == max(counts) == 3 and infos == [3, 3] and not ok
+
+    B = np.column_stack([ff[:, 0], np.zeros(len(ff))])
+    X0 = np.random.default_rng(4).standard_normal(B.shape)
+    X, iters, _, ok = mz._cg(Kff, B, X0, 1e-8, 10_000)
+    ref, counts, infos = _scipy_cg(Kff, B, X0, 1e-8, 10_000)
+    assert np.array_equal(X, ref) and iters == max(counts) > 0 and counts[1] == 0 and infos == [0, 0] and ok
+    assert np.array_equal(X[:, 1], np.zeros(len(ff)))
+
+    rng = np.random.default_rng(1)
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
+    Pr = PlasticField(grid, 0.5 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
+    H = energies.sobolev_metric(domain, model, y, Pr)
+    g = energies.value_and_grad_J_eps(domain, model, y, Pr)[1].grad_m
+    zero = np.zeros_like(g)
+    X, iters, _, ok = mz._cg(H, g, zero, mz.SOBOLEV_CG_RTOL, len(g))
+    ref, counts, infos = _scipy_cg(H, g, zero, mz.SOBOLEV_CG_RTOL, len(g))
+    assert np.array_equal(X, ref) and iters == max(counts) > 0 and infos == [0, 0, 0] and ok
+
+    systems = []
+    cg = mz._cg
+    monkeypatch.setattr(mz, "_cg", lambda *args: systems.append(args) or cg(*args))
+    mz.minimize_J_limit(mg.builtin_cell("block4"), model, macro_elements=1)
+    assert systems and all(args[0].shape == (0, 0) for args in systems)
+    for args in systems:
+        X, iters, resid, ok = cg(*args)
+        assert X.shape == (0, 2) and (iters, resid, ok) == (0, 0.0, True)
+        ref, counts, infos = _scipy_cg(*args)
+        assert np.array_equal(X, ref) and counts == [0, 0] and infos == [0, 0]
+
+
+def test_minimize_P_scatters_no_y_gradient(setup, monkeypatch):
+    """A composite P-step reads only the P part of its gradients, so it makes
+    no ``accumulate_from_gradients`` scatter.  ``grad_y``, read afterwards,
+    is the scatter of s W'(F) P^-T bit for bit, and a second read returns the
+    same values; the gradient does not keep its pass alive."""
+    cell, domain, model, grid = setup
+    rng = np.random.default_rng(1)
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
+    P0 = PlasticField(grid, 0.5 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
+    scatters = [0]
+    accumulate = Grid.accumulate_from_gradients
+
+    def counting(self, *args, **kwargs):
+        scatters[0] += 1
+        return accumulate(self, *args, **kwargs)
+
+    monkeypatch.setattr(Grid, "accumulate_from_gradients", counting)
+    P, rep = mz.minimize_P(domain, model, y, P0, tol=1e-7)
+    assert rep.converged and len(rep.energy_trace) > 10
+    assert scatters[0] == 0
+
+    fixed = energies.FixedY(domain, y)
+    g = energies.value_and_grad_J_eps(domain, model, fixed, P)[1]
+    point = weakref.ref(fixed.latest)
+    gc.disable()
+    try:
+        del fixed
+        assert point() is None
+    finally:
+        gc.enable()
+    s = domain.contrast[:, None, None, None]
+    Pinv = energies._inv_batch(grid.gauss_values(P.matrices()))
+    F = s * energies._matmul(grid.gauss_gradients(y.values), Pinv)
+    soft = domain.soft_elements
+    Wp = np.empty_like(F)
+    Wp[soft] = model.W_soft_family.grad(domain.eps, F[soft])
+    Wp[~soft] = model.W_stiff.grad(F[~soft])
+    expected = np.zeros((grid.n_nodes, 2))
+    accumulate(grid, s * energies._matmul(Wp, np.swapaxes(Pinv, -1, -2)), expected)
+    first = g.grad_y
+    assert np.abs(first).max() > 0.0 and np.array_equal(first, expected)
+    assert np.array_equal(g.grad_y, expected)
+    assert scatters[0] == 1
+
+
 def test_minimize_P_assembles_each_point_once(setup, monkeypatch):
     """From the random start of the stationarity test: every P is assembled
     once, only accepted points get their gradient finished, grad y is taken

@@ -492,3 +492,46 @@ def test_basis_maps_bit_identical_to_tensordot(d):
         got = sg.matrices_to_coeffs(mats)
         want = np.tensordot(mats, basis, axes=([-2, -1], [1, 2]))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _cs_branchwise(nu):
+    """C, S, C' and S' of ``_cs_funcs`` from its per-lane formulas, every
+    branch taken on every lane and ``np.where`` keeping one."""
+    cut = sg._SERIES_CUT
+    small = np.abs(nu) <= cut
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sp, sn = np.sqrt(nu), np.sqrt(-nu)
+        C = np.where(small, 1.0 + nu / 2.0 + nu**2 / 24.0 + nu**3 / 720.0,
+                     np.where(nu > 0, np.cosh(sp), np.cos(sn)))
+        S = np.where(small, 1.0 + nu / 6.0 + nu**2 / 120.0 + nu**3 / 5040.0,
+                     np.where(nu > 0, np.sinh(sp) / sp, np.sin(sn) / sn))
+        Sp = np.where(small, 1.0 / 6.0 + nu / 60.0 + nu**2 / 2520.0, (C - S) / (2.0 * nu))
+    return C, S, S / 2.0, Sp
+
+
+def test_exp2_values_kernel_bit_identical_to_cs_funcs():
+    """The values-only kernel behind ``exp_batch`` gives ``_cs_funcs``'s C
+    and S bit for bit, both give the per-lane formulas' values (and
+    ``_cs_funcs`` their derivatives), and ``exp_batch`` is C I + S M bit for
+    bit, on lanes of all three kinds: |nu| <= the series cut, nu > 0 and
+    nu < 0, each next to the cut included, where nu = -det M."""
+    rng = np.random.default_rng(33)
+    cut = sg._SERIES_CUT
+    coeffs = rng.standard_normal((3000, 3))
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    # |M| log-uniform from deep inside the cut to r_K-sized, so every kind and decade has lanes
+    coeffs *= np.exp(rng.uniform(np.log(1e-6), np.log(2.0), (3000, 1)))
+    M = sg.coeffs_to_matrices(coeffs, 2).reshape(50, 60, 2, 2)
+    nu = -(M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0])
+    small = np.abs(nu) <= cut
+    assert small.sum() > 100 and (nu[~small] > 0).sum() > 100 and (nu[~small] < 0).sum() > 100
+    assert (np.abs(nu[~small]) < 10 * cut).sum() > 10
+    C, S, series = sg._cs_values(nu)
+    funcs = sg._cs_funcs(nu)
+    assert np.array_equal(series, small)
+    assert C.tobytes() == funcs[0].tobytes() and S.tobytes() == funcs[1].tobytes()
+    for got, want in zip(funcs, _cs_branchwise(nu)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    E = sg.exp_batch(M)
+    want = C[..., None, None] * np.eye(2) + S[..., None, None] * M
+    assert E.shape == M.shape and E.tobytes() == want.tobytes()
