@@ -25,7 +25,10 @@ at (y, P): it takes the one principal log of the Gauss matrices of P, which
 keys the cache as the y-step's ``HomDensityCache.quantize`` does, while its
 ``energies.PlasticPass`` reads the hardening at the interpolated log
 coordinates as J_eps does; the pass keeps what its P-gradient needs, so the
-gradient of an assembled point is finished without a second pass.  The data
+gradient of an assembled point is finished without a second pass.  A
+``JLimitBlock`` assembles a list of P at once, one row per P, as the limit
+P-step values the trials of its line search, and each row is a
+``JLimitPass`` bit for bit; a single pass is a block of one.  The data
 that depend on y alone are a ``FixedYLimit``, which the limit P-step builds
 once: grad y at the Gauss points and, per lattice key, the stiff energy of
 its cell tensor there, so that a trial point gathers its stiff term and its
@@ -59,7 +62,7 @@ import scipy.linalg
 import scipy.sparse
 
 from hclab import slgeometry
-from hclab.energies import EnergyBreakdown, PlasticPass
+from hclab.energies import EnergyBreakdown, PlasticBlock
 from hclab.fields import Grid, check_same_grid, node_incidence_masks
 from hclab.microgeometry import CellGeometry
 
@@ -507,11 +510,12 @@ class FixedYLimit:
         d = y.grid.dim
         self.cell, self.model, self.y, self.cache = cell, model, y, cache
         self.Gy = y.grid.gauss_gradients(y.values).reshape(-1, d, d)
-        self.points = np.arange(len(self.Gy))
         self._rows: dict = {}
 
     def stiff(self, keys, inverse: np.ndarray) -> np.ndarray:
-        """Stiff energy (N,) at each Gauss point p for the key ``keys[inverse[p]]``."""
+        """Stiff energy at each Gauss point p for the key ``keys[inverse[p]]``:
+        (N,) for the N Gauss points, or (B N,) for a block's points, its
+        fields one after the other."""
         rows = []
         for key in keys:
             key = tuple(key)
@@ -520,52 +524,92 @@ class FixedYLimit:
                 tensor = self.cache.w1_tensor(self.cell, self.model.W_stiff, key)
                 row = self._rows[key] = tensor.evaluate(self.Gy)
             rows.append(row)
-        return np.array(rows)[inverse, self.points]
+        return np.array(rows)[inverse, np.arange(len(inverse)) % len(self.Gy)]
+
+
+class JLimitBlock:
+    """One assembly of the homogenized functional at one y for a list of
+    plastic fields on a macro grid, such as the trial points of a line
+    search: ``breakdowns`` holds the energy of each field, and
+    ``candidate(b)`` is the ``JLimitPass`` of field b, which reads its rows of
+    the block, so its gradient is finished without assembling it again.
+
+    J0 books the soft cell value at F = 0 and the soft hardening fraction; J1
+    carries the stiff density at the deformation gradient, the stiff
+    hardening fraction, and the plastic-gradient term.  The P-only terms are
+    an ``energies.PlasticBlock``'s.  Densities are fetched through the cache
+    at G quantized per Gauss point; the stiff density goes through the
+    quadratic cell tensor, so a non-quadratic W1 raises CellProblemError.
+
+    The fields share every step: one product for their Gauss values of P,
+    one principal log and one ``quantize_logs`` over all their Gauss
+    matrices, one ``FixedYLimit`` row gather, and each field's integrals as
+    row sums.  Per-Gauss arrays carry a leading axis of one contiguous row
+    per field, on which each step acts as on one field, so each field's
+    breakdown, keys and gradient are those of a pass of its own bit for bit.
+    """
+
+    def __init__(self, cell: CellGeometry, model, y, Ps: list, cache: HomDensityCache):
+        fixed = y if isinstance(y, FixedYLimit) else FixedYLimit(cell, model, y, cache)
+        if fixed.cell is not cell or fixed.model is not model or fixed.cache is not cache:
+            raise CellProblemError("the fixed deformation data belong to another cell, model or cache")
+        grid = fixed.y.grid
+        for P in Ps:
+            check_same_grid(P.grid, grid, "plastic field and deformation")
+        d = grid.dim
+        self.cache, self.fixed = cache, fixed
+        self.plastic = plastic = PlasticBlock(model, Ps)
+        self.Pg = np.ascontiguousarray(grid.gauss_values(plastic.Pn.swapaxes(0, 1)).transpose(2, 0, 1, 3, 4))
+
+        # stiff density through the quadratic fast path (per unique quantized G),
+        # keyed on the principal log of each Gauss value of P, as the y-step's
+        # ``HomDensityCache.quantize`` keys it
+        logs = slgeometry.rowwise(lambda Pg: slgeometry.log_and_adjoint(Pg)[0], self.Pg)
+        self.keys, inverse = cache.quantize_logs(logs.reshape(-1, d, d))
+        w1_vals = fixed.stiff(self.keys, inverse)
+        soft_vals = np.array([0.0 if cell.degenerate else cache.qprime(cell, model.W_soft_limit, key).value
+                              for key in self.keys])[inverse]
+        self.inverse = inverse.reshape(len(Ps), -1)
+
+        vol_s, vol_t = float(cell.vol_soft), float(cell.vol_stiff)
+        int_H = grid.integrate_rows(plastic.hardening).tolist()
+        soft_el = grid.integrate_rows(soft_vals.reshape(self.inverse.shape)).tolist()
+        stiff_el = grid.integrate_rows(w1_vals.reshape(self.inverse.shape)).tolist()
+        self.breakdowns = [
+            EnergyBreakdown.from_parts(soft_elastic=vol_s * soft, stiff_elastic=stiff, hardening_soft=vol_s * H,
+                                       hardening_stiff=vol_t * H, grad_P_term=grad_P)
+            for soft, stiff, H, grad_P in zip(soft_el, stiff_el, int_H, plastic.grad_P_term.tolist())
+        ]
+
+    def candidate(self, row: int) -> JLimitPass:
+        point = JLimitPass.__new__(JLimitPass)
+        point._read(self, row)
+        return point
 
 
 class JLimitPass:
     """One assembly of the homogenized functional at (y, P) on a macro grid:
     ``breakdown`` is the energy, and ``grad_m()`` finishes its gradient with
     respect to the nodal log coefficients of P from the arrays this pass
-    computed.
-
-    J0 books the soft cell value at F = 0 and the soft hardening fraction; J1
-    carries the stiff density at the deformation gradient, the stiff
-    hardening fraction, and the plastic-gradient term.  The P-only terms are
-    the ``PlasticPass``'s.  Densities are fetched through the cache at G
-    quantized per Gauss point; the stiff density goes through the quadratic
-    cell tensor, so a non-quadratic W1 raises CellProblemError.
+    computed.  The arrays are those of a ``JLimitBlock`` of P alone, or one
+    field's rows of a larger block (``JLimitBlock.candidate``).
     """
 
     def __init__(self, cell: CellGeometry, model, y, P, cache: HomDensityCache):
-        fixed = y if isinstance(y, FixedYLimit) else FixedYLimit(cell, model, y, cache)
-        if fixed.cell is not cell or fixed.model is not model or fixed.cache is not cache:
-            raise CellProblemError("the fixed deformation data belong to another cell, model or cache")
-        grid = fixed.y.grid
-        check_same_grid(P.grid, grid, "plastic field and deformation")
-        d = grid.dim
-        self.cache, self.fixed = cache, fixed
-        self.plastic = plastic = PlasticPass(model, P)
-        self.Pg = grid.gauss_values(plastic.Pn)
+        self._read(JLimitBlock(cell, model, y, [P], cache), 0)
 
-        # stiff density through the quadratic fast path (per unique quantized G),
-        # keyed on the principal log of each Gauss value of P, as the y-step's
-        # ``HomDensityCache.quantize`` keys it
-        logs, _ = slgeometry.log_and_adjoint(self.Pg)
-        self.keys, self.inverse = cache.quantize_logs(logs.reshape(-1, d, d))
-        w1_vals = fixed.stiff(self.keys, self.inverse)
-        soft_vals = np.array([0.0 if cell.degenerate else cache.qprime(cell, model.W_soft_limit, key).value
-                              for key in self.keys])[self.inverse]
-
-        vol_s, vol_t = float(cell.vol_soft), float(cell.vol_stiff)
-        int_H = grid.integrate(plastic.hardening)
-        self.breakdown = EnergyBreakdown.from_parts(
-            soft_elastic=vol_s * grid.integrate(soft_vals),
-            stiff_elastic=grid.integrate(w1_vals),
-            hardening_soft=vol_s * int_H,
-            hardening_stiff=vol_t * int_H,
-            grad_P_term=plastic.grad_P_term,
-        )
+    def _read(self, block: JLimitBlock, row: int) -> None:
+        """Take field ``row``'s arrays of ``block``, with ``keys`` the lattice
+        keys of its Gauss points in the order a pass of its own sorts them."""
+        self.cache, self.fixed = block.cache, block.fixed
+        self.plastic = block.plastic.candidate(row)
+        self.Pg = block.Pg[row]
+        self.breakdown = block.breakdowns[row]
+        # the block's keys that this field's points use, in the block's (sorted) order
+        used = np.zeros(len(block.keys), dtype=bool)
+        used[block.inverse[row]] = True
+        self.keys = [block.keys[i] for i in np.flatnonzero(used)]
+        self.inverse = (np.cumsum(used) - 1)[block.inverse[row]]
 
     def grad_m(self) -> np.ndarray:
         """Gradient with respect to the nodal log coefficients of P.

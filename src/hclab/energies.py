@@ -25,7 +25,10 @@ The internal variable enters both functionals alike: the hardening H(P) and
 ``PlasticPass`` per P, which ``JEpsPass`` (here) and
 ``cellproblems.JLimitPass`` each hold beside their elastic parts; its
 ``gradient(dP)`` pulls a per-Gauss cotangent of the values of P back to the
-nodal log coordinates together with the P-only terms' own.
+nodal log coordinates together with the P-only terms' own.  One
+``PlasticBlock`` computes those terms for a list of P at once, one row per
+P, as the limit P-step values its line-search trials; a single pass is a
+block of one.
 
 A ``JEpsPass`` is one assembly at (y, P): it computes the energy and keeps
 the per-Gauss arrays its gradient reads, the inverse of P and F, beside the
@@ -42,9 +45,13 @@ pass.  The Gauss data that depend on y alone are a ``FixedY``, which the
 P-step of ``minimize`` builds once and passes as y: every trial point is
 then valued by one pass, and at the point the line search accepts,
 ``value_and_grad_J_eps`` finishes the gradient of the pass the FixedY kept
-instead of assembling that point a second time.  ``sobolev_metric`` builds
+instead of assembling that point a second time.  The y-step values its
+solution through a FixedY too, and the P-step after it takes that FixedY,
+so its start is the y-step's pass.  ``sobolev_metric`` builds
 the P-step's metric from the same kept pass: the Laplacian its gradient
 built plus 2 h1 M, the exact Hessian of the hardening.
+``value_and_grad_y_J_eps`` finishes the y gradient alone, for the descent
+y-step, without the plastic pass's gradient.
 ``dissipation_integral`` is the quadrature of the dissipation distance
 D(P_bar, P) over one phase; it is a report column, not a term of either
 functional.
@@ -143,17 +150,20 @@ class PlasticPass:
     The continuum H is unchanged; the quadrature differs from h1 |log P_g|^2
     of the interpolated P by O(h^2 |grad m|^2), a change of quadrature type
     like mass lumping (the exponential-map parametrisation of Simo 1992 and
-    Miehe 1996)."""
+    Miehe 1996).
+
+    The arrays are those of a ``PlasticBlock`` of P alone, or one field's
+    rows of a larger block (``PlasticBlock.candidate``).  ``qn``'s bits
+    depend on the memory layout of ``Grid.gauss_gradients`` (see
+    ``PlasticBlock``)."""
 
     def __init__(self, model, P: PlasticField):
-        grid = P.grid
-        self.model, self.P = model, P
-        # H at the interpolated log coordinates m_g, as their trace-free matrices
-        self.hardening = model.hardening(slgeometry.coeffs_to_matrices(grid.gauss_values(P.coeffs), grid.dim))
-        self.Pn = P.matrices()
-        gradP = grid.gauss_gradients(self.Pn)
-        self.qn = np.einsum("egijk,egijk->eg", gradP, gradP)
-        self.grad_P_term = grid.integrate(self.qn ** (model.q / 2.0))
+        self._read(PlasticBlock(model, [P]), 0)
+
+    def _read(self, block: PlasticBlock, row: int) -> None:
+        self.model, self.P = block.model, block.Ps[row]
+        self.hardening, self.Pn, self.qn = block.hardening[row], block.Pn[row], block.qn[row]
+        self.grad_P_term = float(block.grad_P_term[row])
 
     @cached_property
     def laplacian(self):
@@ -183,6 +193,45 @@ class PlasticPass:
         adj = slgeometry.exp_frechet_adjoint(self.P.log_matrices(), R_nodes)
         grad = np.einsum("nij,kij->nk", adj, slgeometry.sl_basis(grid.dim))
         return grad + 2.0 * model.h1 * (grid.mass @ self.P.coeffs)
+
+
+class PlasticBlock:
+    """The ``PlasticPass`` arrays of a list of plastic fields on one grid,
+    computed together: ``hardening`` and ``qn`` (B, E, g), ``Pn``
+    (B, n_nodes, d, d) and ``grad_P_term`` (B,), one row per field, so a
+    block pays for one interpolation, one exponential (``slgeometry.rowwise``)
+    and one gradient product, and integrates by row sums
+    (``Grid.integrate_rows``).  ``candidate(b)`` is the pass of field b.
+
+    Each row is the field's own array bit for bit: the rows are contiguous,
+    every product and reduction acts on each row as on one field, and each
+    row's Gauss gradients are laid out as ``Grid.gauss_gradients`` lays out
+    one field's, the d^3 derivatives of a point contiguous in (k, i, j)
+    order.  ``qn``'s einsum sums them in that memory order, so its bits
+    depend on the layout: a copy in (i, j, k) order changes them."""
+
+    def __init__(self, model, Ps: list):
+        grid = Ps[0].grid
+        d = grid.dim
+        self.model, self.Ps = model, Ps
+        coeffs = np.stack([P.coeffs for P in Ps])  # (B, n_nodes, d^2 - 1)
+        self.Pn = slgeometry.rowwise(slgeometry.exp_batch, slgeometry.coeffs_to_matrices(coeffs, d))
+        gradP = grid.gauss_gradients(self.Pn.swapaxes(0, 1))  # (E, g, B, i, j, k)
+        self.qn = np.empty((len(Ps),) + gradP.shape[:2])
+        for qn, g in zip(self.qn, gradP.transpose(2, 0, 1, 3, 4, 5)):
+            # one field's gradients as gauss_gradients lays them out: (k, i, j) in memory
+            g = np.ascontiguousarray(g.transpose(0, 1, 4, 2, 3)).transpose(0, 1, 3, 4, 2)
+            np.einsum("egijk,egijk->eg", g, g, out=qn)
+        del gradP, g  # the gradient product goes before the hardening's arrays are made
+        # H at the interpolated log coordinates m_g, as their trace-free matrices
+        m_g = slgeometry.coeffs_to_matrices(grid.gauss_values(coeffs.swapaxes(0, 1)), d)  # (E, g, B, d, d)
+        self.hardening = np.ascontiguousarray(model.hardening(m_g).transpose(2, 0, 1))
+        self.grad_P_term = grid.integrate_rows(self.qn ** (model.q / 2.0))
+
+    def candidate(self, row: int) -> PlasticPass:
+        point = PlasticPass.__new__(PlasticPass)
+        point._read(self, row)
+        return point
 
 
 class FixedY:
@@ -248,15 +297,26 @@ class JEpsPass:
         formed, and the P cotangent is handed to the plastic pass without a
         reference here, which frees it after its scatter; s W'(F) P^{-T}
         waits in the GradJEps for a read of ``grad_y``."""
+        WpPinvT, crease = self._WpPinvT()
+        grad_m = self.plastic.gradient(self._P_cotangent(WpPinvT))
+        WpPinvT *= self.scale
+        return GradJEps(self.y.grid, WpPinvT, grad_m, crease)
+
+    def grad_y(self) -> np.ndarray:
+        """The y part of ``gradient()`` alone, bit for bit: the scatter of
+        s W'(F) P^{-T}, without the plastic pass's gradient."""
+        WpPinvT, crease = self._WpPinvT()
+        WpPinvT *= self.scale
+        return GradJEps(self.y.grid, WpPinvT, None, crease).grad_y
+
+    def _WpPinvT(self):
+        """W'(F) P^{-T} of both phases and the soft density's crease count;
+        W'(F) is released on return."""
         model = self.model
         Wp = np.empty_like(self.F)
         Wp[self.soft_els], crease = model.W_soft_family.grad(self.eps, self.F[self.soft_els], return_crease=True)
         Wp[self.stiff_els] = model.W_stiff.grad(self.F[self.stiff_els])
-        WpPinvT = _matmul(Wp, np.swapaxes(self.Pinv, -1, -2))
-        del Wp
-        grad_m = self.plastic.gradient(self._P_cotangent(WpPinvT))
-        WpPinvT *= self.scale
-        return GradJEps(self.y.grid, WpPinvT, grad_m, crease)
+        return _matmul(Wp, np.swapaxes(self.Pinv, -1, -2)), crease
 
     def _P_cotangent(self, WpPinvT: np.ndarray) -> np.ndarray:
         """-F^T W'(F) P^{-T}, the elastic terms' cotangent of the Gauss values of P."""
@@ -291,6 +351,14 @@ def value_and_grad_J_eps(domain, model, y, P: PlasticField):
     that pass and nothing is assembled."""
     point = _pass(domain, model, y, P)
     return point.breakdown, point.gradient()
+
+
+def value_and_grad_y_J_eps(domain, model, y, P: PlasticField):
+    """(EnergyBreakdown, grad_y): ``value_and_grad_J_eps`` for a caller that
+    reads the y gradient alone, the descent y-step; the plastic pass's
+    gradient is never run."""
+    point = _pass(domain, model, y, P)
+    return point.breakdown, point.grad_y()
 
 
 def sobolev_metric(domain, model, y, P: PlasticField):

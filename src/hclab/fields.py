@@ -209,7 +209,13 @@ class Grid:
         return out.reshape((self.n_elements, self.n_gauss) + tail)
 
     def gauss_gradients(self, nodal: np.ndarray) -> np.ndarray:
-        """(E, ngp, C..., d) gradients; exact for the multilinear interpolant."""
+        """(E, ngp, C..., d) gradients; exact for the multilinear interpolant.
+
+        A strided view of the sparse product, whose rows are (e, g, k), not a
+        copy: a point's d |C| derivatives lie in memory in (k, C...) order,
+        and the result is not C-contiguous.  A reduction over them, such as
+        the einsum of ``energies.PlasticPass.qn``, sums in that memory order,
+        so its bits depend on this layout."""
         tail = nodal.shape[1:]
         out = self._operators().gradients @ nodal.reshape(self.n_nodes, -1)
         out = np.moveaxis(out.reshape(self.n_elements, self.n_gauss, self.dim, -1), 2, -1)
@@ -280,6 +286,12 @@ class Grid:
         """Integral of a per-(element, gauss) scalar sample over the (masked) elements."""
         vals = per_gauss if element_mask is None else per_gauss[element_mask]
         return float(np.sum(vals) * self.quad_weight)
+
+    def integrate_rows(self, per_gauss: np.ndarray) -> np.ndarray:
+        """``integrate`` of each row of a stack (B, E, ngp) of samples: one
+        pairwise sum per contiguous row, as ``integrate`` sums one sample, so
+        entry b equals ``integrate(per_gauss[b])`` bit for bit."""
+        return per_gauss.reshape(len(per_gauss), -1).sum(axis=1) * self.quad_weight
 
     # -- node classification and norms ----------------------------------------
     def boundary_node_mask(self) -> np.ndarray:
@@ -365,9 +377,10 @@ class DeformationField:
 
 
 def project_to_ball(coeffs: np.ndarray, r_K: float) -> np.ndarray:
-    """Rows of ``coeffs`` projected radially onto the ball |m| <= r_K, in a
-    copy if any row moves; a small relative pad keeps it idempotent under rounding."""
-    norms = np.linalg.norm(coeffs, axis=1)
+    """Rows of ``coeffs`` (..., k) projected radially onto the ball
+    |m| <= r_K, in a copy if any row moves; a small relative pad keeps it
+    idempotent under rounding."""
+    norms = np.linalg.norm(coeffs, axis=-1)
     over = norms > r_K * (1.0 + 1e-14)
     if over.any():
         coeffs = coeffs.copy()

@@ -8,7 +8,7 @@ composite P-step that stops short of its tolerance.  The y-step is
 quadratic in y for the default densities; both functionals assemble it in
 one shape, from per-Gauss d x d coefficients (``_quadratic_y_system``).  A
 quasi-Newton descent path covers generic composite densities and doubles as
-an independent cross-check.  The P-step (``_projected_descent``) is
+an independent cross-check.  The P-step (``_block_descent``) is
 projected descent in the nodal log coordinates with an Armijo line search on
 the assembled energy; the radial projection keeps every iterate inside the K
 ball, so determinants stay unimodular by construction.  The composite P-step
@@ -19,7 +19,10 @@ double the iteration count with each halving of eps.  The homogenized P-step
 keeps the raw gradient (see ``LIMIT_P_ITERS``).  Both P-steps hold y fixed
 and compute what depends on it alone once per step, ``energies.FixedY`` for
 the composite and ``cellproblems.FixedYLimit`` for the homogenized
-functional, so an Armijo trial pays only for its P.
+functional, so an Armijo trial pays only for its P.  The line search asks
+for its trials in blocks (``_block_descent``): the composite values them
+one at a time, and the homogenized functional values each block at once
+(``_limit_evaluator``), which changes no iterate.
 
 Every nodal linear system has one shape, a scalar sparse nodal operator with
 one right-hand-side column per component (d for y, d^2 - 1 for the P
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hclab import cellproblems, energies
+from hclab import cellproblems, energies, slgeometry
 from hclab.fields import DeformationField, Grid, PlasticField, project_to_ball
 
 # P-step budget of the homogenized functional.  Its stiff density is a
@@ -221,9 +224,13 @@ def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = Non
     boundary values of ``y0`` (zero without it) are kept as Dirichlet data.
 
     Quadratic densities: the Hessian system is solved by ``_cg`` to the
-    requested tolerance.  Otherwise (or when forced) quasi-Newton descent on
-    the assembled energy with the analytic gradient.  The report's energy
-    trace holds the final value alone.
+    requested tolerance, and the solution is valued through an
+    ``energies.FixedY``.  Otherwise (or when forced) quasi-Newton descent on
+    the assembled energy with the analytic y gradient, which runs no plastic
+    gradient (``energies.value_and_grad_y_J_eps``).  The report's energy
+    trace holds the final value alone, and ``report.fixed`` is the FixedY of
+    the returned y: a P-step from P that takes it as y starts from the pass
+    of the final value instead of assembling (y, P) again.
     """
     grid = domain.grid
     y0v = y0.values if y0 is not None else np.zeros((grid.n_nodes, grid.dim))
@@ -231,9 +238,12 @@ def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = Non
     if _both_quadratic(model) and not force_descent:
         K, f = _assemble_y_system(domain, model, P)
         y, iters, resid, ok = _solve_y(grid, K, f, y0v, tol, max_iter)
-        value = energies.assemble_J_eps(domain, model, y, P).total
-        return y, SolveReport(final_value=value, energy_trace=[value], inner_iterations=[iters],
-                              gradient_norms=[resid], converged=ok)
+        fixed = energies.FixedY(domain, y)
+        value = energies.assemble_J_eps(domain, model, fixed, P).total
+        report = SolveReport(final_value=value, energy_trace=[value], inner_iterations=[iters],
+                             gradient_norms=[resid], converged=ok)
+        report.fixed = fixed
+        return y, report
 
     # descent path; scipy.optimize is imported only here, off the stock (quadratic) path
     from scipy import optimize
@@ -246,8 +256,8 @@ def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = Non
         return DeformationField(grid, vals)
 
     def objective(x):
-        bd, g = energies.value_and_grad_J_eps(domain, model, field(x), P)
-        return bd.total, g.grad_y[free].reshape(-1)
+        bd, grad_y = energies.value_and_grad_y_J_eps(domain, model, field(x), P)
+        return bd.total, grad_y[free].reshape(-1)
 
     res = optimize.minimize(objective, y0v[free].reshape(-1), jac=True, method="L-BFGS-B",
                             options={"maxiter": max_iter, "gtol": tol, "ftol": 0.0})
@@ -255,7 +265,9 @@ def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = Non
     report = SolveReport(final_value=float(res.fun), energy_trace=[float(res.fun)],
                          inner_iterations=[int(res.nit)], gradient_norms=[gnorm],
                          converged=bool(res.success) or gnorm <= tol * (1 + abs(res.fun)))
-    return field(res.x), report
+    y = field(res.x)
+    report.fixed = energies.FixedY(domain, y)
+    return y, report
 
 
 def _check_finite(value, what: str) -> None:
@@ -264,14 +276,24 @@ def _check_finite(value, what: str) -> None:
 
 
 def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
+    """``_block_descent`` with a one-point evaluator: ``evaluate(P)`` returns
+    the EnergyBreakdown of P and its ``finish()``, and the trials of a block
+    are valued one per step of the search, so no trial is valued that the
+    search does not reach."""
+    return _block_descent(lambda Ps: map(evaluate, Ps), P0, tol, max_iter)
+
+
+def _block_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
     """Projected descent on nodewise coefficient balls |m_a| <= r_K.
 
-    ``evaluate(P)`` assembles the energy once and returns its EnergyBreakdown
-    and a ``finish()`` that returns, from that same pass, the gradient g in
-    the nodal log coefficients and the metric H of the step: a sparse SPD
-    nodal operator acting alike on each coefficient column, or None for the
-    raw gradient.  Every trial point costs one assembly, and only the
-    accepted point is finished, so no point is assembled twice.
+    ``evaluate(Ps)`` values a list of plastic fields: it returns an iterator
+    that yields, field after field, its EnergyBreakdown and a ``finish()``
+    that returns, from that same assembly, the gradient g in the nodal log
+    coefficients and the metric H of the step: a sparse SPD nodal operator
+    acting alike on each coefficient column, or None for the raw gradient.
+    The start is valued as ``evaluate([P0])``, at P0 itself, so an evaluator
+    that kept an assembly of P0 reuses it.  Each trial point is valued once
+    and only the accepted point is finished, so no point is assembled twice.
 
     The trial point is project(m - t H^{-1} g), with the radial projection
     ``fields.project_to_ball`` and H^{-1} g by ``_cg`` from zero to relative
@@ -279,7 +301,13 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
     Barzilai-Borwein step t = dm.H dm / dm.dg is
     measured in the metric (dm.dm / dm.dg for the raw gradient) and starts
     at 1; an Armijo backtracking on the assembled energy, with drop =
-    g.(m - cand), safeguards it.  A Euclidean projection of a non-Euclidean
+    g.(m - cand), safeguards it.  The search asks for its halved trials in
+    blocks: the first holds as many as the previous search of this descent
+    took (one for its first search), each further block twice the last,
+    within the budget of 50 trials.  It consumes each block in ladder order
+    and stops at the first accepted trial, so an evaluator that values a
+    block at once changes no iterate, only what the block costs.  A
+    Euclidean projection of a non-Euclidean
     step need not descend where the K ball binds: when a preconditioned trial
     has drop <= 0, or its backtracking runs out, that iteration steps along
     the raw gradient instead.  The stop test |m - project(m - g)| <= tol
@@ -293,8 +321,8 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
     def field(m):
         return PlasticField(P0.grid, m.copy(), r_K=r_K)
 
-    def evaluated(m):
-        breakdown, finish = evaluate(field(m))
+    def consumed(values):
+        breakdown, finish = next(values)
         _check_finite(breakdown.total, "P-step energy")
         return breakdown, finish
 
@@ -303,26 +331,36 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
         _check_finite(grad, "P-step gradient")
         return grad, H
 
-    def search(direction, step, guard):
-        """Armijo backtracking along -direction from ``step``: the accepted
-        (m, breakdown, finish) or None, and the last step tried."""
-        for _ in range(50):
-            cand = project_to_ball(m - step * direction, r_K)
-            drop = float(np.sum(grad * (m - cand)))
-            if guard and drop <= 0.0:
-                return None, step
-            trial, finish = evaluated(cand)
-            if trial.total <= val - 1e-4 * drop + 1e-15:
-                return (cand, trial, finish), step
+    def search(direction, step, guard, size):
+        """Armijo backtracking along -direction from ``step``, its trials
+        asked for in blocks of ``size``, then twice the last: the accepted
+        (m, breakdown, finish) or None, the last step tried and the number of
+        trials valued."""
+        tried = 0
+        while tried < 50:
+            steps = step * 0.5 ** np.arange(min(size, 50 - tried))
+            cands = project_to_ball(m - steps[:, None, None] * direction, r_K)
+            values = iter(evaluate([field(cand) for cand in cands]))
+            for step, cand in zip(steps, cands):
+                drop = float(np.sum(grad * (m - cand)))
+                if guard and drop <= 0.0:
+                    return None, step, tried
+                trial, finish = consumed(values)
+                tried += 1
+                if trial.total <= val - 1e-4 * drop + 1e-15:
+                    return (cand, trial, finish), step, tried
+            values = finish = None  # release this block's assembly before the next is valued
             step *= 0.5
-        return None, step
+            size *= 2
+        return None, step, tried
 
     m = P0.coeffs.copy()
-    breakdown, finish = evaluated(m)
+    breakdown, finish = consumed(iter(evaluate([P0])))
     val = breakdown.total
     grad, H = finished(finish)
     trace = [val]
     step = raw_step = 1.0
+    trials = 1
     grad_norms = []
     converged = False
     prev_m = prev_g = None
@@ -344,9 +382,11 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
         found = None
         if H is not None:
             direction = _cg(H, grad, np.zeros_like(grad), SOBOLEV_CG_RTOL, len(grad))[0]
-            found, step = search(direction, step, guard=True)
+            found, step, tried = search(direction, step, True, trials)
+            trials = max(tried, 1)
         if found is None:
-            found, raw_step = search(grad, raw_step, guard=False)
+            found, raw_step, tried = search(grad, raw_step, False, trials)
+            trials = max(tried, 1)
         if found is None:
             converged = pg_norm <= 10 * tol * (1.0 + abs(val))
             break
@@ -355,6 +395,7 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
         val = breakdown.total
         H = None  # release the previous point's metric before building this one's
         grad, H = finished(finish)
+        found = finish = None  # and the accepted trial's assembly, with its block, before the next search
         trace.append(val)
     report = SolveReport(final_value=val, energy_trace=trace, inner_iterations=[it],
                          gradient_norms=grad_norms, converged=converged)
@@ -362,20 +403,22 @@ def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
     return field(m), report
 
 
-def minimize_P(domain, model, y: DeformationField, P0: PlasticField,
+def minimize_P(domain, model, y, P0: PlasticField,
                tol: float = Schedule.p_tol, max_iter: int = Schedule.p_iters):
     """Projected descent for the plastic strain at fixed deformation,
-    preconditioned by ``energies.sobolev_metric`` (see ``_projected_descent``).
+    preconditioned by ``energies.sobolev_metric`` (see ``_block_descent``).
 
-    The Gauss data of y are computed once (``energies.FixedY``).  Each trial
-    point is valued by ``assemble_J_eps``; at the accepted point
+    The Gauss data of y are computed once: ``y`` is the deformation or its
+    ``energies.FixedY``, whose latest pass, if made at P0, is the start.
+    Trials are valued one per step of the search (``_projected_descent``),
+    each by ``assemble_J_eps``; at the accepted point
     ``value_and_grad_J_eps`` finishes the gradient of the pass the FixedY
     kept, and the metric is built from that pass's grad P, so that point is
     not assembled again.  Only ``grad_m`` is read, so the y part of the
     gradient is never scattered (``energies.GradJEps``).  Going through these public functions keeps trials
     and accepted steps countable as their calls, which is how perfbench's
     ``minimize.armijo_*`` counters read them."""
-    fixed = energies.FixedY(domain, y)
+    fixed = y if isinstance(y, energies.FixedY) else energies.FixedY(domain, y)
 
     def evaluate(P):
         def finish():
@@ -435,17 +478,46 @@ def _alternate(assemble, y_step, p_step, grid: Grid, r_K: float, init, schedule:
 def minimize_J_eps(domain, model, init=None, schedule: Schedule | None = None):
     """Alternating minimization of the composite energy; see ``_alternate``."""
     schedule = schedule or Schedule()
+    handed = []  # each y-step's FixedY, popped by the P-step that starts from its pass
 
     def y_step(y, P):
         y, rep = minimize_y(domain, model, P, y0=y, tol=schedule.y_tol, max_iter=schedule.y_iters)
+        handed.append(rep.fixed)
         return y, rep.inner_iterations[0], rep.converged
 
     def p_step(y, P):
-        P, rep = minimize_P(domain, model, y, P, tol=schedule.p_tol, max_iter=schedule.p_iters)
+        P, rep = minimize_P(domain, model, handed.pop(), P, tol=schedule.p_tol, max_iter=schedule.p_iters)
         return P, rep, rep.converged
 
     return _alternate(lambda y, P: energies.assemble_J_eps(domain, model, y, P), y_step, p_step,
                       domain.grid, model.K_radius, init, schedule)
+
+
+def _limit_evaluator(cell, model, fixed, cache):
+    """The block evaluator of the homogenized P-step at one
+    ``cellproblems.FixedYLimit`` (see ``_block_descent``): each list of
+    trials is valued as one ``cellproblems.JLimitBlock``, and an accepted
+    trial's gradient is finished from its rows of the block.  A block with a
+    trial outside the log chart (``slgeometry.SLError``) is valued one pass
+    per trial instead, so the error surfaces at the trial that causes it,
+    and only if the search reaches that trial."""
+
+    def one(P):
+        point = cellproblems.JLimitPass(cell, model, fixed, P, cache)
+        return point.breakdown, lambda: (point.grad_m(), None)
+
+    def evaluate(Ps):
+        try:
+            block = cellproblems.JLimitBlock(cell, model, fixed, Ps, cache)
+        except slgeometry.SLError:
+            block = None
+        if block is None:
+            yield from map(one, Ps)
+            return
+        for row, breakdown in enumerate(block.breakdowns):
+            yield breakdown, lambda row=row: (block.candidate(row).grad_m(), None)
+
+    return evaluate
 
 
 def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8,
@@ -453,7 +525,8 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
     """Alternating minimization of the homogenized functional on a macro grid;
     see ``_alternate``.  The y-step assembles from the quadratic cell tensors
     (A, b) at the quantized G of each Gauss point.  The P-step builds one
-    ``cellproblems.FixedYLimit`` at its y and values every trial through it."""
+    ``cellproblems.FixedYLimit`` at its y and values the trials of each block
+    its line search asks for at once (``_limit_evaluator``)."""
     schedule = schedule or Schedule()
     cache = cache if cache is not None else cellproblems.HomDensityCache()
     grid = Grid(cell.dim, macro_elements)
@@ -468,15 +541,10 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
         return y, iters, ok
 
     def p_step(y, P):
-        fixed = cellproblems.FixedYLimit(cell, model, y, cache)
-
-        def evaluate(Pc):
-            point = cellproblems.JLimitPass(cell, model, fixed, Pc, cache)
-            return point.breakdown, lambda: (point.grad_m(), None)
-
+        evaluate = _limit_evaluator(cell, model, cellproblems.FixedYLimit(cell, model, y, cache), cache)
         # the flag is not read (True): the staircase P-step stalls at LIMIT_P_ITERS on
         # limit_block4's first round and on the fiber3d reference, until ROADMAP item 2
-        return *_projected_descent(evaluate, P, schedule.p_tol, LIMIT_P_ITERS), True
+        return *_block_descent(evaluate, P, schedule.p_tol, LIMIT_P_ITERS), True
 
     return _alternate(lambda y, P: cellproblems.assemble_J_limit(cell, model, y, P, cache),
                       y_step, p_step, grid, model.K_radius, init, schedule)

@@ -395,6 +395,19 @@ def log_and_adjoint(P: np.ndarray):
     return log_batch(P), lambda W: log_frechet_adjoint(P, W)
 
 
+def rowwise(kernel, A: np.ndarray) -> np.ndarray:
+    """``kernel`` (a chart map such as ``exp_batch``) on each row A[b] of a
+    stack of independent batches, as it acts on that row alone.  For 2x2 the
+    closed forms act matrix by matrix, so the rows go in one call, merged into
+    the next axis (a stack of one passes exactly its row's shape).  Otherwise
+    the series' radius check and stop test look at the whole batch, so each
+    row gets a call of its own and with it the terms, and the bits, it gets
+    alone."""
+    if A.shape[-1] == 2:
+        return kernel(A.reshape((-1,) + A.shape[2:])).reshape(A.shape)
+    return np.stack([kernel(a) for a in A])
+
+
 def exp_sl(M) -> np.ndarray:
     """Exponential chart sl(d) -> SL(d); an array is validated as a ``TraceFreeMatrix``."""
     if not isinstance(M, TraceFreeMatrix):

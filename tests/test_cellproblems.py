@@ -6,7 +6,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hclab import cellproblems as cp, energies, lab, materials, microgeometry as mg, slgeometry as sg
+from hclab import cellproblems as cp, energies, lab, materials, microgeometry as mg, minimize as mz, slgeometry as sg
 from hclab.fields import DeformationField, Grid, PlasticField
 
 
@@ -691,3 +691,82 @@ def test_quadratic_cell_solve_with_a_non_finite_value_is_not_converged(cell, con
     assert set(multi.per_lambda) == {1, 2}
     assert all(not np.isfinite(r.value) and not r.converged for r in multi.per_lambda.values())
 
+
+
+def _single_field_pass(cell, model, y, P, cache):
+    """The breakdown and lattice keys of the homogenized functional at
+    (y, P) by the arithmetic of one field written out: the hardening at the
+    interpolated log coordinates, |grad P|^2 by einsum on the gradients as
+    ``Grid.gauss_gradients`` lays them out, the principal log of the Gauss
+    values of P, their keys, and each key's cell tensor at grad y."""
+    grid, d = P.grid, P.grid.dim
+    hardening = model.hardening(sg.coeffs_to_matrices(grid.gauss_values(P.coeffs), d))
+    Pn = P.matrices()
+    gradP = grid.gauss_gradients(Pn)
+    qn = np.einsum("egijk,egijk->eg", gradP, gradP)
+    keys, inverse = cache.quantize_logs(sg.log_batch(grid.gauss_values(Pn)).reshape(-1, d, d))
+    Gy = grid.gauss_gradients(y.values).reshape(-1, d, d)
+    stiff = np.array([cache.w1_tensor(cell, model.W_stiff, key).evaluate(Gy) for key in keys])
+    soft = np.array([cache.qprime(cell, model.W_soft_limit, key).value for key in keys])
+    int_H = grid.integrate(hardening)
+    vol_s, vol_t = float(cell.vol_soft), float(cell.vol_stiff)
+    breakdown = energies.EnergyBreakdown.from_parts(
+        soft_elastic=vol_s * grid.integrate(soft[inverse]),
+        stiff_elastic=grid.integrate(stiff[inverse, np.arange(len(Gy))]),
+        hardening_soft=vol_s * int_H, hardening_stiff=vol_t * int_H,
+        grad_P_term=grid.integrate(qn ** (model.q / 2.0)))
+    return breakdown, keys
+
+
+def _assert_block_rows_are_single_passes(cell, model, fixed, Ps, cache):
+    block = cp.JLimitBlock(cell, model, fixed, Ps, cache)
+    for row, P in enumerate(Ps):
+        breakdown, keys = _single_field_pass(cell, model, fixed.y, P, cache)
+        point = block.candidate(row)
+        assert block.breakdowns[row] == point.breakdown == breakdown
+        assert point.keys == keys
+        assert np.array_equal(point.grad_m(), cp.JLimitPass(cell, model, fixed.y, P, cache).grad_m())
+
+
+def test_limit_block_rows_are_single_passes_along_recorded_ladders(cell, monkeypatch):
+    """Each trial of each block that the first round's P-step asks for, from
+    the limit benchmark's start (8 x 8 macro grid, the lab's smooth plastic
+    field, y = 0), gets the breakdown and keys of the single-field arithmetic
+    bit for bit, and the gradient of a fresh JLimitPass.  The round's
+    searches run through the staircase, so blocks hold up to 33 trials."""
+    model = materials.default_material(dim=2)
+    cache = cp.HomDensityCache(resolution=8)
+    grid = Grid(2, 8)
+    start = (DeformationField.zero(grid), lab._smooth_plastic(grid, model.K_radius))
+    recorded = []
+    block = cp.JLimitBlock
+
+    def recording(cell, model, y, Ps, cache):
+        if isinstance(y, cp.FixedYLimit):  # a P-step's trials, not an assembly of one state
+            recorded.append((y, Ps))
+        return block(cell, model, y, Ps, cache)
+
+    monkeypatch.setattr(cp, "JLimitBlock", recording)
+    mz.minimize_J_limit(cell, model, init=start, cache=cache, schedule=mz.Schedule(outer_iters=1))
+    monkeypatch.undo()
+    assert max(len(Ps) for _, Ps in recorded) > 16
+    for fixed, Ps in recorded:
+        _assert_block_rows_are_single_passes(cell, model, fixed, Ps, cache)
+
+
+def test_limit_block_rows_are_single_passes_in_3d():
+    """On fiber3d, a block of trials along one ladder from a random state
+    (y != 0), whose rows lie at different distances from the identity, gives
+    each row the single-field breakdown, keys and gradient bit for bit; the
+    3D chart maps run row by row (``slgeometry.rowwise``)."""
+    cell = mg.builtin_cell("fiber3d")
+    model = materials.default_material(dim=3)
+    cache = cp.HomDensityCache(step=0.05, resolution=8)
+    grid = Grid(3, 2)
+    rng = np.random.default_rng(23)
+    y = DeformationField(grid, 0.1 * rng.standard_normal((grid.n_nodes, 3)))
+    y.values[grid.boundary_node_mask()] = 0.0
+    m = 0.02 * rng.standard_normal((grid.n_nodes, 8))
+    direction = 0.25 * rng.standard_normal((grid.n_nodes, 8))
+    Ps = [PlasticField(grid, m - 0.5**i * direction, model.K_radius) for i in range(6)]
+    _assert_block_rows_are_single_passes(cell, model, cp.FixedYLimit(cell, model, y, cache), Ps, cache)

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from hclab import cellproblems as cp, energies, materials, microgeometry as mg, minimize as mz, slgeometry as sg
+from hclab import cellproblems as cp, energies, lab, materials, microgeometry as mg, minimize as mz, slgeometry as sg
 from hclab.fields import DeformationField, Grid, PlasticField, prolong_deformation, prolong_plastic
 
 
@@ -665,3 +665,181 @@ def test_a_rising_outer_round_is_not_convergence(rise, converged):
                                      grid, 0.3, None, mz.Schedule(outer_tol=1e-8))
     assert len(rep.inner_iterations) == 1 and value == 1.0 + rise
     assert rep.converged == converged
+
+
+def _consuming(evaluate, consumed):
+    """``evaluate`` (a block evaluator) that appends to ``consumed`` the
+    coefficients of each trial as the search consumes its value."""
+    def wrapped(Ps):
+        for P, value in zip(Ps, evaluate(Ps)):
+            consumed.append(P.coeffs.tobytes())
+            yield value
+    return wrapped
+
+
+def _same_descent(first, second):
+    (P1, rep1), (P2, rep2) = first, second
+    assert np.array_equal(P1.coeffs, P2.coeffs)
+    assert rep1.final_value == rep2.final_value and rep1.breakdown == rep2.breakdown
+    assert rep1.energy_trace == rep2.energy_trace
+    assert rep1.inner_iterations == rep2.inner_iterations
+    assert rep1.gradient_norms == rep2.gradient_norms
+
+
+def test_limit_block_search_keeps_every_iterate_of_the_one_trial_search():
+    """The first round's P-step from the limit benchmark's start (8 x 8
+    macro grid, the lab's smooth plastic field, y from the first y-step):
+    the descent with the limit's block evaluator returns the P, value,
+    trace, iteration count and gradient norms of the same descent with a
+    test-local evaluator that values one trial per call, and consumes the
+    same trials in the same order, so every search takes as many trials.
+    Its searches run through the staircase: the blocks value more trials
+    than the search consumes, in fewer calls."""
+    cell = mg.builtin_cell("block4")
+    model = materials.default_material(dim=2)
+    cache = cp.HomDensityCache(resolution=8)
+    grid = Grid(2, 8)
+    P0 = lab._smooth_plastic(grid, model.K_radius)
+    y = mz.minimize_J_limit(cell, model, init=(DeformationField.zero(grid), P0), cache=cache,
+                            schedule=mz.Schedule(outer_iters=1, p_tol=1e9))[0]
+    fixed = cp.FixedYLimit(cell, model, y, cache)
+    valued = []
+    block = cp.JLimitBlock
+
+    def counting(*args):
+        valued.append(len(args[3]))
+        return block(*args)
+
+    def one_per_call(Ps):
+        for P in Ps:
+            point = cp.JLimitPass(cell, model, y, P, cache)
+            yield point.breakdown, lambda point=point: (point.grad_m(), None)
+
+    consumed = {"block": [], "one": []}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "JLimitBlock", counting)
+        blocks = mz._block_descent(_consuming(mz._limit_evaluator(cell, model, fixed, cache), consumed["block"]),
+                                   P0, 1e-7, mz.LIMIT_P_ITERS)
+    ones = mz._block_descent(_consuming(one_per_call, consumed["one"]), P0, 1e-7, mz.LIMIT_P_ITERS)
+    _same_descent(blocks, ones)
+    assert consumed["block"] == consumed["one"]
+    # the start and 860 trials in 60 iterations, as a search that values one trial per step makes them
+    assert len(consumed["one"]) == 861 and blocks[1].inner_iterations == [60]
+    assert sum(valued) > len(consumed["one"]) > 5 * len(valued)
+
+
+def test_composite_p_step_keeps_every_iterate_and_assembly_count(setup, monkeypatch):
+    """From the stationarity test's random start, ``minimize_P`` returns the
+    P, value, trace, iteration count and gradient norms of the descent with
+    a test-local evaluator that assembles each trial afresh, one per call;
+    both consume the same trials, and ``minimize_P`` makes one
+    ``assemble_J_eps`` call per valued point, the start included."""
+    cell, domain, model, grid = setup
+    rng = np.random.default_rng(1)
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
+    P0 = PlasticField(grid, 0.5 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
+
+    def one_per_call(Ps):
+        for P in Ps:
+            def finish(P=P):
+                grad = energies.value_and_grad_J_eps(domain, model, y, P)[1].grad_m
+                return grad, energies.sobolev_metric(domain, model, y, P)
+            yield energies.assemble_J_eps(domain, model, y, P), finish
+
+    consumed = []
+    ones = mz._block_descent(_consuming(one_per_call, consumed), P0, 1e-7, 10_000)
+    assembled = []
+    assemble = energies.assemble_J_eps
+    monkeypatch.setattr(energies, "assemble_J_eps", lambda *args: assembled.append(args[3]) or assemble(*args))
+    P, rep = mz.minimize_P(domain, model, y, P0, tol=1e-7)
+    _same_descent((P, rep), ones)
+    assert rep.converged and len(rep.energy_trace) > 10
+    assert consumed[0] == P0.coeffs.tobytes()
+    assert [P.coeffs.tobytes() for P in assembled] == consumed
+    # the start and 36 trials in 25 iterations, as a search that values one trial per step makes them
+    assert len(consumed) == 37 and rep.inner_iterations == [25]
+
+
+def test_p_step_starts_from_the_y_steps_pass(setup, monkeypatch):
+    """In the composite alternation each P-step starts from the pass that
+    valued its y-step's solution: every outer round makes one JEpsPass fewer
+    than ``assemble_J_eps`` calls, and y, P and the value are those of
+    P-steps that value their start afresh."""
+    cell, domain, model, grid = setup
+    rng = np.random.default_rng(2)
+    start = (DeformationField.zero(grid),
+             PlasticField(grid, 0.5 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius))
+    schedule = mz.Schedule(outer_iters=3)
+    minimize_y = mz.minimize_y
+
+    def fresh_start(*args, **kwargs):
+        y, rep = minimize_y(*args, **kwargs)
+        rep.fixed = energies.FixedY(domain, y)
+        return y, rep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mz, "minimize_y", fresh_start)
+        fresh = mz.minimize_J_eps(domain, model, init=start, schedule=schedule)
+    counts = {"passes": 0, "assemblies": 0}
+    init, assemble = energies.JEpsPass.__init__, energies.assemble_J_eps
+
+    def counting_init(self, *args):
+        counts["passes"] += 1
+        init(self, *args)
+
+    def counting_assemble(*args):
+        counts["assemblies"] += 1
+        return assemble(*args)
+
+    monkeypatch.setattr(energies.JEpsPass, "__init__", counting_init)
+    monkeypatch.setattr(energies, "assemble_J_eps", counting_assemble)
+    y, P, value, rep = mz.minimize_J_eps(domain, model, init=start, schedule=schedule)
+    assert len(rep.inner_iterations) == 3
+    assert counts["passes"] == counts["assemblies"] - 3
+    assert value == fresh[2] and rep.energy_trace == fresh[3].energy_trace
+    assert np.array_equal(P.coeffs, fresh[1].coeffs) and np.array_equal(y.values, fresh[0].values)
+
+
+def test_limit_block_failure_past_the_accepted_trial_does_not_surface():
+    """A trial outside the principal-log chart (a rotation by 2 rad, in a K
+    ball of radius 3) behind an admissible one: the limit's block evaluator
+    values the first trial as a pass of its own does, its gradient is
+    finished, and LogDomain is raised only when the second trial is
+    consumed."""
+    cell = mg.builtin_cell("block4")
+    model = materials.default_material(dim=2, r_K=3.0)
+    cache = cp.HomDensityCache(resolution=8)
+    grid = Grid(2, 2)
+    y = DeformationField.zero(grid)
+    good = PlasticField(grid, 0.1 * np.random.default_rng(4).standard_normal((grid.n_nodes, 3)), model.K_radius)
+    bad = PlasticField(grid, np.tile([0.0, 2.0 * np.sqrt(2.0), 0.0], (grid.n_nodes, 1)), model.K_radius)
+    with pytest.raises(sg.LogDomain):
+        cp.JLimitPass(cell, model, y, bad, cache)
+    values = mz._limit_evaluator(cell, model, cp.FixedYLimit(cell, model, y, cache), cache)([good, bad])
+    breakdown, finish = next(values)
+    point = cp.JLimitPass(cell, model, y, good, cache)
+    assert breakdown == point.breakdown
+    grad, H = finish()
+    assert H is None and np.array_equal(grad, point.grad_m())
+    with pytest.raises(sg.LogDomain):
+        next(values)
+
+
+def test_descent_y_step_runs_no_plastic_gradient(setup, monkeypatch):
+    """A forced-descent y-step makes no ``PlasticPass.gradient`` call; the
+    gradient its objective reads is ``value_and_grad_J_eps``'s grad_y bit for
+    bit, with the same breakdown."""
+    cell, domain, model, grid = setup
+    rng = np.random.default_rng(3)
+    P = PlasticField(grid, 0.5 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
+    calls = []
+    gradient = energies.PlasticPass.gradient
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energies.PlasticPass, "gradient", lambda self, dP: calls.append(1) or gradient(self, dP))
+        y, rep = mz.minimize_y(domain, model, P, force_descent=True)
+        breakdown, grad_y = energies.value_and_grad_y_J_eps(domain, model, y, P)
+    assert rep.converged and np.abs(y.values).max() > 1e-3
+    assert calls == []
+    full_breakdown, g = energies.value_and_grad_J_eps(domain, model, y, P)
+    assert breakdown == full_breakdown
+    assert np.abs(grad_y).max() > 0.0 and np.array_equal(grad_y, g.grad_y)

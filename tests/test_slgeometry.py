@@ -535,3 +535,24 @@ def test_exp2_values_kernel_bit_identical_to_cs_funcs():
     E = sg.exp_batch(M)
     want = C[..., None, None] * np.eye(2) + S[..., None, None] * M
     assert E.shape == M.shape and E.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rowwise_chart_maps_give_each_row_its_own_bits(dim):
+    """``rowwise`` gives each row of a stack the exp and log it gets alone,
+    bit for bit.  In 3D a batch-wide call would not: one row beyond the
+    series' radii sends every row to scipy, and the rows near the identity
+    then differ in their last bits.  (Only the series rows are compared:
+    scipy's ``logm`` need not repeat its own last bits from call to call.)"""
+    rng = np.random.default_rng(31)
+    k = dim * dim - 1
+    M = sg.coeffs_to_matrices(rng.standard_normal((3, 20, k)) * np.array([0.02, 0.08, 0.9])[:, None, None], dim)
+    P = sg.exp_batch(M)
+    assert np.linalg.norm(P[:2] - np.eye(dim), axis=(-2, -1)).max() < 0.7
+    assert np.linalg.norm(P[2] - np.eye(dim), axis=(-2, -1)).max() > 0.7
+    for kernel, A in ((sg.exp_batch, M), (sg.log_batch, P)):
+        rows = sg.rowwise(kernel, A)
+        for row, a in zip(rows[:2], A[:2]):
+            assert np.array_equal(row, kernel(a))
+    batch = sg.log_batch(P.reshape(-1, dim, dim)).reshape(P.shape)
+    assert np.array_equal(batch[0], sg.log_batch(P[0])) == (dim == 2)
