@@ -21,18 +21,18 @@ banded Cholesky against those columns, which gives the d x d matrix Q,
 and the cell energy vol W(F R) - 1/2 tr(D Q D^T) with D = W'(F R) R^T is a
 quadratic form in F whose one closed form is ``_cell_tensor``.  The limit
 functional uses the fast path only.  A ``JLimitPass`` is one assembly of it
-at (y, P): it takes the one principal log of the Gauss matrices of P, which
-keys the cache as the y-step's ``HomDensityCache.quantize`` does, while its
-``energies.PlasticPass`` reads the hardening at the interpolated log
-coordinates as J_eps does; the pass keeps what its P-gradient needs, so the
-gradient of an assembled point is finished without a second pass.  A
-``JLimitBlock`` assembles a list of P at once, one row per P, as the limit
-P-step values the trials of its line search, and each row is a
-``JLimitPass`` bit for bit; a single pass is a block of one.  The data
-that depend on y alone are a ``FixedYLimit``, which the limit P-step builds
-once: grad y at the Gauss points and, per lattice key, the stiff energy of
-its cell tensor there, so that a trial point gathers its stiff term and its
-slopes from those rows.
+at (y, P): it takes the one principal log of the Gauss matrices of P with
+``slgeometry.log_batch``, which keys the cache as the y-step's
+``HomDensityCache.quantize`` does, while its ``energies.PlasticPass`` reads
+the hardening at the interpolated log coordinates as J_eps does; the pass
+keeps what its P-gradient needs, so the gradient of an assembled point is
+finished without a second pass.  A ``JLimitBlock`` assembles a list of P at
+once, one row per P, as the limit P-step values the trials of its line
+search, and each row is a ``JLimitPass`` bit for bit; a single pass is a
+block of one.  The data that depend on y alone are a ``FixedYLimit``, which
+the limit P-step builds once: grad y at the Gauss points and, per lattice
+key, the stiff energy of its cell tensor there, so that a trial point
+gathers its stiff term and its slopes from those rows.
 
 The stiff window of a (cell, resolution, lam) and the soft window of a
 (cell, resolution, formulation), each a grid with its active and free masks
@@ -542,11 +542,12 @@ class JLimitBlock:
     quadratic cell tensor, so a non-quadratic W1 raises CellProblemError.
 
     The fields share every step: one product for their Gauss values of P,
-    one principal log and one ``quantize_logs`` over all their Gauss
-    matrices, one ``FixedYLimit`` row gather, and each field's integrals as
-    row sums.  Per-Gauss arrays carry a leading axis of one contiguous row
-    per field, on which each step acts as on one field, so each field's
-    breakdown, keys and gradient are those of a pass of its own bit for bit.
+    one principal log (``slgeometry.log_batch``) and one ``quantize_logs``
+    over all their Gauss matrices, one ``FixedYLimit`` row gather, and each
+    field's integrals as row sums.  Per-Gauss arrays carry a leading axis of
+    one contiguous row per field, on which each step acts as on one field,
+    so each field's breakdown, keys and gradient are those of a pass of its
+    own bit for bit.
     """
 
     def __init__(self, cell: CellGeometry, model, y, Ps: list, cache: HomDensityCache):
@@ -564,7 +565,7 @@ class JLimitBlock:
         # stiff density through the quadratic fast path (per unique quantized G),
         # keyed on the principal log of each Gauss value of P, as the y-step's
         # ``HomDensityCache.quantize`` keys it
-        logs = slgeometry.rowwise(lambda Pg: slgeometry.log_and_adjoint(Pg)[0], self.Pg)
+        logs = slgeometry.rowwise(slgeometry.log_batch, self.Pg)
         self.keys, inverse = cache.quantize_logs(logs.reshape(-1, d, d))
         w1_vals = fixed.stiff(self.keys, inverse)
         soft_vals = np.array([0.0 if cell.degenerate else cache.qprime(cell, model.W_soft_limit, key).value

@@ -6,7 +6,8 @@ distance over a domain's fields is ``energies.dissipation_integral``.
 Trace-free logarithm coordinates chart a neighborhood of the identity in
 SL(d).  For d=2 the matrix exponential/logarithm and their Frechet
 derivatives have closed forms via Cayley-Hamilton (M^2 = -det(M) I for
-trace-free M), vectorized over stacked arrays.  For d >= 3 all four share one
+trace-free M), vectorized over stacked arrays; exp and log evaluate no
+derivative of their scalar functions.  For d >= 3 all four share one
 batched power series (``_series``) inside the radii |M| <= 1 and
 |P - I| <= 0.7, and one per-matrix scipy loop beyond (``_per_matrix``).
 ``exp_sl`` validates its input as a ``TraceFreeMatrix``.
@@ -186,37 +187,48 @@ def _exp_tf_frechet_adjoint2(M: np.ndarray, W: np.ndarray) -> np.ndarray:
 _LOG_SERIES_CUT = 1e-4
 
 
-def _log_f_funcs(c: np.ndarray, mu: np.ndarray):
-    """f(c, mu) with log A = (log det A)/2 I + f B, B = A - c I, mu = c^2 - det A.
+def _log_f_values(c: np.ndarray, mu: np.ndarray):
+    """f(c, mu) with log A = (log det A)/2 I + f B, B = A - c I, mu = c^2 - det A,
+    and what ``_log_f_funcs`` builds on: r = mu/c^2, the mask of the far
+    lanes |r| > ``_LOG_SERIES_CUT`` and, on those, u = sqrt|mu| and the
+    angle th = u f.
 
-    Series in r = mu/c^2 around 0 matches both the hyperbolic (mu > 0) and
-    elliptic (mu < 0) branches; f_c = -1/det A on every branch.  Requires
-    c > 0 and det A > 0.  The series is a few multiply-adds and runs on
-    every lane.  The closed forms, with their sqrt, artanh and arctan, run
-    only on the lanes with |r| beyond ``_LOG_SERIES_CUT``, gathered by mask
-    and written back over the series, so series lanes (all of them near the
-    identity) pay for no closed form.  Among those lanes both angles are
-    taken and ``np.where`` keeps one, which is cheaper than splitting them
-    again; artanh sees 0 on elliptic lanes, where u/c = tan(angle) may
-    exceed 1.  Accepts 0-d input, as ``log_sl`` passes one matrix.
+    The series in r matches both the hyperbolic (mu > 0) and elliptic
+    (mu < 0) branches; it is a few multiply-adds and runs on every lane.  The
+    closed form, with its sqrt, artanh and arctan, runs only on the far
+    lanes, gathered by mask and written back over the series, so series lanes
+    (all of them near the identity) pay for no closed form.  Among those
+    lanes both angles are taken and ``np.where`` keeps one, which is cheaper
+    than splitting them again; artanh sees 0 on elliptic lanes, where
+    u/c = tan(angle) may exceed 1.  Requires c > 0 and det A > 0; accepts
+    0-d input, as ``log_sl`` passes one matrix.
     """
     c = np.asarray(c, dtype=float)
     mu = np.asarray(mu, dtype=float)
     r = mu / (c * c)
     # np.asarray: arithmetic on 0-d input yields scalars, which take no masked writes
     f = np.asarray((1.0 + r * (1.0 / 3.0 + r * (1.0 / 5.0 + r * (1.0 / 7.0)))) / c)
-    fmu = np.asarray((1.0 / 3.0 + r * (2.0 / 5.0 + r * (3.0 / 7.0 + r * (4.0 / 9.0)))) / (c * c * c))
     far = np.abs(r) > _LOG_SERIES_CUT
-    if far.any():
-        cf, muf = c[far], mu[far]
-        # u = sqrt|mu|; the angle is artanh(u/c) (mu > 0, where u < c) or arctan(u/c)
-        u = np.sqrt(np.abs(muf))
-        t = u / cf
-        pos = muf > 0
-        th = np.where(pos, np.arctanh(np.where(pos, t, 0.0)), np.arctan(t))
-        cud = cf * u / (cf * cf - muf)
-        f[far] = th / u
-        fmu[far] = np.where(pos, cud - th, th - cud) / (2.0 * u * u * u)
+    muf = mu[far]
+    u = np.sqrt(np.abs(muf))
+    t = u / c[far]
+    pos = muf > 0
+    th = np.where(pos, np.arctanh(np.where(pos, t, 0.0)), np.arctan(t))
+    f[far] = th / u
+    return f, r, far, u, th
+
+
+def _log_f_funcs(c: np.ndarray, mu: np.ndarray):
+    """f and its partial derivatives f_c = -1/det A (every branch) and f_mu
+    (series on every lane, closed form on the far lanes of ``_log_f_values``),
+    which only the log's adjoint reads."""
+    c = np.asarray(c, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    f, r, far, u, th = _log_f_values(c, mu)
+    fmu = np.asarray((1.0 / 3.0 + r * (2.0 / 5.0 + r * (3.0 / 7.0 + r * (4.0 / 9.0)))) / (c * c * c))
+    cf, muf = c[far], mu[far]
+    cud = cf * u / (cf * cf - muf)
+    fmu[far] = np.where(muf > 0, cud - th, th - cud) / (2.0 * u * u * u)
     fc = -1.0 / (c * c - mu)
     return f, fc, fmu
 
@@ -232,30 +244,28 @@ def _log2_chart(A: np.ndarray):
     return a, b, cc, dd, c, det
 
 
-def _log2_parts(A: np.ndarray):
-    """Principal log of stacked 2x2 A (det > 0, positive half-trace) and the
-    chart and f-functions it was computed from, which its adjoint reuses."""
-    chart = _log2_chart(A)
-    a, b, cc, dd, c, det = chart
-    funcs = _log_f_funcs(c, c * c - det)
-    f = funcs[0]
+def _log2(A: np.ndarray) -> np.ndarray:
+    """Principal log of stacked 2x2 A (det > 0, positive half-trace),
+    (log det A)/2 I + f (A - c I)."""
+    a, b, cc, dd, c, det = _log2_chart(A)
+    f = _log_f_values(c, c * c - det)[0]
     half_logdet = 0.5 * np.log(det)
     out = np.empty(A.shape)
     out[..., 0, 0] = half_logdet + f * (a - c)
     out[..., 0, 1] = f * b
     out[..., 1, 0] = f * cc
     out[..., 1, 1] = half_logdet + f * (dd - c)
-    return out, (chart, funcs)
+    return out
 
 
-def _log_frechet_adjoint2(parts, W: np.ndarray) -> np.ndarray:
-    """Adjoint of the differential of log at A applied to W (stacked 2x2),
-    from the ``parts`` of ``_log2_parts(A)``.
+def _log_frechet_adjoint2(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Adjoint of the differential of log at A applied to W (stacked 2x2).
 
     With B = A - c I and cof(A) the cofactor matrix,
     (Dlog_A)^* W = k_cof cof(A) + k_eye I + f W.
     """
-    (a, b, cc, dd, c, det), (f, fc, fmu) = parts
+    a, b, cc, dd, c, det = _log2_chart(A)
+    f, fc, fmu = _log_f_funcs(c, c * c - det)
     w00, w01, w10, w11 = W[..., 0, 0], W[..., 0, 1], W[..., 1, 0], W[..., 1, 1]
     trW = w00 + w11
     WdotB = w00 * (a - c) + w01 * b + w10 * cc + w11 * (dd - c)
@@ -338,7 +348,7 @@ def log_batch(P: np.ndarray) -> np.ndarray:
     2x2, Mercator series for |P - I| <= 0.7 otherwise, scipy beyond)."""
     P = np.asarray(P, dtype=float)
     if P.shape[-1] == 2:
-        return _log2_parts(P)[0]
+        return _log2(P)
     B = P - np.eye(P.shape[-1])
     if np.linalg.norm(B, axis=(-2, -1)).max(initial=0.0) <= _LOG_SERIES_RADIUS:
         return _series(B, _log_coeff)
@@ -370,7 +380,7 @@ def log_frechet_adjoint(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     W = np.asarray(W, dtype=float)
     if A.shape[-1] == 2:
-        return _log_frechet_adjoint2(_log2_parts(A)[1], W)
+        return _log_frechet_adjoint2(A, W)
     d = A.shape[-1]
     B = np.swapaxes(A, -1, -2) - np.eye(d)
     if np.linalg.norm(B, axis=(-2, -1)).max(initial=0.0) <= _LOG_SERIES_RADIUS:
@@ -380,19 +390,6 @@ def log_frechet_adjoint(A: np.ndarray, W: np.ndarray) -> np.ndarray:
         return np.real(scipy.linalg.logm(np.block([[a.T, w], [np.zeros_like(a), a.T]])))[:d, d:]
 
     return _per_matrix(block_log, A, W)
-
-
-def log_and_adjoint(P: np.ndarray):
-    """Principal log of stacked matrices with the adjoint of its differential
-    at P: returns ``(log P, adjoint)`` where ``adjoint(W)`` equals
-    ``log_frechet_adjoint(P, W)`` bit for bit.  For 2x2 the adjoint reuses the
-    chart and f-functions of the log, so each matrix gets one
-    ``_log_f_funcs`` evaluation however many cotangents are pulled back."""
-    P = np.asarray(P, dtype=float)
-    if P.shape[-1] == 2:
-        logs, parts = _log2_parts(P)
-        return logs, lambda W: _log_frechet_adjoint2(parts, np.asarray(W, dtype=float))
-    return log_batch(P), lambda W: log_frechet_adjoint(P, W)
 
 
 def rowwise(kernel, A: np.ndarray) -> np.ndarray:

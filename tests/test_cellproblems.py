@@ -595,8 +595,8 @@ def test_limit_gradient_matches_composite_on_stiff_cell():
 def test_limit_pass_gradient_bit_identical_to_fresh_pass(cell_name):
     """A JLimitPass whose gradient is finished after a later pass was
     assembled gives a fresh pass's energy and gradient bit for bit at y != 0,
-    P != I, and each pass, its gradient included, calls log_and_adjoint once,
-    on its (E, g) Gauss matrices."""
+    P != I, and each pass, its gradient included, calls log_batch once, on
+    its (E, g) Gauss matrices."""
     cell = mg.builtin_cell(cell_name)
     dim = cell.dim
     model = materials.default_material(dim=dim)
@@ -608,14 +608,14 @@ def test_limit_pass_gradient_bit_identical_to_fresh_pass(cell_name):
     Ps = [PlasticField(grid, 0.03 * rng.standard_normal((grid.n_nodes, dim * dim - 1)), model.K_radius)
           for _ in range(2)]
     logs = []
-    log_and_adjoint = sg.log_and_adjoint
+    log_batch = sg.log_batch
 
     def counted(P):
         logs.append(P.shape[:-2])
-        return log_and_adjoint(P)
+        return log_batch(P)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sg, "log_and_adjoint", counted)
+        mp.setattr(sg, "log_batch", counted)
         points = [cp.JLimitPass(cell, model, y, P, cache) for P in Ps]
         grads = [point.grad_m() for point in points]
     assert logs == [(grid.n_elements, grid.n_gauss)] * 2
@@ -625,6 +625,36 @@ def test_limit_pass_gradient_bit_identical_to_fresh_pass(cell_name):
         assert point.breakdown == bd
         assert np.array_equal(grad_m, g)
         assert np.abs(g).max() > 0.0
+
+
+def test_limit_solve_keys_through_the_public_log():
+    """Over one cold 2D ``minimize_J_limit`` solve, the matrices handed to the
+    module attribute ``slgeometry.log_batch``, the kernel that perfbench's
+    span wrappers count, include every Gauss matrix a ``JLimitBlock`` keys
+    on, those of the trials that the line search never consumes included."""
+    cell = mg.builtin_cell("block4")
+    model = materials.default_material(dim=2)
+    cache = cp.HomDensityCache(resolution=8)
+    grid = Grid(2, 8)
+    P0 = lab._smooth_plastic(grid, model.K_radius)
+    logged, blocks = set(), []
+    log_batch, init = sg.log_batch, cp.JLimitBlock.__init__
+
+    def counted(P):
+        logged.update(m.tobytes() for m in P.reshape(-1, 2, 2))
+        return log_batch(P)
+
+    def recorded(self, *args):
+        init(self, *args)
+        blocks.append(self.Pg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg, "log_batch", counted)
+        mp.setattr(cp.JLimitBlock, "__init__", recorded)
+        mz.minimize_J_limit(cell, model, init=(DeformationField.zero(grid), P0), cache=cache)
+    keyed = {m.tobytes() for Pg in blocks for m in Pg.reshape(-1, 2, 2)}
+    assert len(blocks) > 10 and len(keyed) > 10 * grid.n_elements * grid.n_gauss
+    assert keyed <= logged
 
 
 def test_fixed_y_limit_pass_bit_identical_to_plain_field_pass(cell):

@@ -327,7 +327,7 @@ def test_composite_pass_takes_no_matrix_log(cell_name, monkeypatch):
     y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, dim)))
     P = PlasticField(grid, 0.1 * rng.standard_normal((grid.n_nodes, dim * dim - 1)), model.K_radius)
     calls = []
-    for name in ("log_batch", "log_and_adjoint", "log_frechet_adjoint"):
+    for name in ("log_batch", "log_frechet_adjoint"):
         kernel = getattr(sg, name)
         monkeypatch.setattr(sg, name, lambda *args, _name=name, _kernel=kernel: calls.append(_name) or _kernel(*args))
     fixed = energies.FixedY(domain, y)

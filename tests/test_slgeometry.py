@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hclab import energies, slgeometry as sg
+from hclab.fields import Grid
 
 RNG = np.random.default_rng(20240811)
 
@@ -451,8 +453,9 @@ def _f_lanes(rng, n, sign, r_low, r_high):
 
 @pytest.mark.parametrize("case", ["series", "hyperbolic", "elliptic", "mixed", "0-d"])
 def test_log_f_funcs_bit_identical_to_the_branchless_formula(case):
-    """The masked kernel, which skips the closed forms on series lanes, gives
-    the branchless formula's f, f_c and f_mu bit for bit, shape included."""
+    """The masked kernels, which skip the closed forms on series lanes, give
+    the branchless formula's f, f_c and f_mu bit for bit, shape included:
+    ``_log_f_funcs`` all three, and ``_log_f_values``, the log's, its f."""
     rng = np.random.default_rng(31)
     cut = sg._LOG_SERIES_CUT
     lanes = {"series": [(1.0, 1e-12, cut), (-1.0, 1e-12, cut)],
@@ -471,9 +474,51 @@ def test_log_f_funcs_bit_identical_to_the_branchless_formula(case):
         inputs = [(np.float64(c), np.float64(r * c * c))
                   for c in (0.9, 1.0, 1.1) for r in (0.0, 0.5 * cut, -0.5 * cut, 0.3, -0.3, -3.0)]
     for c, mu in inputs:
-        for got, want in zip(sg._log_f_funcs(c, mu), _log_f_funcs_branchless(c, mu)):
+        want_all = _log_f_funcs_branchless(c, mu)
+        for got, want in zip((sg._log_f_values(c, mu)[0],) + sg._log_f_funcs(c, mu), want_all[:1] + want_all):
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_log2_batch_evaluates_no_f_derivatives(monkeypatch):
+    """The 2x2 log reads f alone: ``log_batch`` and ``log_sl`` make no
+    ``_log_f_funcs`` call, whose f_c and f_mu only the log's adjoint reads
+    (one call, which the counter sees)."""
+    calls = []
+    funcs = sg._log_f_funcs
+    monkeypatch.setattr(sg, "_log_f_funcs", lambda *args: calls.append(len(args)) or funcs(*args))
+    rng = np.random.default_rng(24)
+    A = np.concatenate([_log_branch_cases(), _near_identity(rng, 50)])
+    sg.log_batch(A)
+    sg.log_sl(sg.exp_batch(sg.coeffs_to_matrices(np.array([0.3, -0.2, 0.1]), 2)))
+    assert calls == []
+    sg.log_frechet_adjoint(A, rng.standard_normal(A.shape))
+    assert calls == [2]
+
+
+def test_log2_batch_peaks_below_three_results():
+    """2D ``log_batch`` on the 8,448 Gauss matrices of a 33-trial block on the
+    8 x 8 macro grid (nodal log coordinates up to 0.3, the stock r_K) peaks
+    below three arrays of its result's size under tracemalloc: the log
+    holds its chart and f, not the derivatives of f.  It measured 2.7 such
+    arrays, and 3.7 when it evaluated f_c and f_mu too."""
+    grid = Grid(2, 8)
+    rng = np.random.default_rng(25)
+    m = rng.standard_normal((33, grid.n_nodes, 3))
+    m *= 0.3 * rng.random((33, grid.n_nodes, 1)) / np.linalg.norm(m, axis=-1, keepdims=True)
+    nodal = sg.exp_batch(sg.coeffs_to_matrices(m, 2))
+    Pg = grid.gauss_values(nodal.swapaxes(0, 1)).transpose(2, 0, 1, 3, 4).reshape(-1, grid.n_gauss, 2, 2)
+    assert Pg.shape[:2] == (2112, 4)
+    first = sg.log_batch(Pg)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        again = sg.log_batch(Pg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, first)
+    assert peak < 3 * again.nbytes
 
 
 @pytest.mark.parametrize("d", [2, 3])
