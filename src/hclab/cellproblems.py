@@ -20,19 +20,18 @@ int grad(phi).  A solve fills the band of K(C) from that basis and runs one
 banded Cholesky against those columns, which gives the d x d matrix Q,
 and the cell energy vol W(F R) - 1/2 tr(D Q D^T) with D = W'(F R) R^T is a
 quadratic form in F whose one closed form is ``_cell_tensor``.  The limit
-functional uses the fast path only.  A ``JLimitPass`` is one assembly of it
-at (y, P): it takes the one principal log of the Gauss matrices of P with
-``slgeometry.log_batch``, which keys the cache as the y-step's
-``HomDensityCache.quantize`` does, while its ``energies.PlasticPass`` reads
-the hardening at the interpolated log coordinates as J_eps does; the pass
-keeps what its P-gradient needs, so the gradient of an assembled point is
-finished without a second pass.  A ``JLimitBlock`` assembles a list of P at
-once, one row per P, as the limit P-step values the trials of its line
-search, and each row is a ``JLimitPass`` bit for bit; a single pass is a
-block of one.  The data that depend on y alone are a ``FixedYLimit``, which
-the limit P-step builds once: grad y at the Gauss points and, per lattice
-key, the stiff energy of its cell tensor there, so that a trial point
-gathers its stiff term and its slopes from those rows.
+functional uses the fast path only.  A ``JLimitBlock`` is one assembly of it
+at one y for a list of P, one row per P, as the limit P-step values the
+trials of its line search; a single point is a block of one.  It takes the
+one principal log of the Gauss matrices of P with ``slgeometry.log_batch``,
+which keys the cache as the y-step's ``HomDensityCache.quantize`` does,
+while its ``energies.PlasticBlock`` reads the hardening at the interpolated
+log coordinates as J_eps does; the block keeps what its P-gradients need, so
+the gradient of an assembled row is finished without a second pass.  The
+data that depend on y alone are a ``FixedYLimit``, which the limit y-step
+builds once and hands to its P-step: grad y at the Gauss points and, per
+lattice key, the stiff energy of its cell tensor there, so that a trial
+point gathers its stiff term and its slopes from those rows.
 
 The stiff window of a (cell, resolution, lam) and the soft window of a
 (cell, resolution, formulation), each a grid with its active and free masks
@@ -495,15 +494,14 @@ class HomDensityCache:
 
 class FixedYLimit:
     """The Gauss data of J_limit that depend on the deformation alone, the
-    counterpart of ``energies.FixedY`` for the limit P-step: ``Gy`` (N, d, d),
-    grad y at the Gauss points, and for each lattice key the stiff energy
-    of its cell tensor at every Gauss point, a row of N values filled on
-    first use.
+    counterpart of ``energies.FixedY`` for the limit P-step: the cell, model
+    and cache they were made with, ``Gy`` (N, d, d), grad y at the Gauss
+    points, and for each lattice key the stiff energy of its cell tensor at
+    every Gauss point, a row of N values filled on first use.
 
-    Passed as ``y`` to ``JLimitPass`` or ``assemble_J_limit``, one
-    FixedYLimit serves every assembly at its deformation: a trial point then
-    gathers its stiff energies from the rows instead of evaluating tensors
-    at y again.
+    One FixedYLimit serves every ``JLimitBlock`` at its deformation: a trial
+    point then gathers its stiff energies from the rows instead of
+    evaluating tensors at y again.
     """
 
     def __init__(self, cell: CellGeometry, model, y, cache: HomDensityCache):
@@ -528,11 +526,12 @@ class FixedYLimit:
 
 
 class JLimitBlock:
-    """One assembly of the homogenized functional at one y for a list of
-    plastic fields on a macro grid, such as the trial points of a line
-    search: ``breakdowns`` holds the energy of each field, and
-    ``candidate(b)`` is the ``JLimitPass`` of field b, which reads its rows of
-    the block, so its gradient is finished without assembling it again.
+    """One assembly of the homogenized functional at the deformation of
+    ``fixed`` for a list of plastic fields on its macro grid, such as the
+    trial points of a line search: ``breakdowns`` holds the energy of each
+    field, and ``grad_m(row)`` finishes the gradient of field ``row`` from
+    the arrays the block computed.  A single point is ``JLimitBlock(fixed,
+    [P])``.
 
     J0 books the soft cell value at F = 0 and the soft hardening fraction; J1
     carries the stiff density at the deformation gradient, the stiff
@@ -546,19 +545,17 @@ class JLimitBlock:
     over all their Gauss matrices, one ``FixedYLimit`` row gather, and each
     field's integrals as row sums.  Per-Gauss arrays carry a leading axis of
     one contiguous row per field, on which each step acts as on one field,
-    so each field's breakdown, keys and gradient are those of a pass of its
-    own bit for bit.
+    so each row's breakdown, keys and gradient are those of a block of that
+    field alone bit for bit.
     """
 
-    def __init__(self, cell: CellGeometry, model, y, Ps: list, cache: HomDensityCache):
-        fixed = y if isinstance(y, FixedYLimit) else FixedYLimit(cell, model, y, cache)
-        if fixed.cell is not cell or fixed.model is not model or fixed.cache is not cache:
-            raise CellProblemError("the fixed deformation data belong to another cell, model or cache")
+    def __init__(self, fixed: FixedYLimit, Ps: list):
+        cell, model, cache = fixed.cell, fixed.model, fixed.cache
         grid = fixed.y.grid
         for P in Ps:
             check_same_grid(P.grid, grid, "plastic field and deformation")
         d = grid.dim
-        self.cache, self.fixed = cache, fixed
+        self.fixed = fixed
         self.plastic = plastic = PlasticBlock(model, Ps)
         self.Pg = np.ascontiguousarray(grid.gauss_values(plastic.Pn.swapaxes(0, 1)).transpose(2, 0, 1, 3, 4))
 
@@ -582,64 +579,47 @@ class JLimitBlock:
             for soft, stiff, H, grad_P in zip(soft_el, stiff_el, int_H, plastic.grad_P_term.tolist())
         ]
 
-    def candidate(self, row: int) -> JLimitPass:
-        point = JLimitPass.__new__(JLimitPass)
-        point._read(self, row)
-        return point
+    def row_keys(self, row: int) -> tuple:
+        """The lattice keys of field ``row``'s Gauss points, in the block's
+        (sorted) order, and for each point the index of its key: those of a
+        block of that field alone."""
+        used, inverse = np.unique(self.inverse[row], return_inverse=True)
+        return [self.keys[i] for i in used], inverse
 
-
-class JLimitPass:
-    """One assembly of the homogenized functional at (y, P) on a macro grid:
-    ``breakdown`` is the energy, and ``grad_m()`` finishes its gradient with
-    respect to the nodal log coefficients of P from the arrays this pass
-    computed.  The arrays are those of a ``JLimitBlock`` of P alone, or one
-    field's rows of a larger block (``JLimitBlock.candidate``).
-    """
-
-    def __init__(self, cell: CellGeometry, model, y, P, cache: HomDensityCache):
-        self._read(JLimitBlock(cell, model, y, [P], cache), 0)
-
-    def _read(self, block: JLimitBlock, row: int) -> None:
-        """Take field ``row``'s arrays of ``block``, with ``keys`` the lattice
-        keys of its Gauss points in the order a pass of its own sorts them."""
-        self.cache, self.fixed = block.cache, block.fixed
-        self.plastic = block.plastic.candidate(row)
-        self.Pg = block.Pg[row]
-        self.breakdown = block.breakdowns[row]
-        # the block's keys that this field's points use, in the block's (sorted) order
-        used = np.zeros(len(block.keys), dtype=bool)
-        used[block.inverse[row]] = True
-        self.keys = [block.keys[i] for i in np.flatnonzero(used)]
-        self.inverse = (np.cumsum(used) - 1)[block.inverse[row]]
-
-    def grad_m(self) -> np.ndarray:
-        """Gradient with respect to the nodal log coefficients of P.
+    def grad_m(self, row: int) -> np.ndarray:
+        """Gradient of field ``row`` with respect to its nodal log coefficients.
 
         The stiff density's slope in each log coordinate of G is the central
         difference of the ``FixedYLimit`` rows one quantization step above
         and below each point's key (approximate, which only affects the step
         quality of the line search; the Armijo test runs on the exact
-        assembled energy).  The slopes form
-        the log-space cotangent sum_i slope_i E_i, which the adjoint of the
-        log's differential at the Gauss values of P turns into a cotangent of
-        those values for the ``PlasticPass``.
+        assembled energy).  The slopes form the log-space cotangent
+        sum_i slope_i E_i, which the adjoint of the log's differential at the
+        Gauss values of P turns into a cotangent of those values for the
+        field's ``PlasticPass``.
         """
-        plastic, fixed = self.plastic, self.fixed
-        keys = np.array(self.keys)
+        fixed, Pg = self.fixed, self.Pg[row]
+        keys, inverse = self.row_keys(row)
+        keys = np.array(keys)
 
         def stiff_at(shift):
-            return fixed.stiff((keys + shift).tolist(), self.inverse)
+            return fixed.stiff((keys + shift).tolist(), inverse)
 
         shifts = np.eye(keys.shape[1], dtype=np.int64)
-        slopes = np.array([stiff_at(s) - stiff_at(-s) for s in shifts]) / (2.0 * self.cache.step)
-        dlog = np.einsum("ap,aij->pij", slopes, slgeometry.sl_basis(plastic.P.grid.dim))
+        slopes = np.array([stiff_at(s) - stiff_at(-s) for s in shifts]) / (2.0 * fixed.cache.step)
+        dlog = np.einsum("ap,aij->pij", slopes, slgeometry.sl_basis(fixed.y.grid.dim))
         # the public adjoint: in 2D this is its only caller, and perfbench's
         # per-layer counters read its calls
-        sens = slgeometry.log_frechet_adjoint(self.Pg, dlog.reshape(self.Pg.shape))
-        return plastic.gradient(sens)
+        sens = slgeometry.log_frechet_adjoint(Pg, dlog.reshape(Pg.shape))
+        return self.plastic.candidate(row).gradient(sens)
 
 
 def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) -> EnergyBreakdown:
-    """Homogenized functional on a macro grid; see ``JLimitPass``."""
-    return JLimitPass(cell, model, y, P, cache).breakdown
-
+    """Homogenized functional on a macro grid, the ``JLimitBlock`` of P alone;
+    ``y`` is the deformation or a ``FixedYLimit`` of this cell, model and
+    cache."""
+    if not isinstance(y, FixedYLimit):
+        y = FixedYLimit(cell, model, y, cache)
+    elif y.cell is not cell or y.model is not model or y.cache is not cache:
+        raise CellProblemError("the fixed deformation data belong to another cell, model or cache")
+    return JLimitBlock(y, [P]).breakdowns[0]

@@ -21,14 +21,13 @@ coordinates of P are assembled analytically; the differential of the
 exponential enters through its closed-form adjoint at the nodes.
 
 The internal variable enters both functionals alike: the hardening H(P) and
-|grad P|^q pass to the homogenized limit unchanged.  So their terms are one
-``PlasticPass`` per P, which ``JEpsPass`` (here) and
-``cellproblems.JLimitPass`` each hold beside their elastic parts; its
-``gradient(dP)`` pulls a per-Gauss cotangent of the values of P back to the
-nodal log coordinates together with the P-only terms' own.  One
-``PlasticBlock`` computes those terms for a list of P at once, one row per
-P, as the limit P-step values its line-search trials; a single pass is a
-block of one.
+|grad P|^q pass to the homogenized limit unchanged.  So their terms are a
+``PlasticBlock``, which computes them for a list of P at once, one row per
+P: ``cellproblems.JLimitBlock`` holds one for the trials of a limit line
+search, and ``JEpsPass`` (here) holds the ``PlasticPass`` of a block of one.
+A row's pass (``PlasticBlock.candidate``) has ``gradient(dP)``, which pulls
+a per-Gauss cotangent of the values of P back to the nodal log coordinates
+together with the P-only terms' own.
 
 A ``JEpsPass`` is one assembly at (y, P): it computes the energy and keeps
 the per-Gauss arrays its gradient reads, the inverse of P and F, beside the
@@ -42,14 +41,14 @@ waits for the first read of ``GradJEps.grad_y``, which the P-step never
 makes.
 ``assemble_J_eps`` and ``value_and_grad_J_eps`` are thin wrappers over that
 pass.  The Gauss data that depend on y alone are a ``FixedY``, which the
-P-step of ``minimize`` builds once and passes as y: every trial point is
-then valued by one pass, and at the point the line search accepts,
-``value_and_grad_J_eps`` finishes the gradient of the pass the FixedY kept
-instead of assembling that point a second time.  The y-step values its
-solution through a FixedY too, and the P-step after it takes that FixedY,
-so its start is the y-step's pass.  ``sobolev_metric`` builds
-the P-step's metric from the same kept pass: the Laplacian its gradient
-built plus 2 h1 M, the exact Hessian of the hardening.
+y-step of ``minimize`` builds once, values its solution through and returns;
+the P-step after it passes that FixedY as y, so its start is the y-step's
+pass, every trial point is valued by one pass, and at the point the line
+search accepts, ``value_and_grad_J_eps`` finishes the gradient of the pass
+the FixedY kept instead of assembling that point a second time.
+``sobolev_metric`` builds the P-step's metric from the same kept pass: the
+Laplacian its gradient built plus 2 h1 M, the exact Hessian of the
+hardening.
 ``value_and_grad_y_J_eps`` finishes the y gradient alone, for the descent
 y-step, without the plastic pass's gradient.
 ``dissipation_integral`` is the quadrature of the dissipation distance

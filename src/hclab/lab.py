@@ -547,13 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one CLI command.  Exit code 0: done, and every acceptance or audit
     check passed; 1: a check failed; 2: the command could not run (a usage,
-    config, file, geometry, material, cell-problem or grid error), reported
-    as ``hclab: error: ...``."""
+    config, file, geometry, material, cell-problem or grid error, or an
+    energy that is not finite), reported as ``hclab: error: ...``."""
     args = build_parser().parse_args(argv)
     try:
         return _run_command(args)
     except (ConfigError, IoFailure, microgeometry.GeometryError, materials.MaterialError,
-            cellproblems.CellProblemError, FieldError) as exc:
+            cellproblems.CellProblemError, FieldError, minimize.NonFiniteEnergy) as exc:
         print(f"hclab: error: {exc}", file=sys.stderr)
         return 2
 

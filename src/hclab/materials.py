@@ -160,6 +160,9 @@ class MaterialModel:
                                 f"got {self.growth_constants}")
         if not all(math.isfinite(h) for h in self.hardening_params):
             raise MaterialError(f"hardening parameters must be finite, got {self.hardening_params}")
+        if not self.h1 >= 0:
+            raise MaterialError(f"hardening slope h1 must be nonnegative, or the P-step metric 2 h1 M + L "
+                                f"is indefinite: got h1={self.h1}")
         if not (self.dim < self.q < math.inf):
             raise MaterialError(f"plastic-gradient exponent must be finite and exceed the dimension (Morrey): "
                                 f"q={self.q}, d={self.dim}")

@@ -16,13 +16,15 @@ is a Sobolev-gradient descent: its direction solves H x = g with the lagged
 H1 operator of the hardening and |grad P|^q terms
 (``energies.sobolev_metric``), whose h^-2 conditioning would otherwise
 double the iteration count with each halving of eps.  The homogenized P-step
-keeps the raw gradient (see ``LIMIT_P_ITERS``).  Both P-steps hold y fixed
-and compute what depends on it alone once per step, ``energies.FixedY`` for
-the composite and ``cellproblems.FixedYLimit`` for the homogenized
-functional, so an Armijo trial pays only for its P.  The line search asks
-for its trials in blocks (``_block_descent``): the composite values them
-one at a time, and the homogenized functional values each block at once
-(``_limit_evaluator``), which changes no iterate.
+keeps the raw gradient (see ``LIMIT_P_ITERS``).  Each y-step returns the
+Gauss data of its deformation, ``energies.FixedY`` for the composite and
+``cellproblems.FixedYLimit`` for the homogenized functional, and the P-step
+after it takes them, so an Armijo trial pays only for its P; the
+alternation drops them once that P-step returns.  The line search asks for
+its trials in blocks (``_block_descent``): the composite values them one at
+a time, and the homogenized functional values each block at once, one
+``cellproblems.JLimitBlock`` per block (``_limit_evaluator``), which
+changes no iterate.
 
 Every nodal linear system has one shape, a scalar sparse nodal operator with
 one right-hand-side column per component (d for y, d^2 - 1 for the P
@@ -275,14 +277,6 @@ def _check_finite(value, what: str) -> None:
         raise NonFiniteEnergy(f"{what} is not finite")
 
 
-def _projected_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
-    """``_block_descent`` with a one-point evaluator: ``evaluate(P)`` returns
-    the EnergyBreakdown of P and its ``finish()``, and the trials of a block
-    are valued one per step of the search, so no trial is valued that the
-    search does not reach."""
-    return _block_descent(lambda Ps: map(evaluate, Ps), P0, tol, max_iter)
-
-
 def _block_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
     """Projected descent on nodewise coefficient balls |m_a| <= r_K.
 
@@ -410,8 +404,9 @@ def minimize_P(domain, model, y, P0: PlasticField,
 
     The Gauss data of y are computed once: ``y`` is the deformation or its
     ``energies.FixedY``, whose latest pass, if made at P0, is the start.
-    Trials are valued one per step of the search (``_projected_descent``),
-    each by ``assemble_J_eps``; at the accepted point
+    Trials are valued one per step of the search, each by
+    ``assemble_J_eps``, as ``map`` over a block consumes them, so no trial is
+    valued that the search does not reach; at the accepted point
     ``value_and_grad_J_eps`` finishes the gradient of the pass the FixedY
     kept, and the metric is built from that pass's grad P, so that point is
     not assembled again.  Only ``grad_m`` is read, so the y part of the
@@ -427,20 +422,23 @@ def minimize_P(domain, model, y, P0: PlasticField,
 
         return energies.assemble_J_eps(domain, model, fixed, P), finish
 
-    return _projected_descent(evaluate, P0, tol, max_iter)
+    return _block_descent(lambda Ps: map(evaluate, Ps), P0, tol, max_iter)
 
 
 def _alternate(assemble, y_step, p_step, grid: Grid, r_K: float, init, schedule: Schedule):
     """Alternating minimization from ``init`` (y = 0, P = I when None).
 
-    ``assemble(y, P)`` returns the EnergyBreakdown of the start, ``y_step(y,
-    P)`` the new deformation, its CG iteration count and convergence flag, and
-    ``p_step(y, P)`` the new plastic field, its SolveReport, which carries
-    the breakdown of its final point, and its convergence flag.  Stops when
-    an outer round changes the energy by at most ``outer_tol`` relative; a
-    round that raises it by more also stops the loop, unconverged, and so
-    does any y-step or P-step that did not converge.  Returns (y, P, value,
-    report); the report's energy trace spans the outer rounds, and the final
+    ``assemble(y, P)`` returns the EnergyBreakdown of the start; ``y_step(y,
+    P)`` the Gauss data of the new deformation, which carry it as ``.y``, its
+    CG iteration count and convergence flag; and ``p_step(fixed, P)``, given
+    those data, the new plastic field, its SolveReport, which carries the
+    breakdown of its final point, and its convergence flag.  The data are
+    dropped once the P-step returns, so they and the last pass made with
+    them are freed before the next y-step.  Stops when an outer round
+    changes the energy by at most ``outer_tol`` relative; a round that
+    raises it by more also stops the loop, unconverged, and so does any
+    y-step or P-step that did not converge.  Returns (y, P, value, report);
+    the report's energy trace spans the outer rounds, and the final
     breakdown is attached as ``report.breakdown``.
     """
     if init is None:
@@ -457,8 +455,10 @@ def _alternate(assemble, y_step, p_step, grid: Grid, r_K: float, init, schedule:
     converged = False
     steps_converged = True
     for _ in range(schedule.outer_iters):
-        y, y_iters, y_ok = y_step(y, P)
-        P, rep_p, p_ok = p_step(y, P)
+        fixed, y_iters, y_ok = y_step(y, P)
+        y = fixed.y
+        P, rep_p, p_ok = p_step(fixed, P)
+        fixed = None
         steps_converged &= y_ok and p_ok
         bd = rep_p.breakdown
         inner.append((y_iters, rep_p.inner_iterations[0]))
@@ -478,44 +478,36 @@ def _alternate(assemble, y_step, p_step, grid: Grid, r_K: float, init, schedule:
 def minimize_J_eps(domain, model, init=None, schedule: Schedule | None = None):
     """Alternating minimization of the composite energy; see ``_alternate``."""
     schedule = schedule or Schedule()
-    handed = []  # each y-step's FixedY, popped by the P-step that starts from its pass
 
     def y_step(y, P):
-        y, rep = minimize_y(domain, model, P, y0=y, tol=schedule.y_tol, max_iter=schedule.y_iters)
-        handed.append(rep.fixed)
-        return y, rep.inner_iterations[0], rep.converged
+        rep = minimize_y(domain, model, P, y0=y, tol=schedule.y_tol, max_iter=schedule.y_iters)[1]
+        return rep.fixed, rep.inner_iterations[0], rep.converged
 
-    def p_step(y, P):
-        P, rep = minimize_P(domain, model, handed.pop(), P, tol=schedule.p_tol, max_iter=schedule.p_iters)
+    def p_step(fixed, P):
+        P, rep = minimize_P(domain, model, fixed, P, tol=schedule.p_tol, max_iter=schedule.p_iters)
         return P, rep, rep.converged
 
     return _alternate(lambda y, P: energies.assemble_J_eps(domain, model, y, P), y_step, p_step,
                       domain.grid, model.K_radius, init, schedule)
 
 
-def _limit_evaluator(cell, model, fixed, cache):
+def _limit_evaluator(fixed):
     """The block evaluator of the homogenized P-step at one
     ``cellproblems.FixedYLimit`` (see ``_block_descent``): each list of
     trials is valued as one ``cellproblems.JLimitBlock``, and an accepted
-    trial's gradient is finished from its rows of the block.  A block with a
-    trial outside the log chart (``slgeometry.SLError``) is valued one pass
-    per trial instead, so the error surfaces at the trial that causes it,
-    and only if the search reaches that trial."""
-
-    def one(P):
-        point = cellproblems.JLimitPass(cell, model, fixed, P, cache)
-        return point.breakdown, lambda: (point.grad_m(), None)
+    trial's gradient is finished from its row of the block.  A list with a
+    trial outside the log chart (``slgeometry.SLError``) is valued one
+    block of one per trial instead, so the error surfaces at the trial that
+    causes it, and only if the search reaches that trial."""
 
     def evaluate(Ps):
         try:
-            block = cellproblems.JLimitBlock(cell, model, fixed, Ps, cache)
+            blocks = [cellproblems.JLimitBlock(fixed, Ps)]
         except slgeometry.SLError:
-            block = None
-        if block is None:
-            yield from map(one, Ps)
-            return
-        for row, breakdown in enumerate(block.breakdowns):
-            yield breakdown, lambda row=row: (block.candidate(row).grad_m(), None)
+            blocks = (cellproblems.JLimitBlock(fixed, [P]) for P in Ps)
+        for block in blocks:
+            for row, breakdown in enumerate(block.breakdowns):
+                yield breakdown, lambda block=block, row=row: (block.grad_m(row), None)
 
     return evaluate
 
@@ -524,9 +516,10 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
                      schedule: Schedule | None = None):
     """Alternating minimization of the homogenized functional on a macro grid;
     see ``_alternate``.  The y-step assembles from the quadratic cell tensors
-    (A, b) at the quantized G of each Gauss point.  The P-step builds one
-    ``cellproblems.FixedYLimit`` at its y and values the trials of each block
-    its line search asks for at once (``_limit_evaluator``)."""
+    (A, b) at the quantized G of each Gauss point and returns the
+    ``cellproblems.FixedYLimit`` of its solution; the P-step values the
+    trials of each block its line search asks for at once, on those data
+    (``_limit_evaluator``)."""
     schedule = schedule or Schedule()
     cache = cache if cache is not None else cellproblems.HomDensityCache()
     grid = Grid(cell.dim, macro_elements)
@@ -538,13 +531,12 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
         tensors = cache.w1_tensors(cell, model.W_stiff, *cache.quantize(Pg))
         K, f = _quadratic_y_system(grid, 1.0, tensors.A.reshape(shape), tensors.b.reshape(shape))
         y, iters, _, ok = _solve_y(grid, K, f, y.values, schedule.y_tol, schedule.y_iters)
-        return y, iters, ok
+        return cellproblems.FixedYLimit(cell, model, y, cache), iters, ok
 
-    def p_step(y, P):
-        evaluate = _limit_evaluator(cell, model, cellproblems.FixedYLimit(cell, model, y, cache), cache)
+    def p_step(fixed, P):
         # the flag is not read (True): the staircase P-step stalls at LIMIT_P_ITERS on
         # limit_block4's first round and on the fiber3d reference, until ROADMAP item 2
-        return *_block_descent(evaluate, P, schedule.p_tol, LIMIT_P_ITERS), True
+        return *_block_descent(_limit_evaluator(fixed), P, schedule.p_tol, LIMIT_P_ITERS), True
 
     return _alternate(lambda y, P: cellproblems.assemble_J_limit(cell, model, y, P, cache),
                       y_step, p_step, grid, model.K_radius, init, schedule)

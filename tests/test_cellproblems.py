@@ -582,8 +582,8 @@ def test_limit_gradient_matches_composite_on_stiff_cell():
     P = PlasticField(grid, np.tile(cache.step * key, (grid.n_nodes, 1)), model.K_radius)
     assert np.array_equal(P.coeffs[0], cache.step * key)  # inside the K ball, not projected
 
-    point = cp.JLimitPass(cell, model, y, P, cache)
-    bd, grad_m = point.breakdown, point.grad_m()
+    point = cp.JLimitBlock(cp.FixedYLimit(cell, model, y, cache), [P])
+    bd, grad_m = point.breakdowns[0], point.grad_m(0)
     assert bd == cp.assemble_J_limit(cell, model, y, P, cache)
     bd_eps, g_eps = energies.value_and_grad_J_eps(domain, model, DeformationField(domain.grid, y.values),
                                                   PlasticField(domain.grid, P.coeffs, model.K_radius))
@@ -593,10 +593,10 @@ def test_limit_gradient_matches_composite_on_stiff_cell():
 
 @pytest.mark.parametrize("cell_name", ["block4", "fiber3d"])
 def test_limit_pass_gradient_bit_identical_to_fresh_pass(cell_name):
-    """A JLimitPass whose gradient is finished after a later pass was
-    assembled gives a fresh pass's energy and gradient bit for bit at y != 0,
-    P != I, and each pass, its gradient included, calls log_batch once, on
-    its (E, g) Gauss matrices."""
+    """A block of one whose gradient is finished after a later block was
+    assembled gives a fresh block's energy and gradient bit for bit at
+    y != 0, P != I, and each block, its gradient included, calls log_batch
+    once, on its (E, g) Gauss matrices."""
     cell = mg.builtin_cell(cell_name)
     dim = cell.dim
     model = materials.default_material(dim=dim)
@@ -616,13 +616,13 @@ def test_limit_pass_gradient_bit_identical_to_fresh_pass(cell_name):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sg, "log_batch", counted)
-        points = [cp.JLimitPass(cell, model, y, P, cache) for P in Ps]
-        grads = [point.grad_m() for point in points]
+        points = [cp.JLimitBlock(cp.FixedYLimit(cell, model, y, cache), [P]) for P in Ps]
+        grads = [point.grad_m(0) for point in points]
     assert logs == [(grid.n_elements, grid.n_gauss)] * 2
     for P, point, grad_m in zip(Ps, points, grads):
-        fresh = cp.JLimitPass(cell, model, y, P, cache)
-        bd, g = fresh.breakdown, fresh.grad_m()
-        assert point.breakdown == bd
+        fresh = cp.JLimitBlock(cp.FixedYLimit(cell, model, y, cache), [P])
+        bd, g = fresh.breakdowns[0], fresh.grad_m(0)
+        assert point.breakdowns[0] == bd
         assert np.array_equal(grad_m, g)
         assert np.abs(g).max() > 0.0
 
@@ -658,9 +658,9 @@ def test_limit_solve_keys_through_the_public_log():
 
 
 def test_fixed_y_limit_pass_bit_identical_to_plain_field_pass(cell):
-    """A JLimitPass on one FixedYLimit shared by several P, as a limit P-step
-    makes them, gives the breakdown and grad_m of a pass on the plain field
-    bit for bit, and its stiff energy is the stacked tensors' at grad y: at
+    """A block of one on a FixedYLimit shared by several P, as a limit P-step
+    makes them, gives the breakdown and grad_m of a block on a fresh
+    FixedYLimit bit for bit, and its stiff energy is the stacked tensors' at grad y: at
     the start of the limit benchmark (8 x 8 macro grid, the lab's smooth
     plastic field, y = 0) and at random states with y != 0."""
     model = materials.default_material(dim=2)
@@ -676,18 +676,19 @@ def test_fixed_y_limit_pass_bit_identical_to_plain_field_pass(cell):
         states.append((y, PlasticField(grid, scale * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)))
     for y, P in states:
         fixed = cp.FixedYLimit(cell, model, y, cache)
-        # rows filled by passes at other P first, as the Armijo trials of a P-step fill them
+        # rows filled by blocks at other P first, as the Armijo trials of a P-step fill them
         for other in (P.coeffs * 0.5, P.coeffs[::-1]):
-            cp.JLimitPass(cell, model, fixed, PlasticField(grid, other, model.K_radius), cache).grad_m()
-        shared = cp.JLimitPass(cell, model, fixed, P, cache)
-        plain = cp.JLimitPass(cell, model, y, P, cache)
-        assert shared.breakdown == plain.breakdown
-        assert shared.breakdown == cp.assemble_J_limit(cell, model, fixed, P, cache)
-        assert np.array_equal(shared.grad_m(), plain.grad_m())
+            cp.JLimitBlock(fixed, [PlasticField(grid, other, model.K_radius)]).grad_m(0)
+        shared = cp.JLimitBlock(fixed, [P])
+        plain = cp.JLimitBlock(cp.FixedYLimit(cell, model, y, cache), [P])
+        assert shared.breakdowns[0] == plain.breakdowns[0]
+        assert shared.breakdowns[0] == cp.assemble_J_limit(cell, model, fixed, P, cache)
+        assert np.array_equal(shared.grad_m(0), plain.grad_m(0))
         Gy = grid.gauss_gradients(y.values).reshape(-1, 2, 2)
-        stacked = cache.w1_tensors(cell, model.W_stiff, shared.keys, shared.inverse).evaluate(Gy)
-        assert shared.breakdown.stiff_elastic == grid.integrate(stacked)
-    assert len(shared.keys) > 20
+        keys, inverse = shared.row_keys(0)
+        stacked = cache.w1_tensors(cell, model.W_stiff, keys, inverse).evaluate(Gy)
+        assert shared.breakdowns[0].stiff_elastic == grid.integrate(stacked)
+    assert len(keys) > 20
 
 
 def test_fixed_y_limit_belongs_to_one_cell_model_and_cache(cell):
@@ -699,7 +700,7 @@ def test_fixed_y_limit_belongs_to_one_cell_model_and_cache(cell):
     for args in ((mg.builtin_cell("stiff4"), model, cache), (cell, materials.default_material(dim=2), cache),
                  (cell, model, cp.HomDensityCache(resolution=8))):
         with pytest.raises(cp.CellProblemError, match="another cell, model or cache"):
-            cp.JLimitPass(args[0], args[1], fixed, P, args[2])
+            cp.assemble_J_limit(args[0], args[1], fixed, P, args[2])
 
 
 def test_quadratic_cell_solve_with_a_non_finite_value_is_not_converged(cell, convex_soft):
@@ -748,21 +749,21 @@ def _single_field_pass(cell, model, y, P, cache):
     return breakdown, keys
 
 
-def _assert_block_rows_are_single_passes(cell, model, fixed, Ps, cache):
-    block = cp.JLimitBlock(cell, model, fixed, Ps, cache)
+def _assert_block_rows_are_single_passes(fixed, Ps):
+    block = cp.JLimitBlock(fixed, Ps)
     for row, P in enumerate(Ps):
-        breakdown, keys = _single_field_pass(cell, model, fixed.y, P, cache)
-        point = block.candidate(row)
-        assert block.breakdowns[row] == point.breakdown == breakdown
-        assert point.keys == keys
-        assert np.array_equal(point.grad_m(), cp.JLimitPass(cell, model, fixed.y, P, cache).grad_m())
+        breakdown, keys = _single_field_pass(fixed.cell, fixed.model, fixed.y, P, fixed.cache)
+        point = cp.JLimitBlock(cp.FixedYLimit(fixed.cell, fixed.model, fixed.y, fixed.cache), [P])
+        assert block.breakdowns[row] == point.breakdowns[0] == breakdown
+        assert block.row_keys(row)[0] == keys
+        assert np.array_equal(block.grad_m(row), point.grad_m(0))
 
 
 def test_limit_block_rows_are_single_passes_along_recorded_ladders(cell, monkeypatch):
     """Each trial of each block that the first round's P-step asks for, from
     the limit benchmark's start (8 x 8 macro grid, the lab's smooth plastic
     field, y = 0), gets the breakdown and keys of the single-field arithmetic
-    bit for bit, and the gradient of a fresh JLimitPass.  The round's
+    bit for bit, and the gradient of a fresh block of one.  The round's
     searches run through the staircase, so blocks hold up to 33 trials."""
     model = materials.default_material(dim=2)
     cache = cp.HomDensityCache(resolution=8)
@@ -771,17 +772,17 @@ def test_limit_block_rows_are_single_passes_along_recorded_ladders(cell, monkeyp
     recorded = []
     block = cp.JLimitBlock
 
-    def recording(cell, model, y, Ps, cache):
-        if isinstance(y, cp.FixedYLimit):  # a P-step's trials, not an assembly of one state
-            recorded.append((y, Ps))
-        return block(cell, model, y, Ps, cache)
+    def recording(fixed, Ps):
+        recorded.append((fixed, Ps))
+        return block(fixed, Ps)
 
+    # assemble_J_limit's block of one, which values the start, is recorded and checked too
     monkeypatch.setattr(cp, "JLimitBlock", recording)
     mz.minimize_J_limit(cell, model, init=start, cache=cache, schedule=mz.Schedule(outer_iters=1))
     monkeypatch.undo()
     assert max(len(Ps) for _, Ps in recorded) > 16
     for fixed, Ps in recorded:
-        _assert_block_rows_are_single_passes(cell, model, fixed, Ps, cache)
+        _assert_block_rows_are_single_passes(fixed, Ps)
 
 
 def test_limit_block_rows_are_single_passes_in_3d():
@@ -799,4 +800,4 @@ def test_limit_block_rows_are_single_passes_in_3d():
     m = 0.02 * rng.standard_normal((grid.n_nodes, 8))
     direction = 0.25 * rng.standard_normal((grid.n_nodes, 8))
     Ps = [PlasticField(grid, m - 0.5**i * direction, model.K_radius) for i in range(6)]
-    _assert_block_rows_are_single_passes(cell, model, cp.FixedYLimit(cell, model, y, cache), Ps, cache)
+    _assert_block_rows_are_single_passes(cp.FixedYLimit(cell, model, y, cache), Ps)

@@ -495,6 +495,9 @@ def test_cli_errors_exit_2_with_a_message(tmp_path, capsys):
     apart from exit 1 for a failed check."""
     bad_eps = tmp_path / "bad_eps.json"
     bad_eps.write_text(json.dumps({"eps_list": [0.3]}))
+    # h1 < 0 makes the P-step metric 2 h1 M + L indefinite, and its CG ran for minutes
+    negative_h1 = tmp_path / "negative_h1.json"
+    negative_h1.write_text(json.dumps({"eps_list": [0.25, 0.125], "material": {"h1": -5.0}}))
     # mask files a config or the CLI names: a directory, bytes that are not text, and a pixel
     # that is neither 0 nor 1, which must not count as stiff
     mask_dir = tmp_path / "masks"
@@ -507,6 +510,7 @@ def test_cli_errors_exit_2_with_a_message(tmp_path, capsys):
     letter.write_text("2 4\n0000\n000x\n0000\n0000\n")
     for argv, match in ((["study", "run", str(tmp_path / "missing.json")], "missing.json"),
                         (["study", "run", str(bad_eps)], "eps 0.3"),
+                        (["study", "run", str(negative_h1)], "h1 must be nonnegative"),
                         (["study", "run", str(dir_mask)], "cannot read cell mask"),
                         (["geom", "check", str(mask_dir)], "cannot read cell mask"),
                         (["geom", "check", str(binary)], "is not text"),
@@ -530,6 +534,20 @@ def test_cli_errors_exit_2_with_a_message(tmp_path, capsys):
         assert lab.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("hclab: error: ") and match in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_non_finite_energy_exits_2_with_a_message(tmp_path, capsys):
+    """q = 1e300 is finite and exceeds d, so the model accepts it, but the
+    |grad P|^q term overflows in the first P-step: the study exits 2 with one
+    ``hclab: error:`` line, not 1 (a failed check) with a traceback.  The
+    overflow's own RuntimeWarning is the expected cause here."""
+    path = tmp_path / "huge_q.json"
+    path.write_text(json.dumps({"eps_list": [0.25], "material": {"q": 1e300},
+                                "output_dir": str(tmp_path / "out")}))
+    assert lab.main(["study", "run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hclab: error: ") and "energy is not finite" in err and "Traceback" not in err
 
 
 def test_cli_study_run_exit_code_1_on_a_failed_check(tmp_path, capsys):

@@ -154,6 +154,7 @@ def test_model_validation():
     for kwargs, match in (({"q": math.nan}, "Morrey"), ({"q": math.inf}, "Morrey"),
                           ({"r_K": math.nan}, "K_radius"), ({"r_K": math.inf}, "K_radius"),
                           ({"h0": math.nan}, "hardening"), ({"h1": math.inf}, "hardening"),
+                          ({"h1": -1.0}, "hardening"),
                           ({"gamma": math.nan}, "growth constants"), ({"gamma": math.inf}, "growth constants"),
                           ({"gamma": 1e308}, "growth constants"), ({"twowell_amplitude": math.nan}, "growth"),
                           # min(1.0, nan) is 1.0, so the growth constants alone let a NaN delta through

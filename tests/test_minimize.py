@@ -1,5 +1,6 @@
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -556,7 +557,7 @@ def test_sobolev_and_raw_P_steps_reach_the_same_minimum(setup):
         bd, g = energies.value_and_grad_J_eps(domain, model, y, P)
         return bd, lambda: (g.grad_m, None)
 
-    _, rep_raw = mz._projected_descent(raw, P0, 1e-7, 10_000)
+    _, rep_raw = mz._block_descent(lambda Ps: map(raw, Ps), P0, 1e-7, 10_000)
     assert rep.converged and rep_raw.converged
     assert rep.final_value == pytest.approx(rep_raw.final_value, rel=1e-9)
     assert rep.inner_iterations[0] < rep_raw.inner_iterations[0]
@@ -590,7 +591,7 @@ def test_binding_K_ball_falls_back_to_the_raw_gradient():
     results = []
     for metric_is_hessian in (False, True):
         evaluate, P0 = _quadratic_outside_ball(metric_is_hessian)
-        P, rep = mz._projected_descent(evaluate, P0, 1e-10, 500)
+        P, rep = mz._block_descent(lambda Ps: map(evaluate, Ps), P0, 1e-10, 500)
         assert rep.converged
         assert all(b <= a + 1e-12 for a, b in zip(rep.energy_trace, rep.energy_trace[1:]))
         results.append((P.coeffs, rep.final_value))
@@ -635,7 +636,7 @@ def test_non_finite_energy_or_gradient_raises():
 
     for bad in (nan_trials, nan_gradient):
         with pytest.raises(mz.NonFiniteEnergy):
-            mz._projected_descent(bad, P0, 1e-10, 500)
+            mz._block_descent(lambda Ps: map(bad, Ps), P0, 1e-10, 500)
 
     grid = P0.grid
     inf_start = energies.EnergyBreakdown.from_parts(np.inf, 0.0, 0.0, 0.0, 0.0)
@@ -654,14 +655,14 @@ def test_a_rising_outer_round_is_not_convergence(rise, converged):
 
     climbing = iter(1.0 + rise * np.arange(1, 10))
 
-    def p_step(y, P):
+    def p_step(fixed, P):
         bd = breakdown(float(next(climbing)))
         rep = mz.SolveReport(final_value=bd.total, energy_trace=[bd.total], inner_iterations=[1],
                              gradient_norms=[0.0])
         rep.breakdown = bd
         return P, rep, True
 
-    _, _, value, rep = mz._alternate(lambda y, P: breakdown(1.0), lambda y, P: (y, 0, True), p_step,
+    _, _, value, rep = mz._alternate(lambda y, P: breakdown(1.0), lambda y, P: (SimpleNamespace(y=y), 0, True), p_step,
                                      grid, 0.3, None, mz.Schedule(outer_tol=1e-8))
     assert len(rep.inner_iterations) == 1 and value == 1.0 + rise
     assert rep.converged == converged
@@ -706,19 +707,19 @@ def test_limit_block_search_keeps_every_iterate_of_the_one_trial_search():
     valued = []
     block = cp.JLimitBlock
 
-    def counting(*args):
-        valued.append(len(args[3]))
-        return block(*args)
+    def counting(fixed, Ps):
+        valued.append(len(Ps))
+        return block(fixed, Ps)
 
     def one_per_call(Ps):
         for P in Ps:
-            point = cp.JLimitPass(cell, model, y, P, cache)
-            yield point.breakdown, lambda point=point: (point.grad_m(), None)
+            point = cp.JLimitBlock(cp.FixedYLimit(cell, model, y, cache), [P])
+            yield point.breakdowns[0], lambda point=point: (point.grad_m(0), None)
 
     consumed = {"block": [], "one": []}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cp, "JLimitBlock", counting)
-        blocks = mz._block_descent(_consuming(mz._limit_evaluator(cell, model, fixed, cache), consumed["block"]),
+        blocks = mz._block_descent(_consuming(mz._limit_evaluator(fixed), consumed["block"]),
                                    P0, 1e-7, mz.LIMIT_P_ITERS)
     ones = mz._block_descent(_consuming(one_per_call, consumed["one"]), P0, 1e-7, mz.LIMIT_P_ITERS)
     _same_descent(blocks, ones)
@@ -800,10 +801,37 @@ def test_p_step_starts_from_the_y_steps_pass(setup, monkeypatch):
     assert np.array_equal(P.coeffs, fresh[1].coeffs) and np.array_equal(y.values, fresh[0].values)
 
 
+def test_alternation_frees_each_y_steps_data(setup, monkeypatch):
+    """The alternation drops each y-step's FixedY, and the last pass made
+    with it, once its P-step returns: with the cyclic collector off, every
+    earlier FixedY is dead when the next y-step starts."""
+    cell, domain, model, grid = setup
+    rng = np.random.default_rng(2)
+    start = (DeformationField.zero(grid),
+             PlasticField(grid, 0.5 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius))
+    minimize_y = mz.minimize_y
+    refs, alive = [], []
+
+    def watched(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        y, rep = minimize_y(*args, **kwargs)
+        refs.append(weakref.ref(rep.fixed))
+        return y, rep
+
+    monkeypatch.setattr(mz, "minimize_y", watched)
+    gc.disable()
+    try:
+        rep = mz.minimize_J_eps(domain, model, init=start, schedule=mz.Schedule(outer_iters=3))[3]
+    finally:
+        gc.enable()
+    assert len(rep.inner_iterations) == 3
+    assert alive == [[], [False], [False, False]]
+
+
 def test_limit_block_failure_past_the_accepted_trial_does_not_surface():
     """A trial outside the principal-log chart (a rotation by 2 rad, in a K
     ball of radius 3) behind an admissible one: the limit's block evaluator
-    values the first trial as a pass of its own does, its gradient is
+    values the first trial as a block of its own does, its gradient is
     finished, and LogDomain is raised only when the second trial is
     consumed."""
     cell = mg.builtin_cell("block4")
@@ -814,13 +842,13 @@ def test_limit_block_failure_past_the_accepted_trial_does_not_surface():
     good = PlasticField(grid, 0.1 * np.random.default_rng(4).standard_normal((grid.n_nodes, 3)), model.K_radius)
     bad = PlasticField(grid, np.tile([0.0, 2.0 * np.sqrt(2.0), 0.0], (grid.n_nodes, 1)), model.K_radius)
     with pytest.raises(sg.LogDomain):
-        cp.JLimitPass(cell, model, y, bad, cache)
-    values = mz._limit_evaluator(cell, model, cp.FixedYLimit(cell, model, y, cache), cache)([good, bad])
+        cp.assemble_J_limit(cell, model, y, bad, cache)
+    values = mz._limit_evaluator(cp.FixedYLimit(cell, model, y, cache))([good, bad])
     breakdown, finish = next(values)
-    point = cp.JLimitPass(cell, model, y, good, cache)
-    assert breakdown == point.breakdown
+    point = cp.JLimitBlock(cp.FixedYLimit(cell, model, y, cache), [good])
+    assert breakdown == point.breakdowns[0]
     grad, H = finish()
-    assert H is None and np.array_equal(grad, point.grad_m())
+    assert H is None and np.array_equal(grad, point.grad_m(0))
     with pytest.raises(sg.LogDomain):
         next(values)
 
