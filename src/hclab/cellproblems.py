@@ -30,8 +30,9 @@ log coordinates as J_eps does; the block keeps what its P-gradients need, so
 the gradient of an assembled row is finished without a second pass.  The
 data that depend on y alone are a ``FixedYLimit``, which the limit y-step
 builds once and hands to its P-step: grad y at the Gauss points and, per
-lattice key, the stiff energy of its cell tensor there, so that a trial
-point gathers its stiff term and its slopes from those rows.
+lattice key, the stiff energy of its cell tensor there and its
+central-difference slopes, so that a trial point gathers its stiff term, and
+an accepted one its slopes, from those rows.
 
 The stiff window of a (cell, resolution, lam) and the soft window of a
 (cell, resolution, formulation), each a grid with its active and free masks
@@ -497,11 +498,14 @@ class FixedYLimit:
     counterpart of ``energies.FixedY`` for the limit P-step: the cell, model
     and cache they were made with, ``Gy`` (N, d, d), grad y at the Gauss
     points, and for each lattice key the stiff energy of its cell tensor at
-    every Gauss point, a row of N values filled on first use.
+    every Gauss point, a row of N values, and its slope rows, (K, N) for the
+    K = d^2 - 1 log coordinates: the central differences
+    (row(key + e_a) - row(key - e_a)) / (2 step), each filled on first use.
 
     One FixedYLimit serves every ``JLimitBlock`` at its deformation: a trial
-    point then gathers its stiff energies from the rows instead of
-    evaluating tensors at y again.
+    point then gathers its stiff energies from the rows, and an accepted
+    point its slopes from the slope rows, instead of evaluating tensors at y
+    again.
     """
 
     def __init__(self, cell: CellGeometry, model, y, cache: HomDensityCache):
@@ -509,20 +513,37 @@ class FixedYLimit:
         self.cell, self.model, self.y, self.cache = cell, model, y, cache
         self.Gy = y.grid.gauss_gradients(y.values).reshape(-1, d, d)
         self._rows: dict = {}
+        self._slope_rows: dict = {}
+
+    def _row(self, key: tuple) -> np.ndarray:
+        row = self._rows.get(key)
+        if row is None:
+            tensor = self.cache.w1_tensor(self.cell, self.model.W_stiff, key)
+            row = self._rows[key] = tensor.evaluate(self.Gy)
+        return row
 
     def stiff(self, keys, inverse: np.ndarray) -> np.ndarray:
         """Stiff energy at each Gauss point p for the key ``keys[inverse[p]]``:
         (N,) for the N Gauss points, or (B N,) for a block's points, its
         fields one after the other."""
+        rows = np.array([self._row(tuple(key)) for key in keys])
+        return rows[inverse, np.arange(len(inverse)) % len(self.Gy)]
+
+    def slopes(self, keys, inverse: np.ndarray) -> np.ndarray:
+        """Slope of the stiff energy in each log coordinate at each of the N
+        Gauss points p, for the key ``keys[inverse[p]]``: (K, N), gathered
+        from the keys' slope rows."""
         rows = []
         for key in keys:
             key = tuple(key)
-            row = self._rows.get(key)
-            if row is None:
-                tensor = self.cache.w1_tensor(self.cell, self.model.W_stiff, key)
-                row = self._rows[key] = tensor.evaluate(self.Gy)
-            rows.append(row)
-        return np.array(rows)[inverse, np.arange(len(inverse)) % len(self.Gy)]
+            slope = self._slope_rows.get(key)
+            if slope is None:
+                slope = self._slope_rows[key] = np.array(
+                    [self._row(tuple((key + s).tolist())) - self._row(tuple((key - s).tolist()))
+                     for s in np.eye(len(key), dtype=np.int64)]
+                ) / (2.0 * self.cache.step)
+            rows.append(slope)
+        return np.ascontiguousarray(np.stack(rows, axis=1)[:, inverse, np.arange(len(inverse))])
 
 
 class JLimitBlock:
@@ -591,7 +612,8 @@ class JLimitBlock:
 
         The stiff density's slope in each log coordinate of G is the central
         difference of the ``FixedYLimit`` rows one quantization step above
-        and below each point's key (approximate, which only affects the step
+        and below each point's key, read from the key's cached slope rows
+        (``FixedYLimit.slopes``; approximate, which only affects the step
         quality of the line search; the Armijo test runs on the exact
         assembled energy).  The slopes form the log-space cotangent
         sum_i slope_i E_i, which the adjoint of the log's differential at the
@@ -599,14 +621,7 @@ class JLimitBlock:
         field's ``PlasticPass``.
         """
         fixed, Pg = self.fixed, self.Pg[row]
-        keys, inverse = self.row_keys(row)
-        keys = np.array(keys)
-
-        def stiff_at(shift):
-            return fixed.stiff((keys + shift).tolist(), inverse)
-
-        shifts = np.eye(keys.shape[1], dtype=np.int64)
-        slopes = np.array([stiff_at(s) - stiff_at(-s) for s in shifts]) / (2.0 * fixed.cache.step)
+        slopes = fixed.slopes(*self.row_keys(row))
         dlog = np.einsum("ap,aij->pij", slopes, slgeometry.sl_basis(fixed.y.grid.dim))
         # the public adjoint: in 2D this is its only caller, and perfbench's
         # per-layer counters read its calls

@@ -206,8 +206,12 @@ class PlasticBlock:
     every product and reduction acts on each row as on one field, and each
     row's Gauss gradients are laid out as ``Grid.gauss_gradients`` lays out
     one field's, the d^3 derivatives of a point contiguous in (k, i, j)
-    order.  ``qn``'s einsum sums them in that memory order, so its bits
-    depend on the layout: a copy in (i, j, k) order changes them."""
+    order.  ``qn`` is one einsum for all rows, over one copy of the block's
+    gradients contiguous in (B, E, g, k, i, j): it sums each point's
+    derivatives in that memory order, as for one field, so its bits depend
+    on the layout: a copy in (i, j, k) order changes them.  An overflow of
+    |grad P|^q is an infinite ``grad_P_term``, without a floating-point
+    warning, which the P-step reports as ``minimize.NonFiniteEnergy``."""
 
     def __init__(self, model, Ps: list):
         grid = Ps[0].grid
@@ -216,16 +220,15 @@ class PlasticBlock:
         coeffs = np.stack([P.coeffs for P in Ps])  # (B, n_nodes, d^2 - 1)
         self.Pn = slgeometry.rowwise(slgeometry.exp_batch, slgeometry.coeffs_to_matrices(coeffs, d))
         gradP = grid.gauss_gradients(self.Pn.swapaxes(0, 1))  # (E, g, B, i, j, k)
-        self.qn = np.empty((len(Ps),) + gradP.shape[:2])
-        for qn, g in zip(self.qn, gradP.transpose(2, 0, 1, 3, 4, 5)):
-            # one field's gradients as gauss_gradients lays them out: (k, i, j) in memory
-            g = np.ascontiguousarray(g.transpose(0, 1, 4, 2, 3)).transpose(0, 1, 3, 4, 2)
-            np.einsum("egijk,egijk->eg", g, g, out=qn)
-        del gradP, g  # the gradient product goes before the hardening's arrays are made
+        # each field's gradients as gauss_gradients lays out one field's: (k, i, j) in memory
+        gradP = np.ascontiguousarray(gradP.transpose(2, 0, 1, 5, 3, 4))  # (B, E, g, k, i, j)
+        self.qn = np.einsum("begkij,begkij->beg", gradP, gradP)
+        del gradP  # the gradient product goes before the hardening's arrays are made
         # H at the interpolated log coordinates m_g, as their trace-free matrices
         m_g = slgeometry.coeffs_to_matrices(grid.gauss_values(coeffs.swapaxes(0, 1)), d)  # (E, g, B, d, d)
         self.hardening = np.ascontiguousarray(model.hardening(m_g).transpose(2, 0, 1))
-        self.grad_P_term = grid.integrate_rows(self.qn ** (model.q / 2.0))
+        with np.errstate(over="ignore"):
+            self.grad_P_term = grid.integrate_rows(self.qn ** (model.q / 2.0))
 
     def candidate(self, row: int) -> PlasticPass:
         point = PlasticPass.__new__(PlasticPass)

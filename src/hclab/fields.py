@@ -388,12 +388,24 @@ def project_to_ball(coeffs: np.ndarray, r_K: float) -> np.ndarray:
     return coeffs
 
 
+def _in_ball(grid: Grid, coeffs, r_K: float, lead: tuple) -> np.ndarray:
+    """``coeffs`` as floats of shape lead + (n_nodes, d^2 - 1), projected
+    onto the K ball: the one check of every ``PlasticField``'s data."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    shape = lead + (grid.n_nodes, grid.dim**2 - 1)
+    if coeffs.shape != shape:
+        raise GridMismatch(f"coeffs shape {coeffs.shape} does not match {shape}")
+    return project_to_ball(coeffs, r_K)
+
+
 @dataclass
 class PlasticField:
     """Nodal SL(d) field stored as trace-free log coefficients inside the K ball.
 
     Construction projects them onto |M| <= r_K (``project_to_ball``, into a
     copy), so membership in K is an invariant of the data, not a runtime check.
+    ``rows`` builds one field per row of a stack with one projection of the
+    whole stack.
     """
 
     grid: Grid
@@ -401,11 +413,21 @@ class PlasticField:
     r_K: float
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        k = self.grid.dim**2 - 1
-        if coeffs.shape != (self.grid.n_nodes, k):
-            raise GridMismatch(f"coeffs shape {coeffs.shape} does not match ({self.grid.n_nodes}, {k})")
-        self.coeffs = project_to_ball(coeffs, self.r_K)
+        self.coeffs = _in_ball(self.grid, self.coeffs, self.r_K, ())
+
+    @classmethod
+    def rows(cls, grid: Grid, coeffs: np.ndarray, r_K: float) -> list:
+        """One field per row of ``coeffs`` (B, n_nodes, k): the stack is
+        projected once, and each field holds its row of that projection, a
+        view, not a copy.  A row of a projected stack is its own projection,
+        since ``project_to_ball`` acts row by row and is idempotent, so the
+        fields are those that construction would build from the rows."""
+        fields = []
+        for row in _in_ball(grid, coeffs, r_K, (len(coeffs),)):
+            field = cls.__new__(cls)
+            field.grid, field.coeffs, field.r_K = grid, row, r_K
+            fields.append(field)
+        return fields
 
     def log_matrices(self) -> np.ndarray:
         return slgeometry.coeffs_to_matrices(self.coeffs, self.grid.dim)

@@ -42,6 +42,7 @@ The soft-phase contrast of the y-step is the domain's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,7 +274,8 @@ def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = Non
 
 
 def _check_finite(value, what: str) -> None:
-    if not np.all(np.isfinite(value)):
+    finite = math.isfinite(value) if isinstance(value, float) else np.all(np.isfinite(value))
+    if not finite:
         raise NonFiniteEnergy(f"{what} is not finite")
 
 
@@ -296,11 +298,14 @@ def _block_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
     measured in the metric (dm.dm / dm.dg for the raw gradient) and starts
     at 1; an Armijo backtracking on the assembled energy, with drop =
     g.(m - cand), safeguards it.  The search asks for its halved trials in
-    blocks: the first holds as many as the previous search of this descent
-    took (one for its first search), each further block twice the last,
-    within the budget of 50 trials.  It consumes each block in ladder order
-    and stops at the first accepted trial, so an evaluator that values a
-    block at once changes no iterate, only what the block costs.  A
+    blocks: the first holds one trial more than the previous search of this
+    descent consumed (one for its first search), each further block twice
+    the last, within the budget of 50 trials.  A block's candidates are
+    projected once, as one stack, and handed over as its rows
+    (``PlasticField.rows``), without a copy or a second projection per
+    trial.  The search consumes each block in ladder order and stops at the
+    first accepted trial, so an evaluator that values a block at once
+    changes no iterate, only what the block costs.  A
     Euclidean projection of a non-Euclidean
     step need not descend where the K ball binds: when a preconditioned trial
     has drop <= 0, or its backtracking runs out, that iteration steps along
@@ -310,10 +315,7 @@ def _block_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
     NonFiniteEnergy.  Returns the plastic field and its SolveReport, with the
     breakdown of the final point attached as ``report.breakdown``.
     """
-    r_K = P0.r_K
-
-    def field(m):
-        return PlasticField(P0.grid, m.copy(), r_K=r_K)
+    grid, r_K = P0.grid, P0.r_K
 
     def consumed(values):
         breakdown, finish = next(values)
@@ -329,13 +331,13 @@ def _block_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
         """Armijo backtracking along -direction from ``step``, its trials
         asked for in blocks of ``size``, then twice the last: the accepted
         (m, breakdown, finish) or None, the last step tried and the number of
-        trials valued."""
+        trials consumed."""
         tried = 0
         while tried < 50:
             steps = step * 0.5 ** np.arange(min(size, 50 - tried))
-            cands = project_to_ball(m - steps[:, None, None] * direction, r_K)
-            values = iter(evaluate([field(cand) for cand in cands]))
-            for step, cand in zip(steps, cands):
+            fields = PlasticField.rows(grid, m - steps[:, None, None] * direction, r_K)
+            values = iter(evaluate(fields))
+            for step, cand in zip(steps, (P.coeffs for P in fields)):
                 drop = float(np.sum(grad * (m - cand)))
                 if guard and drop <= 0.0:
                     return None, step, tried
@@ -343,7 +345,7 @@ def _block_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
                 tried += 1
                 if trial.total <= val - 1e-4 * drop + 1e-15:
                     return (cand, trial, finish), step, tried
-            values = finish = None  # release this block's assembly before the next is valued
+            fields = values = finish = None  # release this block's assembly before the next is valued
             step *= 0.5
             size *= 2
         return None, step, tried
@@ -377,10 +379,10 @@ def _block_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
         if H is not None:
             direction = _cg(H, grad, np.zeros_like(grad), SOBOLEV_CG_RTOL, len(grad))[0]
             found, step, tried = search(direction, step, True, trials)
-            trials = max(tried, 1)
+            trials = tried + 1
         if found is None:
             found, raw_step, tried = search(grad, raw_step, False, trials)
-            trials = max(tried, 1)
+            trials = tried + 1
         if found is None:
             converged = pg_norm <= 10 * tol * (1.0 + abs(val))
             break
@@ -394,7 +396,7 @@ def _block_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
     report = SolveReport(final_value=val, energy_trace=trace, inner_iterations=[it],
                          gradient_norms=grad_norms, converged=converged)
     report.breakdown = breakdown
-    return field(m), report
+    return PlasticField(grid, m.copy(), r_K), report
 
 
 def minimize_P(domain, model, y, P0: PlasticField,

@@ -278,7 +278,8 @@ def test_stacked_tensors_and_slopes_match_per_key_lookups(name, resolution):
     """``w1_tensors`` and a ``FixedYLimit``'s stiff rows evaluate every Gauss
     point bit for bit as its key's own tensor does, and the slopes from the
     rows of the keys one lattice step above and below are the per-key
-    central differences."""
+    central differences, which the FixedYLimit's cached slope rows give bit
+    for bit."""
     cell = mg.builtin_cell(name)
     d = cell.dim
     model = materials.default_material(dim=d)
@@ -302,6 +303,7 @@ def test_stacked_tensors_and_slopes_match_per_key_lookups(name, resolution):
     slopes = np.array([fixed.stiff((np.array(keys) + s).tolist(), inverse)
                        - fixed.stiff((np.array(keys) - s).tolist(), inverse) for s in shifts]) / (2.0 * cache.step)
     assert slopes.shape == (n_coeffs, n)
+    assert fixed.slopes(keys, inverse).tobytes() == slopes.tobytes()
     for p, u in enumerate(inverse):
         for i in range(n_coeffs):
             up = cache.w1_tensor(cell, stiff, tuple(k + (j == i) for j, k in enumerate(keys[u])))

@@ -141,6 +141,27 @@ def test_plastic_projection_leaves_the_input_array_unchanged():
     assert project_to_ball(P.coeffs, 0.3) is P.coeffs  # inside the ball: no copy, no change
 
 
+def test_plastic_rows_are_the_fields_of_each_row_from_one_projection():
+    """``PlasticField.rows`` gives each row of a stack the coefficients that
+    construction from that row gives, bit for bit, rows outside the ball
+    included, as views of one projected stack; a stack of the wrong shape
+    is rejected."""
+    grid = Grid(2, 3)
+    coeffs = 0.2 * np.random.default_rng(7).standard_normal((5, grid.n_nodes, 3))
+    coeffs[1, 0] = [1.0, -2.0, 0.5]  # far outside the ball
+    before = coeffs.copy()
+    rows = PlasticField.rows(grid, coeffs, r_K=0.3)
+    assert len(rows) == 5 and np.array_equal(coeffs, before)
+    stack = rows[0].coeffs.base
+    for row, c in zip(rows, coeffs):
+        assert row.grid is grid and row.r_K == 0.3
+        assert row.coeffs.tobytes() == PlasticField(grid, c, r_K=0.3).coeffs.tobytes()
+        assert row.coeffs.base is stack is not None
+    assert np.all(np.linalg.norm(rows[1].coeffs, axis=1) <= 0.3 * (1 + 1e-14))
+    with pytest.raises(GridMismatch):
+        PlasticField.rows(grid, coeffs[:, 1:], r_K=0.3)
+
+
 def test_field_keeps_its_boundary_values():
     """Boundary values are Dirichlet data: a field, its copy and its zero
     hold exactly the values they are given."""

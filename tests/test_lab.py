@@ -1,6 +1,9 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -536,18 +539,34 @@ def test_cli_errors_exit_2_with_a_message(tmp_path, capsys):
         assert err.startswith("hclab: error: ") and match in err and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_cli_non_finite_energy_exits_2_with_a_message(tmp_path, capsys):
-    """q = 1e300 is finite and exceeds d, so the model accepts it, but the
-    |grad P|^q term overflows in the first P-step: the study exits 2 with one
-    ``hclab: error:`` line, not 1 (a failed check) with a traceback.  The
-    overflow's own RuntimeWarning is the expected cause here."""
+def _huge_q_config(tmp_path):
     path = tmp_path / "huge_q.json"
     path.write_text(json.dumps({"eps_list": [0.25], "material": {"q": 1e300},
                                 "output_dir": str(tmp_path / "out")}))
-    assert lab.main(["study", "run", str(path)]) == 2
+    return path
+
+
+def test_cli_non_finite_energy_exits_2_with_a_message(tmp_path, capsys):
+    """q = 1e300 is finite and exceeds d, so the model accepts it, but the
+    |grad P|^q term overflows in the first P-step: the study exits 2 with one
+    ``hclab: error:`` line, not 1 (a failed check) with a traceback, and the
+    overflow raises no RuntimeWarning (the suite makes one an error)."""
+    assert lab.main(["study", "run", str(_huge_q_config(tmp_path))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("hclab: error: ") and "energy is not finite" in err and "Traceback" not in err
+
+
+def test_cli_non_finite_energy_exits_2_under_runtime_warnings_as_errors(tmp_path):
+    """The same study in a fresh interpreter under ``-W
+    error::RuntimeWarning``, as CI runs every study: exit code 2 and one
+    stderr line, with no RuntimeWarning printed or raised on the way."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hclab", "study", "run", str(_huge_q_config(tmp_path))],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == ["hclab: error: P-step energy is not finite"]
+    assert "RuntimeWarning" not in proc.stderr + proc.stdout
 
 
 def test_cli_study_run_exit_code_1_on_a_failed_check(tmp_path, capsys):

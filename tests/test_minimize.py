@@ -695,7 +695,8 @@ def test_limit_block_search_keeps_every_iterate_of_the_one_trial_search():
     test-local evaluator that values one trial per call, and consumes the
     same trials in the same order, so every search takes as many trials.
     Its searches run through the staircase: the blocks value more trials
-    than the search consumes, in fewer calls."""
+    than the search consumes, in fewer calls, but no more than the schedule
+    of ``_block_descent`` values there."""
     cell = mg.builtin_cell("block4")
     model = materials.default_material(dim=2)
     cache = cp.HomDensityCache(resolution=8)
@@ -727,6 +728,9 @@ def test_limit_block_search_keeps_every_iterate_of_the_one_trial_search():
     # the start and 860 trials in 60 iterations, as a search that values one trial per step makes them
     assert len(consumed["one"]) == 861 and blocks[1].inner_iterations == [60]
     assert sum(valued) > len(consumed["one"]) > 5 * len(valued)
+    # each search's first block holds one trial more than the previous search consumed:
+    # 982 valued trials here, where first blocks as large as that count valued 1,291
+    assert sum(valued) <= 982
 
 
 def test_composite_p_step_keeps_every_iterate_and_assembly_count(setup, monkeypatch):

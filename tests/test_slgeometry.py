@@ -582,6 +582,59 @@ def test_exp2_values_kernel_bit_identical_to_cs_funcs():
     assert E.shape == M.shape and E.tobytes() == want.tobytes()
 
 
+def _cs_values_with_pow(nu):
+    """``_cs_values`` with the cube of its series lanes taken as ``ns**3``
+    (libm ``pow``), as it was written before the cube was multiplied out."""
+    nu = np.asarray(nu, dtype=float)
+    C = np.empty_like(nu)
+    S = np.empty_like(nu)
+    small = np.abs(nu) <= sg._SERIES_CUT
+    ns = nu[small]
+    C[small] = 1.0 + ns / 2.0 + ns**2 / 24.0 + ns**3 / 720.0
+    S[small] = 1.0 + ns / 6.0 + ns**2 / 120.0 + ns**3 / 5040.0
+    pos = (~small) & (nu > 0)
+    sp = np.sqrt(nu[pos])
+    C[pos] = np.cosh(sp)
+    S[pos] = np.sinh(sp) / sp
+    neg = (~small) & (nu < 0)
+    sn = np.sqrt(-nu[neg])
+    C[neg] = np.cos(sn)
+    S[neg] = np.sin(sn) / sn
+    return C, S, small
+
+
+def test_series_cube_multiplied_out_keeps_the_bits_of_pow(monkeypatch):
+    """On the series lanes of ``_cs_values``, ns * ns * ns gives C and S of
+    ``ns**3`` bit for bit: at 0.0, -0.0, +-the cut and its neighbour below,
+    +-5e-324 and signed |nu| log-uniform over the whole range below the
+    cut.  ``exp_batch`` and ``exp_frechet_adjoint`` of near-identity 2x2
+    stacks, whose lanes fall on both sides of the cut, keep their bits."""
+    rng = np.random.default_rng(35)
+    cut = sg._SERIES_CUT
+    tiny = np.nextafter(0.0, 1.0)
+    below = np.nextafter(cut, 0.0)
+    edges = np.array([0.0, -0.0, cut, -cut, below, -below, tiny, -tiny])
+    spread = rng.choice([-1.0, 1.0], 4000) * np.exp(rng.uniform(np.log(tiny), np.log(cut), 4000))
+    nu = np.concatenate([edges, spread])
+    C, S, small = sg._cs_values(nu)
+    want_C, want_S, _ = _cs_values_with_pow(nu)
+    assert small.all()
+    assert C.tobytes() == want_C.tobytes() and S.tobytes() == want_S.tobytes()
+
+    coeffs = rng.standard_normal((2000, 3))
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    coeffs *= np.exp(rng.uniform(np.log(1e-9), np.log(1e-2), (2000, 1)))
+    coeffs[:5] = 0.0
+    M = sg.coeffs_to_matrices(coeffs, 2).reshape(40, 50, 2, 2)
+    W = rng.standard_normal(M.shape)
+    nu = -(M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0])
+    assert (np.abs(nu) <= cut).sum() > 1000 and (np.abs(nu) > cut).sum() > 100
+    E, adj = sg.exp_batch(M), sg.exp_frechet_adjoint(M, W)
+    monkeypatch.setattr(sg, "_cs_values", _cs_values_with_pow)
+    assert E.tobytes() == sg.exp_batch(M).tobytes()
+    assert adj.tobytes() == sg.exp_frechet_adjoint(M, W).tobytes()
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_rowwise_chart_maps_give_each_row_its_own_bits(dim):
     """``rowwise`` gives each row of a stack the exp and log it gets alone,
