@@ -23,16 +23,16 @@ quadratic form in F whose one closed form is ``_cell_tensor``.  The limit
 functional uses the fast path only.  A ``JLimitBlock`` is one assembly of it
 at one y for a list of P, one row per P, as the limit P-step values the
 trials of its line search; a single point is a block of one.  It takes the
-one principal log of the Gauss matrices of P with ``slgeometry.log_batch``,
-which keys the cache as the y-step's ``HomDensityCache.quantize`` does,
-while its ``energies.PlasticBlock`` reads the hardening at the interpolated
-log coordinates as J_eps does; the block keeps what its P-gradients need, so
-the gradient of an assembled row is finished without a second pass.  The
-data that depend on y alone are a ``FixedYLimit``, which the limit y-step
-builds once and hands to its P-step: grad y at the Gauss points and, per
-lattice key, the stiff energy of its cell tensor there and its
-central-difference slopes, so that a trial point gathers its stiff term, and
-an accepted one its slopes, from those rows.
+one principal log of the Gauss matrices of P with ``slgeometry.log_batch``
+and keys the cache with ``HomDensityCache.quantize_logs``, as the y-step
+does, while its ``energies.PlasticBlock`` reads the hardening at the
+interpolated log coordinates as J_eps does; the block keeps what its
+P-gradients need, so the gradient of an assembled row is finished without a
+second pass.  The data that depend on y alone are a ``FixedYLimit``, which
+the limit y-step builds once and hands to its P-step: grad y at the Gauss
+points and, per lattice key, the stiff energy of its cell tensor there and
+its central-difference slopes, so that a trial point gathers its stiff term,
+and an accepted one its slopes, from those rows.
 
 The stiff window of a (cell, resolution, lam) and the soft window of a
 (cell, resolution, formulation), each a grid with its active and free masks
@@ -419,13 +419,13 @@ def effective_quadratic_tensor(cell: CellGeometry, W1, G, resolution: int = CELL
 class HomDensityCache:
     """Memoized cell solves keyed by points of a lattice in sl(d).
 
-    ``quantize`` rounds the log coordinates of G to the configured step; every
-    lookup takes a cell, a density and an integer key, and solves at the
-    lattice point ``reconstruct(key)``.  Entries are stored under
-    (cell, density, key), so one cache serves several cells and densities;
-    cells and densities are compared by identity.  Results are inserted once
-    and never recomputed, so lookups are bit-identical across repeated
-    assemblies.
+    ``quantize_logs`` rounds the log coordinates of G to the configured
+    step; every lookup takes a cell, a density and an integer key, and
+    solves at the lattice point ``reconstruct(key)``.  Entries are stored
+    under (cell, density, key), so one cache serves several cells and
+    densities; cells and densities are compared by identity.  Results are
+    inserted once and never recomputed, so lookups are bit-identical across
+    repeated assemblies.
     """
 
     def __init__(self, step: float = LATTICE_STEP, resolution: int = CELL_RESOLUTION, tol: float = CELL_TOL,
@@ -437,13 +437,9 @@ class HomDensityCache:
         self._qprime: dict = {}
         self._w1: dict = {}
 
-    def quantize(self, G: np.ndarray) -> tuple:
-        """Unique lattice keys of the matrices G (N, d, d), and for each
-        matrix the index of its key."""
-        return self.quantize_logs(slgeometry.log_batch(np.asarray(G, float)))
-
     def quantize_logs(self, logs: np.ndarray) -> tuple:
-        """``quantize`` from the principal logs (N, d, d) of the matrices."""
+        """Unique lattice keys of the matrices G (N, d, d) whose principal
+        logs are ``logs``, and for each matrix the index of its key."""
         keys = np.round(slgeometry.matrices_to_coeffs(logs) / self.step).astype(np.int64)
         # one int64 code per row, in lexicographic order (mixed radix over the
         # column spans); ranks replace the codes before the radix could overflow
@@ -581,8 +577,7 @@ class JLimitBlock:
         self.Pg = np.ascontiguousarray(grid.gauss_values(plastic.Pn.swapaxes(0, 1)).transpose(2, 0, 1, 3, 4))
 
         # stiff density through the quadratic fast path (per unique quantized G),
-        # keyed on the principal log of each Gauss value of P, as the y-step's
-        # ``HomDensityCache.quantize`` keys it
+        # keyed on the principal log of each Gauss value of P, as the y-step keys it
         logs = slgeometry.rowwise(slgeometry.log_batch, self.Pg)
         self.keys, inverse = cache.quantize_logs(logs.reshape(-1, d, d))
         w1_vals = fixed.stiff(self.keys, inverse)
@@ -618,7 +613,7 @@ class JLimitBlock:
         assembled energy).  The slopes form the log-space cotangent
         sum_i slope_i E_i, which the adjoint of the log's differential at the
         Gauss values of P turns into a cotangent of those values for the
-        field's ``PlasticPass``.
+        block's ``PlasticBlock.gradient``.
         """
         fixed, Pg = self.fixed, self.Pg[row]
         slopes = fixed.slopes(*self.row_keys(row))
@@ -626,7 +621,7 @@ class JLimitBlock:
         # the public adjoint: in 2D this is its only caller, and perfbench's
         # per-layer counters read its calls
         sens = slgeometry.log_frechet_adjoint(Pg, dlog.reshape(Pg.shape))
-        return self.plastic.candidate(row).gradient(sens)
+        return self.plastic.gradient(row, sens)
 
 
 def assemble_J_limit(cell: CellGeometry, model, y, P, cache: HomDensityCache) -> EnergyBreakdown:

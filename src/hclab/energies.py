@@ -24,21 +24,19 @@ The internal variable enters both functionals alike: the hardening H(P) and
 |grad P|^q pass to the homogenized limit unchanged.  So their terms are a
 ``PlasticBlock``, which computes them for a list of P at once, one row per
 P: ``cellproblems.JLimitBlock`` holds one for the trials of a limit line
-search, and ``JEpsPass`` (here) holds the ``PlasticPass`` of a block of one.
-A row's pass (``PlasticBlock.candidate``) has ``gradient(dP)``, which pulls
-a per-Gauss cotangent of the values of P back to the nodal log coordinates
-together with the P-only terms' own.
+search, and ``JEpsPass`` (here) one of its P alone, whose row 0 it reads.
+A row's ``gradient(row, dP)`` pulls a per-Gauss cotangent of the values of
+P back to the nodal log coordinates together with the P-only terms' own.
 
 A ``JEpsPass`` is one assembly at (y, P): it computes the energy and keeps
 the per-Gauss arrays its gradient reads, the inverse of P and F, beside the
-plastic pass's nodal values of P and per-Gauss scalars.  Its gradient is
-finished on request: it hands -F^T W'(F) P^{-T} of both phases to the
-plastic pass after releasing W'(F), and the plastic pass frees it after its
-scatter, so at the gradient's peak a 2D pass holds about six arrays of the
-size of one (E, g, d, d) Gauss array.  A gradient makes one scatter and one
-product with the plastic pass's lagged Laplacian; the scatter of the y part
-waits for the first read of ``GradJEps.grad_y``, which the P-step never
-makes.
+plastic block's nodal values of P and per-Gauss scalars.  Its gradient, a
+``GradJEps``, forms W'(F) P^{-T} when it is made and each of its parts on
+first read: ``grad_m`` hands -F^T W'(F) P^{-T} of both phases to the
+plastic block, and ``grad_y`` scatters s W'(F) P^{-T}.  The P-step reads
+``grad_m`` alone and the descent y-step ``grad_y`` alone, so neither pays
+for the other's part.  At the gradient's peak a 2D pass holds about six
+arrays of the size of one (E, g, d, d) Gauss array.
 ``assemble_J_eps`` and ``value_and_grad_J_eps`` are thin wrappers over that
 pass.  The Gauss data that depend on y alone are a ``FixedY``, which the
 y-step of ``minimize`` builds once, values its solution through and returns;
@@ -49,8 +47,6 @@ the FixedY kept instead of assembling that point a second time.
 ``sobolev_metric`` builds the P-step's metric from the same kept pass: the
 Laplacian its gradient built plus 2 h1 M, the exact Hessian of the
 hardening.
-``value_and_grad_y_J_eps`` finishes the y gradient alone, for the descent
-y-step, without the plastic pass's gradient.
 ``dissipation_integral`` is the quadrature of the dissipation distance
 D(P_bar, P) over one phase; it is a report column, not a term of either
 functional.
@@ -89,26 +85,6 @@ class EnergyBreakdown:
         return cls(*parts, total=float(sum(parts)))
 
 
-class GradJEps:
-    """Gradient of the energy: ``grad_m``, the nodal sl-coefficient part,
-    and ``grad_y``, the nodal y part, which is scattered from the per-Gauss
-    cotangent s W'(F) P^{-T} on its first read and kept; the cotangent is
-    released then.  The P-step reads ``grad_m`` alone and so pays for no y
-    scatter.  ``crease_count`` counts the soft density's crease points."""
-
-    def __init__(self, grid, dG: np.ndarray, grad_m: np.ndarray, crease_count: int):
-        self._grid, self._dG = grid, dG
-        self.grad_m, self.crease_count = grad_m, crease_count
-
-    @cached_property
-    def grad_y(self) -> np.ndarray:
-        grid = self._grid
-        grad_y = np.zeros((grid.n_nodes, grid.dim))
-        grid.accumulate_from_gradients(self._dG, grad_y)
-        self._dG = None
-        return grad_y
-
-
 def _inv_batch(A: np.ndarray) -> np.ndarray:
     if A.shape[-1] == 2:
         det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
@@ -133,12 +109,16 @@ def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-class PlasticPass:
-    """The terms of one P shared by J_eps and J_limit: ``Pn`` (n_nodes, d, d),
-    the nodal values of P; ``qn`` (E, g), the squared norms of grad P at the
-    Gauss points; the per-Gauss ``hardening``; and ``grad_P_term``, the
-    integral of |grad P|^q.  Callers that need the Gauss values of P
-    interpolate ``Pn`` themselves; the pass keeps neither them nor grad P.
+class PlasticBlock:
+    """The terms that J_eps and J_limit share for a list of plastic fields on
+    one grid, one row per field: ``Pn`` (B, n_nodes, d, d), the nodal values
+    of P; ``qn`` (B, E, g), the squared norms of grad P at the Gauss points;
+    the per-Gauss ``hardening`` (B, E, g); and ``grad_P_term`` (B,), the
+    integral of |grad P|^q.  ``laplacian(row)`` and ``gradient(row, dP)``
+    act on one row.  Callers that need the Gauss values of P interpolate
+    ``Pn`` themselves; the block keeps neither them nor grad P.  A block pays
+    for one interpolation, one exponential (``slgeometry.rowwise``) and one
+    gradient product, and integrates by row sums (``Grid.integrate_rows``).
 
     The hardening is read at the interpolated log coordinates
     m_g = sum_n N_n(x_g) m_n, H_g = h0 + h1 |m_g|^2, so no matrix log is
@@ -150,57 +130,6 @@ class PlasticPass:
     of the interpolated P by O(h^2 |grad m|^2), a change of quadrature type
     like mass lumping (the exponential-map parametrisation of Simo 1992 and
     Miehe 1996).
-
-    The arrays are those of a ``PlasticBlock`` of P alone, or one field's
-    rows of a larger block (``PlasticBlock.candidate``).  ``qn``'s bits
-    depend on the memory layout of ``Grid.gauss_gradients`` (see
-    ``PlasticBlock``)."""
-
-    def __init__(self, model, P: PlasticField):
-        self._read(PlasticBlock(model, [P]), 0)
-
-    def _read(self, block: PlasticBlock, row: int) -> None:
-        self.model, self.P = block.model, block.Ps[row]
-        self.hardening, self.Pn, self.qn = block.hardening[row], block.Pn[row], block.qn[row]
-        self.grad_P_term = float(block.grad_P_term[row])
-
-    @cached_property
-    def laplacian(self):
-        """The lagged (Kacanov) operator sum_g w q |grad P_g|^(q-2) dN_g dN_g^T
-        of |grad P|^q at this P, sparse (n_nodes, n_nodes): applied to the
-        nodal values ``Pn`` it gives their gradient q |T|^(q-2) T scattered
-        by grad N.  Since q > d >= 2 the weight is finite, and 0 where
-        grad P = 0.  Built on first use and kept with the pass."""
-        grid, q = self.P.grid, self.model.q
-        dNdN = np.einsum("gnk,gmk->gnm", grid.dN_gauss, grid.dN_gauss).reshape(grid.n_gauss, -1)
-        blocks = (grid.quad_weight * q * self.qn ** ((q - 2.0) / 2.0)) @ dNdN
-        return grid.stiffness(blocks.reshape(-1, grid.n_corners, grid.n_corners))
-
-    def gradient(self, dP: np.ndarray) -> np.ndarray:
-        """Gradient with respect to the nodal log coefficients of P, given the
-        per-Gauss cotangent ``dP`` (E, g, d, d) of the values of P from the
-        other terms.  ``dP`` scattered to the nodes and the |grad P|^q term's
-        ``laplacian @ Pn`` are pulled back by the adjoint differential of the
-        exponential at the nodes and projected onto the sl(d) basis; the
-        hardening's 2 h1 M m is added in the coefficients.  ``dP`` is
-        dropped after its scatter, so a caller that keeps no reference to it
-        has it freed before the adjoint runs."""
-        model, grid = self.model, self.P.grid
-        R_nodes = (self.laplacian @ self.Pn.reshape(grid.n_nodes, -1)).reshape(self.Pn.shape)
-        grid.accumulate_from_values(dP, R_nodes)
-        del dP
-        adj = slgeometry.exp_frechet_adjoint(self.P.log_matrices(), R_nodes)
-        grad = np.einsum("nij,kij->nk", adj, slgeometry.sl_basis(grid.dim))
-        return grad + 2.0 * model.h1 * (grid.mass @ self.P.coeffs)
-
-
-class PlasticBlock:
-    """The ``PlasticPass`` arrays of a list of plastic fields on one grid,
-    computed together: ``hardening`` and ``qn`` (B, E, g), ``Pn``
-    (B, n_nodes, d, d) and ``grad_P_term`` (B,), one row per field, so a
-    block pays for one interpolation, one exponential (``slgeometry.rowwise``)
-    and one gradient product, and integrates by row sums
-    (``Grid.integrate_rows``).  ``candidate(b)`` is the pass of field b.
 
     Each row is the field's own array bit for bit: the rows are contiguous,
     every product and reduction acts on each row as on one field, and each
@@ -229,11 +158,37 @@ class PlasticBlock:
         self.hardening = np.ascontiguousarray(model.hardening(m_g).transpose(2, 0, 1))
         with np.errstate(over="ignore"):
             self.grad_P_term = grid.integrate_rows(self.qn ** (model.q / 2.0))
+        self._laplacians: dict = {}
 
-    def candidate(self, row: int) -> PlasticPass:
-        point = PlasticPass.__new__(PlasticPass)
-        point._read(self, row)
-        return point
+    def laplacian(self, row: int):
+        """The lagged (Kacanov) operator sum_g w q |grad P_g|^(q-2) dN_g dN_g^T
+        of |grad P|^q at field ``row``, sparse (n_nodes, n_nodes): applied to
+        the nodal values ``Pn[row]`` it gives their gradient q |T|^(q-2) T
+        scattered by grad N.  Since q > d >= 2 the weight is finite, and 0
+        where grad P = 0.  Built on first use and kept with the block."""
+        operator = self._laplacians.get(row)
+        if operator is None:
+            grid, q = self.Ps[row].grid, self.model.q
+            dNdN = np.einsum("gnk,gmk->gnm", grid.dN_gauss, grid.dN_gauss).reshape(grid.n_gauss, -1)
+            blocks = (grid.quad_weight * q * self.qn[row] ** ((q - 2.0) / 2.0)) @ dNdN
+            operator = self._laplacians[row] = grid.stiffness(blocks.reshape(-1, grid.n_corners, grid.n_corners))
+        return operator
+
+    def gradient(self, row: int, dP: np.ndarray) -> np.ndarray:
+        """Gradient of field ``row`` with respect to its nodal log
+        coefficients, given the per-Gauss cotangent ``dP`` (E, g, d, d) of
+        its values of P from the other terms.  ``dP`` scattered to the nodes
+        and the |grad P|^q term's ``laplacian(row) @ Pn[row]`` are pulled back
+        by the adjoint differential of the exponential at the nodes and
+        projected onto the sl(d) basis; the hardening's 2 h1 M m is added in
+        the coefficients."""
+        P, Pn = self.Ps[row], self.Pn[row]
+        grid = P.grid
+        R_nodes = (self.laplacian(row) @ Pn.reshape(grid.n_nodes, -1)).reshape(Pn.shape)
+        grid.accumulate_from_values(dP, R_nodes)
+        adj = slgeometry.exp_frechet_adjoint(P.log_matrices(), R_nodes)
+        grad = np.einsum("nij,kij->nk", adj, slgeometry.sl_basis(grid.dim))
+        return grad + 2.0 * self.model.h1 * (grid.mass @ P.coeffs)
 
 
 class FixedY:
@@ -261,17 +216,8 @@ class FixedY:
 
 class JEpsPass:
     """One assembly of J_eps at (y, P): ``breakdown`` is the energy, and
-    ``gradient()`` finishes its gradient from the arrays this pass computed.
-
-    Chain rule per Gauss point: with F = s G P^{-1}, s = eps on soft elements
-    and 1 on stiff ones,
-
-        d/dG  = s W'(F) P^{-T}
-        d/dP  = -F^T W'(F) P^{-T},
-
-    the latter handed to the ``PlasticPass``, which adds the P-only terms and
-    pulls the sum back to the nodal log coordinates.  The y gradient has a
-    row for every node, the boundary ones included.
+    ``GradJEps(pass)`` its gradient from the arrays this pass computed.  The
+    P-only terms are row 0 of a ``PlasticBlock`` of P alone.
     """
 
     def __init__(self, model, fixed: FixedY, P: PlasticField):
@@ -281,50 +227,59 @@ class JEpsPass:
         self.y, self.eps, self.scale = fixed.y, fixed.domain.eps, fixed.scale
         self.soft_els, self.stiff_els = soft_els, stiff_els = fixed.soft_els, fixed.stiff_els
         self.model, self.P = model, P
-        self.plastic = plastic = PlasticPass(model, P)
-        self.Pinv = _inv_batch(grid.gauss_values(plastic.Pn))
+        self.plastic = plastic = PlasticBlock(model, [P])
+        self.Pinv = _inv_batch(grid.gauss_values(plastic.Pn[0]))
 
         self.F = self.scale * _matmul(fixed.G, self.Pinv)
         self.breakdown = EnergyBreakdown.from_parts(
             soft_elastic=grid.integrate(model.W_soft_family.value(self.eps, self.F[soft_els])),
             stiff_elastic=grid.integrate(model.W_stiff.value(self.F[stiff_els])),
-            hardening_soft=grid.integrate(plastic.hardening, element_mask=soft_els),
-            hardening_stiff=grid.integrate(plastic.hardening, element_mask=stiff_els),
-            grad_P_term=plastic.grad_P_term,
+            hardening_soft=grid.integrate(plastic.hardening[0], element_mask=soft_els),
+            hardening_stiff=grid.integrate(plastic.hardening[0], element_mask=stiff_els),
+            grad_P_term=float(plastic.grad_P_term[0]),
         )
 
-    def gradient(self) -> GradJEps:
-        """Gradient with respect to all degrees of freedom, from per-Gauss
-        cotangents of both phases.  W'(F) is released once W'(F) P^{-T} is
-        formed, and the P cotangent is handed to the plastic pass without a
-        reference here, which frees it after its scatter; s W'(F) P^{-T}
-        waits in the GradJEps for a read of ``grad_y``."""
-        WpPinvT, crease = self._WpPinvT()
-        grad_m = self.plastic.gradient(self._P_cotangent(WpPinvT))
-        WpPinvT *= self.scale
-        return GradJEps(self.y.grid, WpPinvT, grad_m, crease)
 
-    def grad_y(self) -> np.ndarray:
-        """The y part of ``gradient()`` alone, bit for bit: the scatter of
-        s W'(F) P^{-T}, without the plastic pass's gradient."""
-        WpPinvT, crease = self._WpPinvT()
-        WpPinvT *= self.scale
-        return GradJEps(self.y.grid, WpPinvT, None, crease).grad_y
+class GradJEps:
+    """Gradient of J_eps at a ``JEpsPass``: ``grad_m``, the nodal
+    sl-coefficient part, and ``grad_y``, the nodal y part, each computed on
+    its first read and kept; ``crease_count`` counts the soft density's
+    crease points.
 
-    def _WpPinvT(self):
-        """W'(F) P^{-T} of both phases and the soft density's crease count;
-        W'(F) is released on return."""
-        model = self.model
-        Wp = np.empty_like(self.F)
-        Wp[self.soft_els], crease = model.W_soft_family.grad(self.eps, self.F[self.soft_els], return_crease=True)
-        Wp[self.stiff_els] = model.W_stiff.grad(self.F[self.stiff_els])
-        return _matmul(Wp, np.swapaxes(self.Pinv, -1, -2)), crease
+    Chain rule per Gauss point: with F = s G P^{-1}, s = eps on soft elements
+    and 1 on stiff ones,
 
-    def _P_cotangent(self, WpPinvT: np.ndarray) -> np.ndarray:
-        """-F^T W'(F) P^{-T}, the elastic terms' cotangent of the Gauss values of P."""
-        dP = _matmul(np.swapaxes(self.F, -1, -2), WpPinvT)
+        d/dG  = s W'(F) P^{-T}
+        d/dP  = -F^T W'(F) P^{-T}.
+
+    W'(F) P^{-T} of both phases is formed when the gradient is made, and
+    W'(F) released then.  ``grad_m`` hands d/dP to the pass's plastic block,
+    which adds the P-only terms and pulls the sum back to the nodal log
+    coordinates; ``grad_y`` scatters d/dG, a row for every node, the
+    boundary ones included.  The gradient keeps the arrays it reads, not
+    the pass.
+    """
+
+    def __init__(self, point: JEpsPass):
+        model, F, soft, stiff = point.model, point.F, point.soft_els, point.stiff_els
+        Wp = np.empty_like(F)
+        Wp[soft], self.crease_count = model.W_soft_family.grad(point.eps, F[soft], return_crease=True)
+        Wp[stiff] = model.W_stiff.grad(F[stiff])
+        self._WpPinvT = _matmul(Wp, np.swapaxes(point.Pinv, -1, -2))
+        self._F, self._scale, self._plastic, self._grid = F, point.scale, point.plastic, point.y.grid
+
+    @cached_property
+    def grad_m(self) -> np.ndarray:
+        dP = _matmul(np.swapaxes(self._F, -1, -2), self._WpPinvT)
         dP *= -1.0
-        return dP
+        return self._plastic.gradient(0, dP)
+
+    @cached_property
+    def grad_y(self) -> np.ndarray:
+        grid = self._grid
+        grad_y = np.zeros((grid.n_nodes, grid.dim))
+        grid.accumulate_from_gradients(self._WpPinvT * self._scale, grad_y)
+        return grad_y
 
 
 def _pass(domain, model, y, P: PlasticField) -> JEpsPass:
@@ -352,15 +307,7 @@ def value_and_grad_J_eps(domain, model, y, P: PlasticField):
     as ``y`` whose latest pass is at this P, the gradient is finished from
     that pass and nothing is assembled."""
     point = _pass(domain, model, y, P)
-    return point.breakdown, point.gradient()
-
-
-def value_and_grad_y_J_eps(domain, model, y, P: PlasticField):
-    """(EnergyBreakdown, grad_y): ``value_and_grad_J_eps`` for a caller that
-    reads the y gradient alone, the descent y-step; the plastic pass's
-    gradient is never run."""
-    point = _pass(domain, model, y, P)
-    return point.breakdown, point.grad_y()
+    return point.breakdown, GradJEps(point)
 
 
 def sobolev_metric(domain, model, y, P: PlasticField):
@@ -372,14 +319,14 @@ def sobolev_metric(domain, model, y, P: PlasticField):
     which acts alike on each sl-coefficient column.  Its mass part 2 h1 M
     (``Grid.mass``) is the exact Hessian of the hardening at every P in the
     orthonormal ``sl_basis`` coordinates, since the hardening is read at the
-    interpolated log coordinates (``PlasticPass``); the weighted Laplacian is
-    the pass's ``laplacian``, the lagged-diffusivity (Kacanov) linearisation
-    of |grad P|^q at this pass's grad P.  ``y`` as in
+    interpolated log coordinates (``PlasticBlock``); the weighted Laplacian is
+    the pass's ``PlasticBlock.laplacian``, the lagged-diffusivity (Kacanov)
+    linearisation of |grad P|^q at this pass's grad P.  ``y`` as in
     ``value_and_grad_J_eps``: the latest pass of a FixedY at this P is reused.
     """
     point = _pass(domain, model, y, P)
     grid = point.y.grid
-    return grid.operator(point.plastic.laplacian.data + 2.0 * model.h1 * grid.mass.data)
+    return grid.operator(point.plastic.laplacian(0).data + 2.0 * model.h1 * grid.mass.data)
 
 
 def dissipation_integral(domain, P_bar: PlasticField, P: PlasticField, phase: int) -> float:

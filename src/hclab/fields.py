@@ -214,7 +214,7 @@ class Grid:
         A strided view of the sparse product, whose rows are (e, g, k), not a
         copy: a point's d |C| derivatives lie in memory in (k, C...) order,
         and the result is not C-contiguous.  A reduction over them, such as
-        the einsum of ``energies.PlasticPass.qn``, sums in that memory order,
+        the einsum of ``energies.PlasticBlock.qn``, sums in that memory order,
         so its bits depend on this layout."""
         tail = nodal.shape[1:]
         out = self._operators().gradients @ nodal.reshape(self.n_nodes, -1)

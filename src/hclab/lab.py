@@ -144,6 +144,8 @@ class StudyConfig:
             raise ConfigError(f"macro_elements must be >= 1, got {self.macro_elements}")
         if self.strip <= 0:
             raise ConfigError(f"strip must be positive, got {self.strip}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         try:
             cell = _build_cell(self.geometry)
         except (microgeometry.GeometryError, IoFailure) as exc:
@@ -268,7 +270,7 @@ def _random_field(grid: Grid, seed: int) -> DeformationField:
 
 def _hardening_continuity_error(domain, model, P: PlasticField) -> float:
     grid = P.grid
-    Hg = energies.PlasticPass(model, P).hardening
+    Hg = energies.PlasticBlock(model, [P]).hardening[0]
     soft = domain.soft_elements
     int_soft = grid.integrate(Hg, element_mask=soft)
     int_all = grid.integrate(Hg)
@@ -431,9 +433,13 @@ def emit_report(report: StudyReport, outdir) -> dict:
         "extras": report.extras,
     }
     paths = {"csv": outdir / "report.csv", "long": outdir / "report_long.csv", "json": outdir / "report.json"}
-    paths["csv"].write_text("\n".join(lines) + "\n")
-    paths["long"].write_text("\n".join(long_lines) + "\n")
-    paths["json"].write_text(json.dumps(payload, sort_keys=True, indent=1))
+    texts = {"csv": "\n".join(lines) + "\n", "long": "\n".join(long_lines) + "\n",
+             "json": json.dumps(payload, sort_keys=True, indent=1)}
+    for key, path in paths.items():
+        try:
+            path.write_text(texts[key])
+        except OSError as exc:
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
     return paths
 
 

@@ -186,7 +186,7 @@ class MaterialModel:
     def hardening(self, logs: np.ndarray) -> np.ndarray:
         """H = h0 + h1 |log P|^2 from the logs (..., d, d) of P, without the
         K indicator.  The assembly passes the interpolated log coordinates
-        at the Gauss points (``energies.PlasticPass``); they lie in the K
+        at the Gauss points (``energies.PlasticBlock``); they lie in the K
         ball by convexity, so the indicator never fires."""
         return self.h0 + self.h1 * _fro2(logs)
 
@@ -286,6 +286,8 @@ def audit_assumptions(model: MaterialModel, sample_count: int = AUDIT_SAMPLES, s
     """
     if sample_count < 1:
         raise MaterialError("sample_count must be >= 1")
+    if seed < 0:
+        raise MaterialError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     d = model.dim
     c1, c2, c3 = model.growth_constants

@@ -229,11 +229,12 @@ def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = Non
     Quadratic densities: the Hessian system is solved by ``_cg`` to the
     requested tolerance, and the solution is valued through an
     ``energies.FixedY``.  Otherwise (or when forced) quasi-Newton descent on
-    the assembled energy with the analytic y gradient, which runs no plastic
-    gradient (``energies.value_and_grad_y_J_eps``).  The report's energy
-    trace holds the final value alone, and ``report.fixed`` is the FixedY of
-    the returned y: a P-step from P that takes it as y starts from the pass
-    of the final value instead of assembling (y, P) again.
+    the assembled energy with the analytic y gradient, which reads
+    ``energies.GradJEps.grad_y`` alone and so runs no plastic gradient.  The
+    report's energy trace holds the final value alone, and ``report.fixed``
+    is the FixedY of the returned y: a P-step from P that takes it as y
+    starts from the pass of the final value instead of assembling (y, P)
+    again.
     """
     grid = domain.grid
     y0v = y0.values if y0 is not None else np.zeros((grid.n_nodes, grid.dim))
@@ -259,8 +260,8 @@ def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = Non
         return DeformationField(grid, vals)
 
     def objective(x):
-        bd, grad_y = energies.value_and_grad_y_J_eps(domain, model, field(x), P)
-        return bd.total, grad_y[free].reshape(-1)
+        bd, grad = energies.value_and_grad_J_eps(domain, model, field(x), P)
+        return bd.total, grad.grad_y[free].reshape(-1)
 
     res = optimize.minimize(objective, y0v[free].reshape(-1), jac=True, method="L-BFGS-B",
                             options={"maxiter": max_iter, "gtol": tol, "ftol": 0.0})
@@ -530,7 +531,7 @@ def minimize_J_limit(cell, model, init=None, cache=None, macro_elements: int = 8
 
     def y_step(y, P):
         Pg = grid.gauss_values(P.matrices()).reshape(-1, d, d)
-        tensors = cache.w1_tensors(cell, model.W_stiff, *cache.quantize(Pg))
+        tensors = cache.w1_tensors(cell, model.W_stiff, *cache.quantize_logs(slgeometry.log_batch(Pg)))
         K, f = _quadratic_y_system(grid, 1.0, tensors.A.reshape(shape), tensors.b.reshape(shape))
         y, iters, _, ok = _solve_y(grid, K, f, y.values, schedule.y_tol, schedule.y_iters)
         return cellproblems.FixedYLimit(cell, model, y, cache), iters, ok

@@ -253,7 +253,7 @@ def test_cache_determinism_and_quantization(cell):
     cache = cp.HomDensityCache(step=1e-2, resolution=8)
     rng = np.random.default_rng(11)
     G = _sample_G(rng, 0.25)
-    keys, inverse = cache.quantize(np.stack([G, G + 1e-4 * np.eye(2)]))
+    keys, inverse = cache.quantize_logs(sg.log_batch(np.stack([G, G + 1e-4 * np.eye(2)])))
     assert len(keys) == 1 and list(inverse) == [0, 0]  # one lattice cell, one key
     key = keys[0]
     Gq = cache.reconstruct(key, 2)
@@ -293,7 +293,7 @@ def test_stacked_tensors_and_slopes_match_per_key_lookups(name, resolution):
     assert n == grid.n_elements * grid.n_gauss
     n_coeffs = d * d - 1
     logs = sg.coeffs_to_matrices(0.1 * rng.standard_normal((3, n_coeffs))[rng.integers(0, 3, n)], d)
-    keys, inverse = cache.quantize(sg.exp_batch(logs))
+    keys, inverse = cache.quantize_logs(sg.log_batch(sg.exp_batch(logs)))
     assert 1 < len(keys) < n
     stacked = cache.w1_tensors(cell, stiff, keys, inverse).evaluate(fixed.Gy)
     single = np.array([cache.w1_tensor(cell, stiff, keys[u]).evaluate(fixed.Gy[p]) for p, u in enumerate(inverse)])
@@ -344,8 +344,8 @@ def test_cache_keys_round_trip_near_identity(dim, data):
     k = np.trunc(k * min(1.0, 45.0 / max(np.linalg.norm(k), 1.0)))  # |k| <= 45, so |k| step <= 0.45
     key = tuple(int(i) for i in k)
     Gq = cache.reconstruct(key, dim)
-    assert cache.quantize(Gq[None])[0] == [key]
-    assert cache.quantize(np.linalg.inv(Gq)[None])[0] == [tuple(-i for i in key)]
+    assert cache.quantize_logs(sg.log_batch(Gq[None]))[0] == [key]
+    assert cache.quantize_logs(sg.log_batch(np.linalg.inv(Gq)[None]))[0] == [tuple(-i for i in key)]
 
 
 @settings(max_examples=80, deadline=None)

@@ -269,7 +269,7 @@ def test_pass_gradient_bit_identical_to_value_and_grad(cell_name):
         assert energies.assemble_J_eps(domain, model, fixed, P) == bd
         kept = fixed.latest
         finished = energies.value_and_grad_J_eps(domain, model, fixed, P)
-        for bd2, g2 in (finished, (point.breakdown, point.gradient())):
+        for bd2, g2 in (finished, (point.breakdown, energies.GradJEps(point))):
             assert bd2 == bd
             assert np.array_equal(g2.grad_y, g.grad_y) and np.array_equal(g2.grad_m, g.grad_m)
             assert g2.crease_count == g.crease_count
@@ -350,15 +350,92 @@ def test_hardening_is_the_mass_quadratic_form(setup):
     quadratic = model.h0 + model.h1 * float(np.sum(P.coeffs * (grid.mass @ P.coeffs)))
     assert bd.hardening_soft + bd.hardening_stiff == pytest.approx(quadratic, rel=1e-12)
     H = energies.sobolev_metric(domain, model, y, P)
-    laplacian = energies.PlasticPass(model, P).laplacian
+    laplacian = energies.PlasticBlock(model, [P]).laplacian(0)
     assert np.abs((H - laplacian - 2.0 * model.h1 * grid.mass).toarray()).max() <= 1e-15 * np.abs(H.data).max()
+
+
+def _gradient_oracle(domain, model, grid, y, P):
+    """grad_y and grad_m of J_eps from the chain rule written out: the
+    scatter of s W'(F) P^-T, and the plastic block's gradient of its one row
+    at the cotangent -F^T W'(F) P^-T."""
+    s = domain.contrast[:, None, None, None]
+    Pinv = energies._inv_batch(grid.gauss_values(P.matrices()))
+    F = s * energies._matmul(grid.gauss_gradients(y.values), Pinv)
+    soft = domain.soft_elements
+    Wp = np.empty_like(F)
+    Wp[soft] = model.W_soft_family.grad(domain.eps, F[soft])
+    Wp[~soft] = model.W_stiff.grad(F[~soft])
+    WpPinvT = energies._matmul(Wp, np.swapaxes(Pinv, -1, -2))
+    grad_y = np.zeros((grid.n_nodes, grid.dim))
+    grid.accumulate_from_gradients(s * WpPinvT, grad_y)
+    grad_m = energies.PlasticBlock(model, [P]).gradient(0, -energies._matmul(np.swapaxes(F, -1, -2), WpPinvT))
+    return grad_y, grad_m
+
+
+@pytest.mark.parametrize("order", [("grad_y", "grad_m"), ("grad_m", "grad_y")])
+def test_lazy_gradient_parts_in_either_order(setup, monkeypatch, order):
+    """Each part of a GradJEps is computed on its first read, in either
+    order, and is the chain rule's value bit for bit.  Reading one part runs
+    nothing of the other: grad_y makes no PlasticBlock.gradient call and
+    grad_m no accumulate_from_gradients scatter; a second read computes
+    nothing."""
+    cell, domain, model, grid = setup
+    rng = np.random.default_rng(31)
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
+    P = PlasticField(grid, 0.3 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
+    expected = dict(zip(("grad_y", "grad_m"), _gradient_oracle(domain, model, grid, y, P)))
+    calls = {"grad_y": 0, "grad_m": 0}
+    scatter, gradient = Grid.accumulate_from_gradients, energies.PlasticBlock.gradient
+
+    def counting_scatter(self, *args):
+        calls["grad_y"] += 1
+        return scatter(self, *args)
+
+    def counting_gradient(self, *args):
+        calls["grad_m"] += 1
+        return gradient(self, *args)
+
+    monkeypatch.setattr(Grid, "accumulate_from_gradients", counting_scatter)
+    monkeypatch.setattr(energies.PlasticBlock, "gradient", counting_gradient)
+    g = energies.value_and_grad_J_eps(domain, model, y, P)[1]
+    assert calls == {"grad_y": 0, "grad_m": 0}
+    first, second = order
+    value = getattr(g, first)
+    assert calls == {first: 1, second: 0}
+    assert np.abs(value).max() > 0.0 and np.array_equal(value, expected[first])
+    assert np.array_equal(getattr(g, second), expected[second])
+    assert calls == {first: 1, second: 1}
+    assert getattr(g, first) is value and calls == {first: 1, second: 1}
+
+
+def test_accepted_point_builds_one_laplacian(setup, monkeypatch):
+    """At a composite point kept by its FixedY, as the P-step finishes an
+    accepted trial, the gradient and the metric share the block's one
+    ``laplacian(0)``: the Kacanov operator is built once."""
+    cell, domain, model, grid = setup
+    rng = np.random.default_rng(32)
+    y = _zero_trace(grid, 0.1 * rng.standard_normal((grid.n_nodes, 2)))
+    P = PlasticField(grid, 0.3 * model.K_radius * rng.standard_normal((grid.n_nodes, 3)), model.K_radius)
+    fixed = energies.FixedY(domain, y)
+    energies.assemble_J_eps(domain, model, fixed, P)
+    built = []
+    stiffness = Grid.stiffness
+    monkeypatch.setattr(Grid, "stiffness", lambda self, *args: built.append(1) or stiffness(self, *args))
+    grad_m = energies.value_and_grad_J_eps(domain, model, fixed, P)[1].grad_m
+    H = energies.sobolev_metric(domain, model, fixed, P)
+    assert len(built) == 1
+    laplacian = fixed.latest.plastic.laplacian(0)
+    assert len(built) == 1
+    assert np.abs(grad_m).max() > 0.0
+    assert np.array_equal(H.data, laplacian.data + 2.0 * model.h1 * grid.mass.data)
 
 
 def test_composite_gradient_peak_memory_is_bounded():
     """One fresh value_and_grad_J_eps on the 64 x 64 block4 composite
-    (eps = 1/16) peaks below 8 arrays of the size of one (E, g, d, d) Gauss
-    array, measured by tracemalloc after a first call has built the grid's
-    cached operators.  It measured 6.4 such arrays."""
+    (eps = 1/16), with both parts of its gradient read, peaks below 8 arrays
+    of the size of one (E, g, d, d) Gauss array, measured by tracemalloc
+    after a first call has built the grid's cached operators.  It measured
+    6.4 such arrays."""
     cell = mg.builtin_cell("block4")
     domain = mg.build_micro_domain(cell, 16, strip=0.5)
     model = materials.default_material(dim=2)
@@ -373,8 +450,10 @@ def test_composite_gradient_peak_memory_is_bounded():
     try:
         start = tracemalloc.get_traced_memory()[0]
         again = energies.value_and_grad_J_eps(domain, model, y, P)
+        again[1].grad_m, again[1].grad_y
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert again[0] == first[0] and np.array_equal(again[1].grad_m, first[1].grad_m)
+    assert np.array_equal(again[1].grad_y, first[1].grad_y)
     assert peak <= 8 * gauss_array

@@ -51,6 +51,8 @@ def test_config_validation(tmp_path):
             lab.StudyConfig(geometry=geometry).validate()
     for bad in ({"quantization_step": 0.0}, {"quantization_step": -0.01}, {"macro_elements": 0},
                 {"strip": 0.0}, {"strip": -1.0}, {"cell_resolution": 6}, {"cell_resolution": 0},
+                # np.random.default_rng rejects a negative seed, after the study's solves
+                {"seed": -1},
                 {"strip": math.inf}, {"quantization_step": math.inf},
                 # a negative P-step tolerance ran every P-step to its full iteration budget
                 {"tolerances": {"plastic": -1.0}}, {"tolerances": {"outer": 0.0}}):
@@ -511,7 +513,20 @@ def test_cli_errors_exit_2_with_a_message(tmp_path, capsys):
     binary.write_bytes(b"2 4\n\xff\xfe\x00\x01\n")
     letter = tmp_path / "letter.mask"
     letter.write_text("2 4\n0000\n000x\n0000\n0000\n")
+    negative_seed = tmp_path / "negative_seed.json"
+    negative_seed.write_text(json.dumps({"seed": -1}))
+    # a report that cannot be written: report.csv is a directory
+    blocked = tmp_path / "blocked"
+    (blocked / "report.csv").mkdir(parents=True)
+    fast = tmp_path / "fast.json"
+    fast.write_text(json.dumps({"geometry": {"builtin": "stiff4"}, "eps_list": [0.25],
+                                "toggles": {"dissipation": False, "recovery_check": False, "correction": False}}))
     for argv, match in ((["study", "run", str(tmp_path / "missing.json")], "missing.json"),
+                        (["study", "run", str(negative_seed)], "seed must be >= 0"),
+                        (["study", "run", str(ROOT / "configs" / "default_study.json"), "--seed", "-1"],
+                         "seed must be >= 0"),
+                        (["audit", "model", "--seed", "-1"], "seed must be >= 0"),
+                        (["study", "run", str(fast), "--output-dir", str(blocked)], "cannot write"),
                         (["study", "run", str(bad_eps)], "eps 0.3"),
                         (["study", "run", str(negative_h1)], "h1 must be nonnegative"),
                         (["study", "run", str(dir_mask)], "cannot read cell mask"),
