@@ -19,8 +19,12 @@ each entry of C over the window's free nodes, and the d columns of
 int grad(phi).  A solve fills the band of K(C) from that basis and runs one
 banded Cholesky against those columns, which gives the d x d matrix Q,
 and the cell energy vol W(F R) - 1/2 tr(D Q D^T) with D = W'(F R) R^T is a
-quadratic form in F whose one closed form is ``_cell_tensor``.  The limit
-functional uses the fast path only.  A ``JLimitBlock`` is one assembly of it
+quadratic form in F whose one closed form is ``_cell_tensor``.  Every
+quadratic cell solve is one chain, window -> ``_cell_tensor`` ->
+``_quadratic_cell`` (the ``CellProblemResult`` at F), under three thin
+public entry points: ``effective_quadratic_tensor``, ``multicell_W1hom``
+and ``qprime_W0``, which runs a nonlinear CG for a non-quadratic W0.  The
+limit functional uses the fast path only.  A ``JLimitBlock`` is one assembly of it
 at one y for a list of P, one row per P, as the limit P-step values the
 trials of its line search; a single point is a block of one.  It takes the
 one principal log of the Gauss matrices of P with ``slgeometry.log_batch``
@@ -115,11 +119,7 @@ def _refined_mask(cell: CellGeometry, resolution: int) -> np.ndarray:
         raise CellProblemError(
             f"resolution {resolution} must be a multiple of the cell resolution {cell.resolution}"
         )
-    r = resolution // cell.resolution
-    mask = cell.soft_mask
-    for axis in range(cell.dim):
-        mask = np.repeat(mask, r, axis=axis)
-    return mask
+    return np.kron(cell.soft_mask, np.ones((resolution // cell.resolution,) * cell.dim, dtype=bool))
 
 
 class CellWindow(NamedTuple):
@@ -220,146 +220,6 @@ def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadratic_corrector(window: CellWindow, density, R: np.ndarray):
-    """Scalar corrector system of the quadratic density W(X R) on the
-    window's active elements, v zero off its free nodes.
-
-    With W(X) = a |X|^2 + L : X + k and C = R R^T, the corrector of F
-    minimizes sum_i (1/2 v_i.K.v_i + D_i . int grad v_i) over the components
-    v_i on the free nodes, where D = W'(F R) R^T is constant over the active
-    elements.  K = 2a sum C_kl K^{kl} is filled from the window's operator
-    basis as one band, int grad v_i = grad_phi^T v_i, and one banded Cholesky
-    solve with the d columns of grad_phi gives Y = K^{-1} grad_phi; the
-    corrector of any F is v[free] = -Y D^T.  Returns (band of K, Y).
-    """
-    d = window.grid.dim
-    a, _, _ = density.isotropic_quad_parts(d)
-    C = R @ R.T
-    coeffs = 2.0 * a * np.array([C[k, l] for k, l in _pairs(d)])
-    band = np.tensordot(coeffs, window.operators, axes=1)
-    try:
-        Y = scipy.linalg.solveh_banded(band, window.grad_phi, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - geometry invariants prevent this
-        raise SingularSystem(f"cell stiffness factorization failed: {exc}") from exc
-    return band, Y
-
-
-def _energy_grad_of(grid: Grid, active: np.ndarray, v: np.ndarray, density, R: np.ndarray, F: np.ndarray):
-    grads = grid.gauss_gradients(v)[active]
-    X = F[None, None] + grads
-    Y = np.matmul(X, R)
-    vals = density.value(Y)
-    dX = np.matmul(density.grad(Y), R.T[None, None])
-    g = np.zeros_like(v)
-    grid.accumulate_from_gradients(dX, g, element_mask=active)
-    return grid.integrate(vals), g
-
-
-def _pack(window: CellWindow, x: np.ndarray) -> np.ndarray:
-    """Nodal field of the window that is x on its free nodes and 0 elsewhere."""
-    v = np.zeros((window.grid.n_nodes, window.grid.dim))
-    v[window.free] = x.reshape(-1, window.grid.dim)
-    return v
-
-
-def _quadratic_cell(window: CellWindow, density, R, F):
-    """Banded direct solve of the cell problem of a quadratic density; returns
-    (minimizer, energy, residual, converged), converged when the residual and
-    the energy are both finite.  The energy at the corrector is the cell
-    tensor of ``_cell_tensor`` at F."""
-    tensor, band, Y = _cell_tensor(window, density, R)
-    D = density.grad(F @ R) @ R.T
-    sol = -Y @ D.T
-    residual = float(np.linalg.norm(_band_matvec(band, sol) + window.grad_phi @ D.T))
-    energy = float(tensor.evaluate(F))
-    return _pack(window, sol), energy, residual, bool(np.isfinite(residual) and np.isfinite(energy))
-
-
-def _minimize_cell(window: CellWindow, density, R, F, tol, restarts, seed):
-    """Soft cell solve of ``qprime_W0``: ``_quadratic_cell`` for quadratic
-    densities, nonlinear CG with seeded restarts of at most 500 iterations
-    each otherwise.  v = 0 is always among the starts, so the value never
-    exceeds the test-field energy of the mean deformation."""
-    if density.is_quadratic:
-        v, energy, residual, converged = _quadratic_cell(window, density, R, F)
-        return v, energy, 1, residual, converged
-
-    # scipy.optimize is imported only here, off the stock (quadratic) path
-    from scipy import optimize
-
-    grid, active, free = window.grid, window.active, window.free
-    rng = np.random.default_rng(seed)
-    n_free = int(free.sum()) * grid.dim
-    starts = [np.zeros(n_free)]
-    scale = 0.1 * (1.0 + float(np.linalg.norm(F)))
-    for _ in range(restarts):
-        starts.append(scale * rng.standard_normal(n_free))
-
-    def objective(x):
-        e, g = _energy_grad_of(grid, active, _pack(window, x), density, R, F)
-        return e, g[free].reshape(-1)
-
-    best = None
-    total_iters = 0
-    ok = False
-    for x0 in starts:
-        res = optimize.minimize(objective, x0, jac=True, method="CG",
-                                options={"maxiter": 500, "gtol": tol})
-        total_iters += int(res.nit)
-        ok = ok or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-    v = _pack(window, best.x)
-    residual = float(np.linalg.norm(best.jac))
-    return v, float(best.fun), total_iters, residual, ok or residual <= tol * 10
-
-
-def qprime_W0(cell: CellGeometry, W0, F, G, resolution: int = CELL_RESOLUTION, tol: float = CELL_TOL,
-              formulation: str = "over_Q0", restarts: int = 3, seed: int = 0) -> CellProblemResult:
-    """Quasiconvexified soft cell value QW0(F, G).
-
-    formulation "over_Q": zero trace on the whole cell, plain integral over Q.
-    formulation "over_Q0": zero trace on the inclusion boundary, average over
-    the inclusion.  The two agree (the infimum does not depend on the domain)
-    and tests cross-check them.
-    """
-    F = np.asarray(F, dtype=float)
-    G = _check_invertible(G)
-    window = _soft_window(cell, resolution, formulation)
-    v, energy, iters, residual, converged = _minimize_cell(window, W0, G, F, tol, restarts, seed)
-    return CellProblemResult(value=energy / window.norm, minimizer=v, iterations=iters,
-                             residual=residual, converged=converged)
-
-
-def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2),
-                    resolution: int = CELL_RESOLUTION) -> MulticellResult:
-    """Finite-window values of the stiff multi-cell density of a quadratic W1.
-
-    Each window (0, lam)^d is meshed at the same per-unit resolution, the
-    deformation has zero trace on the window boundary, and only stiff pixels
-    carry energy.  Pasting lam^d copies of a smaller window's minimizer is
-    admissible, so the sequence is nonincreasing in lam up to solver
-    tolerance; the largest window provides the estimate (the lam -> infinity
-    limit is never asserted converged).  Each window is one banded solve.
-    """
-    if not getattr(W1, "is_quadratic", False):
-        raise CellProblemError("multicell_W1hom requires a quadratic stiff density")
-    F = np.asarray(F, dtype=float)
-    G = _check_invertible(G)
-    Ginv = np.linalg.inv(G)
-    results = {}
-    for lam in sorted(lambdas):
-        if lam < 1 or lam != int(lam):
-            raise CellProblemError("window sizes must be positive integers")
-        lam = int(lam)
-        window = _stiff_window(cell, resolution, lam)
-        v, energy, residual, converged = _quadratic_cell(window, W1, Ginv, F)
-        results[lam] = CellProblemResult(value=energy / window.norm, minimizer=v, iterations=1,
-                                         residual=residual, converged=converged)
-    top = max(results)
-    return MulticellResult(per_lambda=results, estimate=results[top].value)
-
-
 @dataclass
 class EffectiveQuadratic:
     """Quadratic cell energy of a quadratic density at one G,
@@ -383,25 +243,132 @@ class EffectiveQuadratic:
 
 def _cell_tensor(window: CellWindow, density, R: np.ndarray):
     """Cell energy of the quadratic density W = a |X|^2 + L : X + k on the
-    window at its corrector, as an ``EffectiveQuadratic`` in F; also returns
-    the band of K and Y of ``_quadratic_corrector``.
+    window at its corrector, as an ``EffectiveQuadratic`` in F; returns
+    (tensor, band of K, Y).
 
-    With C = R R^T, M = L R^T, vol the measure of the active elements and
-    Q = grad_phi^T Y, the energy of F, vol W(F R) - 1/2 tr(D Q D^T) with
-    D = W'(F R) R^T = 2a F C + M, expands to
+    With C = R R^T, the corrector of F minimizes sum_i (1/2 v_i.K.v_i +
+    D_i . int grad v_i) over the components v_i on the free nodes, where
+    D = W'(F R) R^T = 2a F C + M with M = L R^T is constant over the active
+    elements.  K = 2a sum C_kl K^{kl} is filled from the window's operator
+    basis as one band, int grad v_i = grad_phi^T v_i, and one banded Cholesky
+    solve with the d columns of grad_phi gives Y = K^{-1} grad_phi; the
+    corrector of any F is v[free] = -Y D^T.  With vol the measure of the
+    active elements and Q = grad_phi^T Y, the energy of F,
+    vol W(F R) - 1/2 tr(D Q D^T), expands to
 
         A = vol a C - 2a^2 C Q C,  b = vol M - 2a M Q C,  c = vol k - 1/2 tr(M Q M^T).
     """
-    band, Y = _quadratic_corrector(window, density, R)
-    Q = window.grad_phi.T @ Y
-    a, L, k = density.isotropic_quad_parts(window.grid.dim)
+    d = window.grid.dim
+    a, L, k = density.isotropic_quad_parts(d)
     C = R @ R.T
+    band = np.tensordot(2.0 * a * np.array([C[i, j] for i, j in _pairs(d)]), window.operators, axes=1)
+    try:
+        Y = scipy.linalg.solveh_banded(band, window.grad_phi, check_finite=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - geometry invariants prevent this
+        raise SingularSystem(f"cell stiffness factorization failed: {exc}") from exc
+    Q = window.grad_phi.T @ Y
     M = L @ R.T
-    vol = np.count_nonzero(window.active) * window.grid.h**window.grid.dim
+    vol = np.count_nonzero(window.active) * window.grid.h**d
     tensor = EffectiveQuadratic(A=vol * a * C - 2.0 * a * a * (C @ Q @ C),
                                 b=vol * M - 2.0 * a * (M @ Q @ C),
                                 c=float(vol * k - 0.5 * np.trace(M @ Q @ M.T)))
     return tensor, band, Y
+
+
+def _energy_grad_of(grid: Grid, active: np.ndarray, v: np.ndarray, density, R: np.ndarray, F: np.ndarray):
+    grads = grid.gauss_gradients(v)[active]
+    X = F[None, None] + grads
+    Y = np.matmul(X, R)
+    vals = density.value(Y)
+    dX = np.matmul(density.grad(Y), R.T[None, None])
+    g = np.zeros_like(v)
+    grid.accumulate_from_gradients(dX, g, element_mask=active)
+    return grid.integrate(vals), g
+
+
+def _pack(window: CellWindow, x: np.ndarray) -> np.ndarray:
+    """Nodal field of the window that is x on its free nodes and 0 elsewhere."""
+    v = np.zeros((window.grid.n_nodes, window.grid.dim))
+    v[window.free] = x.reshape(-1, window.grid.dim)
+    return v
+
+
+def _quadratic_cell(window: CellWindow, density, R, F) -> CellProblemResult:
+    """Cell problem of a quadratic density at F: the ``_cell_tensor`` at F
+    per ``window.norm``, its corrector and the residual of its solve, in one
+    iteration; converged when the residual and the energy are both finite."""
+    tensor, band, Y = _cell_tensor(window, density, R)
+    D = density.grad(F @ R) @ R.T
+    sol = -Y @ D.T
+    residual = float(np.linalg.norm(_band_matvec(band, sol) + window.grad_phi @ D.T))
+    energy = float(tensor.evaluate(F))
+    return CellProblemResult(value=energy / window.norm, minimizer=_pack(window, sol), iterations=1,
+                             residual=residual, converged=bool(np.isfinite(residual) and np.isfinite(energy)))
+
+
+def qprime_W0(cell: CellGeometry, W0, F, G, resolution: int = CELL_RESOLUTION, tol: float = CELL_TOL,
+              formulation: str = "over_Q0", restarts: int = 3, seed: int = 0) -> CellProblemResult:
+    """Quasiconvexified soft cell value QW0(F, G).
+
+    formulation "over_Q": zero trace on the whole cell, plain integral over Q.
+    formulation "over_Q0": zero trace on the inclusion boundary, average over
+    the inclusion.  The two agree (the infimum does not depend on the domain)
+    and tests cross-check them.
+
+    A quadratic W0 is the ``_quadratic_cell`` of R = G; any other runs
+    nonlinear CG with seeded restarts of at most 500 iterations each.  v = 0
+    is always among the starts, so the value never exceeds the test-field
+    energy of the mean deformation.
+    """
+    F = np.asarray(F, dtype=float)
+    G = _check_invertible(G)
+    window = _soft_window(cell, resolution, formulation)
+    if W0.is_quadratic:
+        return _quadratic_cell(window, W0, G, F)
+
+    # scipy.optimize is imported only here, off the stock (quadratic) path
+    from scipy import optimize
+
+    grid, active, free = window.grid, window.active, window.free
+    rng = np.random.default_rng(seed)
+    n_free = int(free.sum()) * grid.dim
+    scale = 0.1 * (1.0 + float(np.linalg.norm(F)))
+    starts = [np.zeros(n_free)] + [scale * rng.standard_normal(n_free) for _ in range(restarts)]
+
+    def objective(x):
+        e, g = _energy_grad_of(grid, active, _pack(window, x), W0, G, F)
+        return e, g[free].reshape(-1)
+
+    runs = [optimize.minimize(objective, x0, jac=True, method="CG", options={"maxiter": 500, "gtol": tol})
+            for x0 in starts]
+    best = min(runs, key=lambda res: res.fun)  # the first of equal minima
+    residual = float(np.linalg.norm(best.jac))
+    return CellProblemResult(value=float(best.fun) / window.norm, minimizer=_pack(window, best.x),
+                             iterations=sum(int(res.nit) for res in runs), residual=residual,
+                             converged=any(res.success for res in runs) or residual <= tol * 10)
+
+
+def multicell_W1hom(cell: CellGeometry, W1, F, G, lambdas=(1, 2),
+                    resolution: int = CELL_RESOLUTION) -> MulticellResult:
+    """Finite-window values of the stiff multi-cell density of a quadratic W1.
+
+    Each window (0, lam)^d is meshed at the same per-unit resolution, the
+    deformation has zero trace on the window boundary, and only stiff pixels
+    carry energy.  Pasting lam^d copies of a smaller window's minimizer is
+    admissible, so the sequence is nonincreasing in lam up to solver
+    tolerance; the largest window provides the estimate (the lam -> infinity
+    limit is never asserted converged).  Each window is one banded solve.
+    """
+    if not getattr(W1, "is_quadratic", False):
+        raise CellProblemError("multicell_W1hom requires a quadratic stiff density")
+    F = np.asarray(F, dtype=float)
+    Ginv = np.linalg.inv(_check_invertible(G))
+    results = {}
+    for lam in sorted(lambdas):
+        if lam < 1 or lam != int(lam):
+            raise CellProblemError("window sizes must be positive integers")
+        results[int(lam)] = _quadratic_cell(_stiff_window(cell, resolution, int(lam)), W1, Ginv, F)
+    return MulticellResult(per_lambda=results, estimate=results[max(results)].value)
 
 
 def effective_quadratic_tensor(cell: CellGeometry, W1, G, resolution: int = CELL_RESOLUTION) -> EffectiveQuadratic:

@@ -199,8 +199,9 @@ class FixedY:
     Passed as ``y`` to ``assemble_J_eps`` or ``value_and_grad_J_eps``, one
     FixedY serves every assembly at its deformation, and it keeps the latest
     pass made with it (``latest``): ``value_and_grad_J_eps`` at that pass's
-    model and P (the same objects, unmodified) finishes its gradient instead
-    of assembling the point again.
+    model and P (the same objects) finishes its gradient instead of
+    assembling the point again.  The identity test is sound because a
+    ``PlasticField`` owns read-only coefficients.
     """
 
     def __init__(self, domain, y: DeformationField):

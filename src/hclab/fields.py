@@ -390,22 +390,27 @@ def project_to_ball(coeffs: np.ndarray, r_K: float) -> np.ndarray:
 
 def _in_ball(grid: Grid, coeffs, r_K: float, lead: tuple) -> np.ndarray:
     """``coeffs`` as floats of shape lead + (n_nodes, d^2 - 1), projected
-    onto the K ball: the one check of every ``PlasticField``'s data."""
+    onto the K ball in one read-only copy: the one check of every
+    ``PlasticField``'s data."""
     coeffs = np.asarray(coeffs, dtype=float)
     shape = lead + (grid.n_nodes, grid.dim**2 - 1)
     if coeffs.shape != shape:
         raise GridMismatch(f"coeffs shape {coeffs.shape} does not match {shape}")
-    return project_to_ball(coeffs, r_K)
+    owned = project_to_ball(coeffs, r_K)
+    owned = coeffs.copy() if owned is coeffs else owned  # no row moved: copy all the same
+    owned.setflags(write=False)
+    return owned
 
 
 @dataclass
 class PlasticField:
     """Nodal SL(d) field stored as trace-free log coefficients inside the K ball.
 
-    Construction projects them onto |M| <= r_K (``project_to_ball``, into a
-    copy), so membership in K is an invariant of the data, not a runtime check.
-    ``rows`` builds one field per row of a stack with one projection of the
-    whole stack.
+    Construction projects them onto |M| <= r_K (``project_to_ball``) into a
+    read-only copy the field owns, so membership in K is an invariant of the
+    data, not a runtime check, and a field is known by its identity
+    (``energies.FixedY``): no write into its input can change it.  ``rows``
+    builds one field per row of a stack with one projection of the whole stack.
     """
 
     grid: Grid
@@ -418,10 +423,11 @@ class PlasticField:
     @classmethod
     def rows(cls, grid: Grid, coeffs: np.ndarray, r_K: float) -> list:
         """One field per row of ``coeffs`` (B, n_nodes, k): the stack is
-        projected once, and each field holds its row of that projection, a
-        view, not a copy.  A row of a projected stack is its own projection,
-        since ``project_to_ball`` acts row by row and is idempotent, so the
-        fields are those that construction would build from the rows."""
+        projected once, into one read-only copy, and each field holds its row
+        of that copy, a view.  A row of a projected stack is its own
+        projection, since ``project_to_ball`` acts row by row and is
+        idempotent, so the fields are those that construction would build
+        from the rows."""
         fields = []
         for row in _in_ball(grid, coeffs, r_K, (len(coeffs),)):
             field = cls.__new__(cls)
@@ -436,7 +442,7 @@ class PlasticField:
         return slgeometry.exp_batch(self.log_matrices())
 
     def copy(self) -> "PlasticField":
-        return PlasticField(self.grid, self.coeffs.copy(), self.r_K)
+        return PlasticField(self.grid, self.coeffs, self.r_K)
 
     @classmethod
     def identity(cls, grid: Grid, r_K: float) -> "PlasticField":

@@ -150,6 +150,11 @@ class StudyConfig:
             cell = _build_cell(self.geometry)
         except (microgeometry.GeometryError, IoFailure) as exc:
             raise ConfigError(f"geometry {self.geometry}: {exc}") from exc
+        for e in eps:
+            try:
+                microgeometry.admitted_cells(cell, round(1.0 / e), self.strip)
+            except microgeometry.GeometryError as exc:
+                raise ConfigError(f"eps {e}: {exc}") from exc
         try:
             model = _build_model(self.material, cell.dim)
         except materials.MaterialError as exc:

@@ -286,19 +286,20 @@ class MicroDomain:
         return Fraction(self.n_cells**self.dim - len(self.translations_hat), self.n_cells**self.dim)
 
 
-def build_micro_domain(cell: CellGeometry, n_cells: int, strip: float = 0.5) -> MicroDomain:
-    """Assemble the composite: admitted translations and the global phase field.
+def admitted_cells(cell: CellGeometry, n_cells: int, strip: float = 0.5) -> tuple:
+    """The admission rule at eps = 1/n_cells: masks (n, ..., n) of the cells
+    t with dist(eps*(t + soft set), boundary) > strip*eps, and of those whose
+    whole cell clears the strip.  NoInclusions if a cell with an inclusion
+    admits none; a degenerate cell (no soft pixels) admits none.
 
-    A cell t is admitted when dist(eps*(t + soft set), boundary) > strip*eps.
     The test runs in integer pixel units 1/(n*m): for a pixel box [lo, hi) of
     the cell, the distance function min_i min(x_i, 1-x_i) is concave, so its
     minimum over the box, and over any union of pixels with that bounding box,
     is attained at the per-axis extremes, k = min_i min(t_i m + lo_i,
     n m - t_i m - hi_i) pixels.  As k is an integer and Fraction(strip) is the
     float's exact value, k > strip*m is the same as k >= floor(strip*m) + 1,
-    with no rounding.  The soft set's box gives ``translations``, the whole
-    cell's box [0, m) gives ``translations_hat``; both list cells in C order.
-    Degenerate cells (no soft pixels) admit no translations by definition.
+    with no rounding.  The soft set's box gives the first mask, the whole
+    cell's box [0, m) the second.
     """
     if n_cells < 2:
         raise GeometryError(f"n_cells must be >= 2, got {n_cells}")
@@ -317,12 +318,19 @@ def build_micro_domain(cell: CellGeometry, n_cells: int, strip: float = 0.5) -> 
         raise NoInclusions(
             f"no inclusion fits: strip {strip} at eps=1/{n_cells} excludes every cell"
         )
+    return admitted, clears(0, m)
+
+
+def build_micro_domain(cell: CellGeometry, n_cells: int, strip: float = 0.5) -> MicroDomain:
+    """Assemble the composite: the translations of ``admitted_cells`` and the
+    global phase field.  Both lists of translations are in C order."""
+    admitted, hat = admitted_cells(cell, n_cells, strip)
     return MicroDomain(
         cell=cell,
         n_cells=n_cells,
         strip=strip,
         translations=tuple(map(tuple, np.argwhere(admitted).tolist())),
-        translations_hat=tuple(map(tuple, np.argwhere(clears(0, m)).tolist())),
+        translations_hat=tuple(map(tuple, np.argwhere(hat).tolist())),
         soft_field=np.kron(admitted, cell.soft_mask),
     )
 

@@ -155,10 +155,10 @@ def _cg(K, B: np.ndarray, X0: np.ndarray, rtol: float, max_iter: int):
     column started from that column of X0 and stopped once its residual is
     below ``rtol`` times its right-hand side.
 
-    Returns X, the largest per-column iteration count, the norm of K X - B and
-    whether every column converged.  A zero column returns zero.  From X0 = 0
-    every CG iterate x of a non-zero column b has b.x = x.Kx > 0, so for a
-    gradient B, X is a descent direction.
+    Returns X, the largest per-column iteration count and whether every
+    column converged (``_solve_y`` computes the residual it reports).  A zero
+    column returns zero.  From X0 = 0 every CG iterate x of a non-zero
+    column b has b.x = x.Kx > 0, so for a gradient B, X is a descent direction.
 
     Each column runs the preconditioned CG of Hestenes and Stiefel (1952) in
     the form of Barrett et al., *Templates* (1994), as a plain loop with
@@ -176,7 +176,7 @@ def _cg(K, B: np.ndarray, X0: np.ndarray, rtol: float, max_iter: int):
         X[:, j], count, ok = _cg_column(K, inv_diag, B[:, j].copy(), X0[:, j].copy(), rtol, max_iter)
         iters = max(iters, count)
         converged &= ok
-    return X, iters, float(np.linalg.norm(K @ X - B)), converged
+    return X, iters, converged
 
 
 def _cg_column(K, inv_diag: np.ndarray, b: np.ndarray, x: np.ndarray, rtol: float, max_iter: int):
@@ -212,13 +212,15 @@ def _solve_y(grid: Grid, K, f: np.ndarray, y0: np.ndarray, tol: float, max_iter:
     values ``y0``, whose boundary values g are the Dirichlet data: it solves
     K_ff y_f = (f - K g)_f, with g extended by 0 inside.
 
-    Returns the field, the iteration count, the residual norm on the interior
-    nodes and whether CG reached ``tol``."""
+    Returns the field, the iteration count, the norm of the residual
+    K_ff y_f - (f - K g)_f, which ``minimize_y`` reports, and whether CG
+    reached ``tol``."""
     free = ~grid.boundary_node_mask()
     g = np.where(free[:, None], 0.0, y0)
-    sol, iters, resid, ok = _cg(K[free][:, free], (f - K @ g)[free], y0[free], tol, max_iter)
+    K_ff, rhs = K[free][:, free], (f - K @ g)[free]
+    sol, iters, ok = _cg(K_ff, rhs, y0[free], tol, max_iter)
     g[free] = sol
-    return DeformationField(grid, g), iters, resid, ok
+    return DeformationField(grid, g), iters, float(np.linalg.norm(K_ff @ sol - rhs)), ok
 
 
 def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = None,
@@ -397,7 +399,7 @@ def _block_descent(evaluate, P0: PlasticField, tol: float, max_iter: int):
     report = SolveReport(final_value=val, energy_trace=trace, inner_iterations=[it],
                          gradient_norms=grad_norms, converged=converged)
     report.breakdown = breakdown
-    return PlasticField(grid, m.copy(), r_K), report
+    return PlasticField(grid, m, r_K), report
 
 
 def minimize_P(domain, model, y, P0: PlasticField,

@@ -455,10 +455,10 @@ class PiecewisePath:
             raise NotUnimodular(f"path node determinant violates the {DET_TOL} tolerance")
 
 
-def _path_value(nodes: np.ndarray) -> float:
-    """sum_s Delta(Phi_s, (Phi_{s+1}-Phi_s)/h) * h; for 1-homogeneous Delta the h cancels."""
-    steps = np.linalg.solve(nodes[:-1], nodes[1:]) - np.eye(nodes.shape[-1])
-    return float(np.sum(np.linalg.norm(steps, axis=(-2, -1))))
+def _exp_curve_length(L: np.ndarray, segments: int) -> np.ndarray:
+    """S |exp(L/S) - I| per matrix of L: the length of F0 exp(t L), t in
+    [0, 1], in S segments, each of which costs |exp(L/S) - I|."""
+    return segments * np.linalg.norm(exp_batch(L / segments) - np.eye(L.shape[-1]), axis=(-2, -1))
 
 
 def _path_value_grad_frob(B_int: np.ndarray, ends: tuple) -> tuple:
@@ -502,9 +502,10 @@ def dissipation_distance(
 
     Starts from Phi(t) = F0 exp(t log(F0^{-1} F1)) and descends over the log
     coordinates of the interior nodes (L-BFGS with the analytic gradient of
-    the Frobenius generator).  The returned value never exceeds the initial
-    curve's discretized length.  With iters = 0 the exp-curve quadrature
-    itself is returned, which is the canonical upper-bound evaluation.
+    the Frobenius generator).  The returned value never exceeds the start's
+    ``_exp_curve_length``.  With iters = 0 that length itself is returned,
+    the canonical upper-bound evaluation; at segments = 8 it is
+    ``dissipation_distance_batch``'s value bit for bit.
     """
     F0 = np.asarray(F0, dtype=float)
     F1 = np.asarray(F1, dtype=float)
@@ -517,7 +518,7 @@ def dissipation_distance(
     L = log_batch(np.linalg.solve(F0, F1))
     ts = np.linspace(0.0, 1.0, segments + 1)
     nodes0 = np.einsum("ij,sjk->sik", F0, exp_batch(ts[:, None, None] * L))
-    value0 = _path_value(nodes0)
+    value0 = float(_exp_curve_length(L, segments))
     best_nodes, best_value = nodes0, value0
     converged = True
 
@@ -551,10 +552,7 @@ def dissipation_distance_batch(P_bar: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Exp-curve quadrature of D on stacked pairs (upper-bound evaluation).
 
     Along Phi(t) = P_bar exp(t L), L = log(P_bar^{-1} P), each of S = 8
-    segments costs |exp(L/S) - I|; this is the iters = 0 path of
-    ``dissipation_distance(segments=8)``, vectorized for field quadrature.
+    segments costs |exp(L/S) - I| (``_exp_curve_length``); per pair this is
+    ``dissipation_distance(segments=8, iters=0)`` bit for bit, vectorized.
     """
-    segments = 8
-    L = log_batch(np.linalg.solve(P_bar, P))
-    step = exp_batch(L / segments) - np.eye(P.shape[-1])
-    return segments * np.linalg.norm(step, axis=(-2, -1))
+    return _exp_curve_length(log_batch(np.linalg.solve(P_bar, P)), 8)

@@ -444,13 +444,13 @@ def test_tensor_sensitivity_matches_central_differences(name, resolution):
     window = cp._stiff_window(cell, resolution, 1)
 
     def Q(C):
-        _, Y = cp._quadratic_corrector(window, stiff, np.linalg.cholesky(C))  # any R with R R^T = C
+        _, _, Y = cp._cell_tensor(window, stiff, np.linalg.cholesky(C))  # any R with R R^T = C
         return window.grad_phi.T @ Y
 
     rng = np.random.default_rng(23)
     R = np.linalg.inv(_unimodular(rng, d))
     C = R @ R.T
-    _, Y = cp._quadratic_corrector(window, stiff, R)
+    _, _, Y = cp._cell_tensor(window, stiff, R)
     t = 1e-5
     exact, central = [], []
     for band, (k, l) in zip(window.operators, cp._pairs(d)):
@@ -494,9 +494,8 @@ def test_tensor_reuses_the_read_only_window_basis(cell, monkeypatch):
     stiff = materials.StiffDensity(1.0)
     rng = np.random.default_rng(29)
     seen = []
-    corrector = cp._quadratic_corrector
-    monkeypatch.setattr(cp, "_quadratic_corrector", lambda window, *args: seen.append(window) or
-                        corrector(window, *args))
+    tensor = cp._cell_tensor
+    monkeypatch.setattr(cp, "_cell_tensor", lambda window, *args: seen.append(window) or tensor(window, *args))
     cp.effective_quadratic_tensor(cell, stiff, _unimodular(rng, 2), resolution=16)
     monkeypatch.setattr(Grid, "stiffness", lambda *args, **kwargs: pytest.fail("stiffness re-assembled"))
     cp.effective_quadratic_tensor(cell, stiff, _unimodular(rng, 2), resolution=16)

@@ -214,6 +214,26 @@ def test_grid_mismatch(setup):
         energies.assemble_J_eps(domain, model, fixed, P)
 
 
+def test_plastic_field_owns_its_coefficients(setup):
+    """A PlasticField keeps a read-only copy of its input: writing into the
+    array it was built from changes neither the field nor the pass a FixedY
+    kept at it, so that pass is still the energy of a fresh assembly, and
+    writing into its coefficients, or those of a row, raises."""
+    _, domain, model, grid = setup
+    arr = np.zeros((grid.n_nodes, 3))
+    P = PlasticField(grid, arr, model.K_radius)
+    y = DeformationField.zero(grid)
+    fixed = energies.FixedY(domain, y)
+    kept = energies.assemble_J_eps(domain, model, fixed, P).total
+    arr[:, 0] = 0.2
+    assert energies.assemble_J_eps(domain, model, fixed, P).total == kept
+    assert energies.assemble_J_eps(domain, model, y, P).total == kept
+    assert energies.assemble_J_eps(domain, model, y, PlasticField(grid, arr, model.K_radius)).total > kept
+    for field in (P, PlasticField.rows(grid, arr[None], model.K_radius)[0]):
+        with pytest.raises(ValueError):
+            field.coeffs[0, 0] = 0.1
+
+
 def test_three_dimensional_assembly_and_gradient():
     """The 3D path: fiber geometry, baseline exactness, directional FD check."""
     cell = mg.builtin_cell("fiber3d")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hclab import lab
+from hclab import lab, microgeometry as mg
 from hclab.fields import DeformationField
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +80,12 @@ def test_config_validation(tmp_path):
             lab.StudyConfig(**bad).validate()
     with pytest.raises(lab.ConfigError, match="reciprocal"):
         lab.StudyConfig(eps_list=[0.0]).validate()  # not a ZeroDivisionError
+    # no inclusion clears the strip at eps = 1/2: the study solved the reference before it failed
+    for geometry, eps_list in (("fiber3d", [1 / 2, 1 / 3]), ("block4", [1 / 2, 1 / 4])):
+        with pytest.raises(lab.ConfigError, match="eps 0.5: no inclusion fits: strip 0.5 at eps=1/2"):
+            lab.StudyConfig(geometry={"builtin": geometry}, eps_list=eps_list).validate()
+    lab.StudyConfig(geometry={"builtin": "block4"}, eps_list=[1 / 2], strip=0.2).validate()
+    lab.StudyConfig(geometry={"builtin": "stiff4"}, eps_list=[1 / 2]).validate()  # no inclusion to fit
     # values default_material rejects: a MaterialError at the start of the run before
     with pytest.raises(lab.ConfigError, match="Morrey"):
         lab.StudyConfig(geometry={"builtin": "fiber3d"}, material={"q": 3.0},
@@ -149,19 +155,33 @@ _CONFIG_VALUES = {
 }
 
 
+def _inclusions_fit(cell, eps_list, strip) -> bool:
+    """Whether ``microgeometry.admitted_cells`` admits an inclusion at every eps."""
+    try:
+        for eps in eps_list:
+            mg.admitted_cells(cell, round(1.0 / eps), strip)
+    except mg.NoInclusions:
+        return False
+    return True
+
+
 @st.composite
 def _valid_config(draw):
     """A config naming a random subset of the known keys with values that
     validate; the two acceptance checks that need another setting are
-    switched off when that setting is missing, and a cell resolution is
-    drawn as a multiple of the geometry's."""
+    switched off when that setting is missing, a cell resolution is drawn
+    as a multiple of the geometry's, and an eps list at which the strip
+    leaves no inclusion is rejected."""
     data = draw(st.fixed_dictionaries({}, optional=_CONFIG_VALUES))
+    default = lab.StudyConfig()
+    cell = lab._build_cell(data.get("geometry", default.geometry))
+    assume(_inclusions_fit(cell, data.get("eps_list", default.eps_list), data.get("strip", default.strip)))
     if data.get("cell_resolution") is not None:
-        data["cell_resolution"] *= lab._build_cell(data.get("geometry", lab.StudyConfig().geometry)).resolution
+        data["cell_resolution"] *= cell.resolution
     acceptance = data.get("acceptance") or {}
     if not data.get("toggles", {}).get("recovery_check", True) and "recovery_bound" in acceptance:
         acceptance["recovery_bound"] = False
-    if len(data.get("eps_list", lab.StudyConfig().eps_list)) < 2 and "require_gap_decreasing" in acceptance:
+    if len(data.get("eps_list", default.eps_list)) < 2 and "require_gap_decreasing" in acceptance:
         acceptance["require_gap_decreasing"] = False
     return data
 
@@ -552,6 +572,22 @@ def test_cli_errors_exit_2_with_a_message(tmp_path, capsys):
         assert lab.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("hclab: error: ") and match in err and "Traceback" not in err
+
+
+def test_cli_eps_without_an_inclusion_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    """The stock config on the fiber3d cell at eps 1/2, 1/3: no inclusion
+    clears the strip at eps = 1/2, so the study exits 2 with one line that
+    names that eps, before the reference solve."""
+    config = json.loads((ROOT / "configs" / "default_study.json").read_text())
+    config.update(geometry={"builtin": "fiber3d"}, eps_list=[1 / 2, 1 / 3])
+    del config["acceptance"]
+    path = tmp_path / "fiber3d.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setattr(lab.minimize, "minimize_J_limit", lambda *args, **kwargs: pytest.fail("reference solved"))
+    assert lab.main(["study", "run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "hclab: error: eps 0.5: no inclusion fits: strip 0.5 at eps=1/2 excludes every cell"]
+    assert not (tmp_path / "out").exists()
 
 
 def _huge_q_config(tmp_path):

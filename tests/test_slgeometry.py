@@ -202,6 +202,18 @@ def test_exp_upper_bound_with_fine_segments():
         assert value <= np.linalg.norm(M) + 1e-6
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_exp_curve_value_is_the_batch_value_bit_for_bit(d):
+    """With iters = 0, ``dissipation_distance`` at 8 segments returns
+    ``dissipation_distance_batch``'s value bit for bit: both are one
+    exp-curve length, on 200 random pairs in the K ball (r_K = 0.3)."""
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        F0, F1 = _sample_sl(rng, d), _sample_sl(rng, d)
+        value, _ = sg.dissipation_distance(F0, F1, segments=8, iters=0)
+        assert value == sg.dissipation_distance_batch(F0[None], F1[None])[0]
+
+
 def test_dissipation_integral_constant_fields():
     from hclab import microgeometry as mg
     from hclab.fields import Grid, PlasticField
