@@ -5,6 +5,18 @@ problems for the homogenized densities, two-scale operators, and minimization
 studies that check convergence of minima against the homogenized reference.
 """
 
+import os
+import sys
+
+# Run numpy's BLAS on one thread unless the user chose a count: the banded
+# Cholesky solves and small batched products here are several times slower
+# threaded.  The variables are read once, when numpy loads, so an import of
+# numpy before hclab keeps its own setting and hclab leaves them alone.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+    del _var
+
 from hclab.energies import dissipation_integral
 from hclab.materials import MaterialModel, audit_assumptions, default_material, eval_density, eval_hardening
 from hclab.microgeometry import (

@@ -63,11 +63,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from hclab import slgeometry
 from hclab.energies import EnergyBreakdown, PlasticBlock
-from hclab.fields import Grid, check_same_grid, node_incidence_masks
+from hclab.fields import Grid, check_same_grid, half_bandwidth, node_incidence_masks, upper_band
 from hclab.microgeometry import CellGeometry
 
 
@@ -158,11 +157,9 @@ def _window(grid: Grid, active: np.ndarray, free: np.ndarray, norm: float) -> Ce
         if k != l:
             block = block + block.T
         K = grid.stiffness(np.broadcast_to(block, (n_active,) + block.shape), element_mask=active)
-        ops.append(scipy.sparse.triu(K[free][:, free], format="coo"))
-    u = max(int(np.max(op.col - op.row, initial=0)) for op in ops)
-    operators = np.zeros((len(ops), u + 1, int(np.count_nonzero(free))))
-    for band, op in zip(operators, ops):
-        band[u + op.row - op.col, op.col] = op.data
+        ops.append(K[free][:, free])
+    u = max(half_bandwidth(op) for op in ops)
+    operators = np.stack([upper_band(op, u) for op in ops])
 
     grad_phi = np.zeros((grid.n_nodes, d))
     grid.accumulate_from_gradients(np.broadcast_to(np.eye(d), (n_active, grid.n_gauss, d, d)), grad_phi,

@@ -354,6 +354,23 @@ def node_incidence_masks(dim: int, n_el: int, active_elements: np.ndarray):
     return all_mask.reshape(-1), any_mask.reshape(-1)
 
 
+def half_bandwidth(K) -> int:
+    """The largest j - i over the stored entries K[i, j] of a sparse matrix (0 if none)."""
+    K = K.tocoo()
+    return int(np.max(K.col - K.row, initial=0))
+
+
+def upper_band(K, u: int) -> np.ndarray:
+    """The upper band of the symmetric sparse K in LAPACK storage, as
+    ``scipy.linalg.solveh_banded`` reads it: shape (u + 1, n), K[i, j] at
+    [u + i - j, j] for i <= j <= i + u; u is at least ``half_bandwidth(K)``.
+    The array is in Fortran order, so LAPACK can factor it in place."""
+    upper = scipy.sparse.triu(K, format="coo")
+    band = np.zeros((u + 1, K.shape[0]), order="F")
+    band[u + upper.row - upper.col, upper.col] = upper.data
+    return band
+
+
 @dataclass
 class DeformationField:
     """Nodal vector field y; its boundary values are the Dirichlet data."""

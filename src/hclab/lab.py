@@ -24,11 +24,13 @@ argument into a cell, with an unreadable mask file an ``IoFailure``.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import inspect
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -419,7 +421,10 @@ def _fmt(x: float) -> str:
 def emit_report(report: StudyReport, outdir) -> dict:
     """Write ``report.csv``, ``report_long.csv`` and ``report.json`` into
     ``outdir``; returns {"csv", "long", "json": path}.  Bytes are a pure
-    function of the report contents."""
+    function of the report contents.  Each file is first written beside its
+    path under a temporary name, and the three are renamed into place only
+    once every one is written and no path is a directory, so a run that
+    cannot write its report leaves the previous set as it was."""
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -440,11 +445,18 @@ def emit_report(report: StudyReport, outdir) -> dict:
     paths = {"csv": outdir / "report.csv", "long": outdir / "report_long.csv", "json": outdir / "report.json"}
     texts = {"csv": "\n".join(lines) + "\n", "long": "\n".join(long_lines) + "\n",
              "json": json.dumps(payload, sort_keys=True, indent=1)}
-    for key, path in paths.items():
-        try:
-            path.write_text(texts[key])
-        except OSError as exc:
-            raise IoFailure(f"cannot write {path}: {exc}") from exc
+    temps = {key: path.with_name(f".{path.name}.{os.getpid()}.tmp") for key, path in paths.items()}
+    try:
+        for key, path in paths.items():
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            temps[key].write_text(texts[key])
+        for key, path in paths.items():
+            os.replace(temps[key], path)
+    except OSError as exc:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
     return paths
 
 

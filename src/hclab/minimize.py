@@ -28,10 +28,16 @@ changes no iterate.
 
 Every nodal linear system has one shape, a scalar sparse nodal operator with
 one right-hand-side column per component (d for y, d^2 - 1 for the P
-coefficients), and one solver, the per-column Jacobi-preconditioned CG
-``_cg``: a plain numpy loop that does the operations of scipy's sparse
-``cg`` in its order, so it gives scipy's iterates and counts bit for bit
-without scipy's per-iteration operator wrapper and callback calls.
+coefficients).  The y-system of either functional is solved exactly, by one
+banded Cholesky (``_banded_solve``; LAPACK's ``pbtrf`` through
+``scipy.linalg.solveh_banded``), whenever its upper band fits in
+``BANDED_MAX_BYTES``: the soft phase's eps^2 scaling conditions it so badly
+that Jacobi CG took 80 to 109 iterations per y-step at eps = 1/16.  Above
+that cap, and for the P-step's Sobolev direction at every size, the solver
+is the per-column Jacobi-preconditioned CG ``_cg``: a plain numpy loop that
+does the operations of scipy's sparse ``cg`` in its order, so it gives
+scipy's iterates and counts bit for bit without scipy's per-iteration
+operator wrapper and callback calls.
 
 ``Schedule`` owns the solver defaults: the outer, linear (y-step) and
 plastic tolerances and the y- and P-step budgets.  ``minimize_y`` and
@@ -46,9 +52,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from hclab import cellproblems, energies, slgeometry
-from hclab.fields import DeformationField, Grid, PlasticField, project_to_ball
+from hclab.fields import DeformationField, Grid, PlasticField, half_bandwidth, project_to_ball, upper_band
 
 # P-step budget of the homogenized functional.  Its stiff density is a
 # staircase in P (the cache quantizes G), so the P-step can stall on a flat
@@ -68,6 +75,17 @@ LIMIT_P_ITERS = 60
 # 1e-3 keeps a decade of margin for about 1.6x the CG iterations of 1e-2
 # (1,757 against 1,126, summed over columns, at 1/32).
 SOBOLEV_CG_RTOL = 1e-3
+
+# Largest upper band, in bytes, of a y-system that ``_solve_y`` factors
+# directly; a system with a larger band goes to ``_cg``.  Per solve on one
+# BLAS thread, band build included, against CG from zero to 1e-10 (2-vCPU
+# VM): block4 at eps = 1/16 (half-band 64, 2 MB) 3.4 against 11 ms, at 1/32
+# (128, 16 MB) 26 against 93 ms, at 1/64 (256, 127 MB) 332 against 775 ms;
+# fiber3d at eps = 1/3 (133, 1.4 MB) 2.4 against 2.9 ms, at 1/6 (553, 51 MB)
+# 167 against 44 ms, and at 1/12 its band would take 1.9 GB.  The cap keeps
+# CG where the band loses, does not fit, or (block4 at 1/64) would take more
+# memory than a whole stock study's peak RSS (about 80 MB).
+BANDED_MAX_BYTES = 32 * 2**20
 
 
 class NonFiniteEnergy(ArithmeticError):
@@ -207,20 +225,43 @@ def _cg_column(K, inv_diag: np.ndarray, b: np.ndarray, x: np.ndarray, rtol: floa
     return x, max_iter, False
 
 
+def _banded_solve(K, B: np.ndarray):
+    """K^{-1} B by one banded Cholesky (``scipy.linalg.solveh_banded``) of the
+    SPD sparse K, or None when K's upper band would take more than
+    BANDED_MAX_BYTES or K does not factor."""
+    u = half_bandwidth(K)
+    if 8 * (u + 1) * K.shape[0] > BANDED_MAX_BYTES:  # float64 entries
+        return None
+    try:
+        return scipy.linalg.solveh_banded(upper_band(K, u), B, overwrite_ab=True, check_finite=False)
+    except np.linalg.LinAlgError:  # not positive definite: CG reports how far it gets
+        return None
+
+
 def _solve_y(grid: Grid, K, f: np.ndarray, y0: np.ndarray, tol: float, max_iter: int):
-    """``_cg`` for K y = f on the interior nodes, started from the nodal
-    values ``y0``, whose boundary values g are the Dirichlet data: it solves
-    K_ff y_f = (f - K g)_f, with g extended by 0 inside.
+    """Solve K y = f on the interior nodes; the boundary values g of the
+    nodal values ``y0`` are the Dirichlet data: it solves K_ff y_f =
+    (f - K g)_f, with g extended by 0 inside.  The system goes to
+    ``_banded_solve``, which counts as one iteration, or, when that declines
+    it, to ``_cg`` started from y0.
 
     Returns the field, the iteration count, the norm of the residual
-    K_ff y_f - (f - K g)_f, which ``minimize_y`` reports, and whether CG
-    reached ``tol``."""
+    K_ff y_f - (f - K g)_f, which ``minimize_y`` reports, and whether each
+    column's residual is within ``tol`` of its right-hand side, CG's stop
+    test, on either path."""
     free = ~grid.boundary_node_mask()
     g = np.where(free[:, None], 0.0, y0)
     K_ff, rhs = K[free][:, free], (f - K @ g)[free]
-    sol, iters, ok = _cg(K_ff, rhs, y0[free], tol, max_iter)
+    sol = _banded_solve(K_ff, rhs)
+    if sol is None:
+        sol, iters, ok = _cg(K_ff, rhs, y0[free], tol, max_iter)
+        residual = K_ff @ sol - rhs
+    else:
+        iters = 1
+        residual = K_ff @ sol - rhs
+        ok = bool(np.all(np.linalg.norm(residual, axis=0) <= tol * np.linalg.norm(rhs, axis=0)))
     g[free] = sol
-    return DeformationField(grid, g), iters, float(np.linalg.norm(K_ff @ sol - rhs)), ok
+    return DeformationField(grid, g), iters, float(np.linalg.norm(residual)), ok
 
 
 def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = None,
@@ -228,15 +269,16 @@ def minimize_y(domain, model, P: PlasticField, y0: DeformationField | None = Non
     """Minimize the energy over the deformation at fixed plastic strain; the
     boundary values of ``y0`` (zero without it) are kept as Dirichlet data.
 
-    Quadratic densities: the Hessian system is solved by ``_cg`` to the
-    requested tolerance, and the solution is valued through an
-    ``energies.FixedY``.  Otherwise (or when forced) quasi-Newton descent on
-    the assembled energy with the analytic y gradient, which reads
-    ``energies.GradJEps.grad_y`` alone and so runs no plastic gradient.  The
-    report's energy trace holds the final value alone, and ``report.fixed``
-    is the FixedY of the returned y: a P-step from P that takes it as y
-    starts from the pass of the final value instead of assembling (y, P)
-    again.
+    Quadratic densities: the Hessian system is solved by ``_solve_y``, one
+    banded Cholesky, or ``_cg`` to ``tol`` above the band cap; on the banded
+    path ``tol`` bounds the residual that counts as converged.  The solution
+    is valued through an ``energies.FixedY``.  Otherwise (or when forced)
+    quasi-Newton descent on the assembled energy with the analytic y
+    gradient, which reads ``energies.GradJEps.grad_y`` alone and so runs no
+    plastic gradient.  The report's energy trace holds the final value
+    alone, and ``report.fixed`` is the FixedY of the returned y: a P-step
+    from P that takes it as y starts from the pass of the final value
+    instead of assembling (y, P) again.
     """
     grid = domain.grid
     y0v = y0.values if y0 is not None else np.zeros((grid.n_nodes, grid.dim))
@@ -435,7 +477,7 @@ def _alternate(assemble, y_step, p_step, grid: Grid, r_K: float, init, schedule:
 
     ``assemble(y, P)`` returns the EnergyBreakdown of the start; ``y_step(y,
     P)`` the Gauss data of the new deformation, which carry it as ``.y``, its
-    CG iteration count and convergence flag; and ``p_step(fixed, P)``, given
+    iteration count and convergence flag; and ``p_step(fixed, P)``, given
     those data, the new plastic field, its SolveReport, which carries the
     breakdown of its final point, and its convergence flag.  The data are
     dropped once the P-step returns, so they and the last pass made with

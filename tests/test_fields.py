@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +13,12 @@ from hclab.fields import (
     PlasticField,
     _element_nodes,
     _shape_gradient_table,
+    half_bandwidth,
     node_incidence_masks,
     project_to_ball,
     prolong_deformation,
     prolong_plastic,
+    upper_band,
 )
 
 
@@ -480,3 +483,22 @@ def test_2d_cell_window_bands_match_coo_assembly(window):
     bands = _coo_window_bands(win)
     assert bands.shape == win.operators.shape
     assert np.array_equal(win.operators, bands)
+
+
+def test_upper_band_is_lapack_storage_of_the_upper_triangle():
+    """``half_bandwidth`` is the largest j - i stored, and ``upper_band``
+    puts K[i, j] at [u + i - j, j] for i <= j, zero elsewhere, also when u
+    is wider than K's own band; ``solveh_banded`` on it solves K x = b."""
+    n = 12
+    K = scipy.sparse.diags([4.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1), -0.5 * np.ones(n - 3),
+                            -0.5 * np.ones(n - 3)], [0, 1, -1, 3, -3], format="csr")
+    assert half_bandwidth(K) == 3 and half_bandwidth(scipy.sparse.csr_matrix((0, 0))) == 0
+    dense = K.toarray()
+    b = np.arange(2.0 * n).reshape(n, 2)
+    for u in (3, 5):
+        band = upper_band(K, u)
+        want = np.zeros((u + 1, n))
+        for i, j in zip(*np.nonzero(np.triu(dense))):
+            want[u + i - j, j] = dense[i, j]
+        assert np.array_equal(band, want)
+        assert np.allclose(scipy.linalg.solveh_banded(band, b), np.linalg.solve(dense, b), rtol=1e-13, atol=0.0)

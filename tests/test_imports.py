@@ -6,13 +6,20 @@ Cholesky, sparse CG and projected descent.  ``scipy.optimize`` (which pulls in
 functions that call ``scipy.optimize.minimize``: the non-quadratic y-descent,
 the non-quadratic cell minimizer and the Finsler geodesic.  The check runs in
 a fresh interpreter, because this test session has loaded it already.
+
+Importing hclab before numpy runs numpy's BLAS on one thread unless the
+user set a count; each case runs in a fresh interpreter, since numpy reads
+the thread variables once, when it loads.
 """
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,3 +72,25 @@ def test_stock_run_never_imports_scipy_optimize(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("first, preset, want", [
+    ("import hclab", {}, ("1", "1", "1")),
+    ("import hclab", {"OPENBLAS_NUM_THREADS": "2"}, ("2", "1", "1")),
+    ("import numpy, hclab", {}, (None, None, None)),
+], ids=["pins", "keeps_the_users_count", "not_after_numpy"])
+def test_hclab_pins_blas_threads_only_first_and_by_default(first, preset, want, tmp_path):
+    """With the BLAS thread variables cleared, ``import hclab`` sets each to
+    "1"; a count the user set is kept; and after ``import numpy`` hclab
+    leaves the environment as it found it."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{first}; import json, os; "
+                               f"print(json.dumps([os.environ.get(v) for v in {BLAS_THREAD_VARS!r}]))"],
+        cwd=tmp_path, env={**env, **preset, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert tuple(json.loads(proc.stdout)) == want

@@ -574,6 +574,26 @@ def test_cli_errors_exit_2_with_a_message(tmp_path, capsys):
         assert err.startswith("hclab: error: ") and match in err and "Traceback" not in err
 
 
+def test_a_report_that_cannot_be_written_leaves_the_previous_set(tmp_path, capsys):
+    """A stiff4 study is written, then run again with --macro-elements 4
+    after ``report_long.csv`` was replaced by a directory: the run exits 2,
+    the previous ``report.csv`` and ``report.json`` keep their bytes, and no
+    temporary file is left behind."""
+    config = tmp_path / "stiff4.json"
+    config.write_text(json.dumps({"geometry": {"builtin": "stiff4"}, "eps_list": [0.25],
+                                  "toggles": {"dissipation": False, "recovery_check": False}}))
+    out = tmp_path / "out"
+    assert lab.main(["study", "run", str(config), "--output-dir", str(out)]) == 0
+    before = {name: (out / name).read_bytes() for name in ("report.csv", "report.json")}
+    (out / "report_long.csv").unlink()
+    (out / "report_long.csv").mkdir()
+    capsys.readouterr()
+    assert lab.main(["study", "run", str(config), "--output-dir", str(out), "--macro-elements", "4"]) == 2
+    assert capsys.readouterr().err.startswith(f"hclab: error: cannot write {out / 'report_long.csv'}")
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert sorted(p.name for p in out.iterdir()) == ["report.csv", "report.json", "report_long.csv"]
+
+
 def test_cli_eps_without_an_inclusion_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
     """The stock config on the fiber3d cell at eps 1/2, 1/3: no inclusion
     clears the strip at eps = 1/2, so the study exits 2 with one line that
